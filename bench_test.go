@@ -556,7 +556,8 @@ func BenchmarkShardedParallelRead(b *testing.B) {
 			}
 			const lines = 256 // striped across all shards, always resident
 			for l := uint64(0); l < lines; l++ {
-				if err := s.Write(l*64, []byte{byte(l)}); err != nil {
+				e, la := s.Locate(l * 64)
+				if err := e.Write(la, []byte{byte(l)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -570,8 +571,8 @@ func BenchmarkShardedParallelRead(b *testing.B) {
 				rng := rand.New(rand.NewSource(workerSeed.Add(1)))
 				dst := make([]byte, 8)
 				for pb.Next() {
-					l := uint64(rng.Intn(lines))
-					if err := s.ReadInto(l*64, dst); err != nil {
+					e, la := s.Locate(uint64(rng.Intn(lines)) * 64)
+					if err := e.ReadInto(la, dst); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -594,7 +595,8 @@ func benchBatchStore(b *testing.B) (*ShardedCache, []BatchReadOp) {
 		b.Fatal(err)
 	}
 	for l := uint64(0); l < 8; l++ {
-		if err := s.Write(l*64, bytes.Repeat([]byte{byte(l)}, 64)); err != nil {
+		e, la := s.Locate(l * 64)
+		if err := e.Write(la, bytes.Repeat([]byte{byte(l)}, 64)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -620,16 +622,17 @@ func BenchmarkStoreReadBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreSingleReads is the same 64 ops issued one at a time —
-// the baseline ReadBatch must beat (64 lock acquisitions, 64 tag
-// lookups, 64 line read-outs).
+// BenchmarkStoreSingleReads is the same 64 ops issued one at a time,
+// each to its shard's engine — the baseline ReadBatch must beat (64
+// lock acquisitions, 64 tag lookups, 64 line read-outs).
 func BenchmarkStoreSingleReads(b *testing.B) {
 	s, ops := benchBatchStore(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range ops {
-			if err := s.ReadInto(ops[j].Addr, ops[j].Dst); err != nil {
+			e, la := s.Locate(ops[j].Addr)
+			if err := e.ReadInto(la, ops[j].Dst); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -460,6 +460,9 @@ func main() {
 			for l := uint64(id); l < lines; l += uint64(*clients) {
 				owned = append(owned, l)
 			}
+			// Every op is a batch of one — the store's only data path.
+			rop := []twodcache.BatchReadOp{{Dst: make([]byte, 1)}}
+			wop := []twodcache.BatchWriteOp{{Data: make([]byte, 1)}}
 			for ctx.Err() == nil {
 				clientOps.Add(1)
 				l := owned[rng.Intn(len(owned))]
@@ -472,7 +475,8 @@ func main() {
 					// Capture the epoch BEFORE the write: a degrade racing
 					// the write then shows an advance, never a stale record.
 					e0 := epochOf(addr)
-					if err := st.Write(addr, []byte{val}); err != nil {
+					wop[0].Addr, wop[0].Data[0] = addr, val
+					if st.WriteBatch(wop); wop[0].Err != nil {
 						reported.Add(1)
 						repairAt(addr)
 						delete(shadow, addr)
@@ -486,8 +490,7 @@ func main() {
 				if rec != nil {
 					rec.Read(id, addr)
 				}
-				var got []byte
-				var err error
+				rop[0].Addr = addr
 				if *p99Budget > 0 {
 					// SLO mode: the read carries its own deadline and gives
 					// up on an in-flight repair rather than riding it past
@@ -495,16 +498,16 @@ func main() {
 					// run context, so shutdown does not masquerade as abort.
 					rctx, rcancel := context.WithTimeout(context.Background(), *p99Budget)
 					t0 := time.Now()
-					got, err = st.ReadCtx(rctx, addr, 1)
+					st.ReadBatchCtx(rctx, rop)
 					readLat.Observe(time.Since(t0))
 					rcancel()
-					if errors.Is(err, twodcache.ErrRecoveryInProgress) {
+					if errors.Is(rop[0].Err, twodcache.ErrRecoveryInProgress) {
 						sloAborts.Add(1)
 					}
 				} else {
-					got, err = st.Read(addr, 1)
+					st.ReadBatch(rop)
 				}
-				if err != nil {
+				if rop[0].Err != nil {
 					// The ladder itself gave up (or the deadline abandoned
 					// it) — still a *reported* event, never silent. Repair
 					// and drop the stale expectation.
@@ -513,18 +516,19 @@ func main() {
 					delete(shadow, addr)
 					continue
 				}
-				if tracked && got[0] != want {
+				got := rop[0].Dst[0]
+				if tracked && got != want {
 					if epochOf(addr) == wep[addr] {
 						silent.Add(1)
 						fmt.Fprintf(os.Stderr,
 							"soak: SILENT corruption at %#x: got %d want %d (loss epoch unmoved)\n",
-							addr, got[0], want)
+							addr, got, want)
 					} else {
 						accounted.Add(1)
 					}
 					// Either way the cache's view is now authoritative.
 					e0 := epochOf(addr)
-					shadow[addr] = got[0]
+					shadow[addr] = got
 					wep[addr] = e0
 				}
 			}
@@ -533,18 +537,18 @@ func main() {
 			// still be explained.
 			<-stormDone
 			for addr, want := range shadow {
-				got, err := st.Read(addr, 1)
-				if err != nil {
+				rop[0].Addr = addr
+				if st.ReadBatch(rop); rop[0].Err != nil {
 					reported.Add(1)
 					repairAt(addr)
 					continue
 				}
-				if got[0] != want {
+				if got := rop[0].Dst[0]; got != want {
 					if epochOf(addr) == wep[addr] {
 						silent.Add(1)
 						fmt.Fprintf(os.Stderr,
 							"soak: SILENT corruption at %#x on final sweep: got %d want %d\n",
-							addr, got[0], want)
+							addr, got, want)
 					} else {
 						accounted.Add(1)
 					}

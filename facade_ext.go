@@ -206,11 +206,13 @@ type RecoveryWatchdogConfig = resilience.WatchdogConfig
 // Start/Stop.
 type RecoveryWatchdog = resilience.Watchdog
 
-// ErrRecoveryInProgress matches (via errors.Is) errors returned by
-// ReadCtx/WriteCtx/FlushCtx when a bounded request abandoned an
-// in-flight repair at its deadline instead of riding it to the end.
-// The concrete error is a *RecoveryInProgressError with the repair's
-// progress; the triggering context error is also in the chain.
+// ErrRecoveryInProgress matches (via errors.Is) the errors a bounded
+// request gets when it abandoned an in-flight repair at its deadline
+// instead of riding it to the end: per op from ReadBatchCtx and
+// WriteBatchCtx, from FlushCtx, and over the wire from a NetClient's or
+// ClusterClient's Ctx calls. The concrete error is a
+// *RecoveryInProgressError with the repair's progress; the triggering
+// context error is also in the chain.
 var ErrRecoveryInProgress = resilience.ErrRecoveryInProgress
 
 // RecoveryInProgressError carries the abandoned repair's progress
@@ -236,10 +238,11 @@ func NewResilientCache(cfg ProtectedCacheConfig, backing CacheBacking, rcfg Resi
 // --- sharded storage engine ----------------------------------------------------
 
 // CacheStore is the storage-engine interface both a ResilientCache and
-// a ShardedCache satisfy: protected reads/writes (plus Ctx variants),
-// batch-amortised ReadBatch/WriteBatch, Flush, coherent Stats, and
-// metrics/event wiring. Program against it to swap shard counts
-// without touching call sites.
+// a ShardedCache satisfy: batch-amortised ReadBatch/WriteBatch (plus
+// deadline-bounded Ctx variants), Flush, and coherent Stats. Batches
+// are its only data path — a single op is a batch of one. Program
+// against it to swap shard counts without touching call sites; metrics
+// and event wiring live on the concrete types.
 type CacheStore = store.Store
 
 // ShardedCacheConfig assembles a sharded store: the shard count, the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 
@@ -17,8 +18,9 @@ import (
 // Batches trade the single-op path's hedging and backoff retries for
 // throughput: a replica failure stamps its ops' Err fields (and marks
 // the endpoint down or missed, same as the single-op path) rather than
-// triggering another round. Callers that need per-op retry semantics
-// re-issue the failed subset.
+// triggering another round. Write failures carry the single-op path's
+// error classes, ErrAmbiguousWrite included. Callers that need per-op
+// retry semantics re-issue the failed subset.
 
 // ReadBatch reads every op from the cluster in one round; see
 // ReadBatchCtx.
@@ -153,8 +155,11 @@ func (c *Client) WriteBatch(ops []pcache.WriteOp) (failed int, err error) {
 // succeeds if at least one replica applied it; every replica that did
 // not (per-op failure, call-level failure, or not usable this round)
 // gets the addr in its missed set and is excluded from reads until
-// repair copies the value across. A non-nil error is call-level: no op
-// was attempted anywhere.
+// repair copies the value across. Each replica's per-op outcome is
+// classified as WriteCtx classifies it: an op no replica applied, with
+// any failure ambiguous, fails with ErrAmbiguousWrite (joined with the
+// cause) unless writes are declared idempotent. The batch plane never
+// retries. A non-nil error is call-level: no op was attempted anywhere.
 func (c *Client) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (failed int, err error) {
 	if c.closed.Load() {
 		return len(ops), ErrClosed
@@ -169,7 +174,7 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (faile
 
 	locks := make([]int, 0, len(ops))
 	for i := range ops {
-		locks = append(locks, int(ops[i].Addr%numStripes))
+		locks = append(locks, stripeIndex(ops[i].Addr))
 	}
 	slices.Sort(locks)
 	locks = slices.Compact(locks)
@@ -223,6 +228,7 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (faile
 	}
 
 	applied := make([]int, len(ops))
+	ambiguous := make([]bool, len(ops))
 	errs := make([]error, len(ops))
 	for r := 0; r < launched; r++ {
 		res := <-results
@@ -231,23 +237,29 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (faile
 			if operr == nil {
 				operr = res.sub[i].Err
 			}
-			if operr == nil {
+			switch classifyWrite(ctx, operr) {
+			case wApplied:
 				applied[i]++
 				res.ep.clearMissed(ops[i].Addr)
-			} else {
-				res.ep.markMissed(ops[i].Addr, len(ops[i].Data))
-				errs[i] = operr
+				continue
+			case wAmbiguous:
+				ambiguous[i] = true
 			}
+			res.ep.markMissed(ops[i].Addr, len(ops[i].Data))
+			errs[i] = operr
 		}
 	}
 	for i := range ops {
-		if applied[i] > 0 {
+		switch {
+		case applied[i] > 0:
 			ops[i].Err = nil
 			continue
-		}
-		if errs[i] == nil {
+		case errs[i] == nil:
 			errs[i] = ErrNoReplicas
 			c.noReplicaErrors.Inc()
+		case ambiguous[i] && !c.cfg.IdempotentWrites:
+			c.ambiguousWrites.Inc()
+			errs[i] = errors.Join(ErrAmbiguousWrite, errs[i])
 		}
 		ops[i].Err = errs[i]
 		failed++

@@ -173,7 +173,10 @@ func (c Config) withDefaults() Config {
 
 // numStripes is the per-addr lock fan-out: writes and repairs to the
 // same addr serialise, unrelated addrs almost never collide.
-const numStripes = 256
+const (
+	stripeBits = 8
+	numStripes = 1 << stripeBits
+)
 
 // Client is a replicated cluster client. Safe for concurrent use.
 type Client struct {
@@ -409,7 +412,15 @@ func (c *Client) hedgeDelay() time.Duration {
 
 // stripe returns the lock serialising writes and repairs for addr.
 func (c *Client) stripe(addr uint64) *sync.Mutex {
-	return &c.stripes[addr%numStripes]
+	return &c.stripes[stripeIndex(addr)]
+}
+
+// stripeIndex maps addr to its stripe: the top stripeBits bits of a
+// 64-bit Fibonacci hash. Callers use line-aligned addresses, whose low
+// bits are all zero, so the address must be mixed before it is cut
+// down: addr%numStripes would leave most stripes idle.
+func stripeIndex(addr uint64) int {
+	return int(addr * 0x9E3779B97F4A7C15 >> (64 - stripeBits))
 }
 
 // Endpoints reports each endpoint's address, breaker state, transport

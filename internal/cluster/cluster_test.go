@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -690,5 +691,80 @@ func TestClusterBatchFreshnessPartition(t *testing.T) {
 	c.eps[1].mu.Unlock()
 	if missed < len(wops) {
 		t.Fatalf("failing replica missed set has %d addrs, want >= %d", missed, len(wops))
+	}
+}
+
+// TestClusterWriteAmbiguityParity pins that both write planes classify
+// a transport that dies mid-flight the same way: WriteCtx and a 1-op
+// WriteBatchCtx return ErrAmbiguousWrite (and count it) when writes are
+// not idempotent, and the raw transport error when they are. Retries
+// are off so the single-op path runs exactly one round, as the batch
+// plane always does.
+func TestClusterWriteAmbiguityParity(t *testing.T) {
+	dead := fmt.Errorf("%w: %w", netsrv.ErrClosed, io.ErrUnexpectedEOF)
+	write := map[string]func(c *Client) error{
+		"WriteCtx": func(c *Client) error {
+			return c.WriteCtx(context.Background(), 0, pattern(0, 1))
+		},
+		"WriteBatchCtx": func(c *Client) error {
+			ops := []pcache.WriteOp{{Addr: 0, Data: pattern(0, 1)}}
+			if _, err := c.WriteBatchCtx(context.Background(), ops); err != nil {
+				return err
+			}
+			return ops[0].Err
+		},
+	}
+	for _, idempotent := range []bool{false, true} {
+		for name, w := range write {
+			t.Run(fmt.Sprintf("%s/idempotent=%v", name, idempotent), func(t *testing.T) {
+				fc := newFakeConn()
+				fc.writeErr = func(int) error { return dead }
+				reg := obs.NewRegistry()
+				c := newCluster(t, Config{
+					Endpoints:        []string{"a"},
+					Dial:             fakeDialer(map[string]Conn{"a": fc}),
+					IdempotentWrites: idempotent,
+					MaxRetries:       -1,
+					Metrics:          reg,
+					Seed:             10,
+				})
+				err := w(c)
+				if !errors.Is(err, netsrv.ErrClosed) {
+					t.Fatalf("err = %v, want the transport cause in the chain", err)
+				}
+				if got := errors.Is(err, ErrAmbiguousWrite); got == idempotent {
+					t.Fatalf("err = %v: ambiguous=%v, want %v", err, got, !idempotent)
+				}
+				want := uint64(1)
+				if idempotent {
+					want = 0
+				}
+				if got := reg.Snapshot().Counter("cluster_ambiguous_writes_total"); got != want {
+					t.Fatalf("cluster_ambiguous_writes_total = %d, want %d", got, want)
+				}
+				if n := fc.writes(); n != 1 {
+					t.Fatalf("write attempted %d times, want exactly 1", n)
+				}
+			})
+		}
+	}
+}
+
+// TestStripeIndexSpread pins that line-aligned addresses use the whole
+// stripe table: 256 consecutive 64-byte lines must not pile onto a
+// handful of stripes, as addr%256 did (4 stripes).
+func TestStripeIndexSpread(t *testing.T) {
+	for _, base := range []uint64{0, 1 << 20, 12345 * lineBytes} {
+		seen := map[int]bool{}
+		for i := uint64(0); i < numStripes; i++ {
+			s := stripeIndex(base + i*lineBytes)
+			if s < 0 || s >= numStripes {
+				t.Fatalf("stripeIndex(%#x) = %d out of range", base+i*lineBytes, s)
+			}
+			seen[s] = true
+		}
+		if len(seen) < 200 {
+			t.Fatalf("base %#x: 256 aligned lines hit %d distinct stripes, want >= 200", base, len(seen))
+		}
 	}
 }

@@ -212,8 +212,8 @@ func (c *Client) Read(addr uint64, n int) ([]byte, error) {
 	return c.ReadCtx(context.Background(), addr, n)
 }
 
-// ReadCtx is Read bounded by ctx: the deadline travels in the frame and
-// maps to the store's ReadCtx on the server.
+// ReadCtx is Read bounded by ctx: the deadline travels in the frame, and
+// the server runs the read as part of a ReadBatchCtx under it.
 func (c *Client) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
 	wd, err := wireDeadline(ctx)
 	if err != nil {

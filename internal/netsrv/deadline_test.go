@@ -34,7 +34,7 @@ func (canceledDeadlineCtx) Err() error                  { return context.Cancele
 // request before the store ever sees it.
 func TestDeadlineCtxClamp(t *testing.T) {
 	for _, nanos := range []uint64{math.MaxInt64 + 1, math.MaxUint64} {
-		ctx, cancel := deadlineCtx(context.Background(), nanos)
+		ctx, cancel := deadlineCtx(context.Background(), time.Now(), nanos)
 		if err := ctx.Err(); err != nil {
 			t.Errorf("deadlineCtx(%d) expired on arrival: %v", nanos, err)
 		}
@@ -49,7 +49,7 @@ func TestDeadlineCtxClamp(t *testing.T) {
 // parent comes back unchanged.
 func TestDeadlineCtxZero(t *testing.T) {
 	parent := context.Background()
-	ctx, cancel := deadlineCtx(parent, 0)
+	ctx, cancel := deadlineCtx(parent, time.Now(), 0)
 	defer cancel()
 	if ctx != parent {
 		t.Fatal("deadlineCtx(0) did not return the parent")
@@ -72,7 +72,7 @@ func TestWireDeadlineRoundTrip(t *testing.T) {
 	if wd == 0 || wd > uint64(250*time.Millisecond) {
 		t.Fatalf("wireDeadline = %d ns, want in (0, 250ms]", wd)
 	}
-	ctx, cancel2 := deadlineCtx(context.Background(), wd)
+	ctx, cancel2 := deadlineCtx(context.Background(), time.Now(), wd)
 	defer cancel2()
 	if err := ctx.Err(); err != nil {
 		t.Fatalf("round-tripped ctx dead on arrival: %v", err)

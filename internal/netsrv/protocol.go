@@ -24,14 +24,17 @@
 //	STATS       := (empty)
 //	EPOCH       := u64 addr
 //
-// A nonzero deadline on a batch frame bounds the batch end-to-end: the
+// Every data frame reaches the store as a batch: a single READ/WRITE is
+// a batch of one, joined with the connection's other pipelined singles
+// that carry the same deadline field. A nonzero deadline bounds the
+// store call end to end, measured from the (first) op's arrival: the
 // server maps it to a context on the store's ReadBatchCtx/WriteBatchCtx
-// path, so per-op recovery work is deadline-bounded exactly like a
-// single-op READ/WRITE, and ops the deadline kills answer stDeadline
-// (or stRecoveryInProgress) individually inside an stOK batch response.
-// A batch whose deadline has already expired on arrival is not served:
-// every op reports stDeadline — an expired batch deadline is per-op
-// deadline outcomes, never silent success.
+// path, so per-op recovery work is deadline-bounded, and ops the
+// deadline kills answer stDeadline (or stRecoveryInProgress) — as the
+// response status of a single, individually inside an stOK batch
+// response. An op whose deadline has already expired when its batch
+// runs is not served: it reports stDeadline, single or batch — an
+// expired deadline is a deadline outcome, never silent success.
 //
 // Responses echo the opcode and request id, then carry a status byte:
 //
@@ -265,18 +268,19 @@ func appendFrame(buf []byte, op uint8, id uint64, payload ...[]byte) []byte {
 	return buf
 }
 
-// deadlineCtx converts a wire deadline (relative nanoseconds) into a
-// context. A zero deadline returns the parent with a no-op cancel.
-// Values above MaxInt64 — which time.Duration cannot represent — clamp
-// to MaxInt64 instead of wrapping negative and expiring instantly.
-func deadlineCtx(parent context.Context, nanos uint64) (context.Context, context.CancelFunc) {
+// deadlineCtx converts a wire deadline (nanoseconds relative to from,
+// the request's arrival) into a context. A zero deadline returns the
+// parent with a no-op cancel. Values above MaxInt64 — which
+// time.Duration cannot represent — clamp to MaxInt64 instead of
+// wrapping negative and expiring instantly.
+func deadlineCtx(parent context.Context, from time.Time, nanos uint64) (context.Context, context.CancelFunc) {
 	if nanos == 0 {
 		return parent, func() {}
 	}
 	if nanos > math.MaxInt64 {
 		nanos = math.MaxInt64
 	}
-	return context.WithTimeout(parent, time.Duration(nanos))
+	return context.WithDeadline(parent, from.Add(time.Duration(nanos)))
 }
 
 // encodeStats flattens the eight pcache.Stats counters.

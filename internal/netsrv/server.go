@@ -36,9 +36,9 @@ type Config struct {
 	// engine or a sharded router, unchanged. Required.
 	Store store.Store
 	// BatchSize is the in-flight accumulation threshold: a connection's
-	// pipelined single READs/WRITEs are gathered into one
-	// ReadBatch/WriteBatch call when this many are pending, or sooner
-	// when the pipe goes idle. Zero selects 32; 1 disables batching.
+	// pipelined single READs/WRITEs are gathered into one store batch
+	// call when this many are pending, or sooner when the pipe goes
+	// idle. Zero selects 32; 1 disables batching.
 	BatchSize int
 	// RespQueue bounds each connection's response queue (frames). A
 	// client that stops draining responses stalls its own reader once
@@ -266,19 +266,20 @@ type conn struct {
 	writerDone chan struct{}
 	werr       error // writeLoop-owned; reader never touches it
 
-	// One homogeneous pending batch at a time: mixing kinds would
-	// reorder a connection's read-after-write to the same line, so a
-	// kind switch flushes first. reads doubles as the BATCH_READ op
-	// scratch (the pending batch is always flushed first), writes as
-	// the BATCH_WRITE scratch; both are trimmed back to batchSize after
-	// an oversized batch frame so one huge batch does not pin its
-	// high-water memory for the connection's lifetime.
+	// One homogeneous pending batch at a time, under one deadline
+	// field: mixing kinds would reorder a connection's read-after-write
+	// to the same line, so a kind switch flushes first, and so does an
+	// op whose deadline field differs from the pending batch's. ids and
+	// t0s hold each pending op's request id and arrival time. reads
+	// doubles as the BATCH_READ op scratch (the pending batch is always
+	// flushed first), writes as the BATCH_WRITE scratch; all are trimmed
+	// back to batchSize after an oversized batch so one huge batch does
+	// not pin its high-water memory for the connection's lifetime.
 	reads    []pcache.ReadOp
-	readIDs  []uint64
-	readT0   []time.Time
 	writes   []pcache.WriteOp
-	writeIDs []uint64
-	writeT0  []time.Time
+	ids      []uint64
+	t0s      []time.Time
+	deadline uint64
 
 	// retained holds request-frame payloads pinned by pending single
 	// writes (each op's Data aliases its frame); they go back to the
@@ -358,7 +359,7 @@ func (c *conn) serve() {
 		// The pipe is idle (no buffered frames): flush what has
 		// accumulated before blocking on the next frame, so a paused
 		// pipeline never strands its tail.
-		if (len(c.reads) > 0 || len(c.writes) > 0) && c.br.Buffered() == 0 {
+		if len(c.ids) > 0 && c.br.Buffered() == 0 {
 			c.flushBatches()
 		}
 		f, err := readFramePooled(c.br)
@@ -376,7 +377,7 @@ func (c *conn) serve() {
 			// flushBatches returns it after the batch executes.
 			bufpool.Put(f.payload)
 		}
-		if len(c.reads) >= c.srv.batchSize || len(c.writes) >= c.srv.batchSize {
+		if len(c.ids) >= c.srv.batchSize {
 			c.flushBatches()
 		}
 	}
@@ -425,9 +426,6 @@ func (c *conn) respond(op uint8, id uint64, status uint8, payload []byte, t0 tim
 	bePut64(b[5:], id)
 	b[13] = status
 	copy(b[14:], payload)
-	if status == stDeadline || status == stRecoveryInProgress {
-		c.srv.deadlineAborts.Inc()
-	}
 	c.enqueue(b, t0)
 }
 
@@ -444,12 +442,12 @@ func (c *conn) respondErr(op uint8, id uint64, err error, t0 time.Time) {
 	c.respond(op, id, statusOf(err), []byte(err.Error()), t0)
 }
 
-// handle dispatches one request frame. Single READ/WRITE frames without
-// a deadline accumulate into the pending batch; everything else flushes
-// the pending batch first (to keep per-connection ordering) and
-// executes in place. It reports whether the frame's payload is retained
-// beyond this call (a pending single write aliases it); if not, the
-// caller returns the payload to the pool.
+// handle dispatches one request frame. Single READ/WRITE frames join
+// the pending batch (see join); everything else flushes the pending
+// batch first (to keep per-connection ordering) and executes in place.
+// It reports whether the frame's payload is retained beyond this call
+// (a pending single write aliases it); if not, the caller returns the
+// payload to the pool.
 func (c *conn) handle(f frame) (retained bool) {
 	t0 := time.Now()
 	p := f.payload
@@ -459,61 +457,25 @@ func (c *conn) handle(f frame) (retained bool) {
 			c.respond(f.op, f.id, stBadRequest, []byte("bad READ frame"), t0)
 			return false
 		}
-		deadline := be64(p[0:])
-		addr := be64(p[8:])
 		n := int(be32(p[16:]))
 		if n <= 0 || n > maxReadLen {
 			c.respond(f.op, f.id, stBadRequest, []byte(fmt.Sprintf("read length %d", n)), t0)
 			return false
 		}
-		if deadline == 0 {
-			if len(c.writes) > 0 {
-				c.flushBatches()
-			}
-			c.reads = append(c.reads, pcache.ReadOp{Addr: addr, Dst: c.carve(n)})
-			c.readIDs = append(c.readIDs, f.id)
-			c.readT0 = append(c.readT0, t0)
-			return false
-		}
-		c.flushBatches()
-		ctx, cancel := deadlineCtx(context.Background(), deadline)
-		out, err := c.srv.st.ReadCtx(ctx, addr, n)
-		cancel()
-		if err != nil {
-			c.respondErr(f.op, f.id, err, t0)
-			return false
-		}
-		c.respond(f.op, f.id, stOK, out, t0)
+		c.join(f, be64(p[0:]), t0)
+		c.reads = append(c.reads, pcache.ReadOp{Addr: be64(p[8:]), Dst: c.carve(n)})
 
 	case opWrite:
 		if len(p) < 8+8 {
 			c.respond(f.op, f.id, stBadRequest, []byte("bad WRITE frame"), t0)
 			return false
 		}
-		deadline := be64(p[0:])
-		addr := be64(p[8:])
-		data := p[16:]
-		if deadline == 0 {
-			if len(c.reads) > 0 {
-				c.flushBatches()
-			}
-			// data aliases the frame's pooled payload buffer — retained
-			// (and returned to the pool) by the batch flush.
-			c.writes = append(c.writes, pcache.WriteOp{Addr: addr, Data: data})
-			c.writeIDs = append(c.writeIDs, f.id)
-			c.writeT0 = append(c.writeT0, t0)
-			c.retained = append(c.retained, p)
-			return true
-		}
-		c.flushBatches()
-		ctx, cancel := deadlineCtx(context.Background(), deadline)
-		err := c.srv.st.WriteCtx(ctx, addr, data)
-		cancel()
-		if err != nil {
-			c.respondErr(f.op, f.id, err, t0)
-			return false
-		}
-		c.respond(f.op, f.id, stOK, nil, t0)
+		c.join(f, be64(p[0:]), t0)
+		// Data aliases the frame's pooled payload buffer — retained (and
+		// returned to the pool) by the batch flush.
+		c.writes = append(c.writes, pcache.WriteOp{Addr: be64(p[8:]), Data: p[16:]})
+		c.retained = append(c.retained, p)
+		return true
 
 	case opBatchRead:
 		c.flushBatches()
@@ -529,10 +491,11 @@ func (c *conn) handle(f frame) (retained bool) {
 			return false
 		}
 		c.flushBatches()
-		ctx, cancel := deadlineCtx(context.Background(), be64(p))
+		ctx, cancel := deadlineCtx(context.Background(), t0, be64(p))
 		err := c.srv.st.FlushCtx(ctx)
 		cancel()
 		if err != nil {
+			c.countAbort(err)
 			c.respondErr(f.op, f.id, err, t0)
 			return false
 		}
@@ -566,12 +529,10 @@ func (c *conn) handle(f frame) (retained bool) {
 	return false
 }
 
-// handleBatchRead serves one BATCH_READ frame through the store's batch
-// path and answers per-op outcomes in a single response frame. A
-// nonzero deadline field bounds the whole batch: it maps to a context
-// on ReadBatchCtx, ops the deadline kills answer stDeadline (or
-// stRecoveryInProgress) individually, and those aborts are counted in
-// net_deadline_aborts_total.
+// handleBatchRead serves one BATCH_READ frame as exactly one store call
+// through readStore — the step pending single reads take too, so the
+// deadline contract is theirs — and answers per-op outcomes in a
+// single response frame.
 func (c *conn) handleBatchRead(f frame, t0 time.Time) {
 	p := f.payload
 	if len(p) < 8+4 {
@@ -598,15 +559,7 @@ func (c *conn) handleBatchRead(f frame, t0 time.Time) {
 		total += n
 		ops = append(ops, pcache.ReadOp{Addr: addr, Dst: c.carve(n)})
 	}
-	bt0 := time.Now()
-	if deadline > 0 {
-		ctx, cancel := deadlineCtx(context.Background(), deadline)
-		c.srv.st.ReadBatchCtx(ctx, ops)
-		cancel()
-	} else {
-		c.srv.st.ReadBatch(ops)
-	}
-	c.observeBatch(len(ops), bt0)
+	c.readStore(ops, deadline, t0)
 	okTotal := 0
 	for i := range ops {
 		if ops[i].Err == nil {
@@ -618,12 +571,8 @@ func (c *conn) handleBatchRead(f frame, t0 time.Time) {
 	b = be64Append(b, f.id)
 	b = append(b, stOK)
 	b = be32Append(b, uint32(count))
-	aborts := uint64(0)
 	for i := range ops {
 		st := statusOf(ops[i].Err)
-		if st == stDeadline || st == stRecoveryInProgress {
-			aborts++
-		}
 		b = append(b, st)
 		if st == stOK {
 			b = be32Append(b, uint32(len(ops[i].Dst)))
@@ -633,17 +582,13 @@ func (c *conn) handleBatchRead(f frame, t0 time.Time) {
 		}
 	}
 	bePut32(b, uint32(len(b)-frameHeader))
-	if aborts > 0 {
-		c.srv.deadlineAborts.Add(aborts)
-	}
 	c.reads = trimOps(ops, c.srv.batchSize)
 	c.releaseArenas()
 	c.enqueue(b, t0)
 }
 
-// handleBatchWrite serves one BATCH_WRITE frame through the store's
-// batch path and answers per-op status codes. The deadline contract
-// matches handleBatchRead.
+// handleBatchWrite serves one BATCH_WRITE frame as exactly one store
+// call through writeStore and answers per-op status codes.
 func (c *conn) handleBatchWrite(f frame, t0 time.Time) {
 	p := f.payload
 	if len(p) < 8+4 {
@@ -681,78 +626,106 @@ func (c *conn) handleBatchWrite(f frame, t0 time.Time) {
 		bad("trailing BATCH_WRITE bytes")
 		return
 	}
-	bt0 := time.Now()
-	if deadline > 0 {
-		ctx, cancel := deadlineCtx(context.Background(), deadline)
-		c.srv.st.WriteBatchCtx(ctx, ops)
-		cancel()
-	} else {
-		c.srv.st.WriteBatch(ops)
-	}
-	c.observeBatch(len(ops), bt0)
+	c.writeStore(ops, deadline, t0)
 	b := bufpool.Get(frameHeader + frameFixed + 1 + 4 + count)
 	bePut32(b, uint32(frameFixed+1+4+count))
 	b[4] = f.op
 	bePut64(b[5:], f.id)
 	b[13] = stOK
 	bePut32(b[14:], uint32(count))
-	aborts := uint64(0)
 	for i := range ops {
-		st := statusOf(ops[i].Err)
-		if st == stDeadline || st == stRecoveryInProgress {
-			aborts++
-		}
-		b[18+i] = st
-	}
-	if aborts > 0 {
-		c.srv.deadlineAborts.Add(aborts)
+		b[18+i] = statusOf(ops[i].Err)
 	}
 	c.writes = trimOps(ops, c.srv.batchSize)
 	c.enqueue(b, t0)
 }
 
-// flushBatches executes whichever pending batch has accumulated and
-// responds to every op in it. At most one kind is pending at a time.
-// After the flush the pooled buffers backing the batch go home: read
-// Dst arenas once the responses carry copies of the data, retained
-// write frames once WriteBatch has consumed them; the op scratch slices
-// trim back to batchSize so an oversized burst does not pin its
-// high-water memory.
+// join readies the pending batch for single op f under the frame's
+// deadline field: a pending batch of the other kind, or under a
+// different deadline field, executes first. The caller then appends the
+// op itself to reads or writes.
+func (c *conn) join(f frame, deadline uint64, t0 time.Time) {
+	if len(c.ids) > 0 && (deadline != c.deadline || (f.op == opRead) != (len(c.reads) > 0)) {
+		c.flushBatches()
+	}
+	c.deadline = deadline
+	c.ids = append(c.ids, f.id)
+	c.t0s = append(c.t0s, t0)
+}
+
+// flushBatches executes the pending batch as one store call and
+// responds to every op in it. After the flush the pooled buffers
+// backing the batch go home: read Dst arenas once the responses carry
+// copies of the data, retained write frames once the store has consumed
+// them; the scratch slices trim back to batchSize so an oversized burst
+// does not pin its high-water memory.
 func (c *conn) flushBatches() {
+	if len(c.ids) == 0 {
+		return
+	}
 	max := c.srv.batchSize
 	if len(c.reads) > 0 {
-		t0 := time.Now()
-		c.srv.st.ReadBatch(c.reads)
-		c.observeBatch(len(c.reads), t0)
+		c.readStore(c.reads, c.deadline, c.t0s[0])
 		for i := range c.reads {
-			op := &c.reads[i]
-			if op.Err != nil {
-				c.respondErr(opRead, c.readIDs[i], op.Err, c.readT0[i])
+			if op := &c.reads[i]; op.Err != nil {
+				c.respondErr(opRead, c.ids[i], op.Err, c.t0s[i])
 			} else {
-				c.respond(opRead, c.readIDs[i], stOK, op.Dst, c.readT0[i])
+				c.respond(opRead, c.ids[i], stOK, op.Dst, c.t0s[i])
 			}
 		}
 		c.reads = trimOps(c.reads, max)
-		c.readIDs = trimOps(c.readIDs, max)
-		c.readT0 = trimOps(c.readT0, max)
 		c.releaseArenas()
-	}
-	if len(c.writes) > 0 {
-		t0 := time.Now()
-		c.srv.st.WriteBatch(c.writes)
-		c.observeBatch(len(c.writes), t0)
+	} else {
+		c.writeStore(c.writes, c.deadline, c.t0s[0])
 		for i := range c.writes {
-			op := &c.writes[i]
-			if op.Err != nil {
-				c.respondErr(opWrite, c.writeIDs[i], op.Err, c.writeT0[i])
+			if err := c.writes[i].Err; err != nil {
+				c.respondErr(opWrite, c.ids[i], err, c.t0s[i])
 			} else {
-				c.respond(opWrite, c.writeIDs[i], stOK, nil, c.writeT0[i])
+				c.respond(opWrite, c.ids[i], stOK, nil, c.t0s[i])
 			}
 		}
 		c.writes = trimOps(c.writes, max)
-		c.writeIDs = trimOps(c.writeIDs, max)
-		c.writeT0 = trimOps(c.writeT0, max)
 		c.releaseRetained()
+	}
+	c.ids = trimOps(c.ids, max)
+	c.t0s = trimOps(c.t0s, max)
+}
+
+// readStore is the one place read ops reach the store, for pending
+// singles and BATCH_READ frames alike: deadline-free batches take the
+// plain ReadBatch, and a nonzero deadline field bounds the batch at
+// arrived plus that many nanoseconds through ReadBatchCtx. arrived is
+// the first op's arrival, so no op gets more budget than it asked for;
+// an op whose deadline expired before the batch ran answers stDeadline.
+// Ops the deadline kills are counted in net_deadline_aborts_total.
+func (c *conn) readStore(ops []pcache.ReadOp, deadline uint64, arrived time.Time) {
+	t0 := time.Now()
+	if deadline == 0 {
+		c.srv.st.ReadBatch(ops)
+	} else {
+		ctx, cancel := deadlineCtx(context.Background(), arrived, deadline)
+		c.srv.st.ReadBatchCtx(ctx, ops)
+		cancel()
+	}
+	c.observeBatch(len(ops), t0)
+	for i := range ops {
+		c.countAbort(ops[i].Err)
+	}
+}
+
+// writeStore is readStore for write ops.
+func (c *conn) writeStore(ops []pcache.WriteOp, deadline uint64, arrived time.Time) {
+	t0 := time.Now()
+	if deadline == 0 {
+		c.srv.st.WriteBatch(ops)
+	} else {
+		ctx, cancel := deadlineCtx(context.Background(), arrived, deadline)
+		c.srv.st.WriteBatchCtx(ctx, ops)
+		cancel()
+	}
+	c.observeBatch(len(ops), t0)
+	for i := range ops {
+		c.countAbort(ops[i].Err)
 	}
 }
 
@@ -760,4 +733,12 @@ func (c *conn) observeBatch(ops int, t0 time.Time) {
 	c.srv.batches.Inc()
 	c.srv.batchOps.Add(uint64(ops))
 	c.srv.batchSeconds.Observe(time.Since(t0))
+}
+
+// countAbort counts err in net_deadline_aborts_total when it is a
+// deadline outcome.
+func (c *conn) countAbort(err error) {
+	if st := statusOf(err); st == stDeadline || st == stRecoveryInProgress {
+		c.srv.deadlineAborts.Inc()
+	}
 }

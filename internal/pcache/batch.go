@@ -130,6 +130,7 @@ func (c *Cache) ReadBatch(ops []ReadOp) (failed int) {
 // readBankRun serves one bank's slice of the batch under a single
 // exclusive lock acquisition.
 func (c *Cache) readBankRun(b *bank, ops []ReadOp, run []int) (failed int) {
+	b.accesses.Add(uint64(len(run)))
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for start := 0; start < len(run); {
@@ -144,57 +145,64 @@ func (c *Cache) readBankRun(b *bank, ops []ReadOp, run []int) (failed int) {
 	return failed
 }
 
+// groupWayLocked finds or fills the way holding line for a group of k
+// ops on it, with serial-issue accounting: on a hit every op hits; on a
+// miss the first op counts the miss before the fill is attempted and
+// the rest hit the line it brought in. ok is false when every way of
+// the set is decommissioned: all k ops are then counted as bypassed
+// misses and the caller serves them from backing. The caller has
+// already counted the k accesses.
+func (c *Cache) groupWayLocked(b *bank, ls int, line uint64, k uint64) (way int, ok bool, err error) {
+	way, err = c.lookupLocked(b, ls, c.tagOf(line))
+	if err != nil {
+		return 0, false, err
+	}
+	if way >= 0 {
+		b.hits.Add(k)
+		return way, true, nil
+	}
+	c.misses.Add(1)
+	way, ok, err = c.fillLocked(b, ls, line)
+	switch {
+	case err != nil:
+		return 0, false, err
+	case !ok:
+		c.misses.Add(k - 1)
+		c.bypassed.Add(k)
+		return 0, false, nil
+	}
+	b.hits.Add(k - 1)
+	return way, true, nil
+}
+
 // readLineGroupLocked serves every op of one line with a single tag
-// lookup and a single protected read-out. Accounting mirrors serial
-// issue: on a miss the first op pays the fill, the rest hit the line
-// it brought in; on a decommissioned set every op counts as a
-// bypassed miss.
+// lookup and a single protected read-out; a decommissioned set serves
+// the whole group from one backing fetch. Failures land on every op of
+// the group. ReadInto's slow path is a group of one.
 func (c *Cache) readLineGroupLocked(b *bank, line uint64, ops []ReadOp, group []int) int {
-	k := uint64(len(group))
 	ls := c.setOf(line) % c.setsPerBank
-	b.accesses.Add(k)
 	fail := func(err error) int {
 		for _, i := range group {
 			ops[i].Err = err
 		}
 		return len(group)
 	}
-	way, err := c.lookupLocked(b, ls, c.tagOf(line))
+	way, ok, err := c.groupWayLocked(b, ls, line, uint64(len(group)))
 	if err != nil {
 		return fail(err)
 	}
-	if way >= 0 {
-		b.hits.Add(k)
+	src := b.lineBuf
+	if !ok {
+		src = c.backing.ReadLine(line << c.lineShift)
 	} else {
-		var ok bool
-		way, ok, err = c.fillLocked(b, ls, line)
-		if err != nil {
+		b.touch(ls, way, c.cfg.Ways)
+		if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
 			return fail(err)
 		}
-		if !ok {
-			// Every way decommissioned: serve the whole group from one
-			// backing fetch.
-			c.misses.Add(k)
-			c.bypassed.Add(k)
-			buf := c.backing.ReadLine(line << c.lineShift)
-			for _, i := range group {
-				off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
-				copy(ops[i].Dst, buf[off:off+len(ops[i].Dst)])
-			}
-			return 0
-		}
-		c.misses.Add(1)
-		if k > 1 {
-			b.hits.Add(k - 1)
-		}
-	}
-	b.touch(ls, way, c.cfg.Ways)
-	if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
-		return fail(err)
 	}
 	for _, i := range group {
 		off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
-		copy(ops[i].Dst, b.lineBuf[off:off+len(ops[i].Dst)])
+		copy(ops[i].Dst, src[off:off+len(ops[i].Dst)])
 	}
 	return 0
 }
@@ -233,6 +241,7 @@ func (c *Cache) WriteBatch(ops []WriteOp) (failed int) {
 }
 
 func (c *Cache) writeBankRun(b *bank, ops []WriteOp, run []int) (failed int) {
+	b.accesses.Add(uint64(len(run)))
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for start := 0; start < len(run); {
@@ -247,45 +256,31 @@ func (c *Cache) writeBankRun(b *bank, ops []WriteOp, run []int) (failed int) {
 	return failed
 }
 
+// writeLineGroupLocked applies every op of one line, in group order,
+// with one read-modify-write of the protected line and one dirty-tag
+// store; a decommissioned set takes one read-modify-write through to
+// backing instead. Failures land on every op of the group. Write is a
+// group of one.
 func (c *Cache) writeLineGroupLocked(b *bank, line uint64, ops []WriteOp, group []int) int {
-	k := uint64(len(group))
 	ls := c.setOf(line) % c.setsPerBank
-	b.accesses.Add(k)
 	fail := func(err error) int {
 		for _, i := range group {
 			ops[i].Err = err
 		}
 		return len(group)
 	}
-	way, err := c.lookupLocked(b, ls, c.tagOf(line))
+	way, ok, err := c.groupWayLocked(b, ls, line, uint64(len(group)))
 	if err != nil {
 		return fail(err)
 	}
-	if way >= 0 {
-		b.hits.Add(k)
-	} else {
-		var ok bool
-		way, ok, err = c.fillLocked(b, ls, line)
-		if err != nil {
-			return fail(err)
+	if !ok {
+		buf := c.backing.ReadLine(line << c.lineShift)
+		for _, i := range group {
+			off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
+			copy(buf[off:], ops[i].Data)
 		}
-		if !ok {
-			// Decommissioned set: one read-modify-write through to
-			// backing carries every patch, in batch order.
-			c.misses.Add(k)
-			c.bypassed.Add(k)
-			buf := c.backing.ReadLine(line << c.lineShift)
-			for _, i := range group {
-				off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
-				copy(buf[off:], ops[i].Data)
-			}
-			c.backing.WriteLine(line<<c.lineShift, buf)
-			return 0
-		}
-		c.misses.Add(1)
-		if k > 1 {
-			b.hits.Add(k - 1)
-		}
+		c.backing.WriteLine(line<<c.lineShift, buf)
+		return 0
 	}
 	b.touch(ls, way, c.cfg.Ways)
 	if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {

@@ -721,96 +721,40 @@ func (c *Cache) Read(addr uint64, n int) ([]byte, error) {
 // boundary) — the allocation-free variant of Read: a clean hit performs
 // zero heap allocations. Safe for concurrent use.
 func (c *Cache) ReadInto(addr uint64, dst []byte) error {
-	n := len(dst)
-	if err := c.checkSpan(addr, n); err != nil {
+	if err := c.checkSpan(addr, len(dst)); err != nil {
 		return err
 	}
 	line := c.lineAddr(addr)
-	set := c.setOf(line)
-	b, ls := c.bankOf(set)
+	b, ls := c.bankOf(c.setOf(line))
 	b.accesses.Add(1)
 	if c.fastReadInto(b, ls, line, addr, dst) {
 		return nil
 	}
+	// Anything but a clean hit is a line group of one on the batch
+	// pass's exclusive path.
+	ops, group := [1]ReadOp{{Addr: addr, Dst: dst}}, [1]int{}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	way, err := c.lookupLocked(b, ls, c.tagOf(line))
-	if err != nil {
-		return err
-	}
-	off := int(addr) & (c.cfg.LineBytes - 1)
-	if way >= 0 {
-		b.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-		var ok bool
-		way, ok, err = c.fillLocked(b, ls, line)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// Every way decommissioned: serve straight from backing —
-			// the cache got smaller, not broken.
-			c.bypassed.Add(1)
-			buf := c.backing.ReadLine(line << c.lineShift)
-			copy(dst, buf[off:off+n])
-			return nil
-		}
-	}
-	b.touch(ls, way, c.cfg.Ways)
-	if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
-		return err
-	}
-	copy(dst, b.lineBuf[off:off+n])
-	return nil
+	c.readLineGroupLocked(b, line, ops[:], group[:])
+	return ops[0].Err
 }
 
 // Write stores bytes at addr (must not cross a line boundary),
 // write-back: the line is marked dirty in the protected tag store.
-// Safe for concurrent use.
+// It is a line group of one on the batch pass's path. Safe for
+// concurrent use.
 func (c *Cache) Write(addr uint64, data []byte) error {
 	if err := c.checkSpan(addr, len(data)); err != nil {
 		return err
 	}
 	line := c.lineAddr(addr)
-	set := c.setOf(line)
-	b, ls := c.bankOf(set)
+	b, _ := c.bankOf(c.setOf(line))
 	b.accesses.Add(1)
+	ops, group := [1]WriteOp{{Addr: addr, Data: data}}, [1]int{}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	way, err := c.lookupLocked(b, ls, c.tagOf(line))
-	if err != nil {
-		return err
-	}
-	if way >= 0 {
-		b.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-		var ok bool
-		way, ok, err = c.fillLocked(b, ls, line)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// Decommissioned set: write through to backing.
-			c.bypassed.Add(1)
-			buf := c.backing.ReadLine(line << c.lineShift)
-			off := int(addr) & (c.cfg.LineBytes - 1)
-			copy(buf[off:], data)
-			c.backing.WriteLine(line<<c.lineShift, buf)
-			return nil
-		}
-	}
-	b.touch(ls, way, c.cfg.Ways)
-	if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
-		return err
-	}
-	off := int(addr) & (c.cfg.LineBytes - 1)
-	copy(b.lineBuf[off:], data)
-	if err := c.writeLineLocked(b, ls, way, b.lineBuf); err != nil {
-		return err
-	}
-	return c.writeTagLocked(b, ls, way, tagValidBit|tagDirtyBit|c.tagOf(line)<<tagShift)
+	c.writeLineGroupLocked(b, line, ops[:], group[:])
+	return ops[0].Err
 }
 
 // Flush writes every dirty line back to the backing store. Safe for

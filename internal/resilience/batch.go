@@ -10,11 +10,16 @@ package resilience
 //
 // The Ctx variants bound only the expensive half of that split: the
 // amortised cache pass always runs to completion (it never blocks on
-// repair machinery), while each per-op ladder re-drive is bounded by
-// ctx exactly like a single ReadCtx. A batch that arrives with its
-// context already expired is not served at all — every op is stamped
-// with the context's error, so an expired deadline yields per-op
-// deadline outcomes, never silent success.
+// repair machinery), while each per-op ladder re-drive honours ctx at
+// every rung boundary and while coalesced behind another request's
+// repair. An op whose budget runs out mid-recovery fails with a
+// *RecoveryInProgressError (matching both ErrRecoveryInProgress and
+// ctx.Err() via errors.Is); the repair itself keeps running. A batch
+// that arrives with its context already expired is not served at all —
+// every op is stamped with the context's error, so an expired deadline
+// yields per-op deadline outcomes, never silent success. These are the
+// engine's only deadline-bounded data calls: a bounded single op is a
+// batch of one.
 
 import (
 	"context"
@@ -32,9 +37,9 @@ func (e *Engine) ReadBatch(ops []pcache.ReadOp) (failed int) {
 
 // ReadBatchCtx is ReadBatch with the ladder re-drives bounded by ctx:
 // the amortised cache pass runs unbounded (it does not wait on
-// repairs), and each failed op's recovery is then limited the way a
-// single ReadCtx would be. An already-expired ctx stamps every op with
-// the context error and serves nothing.
+// repairs), and each failed op's recovery is then limited by ctx. An
+// already-expired ctx stamps every op with the context error and serves
+// nothing.
 func (e *Engine) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed int) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -9,7 +9,16 @@ import (
 
 	"twodcache/internal/fault"
 	"twodcache/internal/obs"
+	"twodcache/internal/pcache"
 )
+
+// readCtx1 is a deadline-bounded single read: a batch of one, the
+// engine's only bounded data path.
+func readCtx1(ctx context.Context, e *Engine, addr uint64, n int) error {
+	ops := []pcache.ReadOp{{Addr: addr, Dst: make([]byte, n)}}
+	e.ReadBatchCtx(ctx, ops)
+	return ops[0].Err
+}
 
 // plantPersistentDUE dirties two lines and plants the beyond-coverage
 // double fault across their data rows (rows 0 and 32 share a vertical
@@ -43,7 +52,7 @@ func TestReadCtxDeadlineAbortDuringStall(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.ReadCtx(ctx, 0, 1)
+	err := readCtx1(ctx, e, 0, 1)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("deadline not honoured: read took %v", elapsed)
 	}
@@ -157,7 +166,7 @@ func TestCoalescedWaiterDeadline(t *testing.T) {
 	// up at its own deadline with the repair's progress attached.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := e.ReadCtx(ctx, 0, 1)
+	err := readCtx1(ctx, e, 0, 1)
 	if !errors.Is(err, ErrRecoveryInProgress) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("waiter err = %v, want recovery-in-progress + deadline", err)
 	}

@@ -303,24 +303,14 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 // Read serves n bytes at addr, running the escalation ladder on any
 // detected-uncorrectable error. An error return means even graceful
-// degradation could not produce trustworthy data.
-func (e *Engine) Read(addr uint64, n int) ([]byte, error) {
-	return e.ReadCtx(context.Background(), addr, n)
-}
-
-// ReadCtx is Read with a latency bound: the escalation ladder honours
-// ctx's deadline and cancellation at every rung boundary and while
-// coalesced behind another request's repair. When the budget runs out
-// mid-recovery the call returns a *RecoveryInProgressError (matching
-// both ErrRecoveryInProgress and ctx.Err() via errors.Is) instead of
-// riding the repair to the end; the repair itself keeps running and a
-// later access re-enters the ladder if needed.
-func (e *Engine) ReadCtx(ctx context.Context, addr uint64, n int) (out []byte, err error) {
+// degradation could not produce trustworthy data. Deadline-bounded
+// access goes through ReadBatchCtx.
+func (e *Engine) Read(addr uint64, n int) (out []byte, err error) {
 	out, err = e.cache.Read(addr, n)
 	if err == nil {
 		return out, nil
 	}
-	err = e.ladderCtx(ctx, err, func() error {
+	err = e.ladder(err, func() error {
 		var e2 error
 		out, e2 = e.cache.Read(addr, n)
 		return e2
@@ -335,17 +325,11 @@ func (e *Engine) ReadCtx(ctx context.Context, addr uint64, n int) (out []byte, e
 // escalation ladder on any detected-uncorrectable error — the
 // allocation-free variant of Read (a clean hit allocates nothing).
 func (e *Engine) ReadInto(addr uint64, dst []byte) error {
-	return e.ReadIntoCtx(context.Background(), addr, dst)
-}
-
-// ReadIntoCtx is ReadInto under a deadline; see ReadCtx for the
-// contract.
-func (e *Engine) ReadIntoCtx(ctx context.Context, addr uint64, dst []byte) error {
 	err := e.cache.ReadInto(addr, dst)
 	if err == nil {
 		return nil
 	}
-	return e.ladderCtx(ctx, err, func() error { return e.cache.ReadInto(addr, dst) })
+	return e.ladder(err, func() error { return e.cache.ReadInto(addr, dst) })
 }
 
 // Stats returns the underlying cache's coherent counter snapshot.
@@ -354,16 +338,11 @@ func (e *Engine) Stats() pcache.Stats { return e.cache.Stats() }
 // Write stores bytes at addr, running the escalation ladder on any
 // detected-uncorrectable error.
 func (e *Engine) Write(addr uint64, data []byte) error {
-	return e.WriteCtx(context.Background(), addr, data)
-}
-
-// WriteCtx is Write under a deadline; see ReadCtx for the contract.
-func (e *Engine) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
 	err := e.cache.Write(addr, data)
 	if err == nil {
 		return nil
 	}
-	return e.ladderCtx(ctx, err, func() error { return e.cache.Write(addr, data) })
+	return e.ladder(err, func() error { return e.cache.Write(addr, data) })
 }
 
 // Flush writes all dirty lines back, escalating on DUEs until the
@@ -372,8 +351,13 @@ func (e *Engine) Flush() error {
 	return e.FlushCtx(context.Background())
 }
 
-// FlushCtx is Flush under a deadline; see ReadCtx for the contract.
-// A deadline abort can leave some dirty lines unflushed.
+// FlushCtx is Flush with a latency bound: the escalation ladder honours
+// ctx's deadline and cancellation at every rung boundary and while
+// coalesced behind another request's repair. When the budget runs out
+// mid-recovery the call returns a *RecoveryInProgressError (matching
+// both ErrRecoveryInProgress and ctx.Err() via errors.Is) instead of
+// riding the repair to the end; the repair itself keeps running. A
+// deadline abort can leave some dirty lines unflushed.
 func (e *Engine) FlushCtx(ctx context.Context) error {
 	err := e.cache.Flush()
 	if err == nil {
@@ -382,8 +366,8 @@ func (e *Engine) FlushCtx(ctx context.Context) error {
 	return e.ladderCtx(ctx, err, func() error { return e.cache.Flush() })
 }
 
-// ladder is ladderCtx without a budget — kept as the unbounded entry
-// point for internal callers and tests.
+// ladder is ladderCtx without a budget — the unbounded entry point of
+// the single-op forms.
 func (e *Engine) ladder(err error, attempt func() error) error {
 	return e.ladderCtx(context.Background(), err, attempt)
 }

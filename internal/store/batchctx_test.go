@@ -12,14 +12,14 @@ import (
 // TestBatchCtxExpiredStampsEveryOp pins the expired-deadline contract
 // at the router: a batch whose context is already dead is not served —
 // every op, on every shard, carries the context error (errors.Is
-// parity with single-op ctx paths), nothing is read or written, and
+// matches it), nothing is read or written, and
 // the failed count covers the whole batch.
 func TestBatchCtxExpiredStampsEveryOp(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		s, _ := newSharded(t, shards)
 		seed := bytes.Repeat([]byte{0x5A}, 64)
 		for line := uint64(0); line < 8; line++ {
-			if err := s.Write(line*64, seed); err != nil {
+			if err := write1(s, line*64, seed); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -60,7 +60,7 @@ func TestBatchCtxExpiredStampsEveryOp(t *testing.T) {
 			t.Fatalf("shards=%d: expired batch touched the cache (%d -> %d accesses)",
 				shards, before.Accesses, after.Accesses)
 		}
-		got, err := s.Read(0, 64)
+		got, err := read1(s, 0, 64)
 		if err != nil || !bytes.Equal(got, seed) {
 			t.Fatalf("shards=%d: rejected write landed anyway (%x, %v)", shards, got[:4], err)
 		}
@@ -99,7 +99,7 @@ func TestBatchCtxLiveMatchesPlainBatch(t *testing.T) {
 // outcomes.
 func TestBatchCtxSpanErrorsStillPerOp(t *testing.T) {
 	s, _ := newSharded(t, 4)
-	if err := s.Write(64, bytes.Repeat([]byte{0x77}, 64)); err != nil {
+	if err := write1(s, 64, bytes.Repeat([]byte{0x77}, 64)); err != nil {
 		t.Fatal(err)
 	}
 	ops := []pcache.ReadOp{

@@ -84,14 +84,14 @@ func FuzzShardedVsUnsharded(f *testing.F) {
 			switch op % 4 {
 			case 0: // write
 				buf := bytes.Repeat([]byte{c}, n)
-				e1 := s1.Write(addr, buf)
-				e4 := s4.Write(addr, buf)
+				e1 := write1(s1, addr, buf)
+				e4 := write1(s4, addr, buf)
 				if (e1 == nil) != (e4 == nil) {
 					t.Fatalf("write %#x: errors diverged: %v vs %v", addr, e1, e4)
 				}
 			case 1: // read and compare
-				g1, e1 := s1.Read(addr, n)
-				g4, e4 := s4.Read(addr, n)
+				g1, e1 := read1(s1, addr, n)
+				g4, e4 := read1(s4, addr, n)
 				if (e1 == nil) != (e4 == nil) {
 					t.Fatalf("read %#x: errors diverged: %v vs %v", addr, e1, e4)
 				}

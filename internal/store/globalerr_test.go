@@ -74,7 +74,7 @@ func TestShardedGlobalisesErrorCoordinates(t *testing.T) {
 	// short deadline force a *RecoveryInProgressError out of the router.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err = s.ReadCtx(ctx, 1*64, 1)
+	_, err = readCtx1(ctx, s, 1*64, 1)
 	if !errors.Is(err, resilience.ErrRecoveryInProgress) {
 		t.Fatalf("err = %v, want ErrRecoveryInProgress in chain", err)
 	}

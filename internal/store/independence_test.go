@@ -53,7 +53,7 @@ func TestShardIndependence(t *testing.T) {
 
 	// Seed shard 1 with clean data at global odd lines.
 	for line := uint64(1); line < 32; line += 2 {
-		if err := s.Write(line*64, []byte{byte(line)}); err != nil {
+		if err := write1(s, line*64, []byte{byte(line)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestShardIndependence(t *testing.T) {
 	// Drive shard 0 into the wedge: the repair leader stalls in the
 	// full-2D rung, the watchdog force-escalates it, and the breaker
 	// (threshold 1) trips open. Global line 0 → shard 0 local line 0.
-	if _, err := s.Read(0, 1); err != nil {
+	if _, err := read1(s, 0, 1); err != nil {
 		t.Fatalf("read through force-escalated repair: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -74,7 +74,7 @@ func TestShardIndependence(t *testing.T) {
 
 	// Shard 1 serves normally while shard 0 is shedding.
 	for line := uint64(1); line < 32; line += 2 {
-		got, err := s.Read(line*64, 1)
+		got, err := read1(s, line*64, 1)
 		if err != nil || got[0] != byte(line) {
 			t.Fatalf("shard 1 read line %d during shard 0 outage: %x, %v", line, got, err)
 		}
@@ -143,13 +143,13 @@ func TestSharedBackingConcurrentShards(t *testing.T) {
 				switch next(4) {
 				case 0:
 					v := byte(next(256))
-					if err := s.Write(addr, []byte{v}); err != nil {
+					if err := write1(s, addr, []byte{v}); err != nil {
 						t.Errorf("write: %v", err)
 						return
 					}
 					model[addr] = v
 				case 1:
-					got, err := s.Read(addr, 1)
+					got, err := read1(s, addr, 1)
 					if err != nil {
 						t.Errorf("read: %v", err)
 						return

@@ -229,44 +229,6 @@ func (s *Sharded) globalErr(shard int, err error) error {
 	return err
 }
 
-// Read returns n bytes at addr, recovering faults transparently.
-func (s *Sharded) Read(addr uint64, n int) ([]byte, error) {
-	sh := s.ShardOf(addr)
-	out, err := s.shards[sh].engine.Read(s.local(addr), n)
-	return out, s.globalErr(sh, err)
-}
-
-// ReadCtx is Read bounded by a context deadline.
-func (s *Sharded) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
-	sh := s.ShardOf(addr)
-	out, err := s.shards[sh].engine.ReadCtx(ctx, s.local(addr), n)
-	return out, s.globalErr(sh, err)
-}
-
-// ReadInto reads len(dst) bytes at addr into dst without allocating.
-func (s *Sharded) ReadInto(addr uint64, dst []byte) error {
-	sh := s.ShardOf(addr)
-	return s.globalErr(sh, s.shards[sh].engine.ReadInto(s.local(addr), dst))
-}
-
-// ReadIntoCtx is ReadInto bounded by a context deadline.
-func (s *Sharded) ReadIntoCtx(ctx context.Context, addr uint64, dst []byte) error {
-	sh := s.ShardOf(addr)
-	return s.globalErr(sh, s.shards[sh].engine.ReadIntoCtx(ctx, s.local(addr), dst))
-}
-
-// Write stores data at addr, recovering faults transparently.
-func (s *Sharded) Write(addr uint64, data []byte) error {
-	sh := s.ShardOf(addr)
-	return s.globalErr(sh, s.shards[sh].engine.Write(s.local(addr), data))
-}
-
-// WriteCtx is Write bounded by a context deadline.
-func (s *Sharded) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
-	sh := s.ShardOf(addr)
-	return s.globalErr(sh, s.shards[sh].engine.WriteCtx(ctx, s.local(addr), data))
-}
-
 // batchScratch recycles the router's per-batch working set — the
 // per-shard index buckets and the local (address-contracted) op slice —
 // so steady-state batch routing allocates nothing per op.

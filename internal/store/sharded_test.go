@@ -15,6 +15,26 @@ import (
 
 var testCfg = pcache.Config{Sets: 16, Ways: 2, LineBytes: 64, Banks: 4}
 
+// read1 and write1 issue one op as a batch of one — the store's only
+// data path; readCtx1 is read1 bounded by ctx.
+func read1(s Store, addr uint64, n int) ([]byte, error) {
+	ops := []pcache.ReadOp{{Addr: addr, Dst: make([]byte, n)}}
+	s.ReadBatch(ops)
+	return ops[0].Dst, ops[0].Err
+}
+
+func readCtx1(ctx context.Context, s Store, addr uint64, n int) ([]byte, error) {
+	ops := []pcache.ReadOp{{Addr: addr, Dst: make([]byte, n)}}
+	s.ReadBatchCtx(ctx, ops)
+	return ops[0].Dst, ops[0].Err
+}
+
+func write1(s Store, addr uint64, data []byte) error {
+	ops := []pcache.WriteOp{{Addr: addr, Data: data}}
+	s.WriteBatch(ops)
+	return ops[0].Err
+}
+
 func newSharded(t *testing.T, shards int) (*Sharded, *pcache.MapBacking) {
 	t.Helper()
 	backing := pcache.NewMapBacking(testCfg.LineBytes)
@@ -38,7 +58,7 @@ func TestShardedRoutesByLine(t *testing.T) {
 		}
 	}
 	// Writes land on the owning shard only.
-	if err := s.Write(5*64, []byte{0xAB}); err != nil {
+	if err := write1(s, 5*64, []byte{0xAB}); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Shard(1).Stats(); st.Accesses != 1 {
@@ -49,7 +69,7 @@ func TestShardedRoutesByLine(t *testing.T) {
 			t.Fatalf("shard %d saw %d accesses for another shard's line", i, st.Accesses)
 		}
 	}
-	got, err := s.Read(5*64, 1)
+	got, err := read1(s, 5*64, 1)
 	if err != nil || got[0] != 0xAB {
 		t.Fatalf("read back %x, %v", got, err)
 	}
@@ -62,7 +82,7 @@ func TestShardedBackingSeesGlobalAddresses(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		line := uint64(rng.Intn(64))
 		v := byte(rng.Intn(256))
-		if err := s.Write(line*64, []byte{v}); err != nil {
+		if err := write1(s, line*64, []byte{v}); err != nil {
 			t.Fatal(err)
 		}
 		want[line] = v
@@ -120,7 +140,7 @@ func TestShardedBatchSameLineOrder(t *testing.T) {
 	if failed := s.WriteBatch(ops); failed != 0 {
 		t.Fatalf("failed %d", failed)
 	}
-	got, err := s.Read(3*64, 1)
+	got, err := read1(s, 3*64, 1)
 	if err != nil || got[0] != 3 {
 		t.Fatalf("got %x, %v; want 03", got, err)
 	}
@@ -143,12 +163,12 @@ func TestShardedBatchPerOpErrors(t *testing.T) {
 func TestShardedStatsAndAggregates(t *testing.T) {
 	s, _ := newSharded(t, 2)
 	for i := 0; i < 40; i++ {
-		if err := s.Write(uint64(i)*64, []byte{byte(i)}); err != nil {
+		if err := write1(s, uint64(i)*64, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := s.Read(uint64(i)*64, 1); err != nil {
+		if _, err := read1(s, uint64(i)*64, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +204,7 @@ func TestShardedStatsAndAggregates(t *testing.T) {
 
 func TestShardedRegisterMetricsMirror(t *testing.T) {
 	s, _ := newSharded(t, 2)
-	if err := s.Write(0, []byte{1}); err != nil {
+	if err := write1(s, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	extra := obs.NewRegistry()
@@ -200,19 +220,13 @@ func TestShardedRegisterMetricsMirror(t *testing.T) {
 func TestShardedCtxVariants(t *testing.T) {
 	s, _ := newSharded(t, 2)
 	ctx := context.Background()
-	if err := s.WriteCtx(ctx, 64, []byte{0x42}); err != nil {
-		t.Fatal(err)
+	wops := []pcache.WriteOp{{Addr: 64, Data: []byte{0x42}}}
+	if failed := s.WriteBatchCtx(ctx, wops); failed != 0 {
+		t.Fatal(wops[0].Err)
 	}
-	got, err := s.ReadCtx(ctx, 64, 1)
+	got, err := readCtx1(ctx, s, 64, 1)
 	if err != nil || got[0] != 0x42 {
-		t.Fatalf("ReadCtx: %x, %v", got, err)
-	}
-	dst := make([]byte, 1)
-	if err := s.ReadIntoCtx(ctx, 64, dst); err != nil || dst[0] != 0x42 {
-		t.Fatalf("ReadIntoCtx: %x, %v", dst, err)
-	}
-	if err := s.ReadInto(64, dst); err != nil || dst[0] != 0x42 {
-		t.Fatalf("ReadInto: %x, %v", dst, err)
+		t.Fatalf("ReadBatchCtx: %x, %v", got, err)
 	}
 	if err := s.FlushCtx(ctx); err != nil {
 		t.Fatal(err)
@@ -232,7 +246,7 @@ func TestShardedStartStop(t *testing.T) {
 	}
 	s.Start()
 	for i := 0; i < 200; i++ {
-		if err := s.Write(uint64(i)*64, []byte{byte(i)}); err != nil {
+		if err := write1(s, uint64(i)*64, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,10 +291,10 @@ func TestShardedZeroShardsIsOne(t *testing.T) {
 	if s.NumShards() != 1 {
 		t.Fatalf("NumShards = %d", s.NumShards())
 	}
-	if err := s.Write(0, []byte{9}); err != nil {
+	if err := write1(s, 0, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(0, 1)
+	got, err := read1(s, 0, 1)
 	if err != nil || got[0] != 9 {
 		t.Fatalf("%x, %v", got, err)
 	}
@@ -329,7 +343,7 @@ func TestShardSinkGlobalisesCoordinates(t *testing.T) {
 	lay := da.Layout()
 	da.FlipBit(0, lay.PhysColumn(0, 0))
 	da.FlipBit(32, lay.PhysColumn(0, 8))
-	if _, err := s.Read(1*64, 1); err != nil { // global line 1 → shard 1
+	if _, err := read1(s, 1*64, 1); err != nil { // global line 1 → shard 1
 		t.Fatal(err)
 	}
 	select {
@@ -352,8 +366,9 @@ func ExampleSharded() {
 		Shards: 4,
 		Cache:  pcache.Config{Sets: 16, Ways: 2, LineBytes: 64},
 	}, backing)
-	_ = s.Write(0x1000, []byte("striped"))
-	got, _ := s.Read(0x1000, 7)
-	fmt.Printf("%s via shard %d of %d\n", got, s.ShardOf(0x1000), s.NumShards())
+	s.WriteBatch([]pcache.WriteOp{{Addr: 0x1000, Data: []byte("striped")}})
+	ops := []pcache.ReadOp{{Addr: 0x1000, Dst: make([]byte, 7)}}
+	s.ReadBatch(ops)
+	fmt.Printf("%s via shard %d of %d\n", ops[0].Dst, s.ShardOf(0x1000), s.NumShards())
 	// Output: striped via shard 0 of 4
 }

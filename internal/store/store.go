@@ -17,7 +17,6 @@ package store
 import (
 	"context"
 
-	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
 )
@@ -26,25 +25,20 @@ import (
 // self-healing write-back cache over a backing store. Implementations
 // must be safe for concurrent use.
 //
-// Reads and writes must not cross a cache-line boundary (they map to
-// exactly one line, hence one shard). Batch calls amortise locking and
-// line movement across ops and report per-op outcomes in each op's Err
-// field, returning how many ops failed; they are content-equivalent to
-// issuing the ops one at a time, not stats-equivalent (grouping changes
+// Batches are the only data path: a single op is a batch of one. Ops
+// must not cross a cache-line boundary (each maps to exactly one line,
+// hence one shard). Batch calls amortise locking and line movement
+// across ops and report per-op outcomes in each op's Err field,
+// returning how many ops failed; they are content-equivalent to issuing
+// the ops one at a time, not stats-equivalent (grouping changes
 // replacement order).
+//
+// The plain forms run unbounded; the Ctx forms bound per-op recovery
+// work by ctx (the amortised fault-free pass always completes), and an
+// already-expired ctx stamps every op with the context error instead of
+// serving it — an expired deadline yields per-op deadline outcomes,
+// never silent success.
 type Store interface {
-	Read(addr uint64, n int) ([]byte, error)
-	ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error)
-	ReadInto(addr uint64, dst []byte) error
-	ReadIntoCtx(ctx context.Context, addr uint64, dst []byte) error
-	Write(addr uint64, data []byte) error
-	WriteCtx(ctx context.Context, addr uint64, data []byte) error
-
-	// Batch calls: the plain forms run unbounded; the Ctx forms bound
-	// per-op recovery work by ctx (the amortised fault-free pass always
-	// completes), and an already-expired ctx stamps every op with the
-	// context error instead of serving it — an expired deadline yields
-	// per-op deadline outcomes, never silent success.
 	ReadBatch(ops []pcache.ReadOp) (failed int)
 	ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed int)
 	WriteBatch(ops []pcache.WriteOp) (failed int)
@@ -56,13 +50,6 @@ type Store interface {
 	// Stats returns a coherent snapshot of the cache-level counters
 	// (for Sharded, summed across shards).
 	Stats() pcache.Stats
-	// RegisterMetrics mirrors the store's instrumentation into an
-	// additional registry. It panics on duplicate metric names, so call
-	// it at most once per registry.
-	RegisterMetrics(r *obs.Registry)
-	// SetEventSink installs the structured event sink (nil resets to
-	// the no-op sink). Safe to call while the store is serving traffic.
-	SetEventSink(s obs.Sink)
 }
 
 // Both the single engine and the sharded router satisfy Store.

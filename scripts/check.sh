@@ -9,6 +9,10 @@
 # the obs registry) and the kernel layer they are built on (bitvec word
 # views, ecc scratch pools); -full extends it to the whole module.
 #
+# The bench module (bench/, its own go.mod) is vetted and tested too:
+# it builds on the façade's CacheStore and ClusterConn, so narrowing an
+# interface there must fail here, not first in the benchmark run.
+#
 # The replay gate re-runs every committed fault trace in
 # internal/replay/testdata/ (each one is a shrunk, once-silent storm
 # run) through the deterministic replayer; -full repeats them under
@@ -44,6 +48,9 @@ echo "== go build ./..."
 go build ./...
 echo "== go test ./..."
 go test -timeout 120s ./...
+echo "== bench module: go vet + go test"
+go -C bench vet ./...
+go -C bench test -timeout 120s ./...
 echo "== replay gate (committed fault traces)"
 go test -timeout 120s ./internal/replay/ -run 'TestCommittedTraces'
 if [ "${1:-}" = "-full" ]; then
