@@ -25,14 +25,16 @@
 //	EPOCH       := u64 addr
 //
 // Every data frame reaches the store as a batch: a single READ/WRITE is
-// a batch of one, joined with the connection's other pipelined singles
-// that carry the same deadline field. A nonzero deadline bounds the
-// store call end to end, measured from the (first) op's arrival: the
-// server maps it to a context on the store's ReadBatchCtx/WriteBatchCtx
-// path, so per-op recovery work is deadline-bounded, and ops the
-// deadline kills answer stDeadline (or stRecoveryInProgress) — as the
-// response status of a single, individually inside an stOK batch
-// response. An op whose deadline has already expired when its batch
+// a batch of one, joined with the connection's other pipelined singles.
+// A nonzero deadline is measured from the op's arrival and bounds the
+// store call end to end: the server maps it to a context on the store's
+// ReadBatchCtx/WriteBatchCtx path, so per-op recovery work is
+// deadline-bounded, and ops the deadline kills answer stDeadline (or
+// stRecoveryInProgress) — as the response status of a single,
+// individually inside an stOK batch response. Joined singles run under
+// the earliest of their deadlines; a single joins only while that still
+// leaves it at least half of its own budget, so a single may give up
+// early, never late. An op whose deadline has already expired when its batch
 // runs is not served: it reports stDeadline, single or batch — an
 // expired deadline is a deadline outcome, never silent success.
 //
@@ -270,17 +272,26 @@ func appendFrame(buf []byte, op uint8, id uint64, payload ...[]byte) []byte {
 
 // deadlineCtx converts a wire deadline (nanoseconds relative to from,
 // the request's arrival) into a context. A zero deadline returns the
-// parent with a no-op cancel. Values above MaxInt64 — which
-// time.Duration cannot represent — clamp to MaxInt64 instead of
-// wrapping negative and expiring instantly.
+// parent with a no-op cancel.
 func deadlineCtx(parent context.Context, from time.Time, nanos uint64) (context.Context, context.CancelFunc) {
 	if nanos == 0 {
 		return parent, func() {}
 	}
+	return context.WithDeadline(parent, dueAt(from, nanos))
+}
+
+// dueAt is the absolute deadline of a wire deadline field received at
+// from; the zero Time for 0 (no deadline). Values above MaxInt64 —
+// which time.Duration cannot represent — clamp to MaxInt64 instead of
+// wrapping negative and expiring instantly.
+func dueAt(from time.Time, nanos uint64) time.Time {
+	if nanos == 0 {
+		return time.Time{}
+	}
 	if nanos > math.MaxInt64 {
 		nanos = math.MaxInt64
 	}
-	return context.WithDeadline(parent, from.Add(time.Duration(nanos)))
+	return from.Add(time.Duration(nanos))
 }
 
 // encodeStats flattens the eight pcache.Stats counters.

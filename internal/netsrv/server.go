@@ -266,20 +266,22 @@ type conn struct {
 	writerDone chan struct{}
 	werr       error // writeLoop-owned; reader never touches it
 
-	// One homogeneous pending batch at a time, under one deadline
-	// field: mixing kinds would reorder a connection's read-after-write
-	// to the same line, so a kind switch flushes first, and so does an
-	// op whose deadline field differs from the pending batch's. ids and
-	// t0s hold each pending op's request id and arrival time. reads
+	// One homogeneous pending batch at a time, under one deadline:
+	// mixing kinds would reorder a connection's read-after-write to the
+	// same line, so a kind switch flushes first, and so does an op that
+	// cannot share the pending batch's deadline (see join). ids and t0s
+	// hold each pending op's request id and arrival time; due is the
+	// batch's deadline, the earliest among its ops (zero: none), and
+	// half the latest of its ops' half-budget points. reads
 	// doubles as the BATCH_READ op scratch (the pending batch is always
 	// flushed first), writes as the BATCH_WRITE scratch; all are trimmed
 	// back to batchSize after an oversized batch so one huge batch does
 	// not pin its high-water memory for the connection's lifetime.
-	reads    []pcache.ReadOp
-	writes   []pcache.WriteOp
-	ids      []uint64
-	t0s      []time.Time
-	deadline uint64
+	reads     []pcache.ReadOp
+	writes    []pcache.WriteOp
+	ids       []uint64
+	t0s       []time.Time
+	due, half time.Time
 
 	// retained holds request-frame payloads pinned by pending single
 	// writes (each op's Data aliases its frame); they go back to the
@@ -559,7 +561,7 @@ func (c *conn) handleBatchRead(f frame, t0 time.Time) {
 		total += n
 		ops = append(ops, pcache.ReadOp{Addr: addr, Dst: c.carve(n)})
 	}
-	c.readStore(ops, deadline, t0)
+	c.readStore(ops, dueAt(t0, deadline))
 	okTotal := 0
 	for i := range ops {
 		if ops[i].Err == nil {
@@ -626,7 +628,7 @@ func (c *conn) handleBatchWrite(f frame, t0 time.Time) {
 		bad("trailing BATCH_WRITE bytes")
 		return
 	}
-	c.writeStore(ops, deadline, t0)
+	c.writeStore(ops, dueAt(t0, deadline))
 	b := bufpool.Get(frameHeader + frameFixed + 1 + 4 + count)
 	bePut32(b, uint32(frameFixed+1+4+count))
 	b[4] = f.op
@@ -640,17 +642,38 @@ func (c *conn) handleBatchWrite(f frame, t0 time.Time) {
 	c.enqueue(b, t0)
 }
 
-// join readies the pending batch for single op f under the frame's
-// deadline field: a pending batch of the other kind, or under a
-// different deadline field, executes first. The caller then appends the
-// op itself to reads or writes.
+// join readies the pending batch for single op f, which arrived at t0
+// with the given deadline field. The pending batch runs under the
+// earliest deadline among its ops, so no op gets more budget than it
+// asked for; f joins only if that deadline still leaves every op, f
+// included, at least half of its own budget. A pending batch of the
+// other kind, or one f cannot join, executes first; deadline-free ops
+// share only deadline-free batches. The caller then appends the op
+// itself to reads or writes.
 func (c *conn) join(f frame, deadline uint64, t0 time.Time) {
-	if len(c.ids) > 0 && (deadline != c.deadline || (f.op == opRead) != (len(c.reads) > 0)) {
+	due, half := dueAt(t0, deadline), t0.Add(time.Duration(deadline/2))
+	if len(c.ids) > 0 && ((f.op == opRead) != (len(c.reads) > 0) || !c.shares(due, half)) {
 		c.flushBatches()
 	}
-	c.deadline = deadline
+	if len(c.ids) == 0 || due.Before(c.due) {
+		c.due = due
+	}
+	if len(c.ids) == 0 || half.After(c.half) {
+		c.half = half
+	}
 	c.ids = append(c.ids, f.id)
 	c.t0s = append(c.t0s, t0)
+}
+
+// shares reports whether an op with deadline due and half-budget point
+// half can join the pending batch: the batch's deadline, taken down to
+// due if that is earlier, must fall no earlier than any op's half-budget
+// point.
+func (c *conn) shares(due, half time.Time) bool {
+	if due.IsZero() || c.due.IsZero() {
+		return due.IsZero() && c.due.IsZero()
+	}
+	return !due.Before(c.half) && !c.due.Before(half)
 }
 
 // flushBatches executes the pending batch as one store call and
@@ -665,7 +688,7 @@ func (c *conn) flushBatches() {
 	}
 	max := c.srv.batchSize
 	if len(c.reads) > 0 {
-		c.readStore(c.reads, c.deadline, c.t0s[0])
+		c.readStore(c.reads, c.due)
 		for i := range c.reads {
 			if op := &c.reads[i]; op.Err != nil {
 				c.respondErr(opRead, c.ids[i], op.Err, c.t0s[i])
@@ -676,7 +699,7 @@ func (c *conn) flushBatches() {
 		c.reads = trimOps(c.reads, max)
 		c.releaseArenas()
 	} else {
-		c.writeStore(c.writes, c.deadline, c.t0s[0])
+		c.writeStore(c.writes, c.due)
 		for i := range c.writes {
 			if err := c.writes[i].Err; err != nil {
 				c.respondErr(opWrite, c.ids[i], err, c.t0s[i])
@@ -692,18 +715,17 @@ func (c *conn) flushBatches() {
 }
 
 // readStore is the one place read ops reach the store, for pending
-// singles and BATCH_READ frames alike: deadline-free batches take the
-// plain ReadBatch, and a nonzero deadline field bounds the batch at
-// arrived plus that many nanoseconds through ReadBatchCtx. arrived is
-// the first op's arrival, so no op gets more budget than it asked for;
-// an op whose deadline expired before the batch ran answers stDeadline.
-// Ops the deadline kills are counted in net_deadline_aborts_total.
-func (c *conn) readStore(ops []pcache.ReadOp, deadline uint64, arrived time.Time) {
+// singles and BATCH_READ frames alike: deadline-free batches (zero due)
+// take the plain ReadBatch, and bounded ones run through ReadBatchCtx
+// under due. An op whose deadline expired before the batch ran answers
+// stDeadline. Ops the deadline kills are counted in
+// net_deadline_aborts_total.
+func (c *conn) readStore(ops []pcache.ReadOp, due time.Time) {
 	t0 := time.Now()
-	if deadline == 0 {
+	if due.IsZero() {
 		c.srv.st.ReadBatch(ops)
 	} else {
-		ctx, cancel := deadlineCtx(context.Background(), arrived, deadline)
+		ctx, cancel := context.WithDeadline(context.Background(), due)
 		c.srv.st.ReadBatchCtx(ctx, ops)
 		cancel()
 	}
@@ -714,12 +736,12 @@ func (c *conn) readStore(ops []pcache.ReadOp, deadline uint64, arrived time.Time
 }
 
 // writeStore is readStore for write ops.
-func (c *conn) writeStore(ops []pcache.WriteOp, deadline uint64, arrived time.Time) {
+func (c *conn) writeStore(ops []pcache.WriteOp, due time.Time) {
 	t0 := time.Now()
-	if deadline == 0 {
+	if due.IsZero() {
 		c.srv.st.WriteBatch(ops)
 	} else {
-		ctx, cancel := deadlineCtx(context.Background(), arrived, deadline)
+		ctx, cancel := context.WithDeadline(context.Background(), due)
 		c.srv.st.WriteBatchCtx(ctx, ops)
 		cancel()
 	}

@@ -2,7 +2,10 @@ package netsrv
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,44 +119,72 @@ func TestSingleMatchesBatchOfOneOverWire(t *testing.T) {
 	stall.Disarm()
 }
 
+// gatedStore holds every bounded read batch until release closes, so a
+// client's pipeline piles up on the server behind the first one.
+type gatedStore struct {
+	store.Store
+	release chan struct{}
+}
+
+func (g gatedStore) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) int {
+	<-g.release
+	return g.Store.ReadBatchCtx(ctx, ops)
+}
+
+// countingConn counts a client's socket writes: one per request frame.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
 // TestDeadlineSinglesAmortised pins that READ frames carrying a
-// deadline join the pending batch like deadline-free ones: 50
-// pipelined frames sharing one deadline field ride fewer than 50 store
-// calls, and every one is answered correctly.
+// deadline join the pending batch like deadline-free ones, for the
+// traffic the client really sends: 50 concurrent ReadCtx calls, each
+// under its own context, so no two frames carry the same deadline
+// field. While the first read is held in the store the rest pile up,
+// then ride fewer than 50 store calls, and every one is answered
+// correctly.
 func TestDeadlineSinglesAmortised(t *testing.T) {
 	st, _ := newStore(t, 1, resilience.Config{})
 	want := bytes.Repeat([]byte{0xCD}, lineBytes)
 	if err := write1(st, 0, want); err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := startServer(t, st, Config{})
+	gate := gatedStore{Store: st, release: make(chan struct{})}
+	srv, addr := startServer(t, gate, Config{})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
+	cc := &countingConn{Conn: nc}
+	cl := NewClient(cc)
+	defer cl.Close()
 
 	const n = 50
-	var buf []byte
-	for id := uint64(1); id <= n; id++ {
-		buf = appendFrame(buf, opRead, id, readPayload(uint64(10*time.Second), 0, lineBytes))
-	}
-	if _, err := nc.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	seen := map[uint64]bool{}
+	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
-		f, err := readFrame(nc)
-		if err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		if f.op != opRead || seen[f.id] || f.id < 1 || f.id > n {
-			t.Fatalf("response %d: op=%d id=%d", i, f.op, f.id)
-		}
-		seen[f.id] = true
-		if f.payload[0] != stOK || !bytes.Equal(f.payload[1:], want) {
-			t.Fatalf("response id %d: status %d, %d bytes", f.id, f.payload[0], len(f.payload)-1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			got, err := cl.ReadCtx(ctx, 0, lineBytes)
+			if err == nil && !bytes.Equal(got, want) {
+				err = fmt.Errorf("read %x, want %x", got[:4], want[:4])
+			}
+			errs <- err
+		}()
+	}
+	for cc.writes.Load() < n {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 	snap := srv.Metrics().Snapshot()
@@ -207,5 +238,40 @@ func TestDeadlineSwitchKeepsReadAfterWrite(t *testing.T) {
 		if want := bytes.Repeat([]byte{byte(r + 1)}, lineBytes); !bytes.Equal(f.payload[1:], want) {
 			t.Fatalf("round %d: read %x, want the value just written", r, f.payload[1:5])
 		}
+	}
+}
+
+// TestJoinKeepsHalfBudget pins the deadline side of the join rule: an
+// op joins a pending batch only when the batch's deadline, the earliest
+// of its ops', leaves every op at least half of its budget, and
+// deadline-free ops never share a batch with bounded ones.
+func TestJoinKeepsHalfBudget(t *testing.T) {
+	t0 := time.Now()
+	var c conn
+	c.due, c.half = t0.Add(10*time.Millisecond), t0.Add(5*time.Millisecond)
+	cases := []struct {
+		name   string
+		at     time.Duration
+		budget time.Duration
+		want   bool
+	}{
+		{"same budget, later arrival", time.Microsecond, 10 * time.Millisecond, true},
+		{"slightly shorter budget", 0, 9 * time.Millisecond, true},
+		{"budget under the batch's half point", 0, 4 * time.Millisecond, false},
+		{"budget more than twice the batch's", 0, 30 * time.Millisecond, false},
+		{"no deadline", 0, 0, false},
+	}
+	for _, tc := range cases {
+		at := t0.Add(tc.at)
+		if got := c.shares(dueAt(at, uint64(tc.budget)), at.Add(tc.budget/2)); got != tc.want {
+			t.Errorf("%s: shares = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	var free conn
+	if !free.shares(time.Time{}, time.Time{}) {
+		t.Error("deadline-free op cannot join a deadline-free batch")
+	}
+	if free.shares(c.due, c.half) {
+		t.Error("bounded op joined a deadline-free batch")
 	}
 }

@@ -48,35 +48,18 @@ const maxSilentDetails = 16
 
 // Run replays the trace single-threaded against a freshly built
 // protected cache + resilience engine and classifies every mismatch
-// with the loss-epoch protocol (the soak's oracle). It is fully
-// deterministic: same trace, same Result, bit for bit.
+// with the loss-epoch protocol (the soak's oracle). Client ops run as
+// 1-op engine batches, exactly the calls the soak issues, so a replay
+// walks the recorded run's code path. It is fully deterministic: same
+// trace, same Result, bit for bit.
 func Run(tr Trace) (Result, error) {
 	var res Result
-	cfg := pcache.Config{
-		Sets: tr.Cfg.Sets, Ways: tr.Cfg.Ways, LineBytes: tr.Cfg.LineBytes,
-		VerticalGroups: tr.Cfg.VerticalGroups, SECDEDHorizontal: tr.Cfg.SECDED,
-		Banks: tr.Cfg.Banks,
-	}
-	backing := pcache.NewMapBacking(cfg.LineBytes)
-	cache, err := pcache.New(cfg, backing)
+	m, err := newMachine(tr.Cfg)
 	if err != nil {
 		return res, err
 	}
-	// Deterministic clock: one tick per reading. Latency histograms and
-	// MTTR then depend only on the event sequence, never on the host.
-	var tick int64
-	clock := func() time.Time {
-		tick++
-		return time.Unix(0, tick*int64(time.Microsecond))
-	}
-	reg := obs.NewRegistry()
-	eng := resilience.New(cache, resilience.Config{
-		MaxRetries: tr.Cfg.MaxRetries,
-		SpareRows:  tr.Cfg.SpareRows,
-		Clock:      clock,
-		Metrics:    reg,
-	})
-	scrubber := eng.NewScrubber(resilience.ScrubberConfig{})
+	cache, backing, eng, scrubber := m.cache, m.backing, m.eng, m.scrubber
+	cfg := cache.Config()
 
 	lineBytes := uint64(cfg.LineBytes)
 	setOf := func(addr uint64) int {
@@ -106,7 +89,8 @@ func Run(tr Trace) (Result, error) {
 		}
 	}
 
-	var buf [1]byte
+	rop := []pcache.ReadOp{{Dst: make([]byte, 1)}}
+	wop := []pcache.WriteOp{{Data: make([]byte, 1)}}
 	for _, e := range tr.Events {
 		switch e.Op {
 		case OpWrite:
@@ -116,8 +100,8 @@ func Run(tr Trace) (Result, error) {
 			// degrade racing the write then shows an advance, never a
 			// stale record.
 			e0 := cache.LossEpoch(set)
-			buf[0] = e.Val
-			if err := eng.Write(e.Addr, buf[:1]); err != nil {
+			wop[0].Addr, wop[0].Data[0] = e.Addr, e.Val
+			if eng.WriteBatch(wop); wop[0].Err != nil {
 				onError(e.Addr)
 				continue
 			}
@@ -127,15 +111,15 @@ func Run(tr Trace) (Result, error) {
 		case OpRead:
 			res.Ops++
 			want, tracked := shadow[e.Addr]
-			got, err := eng.Read(e.Addr, 1)
-			if err != nil {
+			rop[0].Addr = e.Addr
+			if eng.ReadBatch(rop); rop[0].Err != nil {
 				onError(e.Addr)
 				continue
 			}
-			if tracked && got[0] != want {
-				classify(e.Addr, got[0], want, "")
+			if got := rop[0].Dst[0]; tracked && got != want {
+				classify(e.Addr, got, want, "")
 				// Either way the cache's view is now authoritative.
-				shadow[e.Addr] = got[0]
+				shadow[e.Addr] = got
 				wep[e.Addr] = cache.LossEpoch(setOf(e.Addr))
 			}
 
@@ -192,15 +176,14 @@ func Run(tr Trace) (Result, error) {
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, addr := range addrs {
-		want := shadow[addr]
-		got, err := eng.Read(addr, 1)
-		if err != nil {
+		rop[0].Addr = addr
+		if eng.ReadBatch(rop); rop[0].Err != nil {
 			res.Reported++
 			cache.Repair(addr)
 			continue
 		}
-		if got[0] != want {
-			classify(addr, got[0], want, " on final sweep")
+		if got, want := rop[0].Dst[0], shadow[addr]; got != want {
+			classify(addr, got, want, " on final sweep")
 		}
 	}
 	if err := eng.Flush(); err != nil {
@@ -208,8 +191,48 @@ func Run(tr Trace) (Result, error) {
 	}
 
 	res.Report = eng.Report()
-	res.StateHash = stateHash(cache, reg)
+	res.StateHash = stateHash(cache, m.reg)
 	return res, nil
+}
+
+// machine is the replay target: a protected cache over a map backing,
+// driven by a resilience engine on a deterministic clock, plus the
+// scrubber that serves OpScrub events.
+type machine struct {
+	backing  *pcache.MapBacking
+	cache    *pcache.Cache
+	eng      *resilience.Engine
+	scrubber *resilience.Scrubber
+	reg      *obs.Registry
+}
+
+// newMachine builds a fresh machine for the trace geometry c.
+func newMachine(c Config) (machine, error) {
+	cfg := pcache.Config{
+		Sets: c.Sets, Ways: c.Ways, LineBytes: c.LineBytes,
+		VerticalGroups: c.VerticalGroups, SECDEDHorizontal: c.SECDED,
+		Banks: c.Banks,
+	}
+	m := machine{backing: pcache.NewMapBacking(cfg.LineBytes), reg: obs.NewRegistry()}
+	var err error
+	if m.cache, err = pcache.New(cfg, m.backing); err != nil {
+		return m, err
+	}
+	// Deterministic clock: one tick per reading. Latency histograms and
+	// MTTR then depend only on the event sequence, never on the host.
+	var tick int64
+	clock := func() time.Time {
+		tick++
+		return time.Unix(0, tick*int64(time.Microsecond))
+	}
+	m.eng = resilience.New(m.cache, resilience.Config{
+		MaxRetries: c.MaxRetries,
+		SpareRows:  c.SpareRows,
+		Clock:      clock,
+		Metrics:    m.reg,
+	})
+	m.scrubber = m.eng.NewScrubber(resilience.ScrubberConfig{})
+	return m, nil
 }
 
 // stateHash digests every bank's data, tag, and vertical-parity planes
