@@ -163,9 +163,10 @@ func main() {
 		epoch uint64
 	}
 
-	// readLat is the caller-observed single-op read latency (queueing,
-	// hedging, retries, and failover included) — the number the hedged
-	// vs unhedged comparison in scripts/bench.sh is about.
+	// readLat is the caller-observed latency of one read call — a single
+	// op, or a whole batch in -batch mode — with queueing, hedging,
+	// retries, and failover included: the number the hedged vs unhedged
+	// comparison in scripts/bench.sh is about.
 	readLat := clusterReg.Histogram("load_read_latency", "caller-observed read latency")
 
 	// fatalClientErr reports errors that mean the generator's transport
@@ -331,7 +332,9 @@ func main() {
 							lis[j] = rng.Intn(linesPer)
 							rops[j] = twodcache.BatchReadOp{Addr: addrOf(lis[j]), Dst: bufs[j]}
 						}
+						t0 := time.Now()
 						_, err := cl.ReadBatchCtx(opCtx, rops)
+						readLat.Observe(time.Since(t0))
 						opCancel()
 						if err != nil {
 							if batchAbort(err, false) {

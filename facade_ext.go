@@ -317,7 +317,9 @@ type ClusterConfig = cluster.Config
 // ClusterClient is the replicated client over N NetServer endpoints:
 // hedged reads, bounded failover retries, write fan-out with
 // read-repair, and the freshness invariant that a replica which missed
-// a write never serves a read for it.
+// a write never serves a read for it. Single ops and batches share one
+// read plane and one write plane, so an op gets the same hedging,
+// retries and error class whichever form sent it.
 type ClusterClient = cluster.Client
 
 // ClusterConn is the per-endpoint transport a ClusterClient drives —

@@ -16,15 +16,18 @@
 // copying from a fresh replica under the same per-addr stripe locks
 // writes hold, so repair never interleaves with a newer write.
 //
-// Reads hedge: after a delay derived from the live read-latency
-// histogram (HedgeQuantile, clamped to [HedgeMin, HedgeMax]), a second
-// replica is asked and the first success wins. Retryable failures
-// (recovery in progress, draining, transport loss) fail over
-// immediately and then retry with jittered exponential backoff while
-// deadline headroom remains. Writes never retry past ambiguity: if
-// every replica failed and any failure was ambiguous (the request may
-// have been applied), the write surfaces ErrAmbiguousWrite rather than
-// risk a double apply — unless the caller declares writes idempotent.
+// Reads and writes each run through one plane that works on batches; a
+// single op is a batch of one, so it gets the same bytes and error
+// class whichever API sent it. Reads hedge: after a delay derived from
+// the live read-latency histogram (HedgeQuantile, clamped to [HedgeMin,
+// HedgeMax]), ops still outstanding are re-issued to another replica
+// and the first success wins. Retryable failures (recovery in progress,
+// draining, transport loss) fail over immediately and then retry with
+// jittered exponential backoff while deadline headroom remains. Writes
+// never retry past ambiguity: if every replica failed an op and any
+// failure was ambiguous (the request may have been applied), the op
+// fails with ErrAmbiguousWrite rather than risk a double apply — unless
+// the caller declares writes idempotent.
 //
 // Per-endpoint health is a resilience.HealthBreaker (closed → open →
 // half-open with single probes), the same state machine that guards
@@ -140,10 +143,7 @@ func (c Config) withDefaults() Config {
 		c.HedgeMin = 200 * time.Microsecond
 	}
 	if c.HedgeMax < c.HedgeMin {
-		c.HedgeMax = 20 * time.Millisecond
-		if c.HedgeMax < c.HedgeMin {
-			c.HedgeMax = c.HedgeMin
-		}
+		c.HedgeMax = max(20*time.Millisecond, c.HedgeMin)
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
@@ -154,10 +154,7 @@ func (c Config) withDefaults() Config {
 		c.RetryBase = 500 * time.Microsecond
 	}
 	if c.RetryMax < c.RetryBase {
-		c.RetryMax = 10 * time.Millisecond
-		if c.RetryMax < c.RetryBase {
-			c.RetryMax = c.RetryBase
-		}
+		c.RetryMax = max(10*time.Millisecond, c.RetryBase)
 	}
 	if c.RedialBackoff <= 0 {
 		c.RedialBackoff = 10 * time.Millisecond
@@ -191,6 +188,7 @@ type Client struct {
 
 	rr       atomic.Uint64 // read round-robin cursor
 	writeSeq atomic.Uint64 // selftest-skew counter
+	hedgeAt  atomic.Uint64 // read-latency samples at the last hedge-delay derivation
 
 	done   chan struct{}
 	wg     sync.WaitGroup
@@ -313,10 +311,7 @@ func (c *Client) Epoch(addr uint64) (uint64, error) {
 			}
 			continue
 		}
-		got = true
-		if e > best {
-			best = e
-		}
+		got, best = true, max(best, e)
 	}
 	if !got {
 		if lastErr == nil {
@@ -392,22 +387,55 @@ func (c *Client) jitteredBackoff(attempt int) time.Duration {
 	return time.Duration(f * float64(d))
 }
 
+// backoff pauses before retry round attempt+1 of n retryable ops and
+// reports whether to run it. With nothing to retry, no retry left, or
+// too little deadline headroom (sleeping into the caller's deadline
+// turns a replica hiccup into a caller timeout) the ops keep their last
+// error; a non-nil error replaces it: the caller's ctx ended or the
+// client closed.
+func (c *Client) backoff(ctx context.Context, attempt, n int) (bool, error) {
+	if n == 0 || attempt >= c.cfg.MaxRetries {
+		return false, nil
+	}
+	pause := c.jitteredBackoff(attempt)
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < 2*pause {
+		return false, nil
+	}
+	c.retries.Add(uint64(n))
+	select {
+	case <-time.After(pause):
+		return true, nil
+	case <-ctx.Done():
+		return false, ctx.Err()
+	case <-c.done:
+		return false, ErrClosed
+	}
+}
+
+// callErr is the call-level error a plane call fails with before any
+// op goes out: a closed client or an ended context.
+func (c *Client) callErr(ctx context.Context) error {
+	if c.closed.Load() {
+		return ErrClosed
+	}
+	return ctx.Err()
+}
+
 // hedgeDelay derives the current hedge trigger from the live latency
 // histogram: the configured quantile, clamped. With under 64 samples it
-// answers HedgeMax so a cold client cannot hedge-storm.
+// answers HedgeMax so a cold client cannot hedge-storm. A histogram
+// snapshot allocates, so the quantile is re-derived once per 64 new
+// samples; the hedge_delay_ns gauge holds it in between.
 func (c *Client) hedgeDelay() time.Duration {
-	s := c.readLat.Snapshot()
-	d := c.cfg.HedgeMax
-	if s.Count >= 64 {
-		d = s.Quantile(c.cfg.HedgeQuantile)
-		if d < c.cfg.HedgeMin {
-			d = c.cfg.HedgeMin
-		} else if d > c.cfg.HedgeMax {
-			d = c.cfg.HedgeMax
-		}
+	if n := c.readLat.Count(); n < 64 {
+		c.hedgeDelayGauge.Set(int64(c.cfg.HedgeMax))
+	} else if n-c.hedgeAt.Load() >= 64 {
+		s := c.readLat.Snapshot()
+		c.hedgeAt.Store(s.Count)
+		d := min(max(s.Quantile(c.cfg.HedgeQuantile), c.cfg.HedgeMin), c.cfg.HedgeMax)
+		c.hedgeDelayGauge.Set(int64(d))
 	}
-	c.hedgeDelayGauge.Set(int64(d))
-	return d
+	return time.Duration(c.hedgeDelayGauge.Load())
 }
 
 // stripe returns the lock serialising writes and repairs for addr.

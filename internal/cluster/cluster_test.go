@@ -614,8 +614,8 @@ func TestClusterChaosHammer(t *testing.T) {
 	t.Logf("chaos hammer: %d verified reads, 0 mismatches", successes)
 }
 
-// TestClusterBatchFreshnessPartition pins the batch plane's freshness
-// invariant: a batch read routes each op only to endpoints fresh for
+// TestClusterBatchFreshnessPartition pins the freshness invariant for
+// batches: a batch read routes each op only to endpoints fresh for
 // that addr, an op no fresh replica can serve fails with ErrNoReplicas
 // instead of returning stale bytes, and a batch write's per-replica
 // failures land the addrs in that replica's missed set.
@@ -694,12 +694,11 @@ func TestClusterBatchFreshnessPartition(t *testing.T) {
 	}
 }
 
-// TestClusterWriteAmbiguityParity pins that both write planes classify
-// a transport that dies mid-flight the same way: WriteCtx and a 1-op
-// WriteBatchCtx return ErrAmbiguousWrite (and count it) when writes are
-// not idempotent, and the raw transport error when they are. Retries
-// are off so the single-op path runs exactly one round, as the batch
-// plane always does.
+// TestClusterWriteAmbiguityParity pins that WriteCtx and a 1-op
+// WriteBatchCtx classify a transport that dies mid-flight the same way:
+// both return ErrAmbiguousWrite (and count it) when writes are not
+// idempotent, and the raw transport error when they are. Retries are
+// off so each call runs exactly one round.
 func TestClusterWriteAmbiguityParity(t *testing.T) {
 	dead := fmt.Errorf("%w: %w", netsrv.ErrClosed, io.ErrUnexpectedEOF)
 	write := map[string]func(c *Client) error{

@@ -166,6 +166,23 @@ func (ep *endpoint) admit() (ok, probe bool) {
 	}
 }
 
+// settle feeds one conn call's outcome to the breaker. The caller's own
+// context giving up releases a probe slot without a verdict (it says
+// nothing about the replica); a dead transport is torn down for redial.
+func (ep *endpoint) settle(ctx context.Context, conn Conn, probe bool, err error) {
+	switch {
+	case err == nil:
+		ep.brk.Record(probe, true)
+	case ctxError(ctx, err):
+		ep.brk.Release(probe)
+	default:
+		ep.brk.Record(probe, false)
+		if isTransportDead(err) {
+			ep.markDown(conn)
+		}
+	}
+}
+
 // isTransportDead classifies errors that mean the connection itself is
 // gone (as opposed to the replica answering with a failure).
 func isTransportDead(err error) bool {
@@ -179,7 +196,7 @@ func isTransportDead(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// isRetryable classifies read failures worth another cluster-level
+// isRetryable classifies failures worth another cluster-level
 // attempt after backoff: transient replica states and transport loss.
 // Caller-context errors and data errors are final (uncorrectable data
 // is handled by failover to another replica, not by waiting).

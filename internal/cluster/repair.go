@@ -96,17 +96,9 @@ func (c *Client) readFreshExcluding(ctx context.Context, skip *endpoint, addr ui
 			continue
 		}
 		data, err := conn.ReadCtx(ctx, addr, n)
-		switch {
-		case err == nil:
-			ep.brk.Record(probe, true)
+		ep.settle(ctx, conn, probe, err)
+		if err == nil {
 			return data, nil
-		case ctxError(ctx, err):
-			ep.brk.Release(probe)
-		default:
-			ep.brk.Record(probe, false)
-			if isTransportDead(err) {
-				ep.markDown(conn)
-			}
 		}
 		lastErr = err
 	}

@@ -11,6 +11,10 @@
 #                                       # results/BENCH_net.md
 #   ./scripts/bench.sh -netalloc        # loopback round-trip allocs/op,
 #                                       # writes results/BENCH_netalloc.md
+#   ./scripts/bench.sh -cluster         # hedged vs unhedged cluster reads,
+#                                       # singles and 32-op batches, against
+#                                       # one slow replica; writes
+#                                       # results/BENCH_cluster.md
 #   ./scripts/bench.sh -all             # every benchmark (incl. figure regen)
 #   COUNT=10 ./scripts/bench.sh         # override run count
 #
@@ -170,7 +174,8 @@ case "${1:-}" in
     # Hedged vs unhedged tail latency against a replica set with one
     # slow member: three cachenetd replicas, one fronted by its chaos
     # proxy injecting 1-5ms delays on ~40% of chunks. cacheload drives
-    # the replicated cluster client closed-loop both ways; the
+    # the replicated cluster client closed-loop both ways, with single
+    # ops and with 32-op batches; the
     # caller-observed read-latency percentiles (hedging, retries, and
     # failover included) are the result. Writes the report itself.
     out=results/BENCH_cluster.md
@@ -197,15 +202,18 @@ case "${1:-}" in
     a1=$(addr_from "$tmp/r1.out" 's/^cachenetd: listening on \([^ ]*\).*/\1/p')
     a2=$(addr_from "$tmp/r2.out" 's/^cachenetd: listening on \([^ ]*\).*/\1/p')
     a3=$(addr_from "$tmp/r3.out" 's/^cachenetd: chaos proxy on \([^ ]*\) .*/\1/p')
-    run_load() { # $1 = -hedge=true|false
+    run_load() { # $@ = -hedge=true|false, then optional -batch N
         "$tmp/cacheload" -endpoints "$a1,$a2,$a3" -duration "$dur" \
-            -conns 2 -pipeline 4 -verify=false -seed 11 "$1"
+            -conns 2 -pipeline 4 -verify=false -seed 11 "$@"
     }
     hedged=$(run_load -hedge=true)
     unhedged=$(run_load -hedge=false)
+    bhedged=$(run_load -hedge=true -batch 32)
+    bunhedged=$(run_load -hedge=false -batch 32)
     kill -TERM "$rpid1" "$rpid2" "$rpid3" 2>/dev/null || true
     wait "$rpid1" "$rpid2" "$rpid3" 2>/dev/null || true
     lat_of() { printf '%s\n' "$1" | sed -n 's/^  read latency: //p'; }
+    ops_of() { printf '%s\n' "$1" | sed -n 's/^cacheload: .* — \([0-9]*\) ops\/s.*/\1/p'; }
     cluster_of() { printf '%s\n' "$1" | sed -n 's/^  cluster: //p'; }
     {
         echo '# Cluster client: hedged vs unhedged tail latency'
@@ -222,14 +230,25 @@ case "${1:-}" in
         echo '- hedged: a second read fires at the observed p95 latency'
         echo '  (clamped to [200us, 20ms]); unhedged reads wait out the'
         echo '  slow replica and only fail over on error'
+        echo '- batch 32: each call is one 32-op batch (30% of calls write);'
+        echo '  reads still outstanding at the hedge delay are re-issued'
+        echo '  to their next fresh replica as one group; read latency is'
+        echo '  per batch call, ops/s counts ops'
         echo
-        echo '| mode | read latency |'
-        echo '|---|---|'
-        echo "| hedged | $(lat_of "$hedged") |"
-        echo "| unhedged | $(lat_of "$unhedged") |"
+        echo '| mode | read latency | ops/s |'
+        echo '|---|---|---|'
+        echo "| hedged | $(lat_of "$hedged") | $(ops_of "$hedged") |"
+        echo "| unhedged | $(lat_of "$unhedged") | $(ops_of "$unhedged") |"
+        echo "| hedged, batch 32 | $(lat_of "$bhedged") | $(ops_of "$bhedged") |"
+        echo "| unhedged, batch 32 | $(lat_of "$bunhedged") | $(ops_of "$bunhedged") |"
         echo
         echo "- hedged run:   $(cluster_of "$hedged")"
         echo "- unhedged run: $(cluster_of "$unhedged")"
+        echo "- hedged batch run:   $(cluster_of "$bhedged")"
+        echo "- unhedged batch run: $(cluster_of "$bunhedged")"
+        echo
+        echo 'Hedge and retry counters count ops, so a hedged batch group'
+        echo 'of k ops adds k hedges.'
     } >"$out"
     echo "bench.sh: wrote $out"
     exit 0

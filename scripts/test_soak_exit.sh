@@ -169,13 +169,8 @@ grep -q "cacheload: PASS" "$tmp/load.out" \
 # 14. The skew selftest proves the shadow verifier would catch real
 #     replication divergence: -selftest-skew-writes silently skips one
 #     replica every Nth write, which MUST surface as silent corruption
-#     -> exit 1.
-"$netd" -addr 127.0.0.1:0 >"$tmp/s1.out" 2>&1 &
-spid1=$!
-"$netd" -addr 127.0.0.1:0 >"$tmp/s2.out" 2>&1 &
-spid2=$!
-"$netd" -addr 127.0.0.1:0 >"$tmp/s3.out" 2>&1 &
-spid3=$!
+#     -> exit 1. Batch writes go through the same write plane, so the
+#     drill must fail the same way with -batch 32.
 plain_addr() { # $1=outfile
     for _ in $(seq 1 50); do
         a=$(sed -n 's/^cachenetd: listening on \([^ ]*\) .*$/\1/p' "$1")
@@ -184,17 +179,27 @@ plain_addr() { # $1=outfile
     done
     return 1
 }
-b1=$(plain_addr "$tmp/s1.out") || fail "skew replica 1 never printed its address"
-b2=$(plain_addr "$tmp/s2.out") || fail "skew replica 2 never printed its address"
-b3=$(plain_addr "$tmp/s3.out") || fail "skew replica 3 never printed its address"
-"$load" -endpoints "$b1,$b2,$b3" -duration 3s -seed 7 -lines 256 -selftest-skew-writes 4 \
-    >"$tmp/skew.out" 2>&1
-st=$?
-kill -INT "$spid1" "$spid2" "$spid3" 2>/dev/null
-wait "$spid1" "$spid2" "$spid3" 2>/dev/null
-[ "$st" -eq 1 ] || { cat "$tmp/skew.out" >&2; fail "skew selftest exited $st (want 1)"; }
-grep -q "FAIL — silent corruption detected" "$tmp/skew.out" \
-    || { cat "$tmp/skew.out" >&2; fail "skew selftest exit 1 was not the corruption banner"; }
+skew_drill() { # $@ = extra cacheload flags
+    "$netd" -addr 127.0.0.1:0 >"$tmp/s1.out" 2>&1 &
+    spid1=$!
+    "$netd" -addr 127.0.0.1:0 >"$tmp/s2.out" 2>&1 &
+    spid2=$!
+    "$netd" -addr 127.0.0.1:0 >"$tmp/s3.out" 2>&1 &
+    spid3=$!
+    b1=$(plain_addr "$tmp/s1.out") || fail "skew replica 1 never printed its address"
+    b2=$(plain_addr "$tmp/s2.out") || fail "skew replica 2 never printed its address"
+    b3=$(plain_addr "$tmp/s3.out") || fail "skew replica 3 never printed its address"
+    "$load" -endpoints "$b1,$b2,$b3" -duration 3s -seed 7 -lines 256 -selftest-skew-writes 4 "$@" \
+        >"$tmp/skew.out" 2>&1
+    st=$?
+    kill -INT "$spid1" "$spid2" "$spid3" 2>/dev/null
+    wait "$spid1" "$spid2" "$spid3" 2>/dev/null
+    [ "$st" -eq 1 ] || { cat "$tmp/skew.out" >&2; fail "skew selftest $* exited $st (want 1)"; }
+    grep -q "FAIL — silent corruption detected" "$tmp/skew.out" \
+        || { cat "$tmp/skew.out" >&2; fail "skew selftest $* exit 1 was not the corruption banner"; }
+}
+skew_drill
+skew_drill -batch 32
 
 # 15. Batch deadlines are a per-op contract, not a silent success: a
 #     single cachenetd under batch load with a tight-but-nonzero
