@@ -8,9 +8,9 @@
 // Ownership contract: a buffer obtained from Get belongs to exactly one
 // owner at a time. Put transfers it back to the pool; the caller must
 // not touch it afterwards. Losing a buffer (never calling Put) is safe
-// — the GC reclaims it and the pool refills on demand — so APIs that
-// hand buffer ownership to their caller (a client returning a response
-// payload) simply never Put.
+// — the GC reclaims it and the pool refills on demand — so a buffer
+// whose owner went away (the response to a call abandoned at its
+// deadline) may simply be dropped.
 //
 // Tests flip the package into check mode (SetCheck), which trades the
 // lock-free fast path for a deterministic accounting pool: double puts

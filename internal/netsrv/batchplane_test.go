@@ -68,7 +68,7 @@ func TestBatchDeadlineOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := readFrame(nc)
+	f, err := readFrame(nc, new(frameHdr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,12 @@ type Client struct {
 	// no per-call frame buffer is ever assembled.
 	wmu sync.Mutex
 	bw  *bufio.Writer
-	hdr [frameHeader + frameFixed]byte
+	hdr frameHdr
+
+	rhdr frameHdr // readLoop's header scratch for readFrame
 
 	pmu     sync.Mutex
-	pending map[uint64]chan wireResp
+	pending map[uint64]chan []byte
 	nextID  uint64
 	closed  bool
 	cause   error // first transport failure (nil on deliberate Close)
@@ -41,16 +43,12 @@ type Client struct {
 	done chan struct{}
 }
 
-type wireResp struct {
-	status  uint8
-	payload []byte
-}
-
-// respChanPool recycles the per-call response channels. A channel is
-// returned to the pool ONLY on the happy receive path: a call abandoned
-// at ctx expiry (or client death) may still receive a late send from
-// readLoop, so its channel must never be reused.
-var respChanPool = sync.Pool{New: func() any { return make(chan wireResp, 1) }}
+// respChanPool recycles the per-call response channels. Each carries
+// one response payload as readFrame pooled it, status byte first. A
+// channel is returned to the pool ONLY on the happy receive path: a
+// call abandoned at ctx expiry (or client death) may still receive a
+// late send from readLoop, so its channel must never be reused.
+var respChanPool = sync.Pool{New: func() any { return make(chan []byte, 1) }}
 
 // Dial connects a Client to a cachenetd-style server.
 func Dial(addr string) (*Client, error) {
@@ -67,7 +65,7 @@ func NewClient(nc net.Conn) *Client {
 	c := &Client{
 		nc:      nc,
 		bw:      bufio.NewWriterSize(nc, readBufSize),
-		pending: map[uint64]chan wireResp{},
+		pending: map[uint64]chan []byte{},
 		done:    make(chan struct{}),
 	}
 	go c.readLoop()
@@ -90,7 +88,7 @@ func (c *Client) fatal(cause error) {
 	}
 	c.closed = true
 	c.cause = cause
-	c.pending = map[uint64]chan wireResp{}
+	c.pending = map[uint64]chan []byte{}
 	c.pmu.Unlock()
 	close(c.done)
 	c.nc.Close()
@@ -107,11 +105,13 @@ func (c *Client) closedErr() error {
 	return fmt.Errorf("%w: %w", ErrClosed, cause)
 }
 
-// readLoop dispatches response frames to their waiting callers.
+// readLoop dispatches response frames to their waiting callers. Each
+// caller gets the whole pooled payload, so its capacity is still a
+// bufpool size class when the call that decodes it Puts it back.
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.nc, readBufSize)
 	for {
-		f, err := readFrame(br)
+		f, err := readFrame(br, &c.rhdr)
 		if err != nil {
 			c.fatal(err)
 			return
@@ -124,27 +124,34 @@ func (c *Client) readLoop() {
 		ch, ok := c.pending[f.id]
 		delete(c.pending, f.id)
 		c.pmu.Unlock()
-		if ok {
-			// Buffered(1): never blocks, and an abandoned caller (ctx
-			// expired) simply never receives.
-			ch <- wireResp{status: f.payload[0], payload: f.payload[1:]}
+		if !ok {
+			// The call gave up (ctx expired): nobody will read this.
+			bufpool.Put(f.payload)
+			continue
 		}
+		// Buffered(1): never blocks. A caller that gives up after the
+		// lookup never receives; the GC takes its response.
+		ch <- f.payload
 	}
 }
 
 // call sends one request frame and waits for its response under ctx.
-// The payload is fully consumed by the time call returns, so callers
-// that drew it from bufpool may Put it back immediately after.
-func (c *Client) call(ctx context.Context, op uint8, payload []byte) (wireResp, error) {
+// The request payload is fully consumed by the time call returns, so
+// callers that drew it from bufpool may Put it back immediately after.
+// A non-OK response status comes back as the error. On success data is
+// the response's payload and buf the pooled buffer holding it: the
+// caller Puts buf once it has decoded data (buf is nil on error, and
+// Put ignores nil).
+func (c *Client) call(ctx context.Context, op uint8, payload []byte) (data, buf []byte, err error) {
 	if err := ctx.Err(); err != nil {
-		return wireResp{}, err
+		return nil, nil, err
 	}
-	ch := respChanPool.Get().(chan wireResp)
+	ch := respChanPool.Get().(chan []byte)
 	c.pmu.Lock()
 	if c.closed {
 		c.pmu.Unlock()
 		respChanPool.Put(ch)
-		return wireResp{}, c.closedErr()
+		return nil, nil, c.closedErr()
 	}
 	c.nextID++
 	id := c.nextID
@@ -165,23 +172,28 @@ func (c *Client) call(ctx context.Context, op uint8, payload []byte) (wireResp, 
 	c.wmu.Unlock()
 	if werr != nil {
 		c.fatal(werr)
-		return wireResp{}, c.closedErr()
+		return nil, nil, c.closedErr()
 	}
 
 	select {
-	case r := <-ch:
+	case buf = <-ch:
 		respChanPool.Put(ch)
-		return r, nil
 	case <-ctx.Done():
 		// The channel may still receive a late send — leak it to the GC
 		// rather than ever reusing it.
 		c.pmu.Lock()
 		delete(c.pending, id)
 		c.pmu.Unlock()
-		return wireResp{}, ctx.Err()
+		return nil, nil, ctx.Err()
 	case <-c.done:
-		return wireResp{}, c.closedErr()
+		return nil, nil, c.closedErr()
 	}
+	if buf[0] != stOK {
+		err = statusErr(buf[0], string(buf[1:]))
+		bufpool.Put(buf)
+		return nil, nil, err
+	}
+	return buf[1:], buf, nil
 }
 
 // wireDeadline converts ctx's deadline to the protocol's relative
@@ -213,35 +225,43 @@ func (c *Client) Read(addr uint64, n int) ([]byte, error) {
 }
 
 // ReadCtx is Read bounded by ctx: the deadline travels in the frame, and
-// the server runs the read as part of a ReadBatchCtx under it.
+// the server runs the read as part of a ReadBatchCtx under it. The
+// returned slice is the one allocation a read makes.
 func (c *Client) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
-	wd, err := wireDeadline(ctx)
+	data, buf, err := c.read(ctx, addr, n)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]byte, len(data))
+	copy(out, data)
+	bufpool.Put(buf)
+	return out, nil
+}
+
+// ReadInto reads len(dst) bytes at addr into dst, without allocating.
+func (c *Client) ReadInto(addr uint64, dst []byte) error {
+	data, buf, err := c.read(context.Background(), addr, len(dst))
+	if err != nil {
+		return err
+	}
+	copy(dst, data)
+	bufpool.Put(buf)
+	return nil
+}
+
+// read sends one READ frame; data and buf are call's.
+func (c *Client) read(ctx context.Context, addr uint64, n int) (data, buf []byte, err error) {
+	wd, err := wireDeadline(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
 	p := bufpool.Get(20)[:0]
 	p = be64Append(p, wd)
 	p = be64Append(p, addr)
 	p = be32Append(p, uint32(n))
-	r, err := c.call(ctx, opRead, p)
+	data, buf, err = c.call(ctx, opRead, p)
 	bufpool.Put(p)
-	if err != nil {
-		return nil, err
-	}
-	if err := statusErr(r.status, string(maybeMsg(r))); err != nil {
-		return nil, err
-	}
-	return r.payload, nil
-}
-
-// ReadInto reads len(dst) bytes at addr into dst.
-func (c *Client) ReadInto(addr uint64, dst []byte) error {
-	out, err := c.Read(addr, len(dst))
-	if err != nil {
-		return err
-	}
-	copy(dst, out)
-	return nil
+	return data, buf, err
 }
 
 // Write stores data at addr.
@@ -259,12 +279,10 @@ func (c *Client) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
 	p = be64Append(p, wd)
 	p = be64Append(p, addr)
 	p = append(p, data...)
-	r, err := c.call(ctx, opWrite, p)
+	_, buf, err := c.call(ctx, opWrite, p)
 	bufpool.Put(p)
-	if err != nil {
-		return err
-	}
-	return statusErr(r.status, string(maybeMsg(r)))
+	bufpool.Put(buf)
+	return err
 }
 
 // ReadBatch sends every op in one BATCH_READ frame — one round trip,
@@ -295,15 +313,12 @@ func (c *Client) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed 
 		p = be64Append(p, ops[i].Addr)
 		p = be32Append(p, uint32(len(ops[i].Dst)))
 	}
-	r, err := c.call(ctx, opBatchRead, p)
+	b, buf, err := c.call(ctx, opBatchRead, p)
 	bufpool.Put(p)
 	if err != nil {
 		return len(ops), err
 	}
-	if err := statusErr(r.status, string(maybeMsg(r))); err != nil {
-		return len(ops), err
-	}
-	b := r.payload
+	defer bufpool.Put(buf)
 	if len(b) < 4 || int(be32(b)) != len(ops) {
 		return len(ops), fmt.Errorf("netsrv: BATCH_READ response count mismatch")
 	}
@@ -358,15 +373,12 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (faile
 		p = be32Append(p, uint32(len(ops[i].Data)))
 		p = append(p, ops[i].Data...)
 	}
-	r, err := c.call(ctx, opBatchWrite, p)
+	b, buf, err := c.call(ctx, opBatchWrite, p)
 	bufpool.Put(p)
 	if err != nil {
 		return len(ops), err
 	}
-	if err := statusErr(r.status, string(maybeMsg(r))); err != nil {
-		return len(ops), err
-	}
-	b := r.payload
+	defer bufpool.Put(buf)
 	if len(b) != 4+len(ops) || int(be32(b)) != len(ops) {
 		return len(ops), fmt.Errorf("netsrv: BATCH_WRITE response count mismatch")
 	}
@@ -391,24 +403,20 @@ func (c *Client) FlushCtx(ctx context.Context) error {
 		return err
 	}
 	p := be64Append(bufpool.Get(8)[:0], wd)
-	r, err := c.call(ctx, opFlush, p)
+	_, buf, err := c.call(ctx, opFlush, p)
 	bufpool.Put(p)
-	if err != nil {
-		return err
-	}
-	return statusErr(r.status, string(maybeMsg(r)))
+	bufpool.Put(buf)
+	return err
 }
 
 // Stats fetches the server store's coherent cache counters.
 func (c *Client) Stats() (pcache.Stats, error) {
-	r, err := c.call(context.Background(), opStats, nil)
+	data, buf, err := c.call(context.Background(), opStats, nil)
 	if err != nil {
 		return pcache.Stats{}, err
 	}
-	if err := statusErr(r.status, string(maybeMsg(r))); err != nil {
-		return pcache.Stats{}, err
-	}
-	return decodeStats(r.payload)
+	defer bufpool.Put(buf)
+	return decodeStats(data)
 }
 
 // Epoch fetches the loss epoch of the set owning addr — the soak
@@ -416,25 +424,14 @@ func (c *Client) Stats() (pcache.Stats, error) {
 // Servers without an epoch oracle answer ErrUnsupported.
 func (c *Client) Epoch(addr uint64) (uint64, error) {
 	p := be64Append(bufpool.Get(8)[:0], addr)
-	r, err := c.call(context.Background(), opEpoch, p)
+	data, buf, err := c.call(context.Background(), opEpoch, p)
 	bufpool.Put(p)
 	if err != nil {
 		return 0, err
 	}
-	if err := statusErr(r.status, string(maybeMsg(r))); err != nil {
-		return 0, err
+	defer bufpool.Put(buf)
+	if len(data) != 8 {
+		return 0, fmt.Errorf("netsrv: EPOCH response %d bytes", len(data))
 	}
-	if len(r.payload) != 8 {
-		return 0, fmt.Errorf("netsrv: EPOCH response %d bytes", len(r.payload))
-	}
-	return be64(r.payload), nil
-}
-
-// maybeMsg returns the error text carried by non-OK responses (empty
-// for stOK, whose payload is data).
-func maybeMsg(r wireResp) []byte {
-	if r.status == stOK {
-		return nil
-	}
-	return r.payload
+	return be64(data), nil
 }

@@ -33,7 +33,7 @@ func blackHoleServer(t *testing.T) (net.Listener, *atomic.Uint64) {
 			go func() {
 				defer c.Close()
 				for {
-					if _, err := readFrame(c); err != nil {
+					if _, err := readFrame(c, new(frameHdr)); err != nil {
 						return
 					}
 					frames.Add(1)

@@ -98,7 +98,7 @@ func dial(t *testing.T, addr string) *Client {
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte("twelve bytes")
 	buf := appendFrame(nil, opWrite, 0xdeadbeef, payload[:6], payload[6:])
-	f, err := readFrame(bytes.NewReader(buf))
+	f, err := readFrame(bytes.NewReader(buf), new(frameHdr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	// Empty payload is legal (STATS request).
-	f, err = readFrame(bytes.NewReader(appendFrame(nil, opStats, 7)))
+	f, err = readFrame(bytes.NewReader(appendFrame(nil, opStats, 7)), new(frameHdr))
 	if err != nil || len(f.payload) != 0 {
 		t.Fatalf("empty frame: %v, payload %d bytes", err, len(f.payload))
 	}
@@ -117,7 +117,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, length := range []uint32{0, frameFixed - 1, maxFrame + 1} {
 		bad := be32Append(nil, length)
 		bad = append(bad, make([]byte, 16)...)
-		if _, err := readFrame(bytes.NewReader(bad)); err == nil {
+		if _, err := readFrame(bytes.NewReader(bad), new(frameHdr)); err == nil {
 			t.Fatalf("length %d accepted", length)
 		}
 	}
@@ -337,7 +337,7 @@ func TestPipelineBatching(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	for i := 0; i < n; i++ {
-		f, err := readFrame(nc)
+		f, err := readFrame(nc, new(frameHdr))
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
@@ -363,14 +363,14 @@ func TestPipelineBatching(t *testing.T) {
 	if _, err := nc.Write(appendFrame(nil, opRead, 99, []byte{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(nc)
+	f, err := readFrame(nc, new(frameHdr))
 	if err != nil || f.id != 99 || f.payload[0] != stBadRequest {
 		t.Fatalf("short READ: %v, frame %+v", err, f)
 	}
 	if _, err := nc.Write(appendFrame(nil, 200, 100, nil)); err != nil {
 		t.Fatal(err)
 	}
-	f, err = readFrame(nc)
+	f, err = readFrame(nc, new(frameHdr))
 	if err != nil || f.id != 100 || f.payload[0] != stBadRequest {
 		t.Fatalf("unknown opcode: %v, frame %+v", err, f)
 	}
@@ -425,7 +425,7 @@ func TestDeadlineOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := readFrame(nc)
+	f, err := readFrame(nc, new(frameHdr))
 	if err != nil {
 		t.Fatal(err)
 	}

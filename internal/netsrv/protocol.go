@@ -217,26 +217,18 @@ type frame struct {
 	payload []byte
 }
 
-// readFrame decodes one frame. The payload is freshly allocated per
-// frame and owned by the caller — the client uses this form because
-// response payloads transfer ownership outward (Read hands its payload
-// to the caller).
-func readFrame(r io.Reader) (frame, error) {
-	return readFrameAlloc(r, plainAlloc)
-}
+// frameHdr is the fixed head of a frame: length, opcode, request id.
+// Each reading goroutine owns one (a field of the server conn or the
+// client) and hands it to every readFrame, so reading a header costs
+// no allocation.
+type frameHdr [frameHeader + frameFixed]byte
 
-func plainAlloc(n int) []byte { return make([]byte, n) }
-
-// readFramePooled is readFrame with the payload drawn from bufpool.
-// The caller owns the payload and must Put it back once nothing
-// aliases it — the server's reader loop does, at the point each
-// handler stops retaining the frame.
-func readFramePooled(r io.Reader) (frame, error) {
-	return readFrameAlloc(r, bufpool.Get)
-}
-
-func readFrameAlloc(r io.Reader, alloc func(int) []byte) (frame, error) {
-	var hdr [frameHeader + frameFixed]byte
+// readFrame decodes one frame, reading its header into hdr. The
+// payload comes from bufpool and belongs to the caller, who Puts it
+// once nothing aliases it: the server's reader loop at the point each
+// handler stops retaining the frame, a client call once it has decoded
+// the response.
+func readFrame(r io.Reader, hdr *frameHdr) (frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
@@ -247,9 +239,10 @@ func readFrameAlloc(r io.Reader, alloc func(int) []byte) (frame, error) {
 	f := frame{
 		op:      hdr[4],
 		id:      binary.BigEndian.Uint64(hdr[5:13]),
-		payload: alloc(int(length - frameFixed)),
+		payload: bufpool.Get(int(length - frameFixed)),
 	}
 	if _, err := io.ReadFull(r, f.payload); err != nil {
+		bufpool.Put(f.payload)
 		return frame{}, err
 	}
 	return f, nil

@@ -261,6 +261,7 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
+	hdr frameHdr // header scratch for readFrame
 
 	out        chan []byte
 	writerDone chan struct{}
@@ -364,7 +365,7 @@ func (c *conn) serve() {
 		if len(c.ids) > 0 && c.br.Buffered() == 0 {
 			c.flushBatches()
 		}
-		f, err := readFramePooled(c.br)
+		f, err := readFrame(c.br, &c.hdr)
 		if err != nil {
 			// Drain kick (read deadline) or a dead peer: either way the
 			// already-received ops still execute and respond.

@@ -49,7 +49,7 @@ func roundTrip(t *testing.T, nc net.Conn, op uint8, id uint64, payload []byte) (
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := readFrame(nc)
+	f, err := readFrame(nc, new(frameHdr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestDeadlineSwitchKeepsReadAfterWrite(t *testing.T) {
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for i := 0; i < 2*rounds; i++ {
-		f, err := readFrame(nc)
+		f, err := readFrame(nc, new(frameHdr))
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}

@@ -71,3 +71,29 @@ func TestHitPathAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestMapBackingRewriteAllocFree pins a writeback to an address the
+// backing already holds at zero allocations: the stored line is
+// overwritten in place. ReadLine still hands out a private copy.
+func TestMapBackingRewriteAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	b := NewMapBacking(64)
+	line := make([]byte, 64)
+	b.WriteLine(0x40, line)
+	if got := testing.AllocsPerRun(200, func() {
+		line[0]++
+		b.WriteLine(0x40, line)
+	}); got != 0 {
+		t.Errorf("WriteLine (stored address) allocates %.1f/op", got)
+	}
+	out := b.ReadLine(0x40)
+	if out[0] != line[0] {
+		t.Fatalf("ReadLine = %#x..., want %#x...", out[0], line[0])
+	}
+	out[1] = 0xFF
+	if b.ReadLine(0x40)[1] != 0 {
+		t.Fatal("ReadLine's copy aliases the stored line")
+	}
+}

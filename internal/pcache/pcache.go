@@ -114,13 +114,18 @@ func (b *MapBacking) ReadLine(addr uint64) []byte {
 	return out
 }
 
-// WriteLine stores a line.
+// WriteLine stores a line, overwriting a stored one in place: ReadLine
+// hands out copies, so nothing aliases it, and a writeback allocates
+// only the first time it reaches an address.
 func (b *MapBacking) WriteLine(addr uint64, data []byte) {
-	d := make([]byte, b.lineBytes)
-	copy(d, data)
 	b.mu.Lock()
-	b.m[addr] = d
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	d, ok := b.m[addr]
+	if !ok {
+		d = make([]byte, b.lineBytes)
+		b.m[addr] = d
+	}
+	copy(d, data)
 }
 
 // ErrUncorrectable reports an error footprint beyond the 2D coverage —

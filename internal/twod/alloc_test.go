@@ -12,7 +12,9 @@ import (
 // word-kernel data path to zero: fetching a clean word (ReadUint64 and
 // the concurrent TryReadUint64), writing one (WriteUint64), and the
 // bare syndrome probe must not touch the heap. This is the contract the
-// pcache hit path is built on.
+// pcache hit path is built on. Recovery holds it too where it runs
+// routinely: a clean Recover (every scrub pass) and a Recover that
+// rebuilds one faulty row from its group.
 func TestHotPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		// sync.Pool deliberately drops items under the race detector,
@@ -72,6 +74,28 @@ func TestHotPathAllocFree(t *testing.T) {
 				}
 			}); got != 0 {
 				t.Errorf("syndromeAt allocates %.1f/op", got)
+			}
+			if got := testing.AllocsPerRun(200, func() {
+				if rep := a.Recover(); rep.Mode != RecoveryNone || !rep.Success {
+					t.Fatalf("clean Recover: %+v", rep)
+				}
+			}); got != 0 {
+				t.Errorf("Recover (clean) allocates %.1f/op", got)
+			}
+			if got := testing.AllocsPerRun(200, func() {
+				// A 12-column burst: every word of row 3 takes one or
+				// two adjacent-bit errors.
+				for col := 100; col < 112; col++ {
+					a.FlipBit(3, col)
+				}
+				if rep := a.Recover(); rep.Mode != RecoveryRow || rep.FaultyWords != 8 || !rep.Success {
+					t.Fatalf("one-row Recover: %+v", rep)
+				}
+			}); got != 0 {
+				t.Errorf("Recover (one faulty row) allocates %.1f/op", got)
+			}
+			if v, st := a.ReadUint64(3, 5); st != ReadClean || v != x {
+				t.Fatalf("after recoveries: %#x, %v; want %#x clean", v, st, x)
 			}
 		})
 	}

@@ -120,7 +120,9 @@ func (s ReadStatus) String() string {
 // Concurrency contract: Write, Read, Recover and the other mutating
 // entry points require external exclusive access (the pcache banks hold
 // an exclusive lock around them); they reuse array-owned scratch
-// buffers and perform no per-access heap allocation. TryRead and
+// buffers, so the uint64 accesses, a clean Recover pass and a Recover
+// that rebuilds faulty rows from their groups perform no heap
+// allocation (only column-mode recovery allocates). TryRead and
 // TryReadUint64 are the shared-lock fast path: many may run
 // concurrently (against each other, never against a writer) and they
 // draw scratch from an internal pool instead.
@@ -151,6 +153,17 @@ type Array struct {
 		cw   []uint64
 		old  []uint64
 		data []uint64
+	}
+	// rec is Recover's scratch, exclusive-path like scr: the scan's
+	// faulty words in row-major order and their distinct rows, the
+	// per-group vertical mismatch, faulty rows per group, and the groups
+	// a recovery wrote into.
+	rec struct {
+		faulty     []faultyWord
+		rows       []int
+		mismatch   *bitvec.Matrix // VerticalGroups x RowBits
+		groupCount []int
+		touched    []bool
 	}
 	// tryScratch pools codeword buffers for the concurrent TryRead path.
 	tryScratch sync.Pool
@@ -191,6 +204,11 @@ func NewArray(cfg Config) (*Array, error) {
 	a.scr.cw = make([]uint64, a.cwWords)
 	a.scr.old = make([]uint64, a.cwWords)
 	a.scr.data = make([]uint64, a.cfg.dataWords)
+	a.rec.faulty = make([]faultyWord, 0, cfg.WordsPerRow)
+	a.rec.rows = make([]int, 0, cfg.VerticalGroups)
+	a.rec.mismatch = bitvec.NewMatrix(cfg.VerticalGroups, layout.RowBits())
+	a.rec.groupCount = make([]int, cfg.VerticalGroups)
+	a.rec.touched = make([]bool, cfg.VerticalGroups)
 	a.tryScratch.New = func() any {
 		buf := make([]uint64, a.cwWords)
 		return &buf

@@ -97,7 +97,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 // parityConsistent checks the fundamental invariant: every vertical
 // parity row equals the XOR of its group's data rows.
 func parityConsistent(a *Array) bool {
-	return allZero(a.verticalMismatch())
+	return a.verticalMismatch().PopCount() == 0
 }
 
 func TestVerticalParityInvariantAfterWrites(t *testing.T) {

@@ -1,7 +1,6 @@
 package twod
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"twodcache/internal/bitvec"
@@ -87,15 +86,15 @@ func (a *Array) recoverImpl() RecoveryReport {
 	atomic.AddUint64(&a.stats.Recoveries, 1)
 	rep := RecoveryReport{}
 
-	faultyWords, faultyRows := a.scan(&rep)
-	rep.FaultyWords = len(faultyWords)
+	faulty, rows := a.scan(&rep)
+	rep.FaultyWords = len(faulty)
 
 	mismatch := a.verticalMismatch()
 
-	if len(faultyWords) == 0 {
+	if len(faulty) == 0 {
 		// Data clean. If parity rows disagree they took the hit; rebuild.
 		rep.Mode = RecoveryNone
-		if !allZero(mismatch) {
+		if mismatch.PopCount() != 0 {
 			a.rebuildParity()
 			rep.ParityRefreshed = true
 		}
@@ -104,33 +103,26 @@ func (a *Array) recoverImpl() RecoveryReport {
 	}
 
 	// Count faulty rows per vertical group.
-	groupCount := make([]int, a.cfg.VerticalGroups)
-	for r := range faultyRows {
-		groupCount[a.group(r)]++
-	}
+	groupCount := a.rec.groupCount
+	clear(groupCount)
 	columnMode := false
-	for _, c := range groupCount {
-		if c > 1 {
-			columnMode = true
-			break
-		}
+	for _, r := range rows {
+		g := a.group(r)
+		groupCount[g]++
+		columnMode = columnMode || groupCount[g] > 1
 	}
 
 	// touched[g] records that this recovery applied repairs to data rows
 	// of group g — used below to tell residue flushes apart from wrong
 	// repairs when the parity disagrees after verification.
-	touched := make([]bool, a.cfg.VerticalGroups)
+	touched := a.rec.touched
+	clear(touched)
 
 	if !columnMode {
 		rep.Mode = RecoveryRow
-		// Repair rows in ascending order: the repairs commute (disjoint
-		// rows), but a fixed order keeps replayed recoveries bit- and
-		// event-identical to the recorded run (map order is randomised).
-		rows := make([]int, 0, len(faultyRows))
-		for r := range faultyRows {
-			rows = append(rows, r)
-		}
-		sort.Ints(rows)
+		// Repair rows in ascending order (the scan's): the repairs
+		// commute (disjoint rows), but a fixed order keeps replayed
+		// recoveries bit- and event-identical to the recorded run.
 		for _, r := range rows {
 			if a.residual[a.group(r)] {
 				// The group's mismatch carries the residue of an
@@ -144,7 +136,7 @@ func (a *Array) recoverImpl() RecoveryReport {
 				// accounted loss.
 				continue
 			}
-			m := mismatch[a.group(r)]
+			m := mismatch.Row(a.group(r))
 			if !a.rowDeltaPlausible(r, m) {
 				// The mismatch carries bits the horizontal code cannot
 				// attribute to this row's errors: the parity itself is
@@ -159,7 +151,7 @@ func (a *Array) recoverImpl() RecoveryReport {
 		}
 	} else {
 		rep.Mode = RecoveryColumn
-		if !a.recoverColumns(mismatch, faultyWords, groupCount, touched, &rep) {
+		if !a.recoverColumns(mismatch, faulty, rows, groupCount, touched, &rep) {
 			rep.Mode = RecoveryFailed
 		}
 	}
@@ -178,7 +170,7 @@ func (a *Array) recoverImpl() RecoveryReport {
 	}
 	// Data verified clean; restore the parity invariant if anything is
 	// left inconsistent (e.g. parity rows themselves were struck).
-	if remaining := a.verticalMismatch(); !allZero(remaining) {
+	if remaining := a.verticalMismatch(); remaining.PopCount() != 0 {
 		if rep.InlineFixes > 0 {
 			// Inline ECC corrections that leave the vertical parity
 			// inconsistent indicate a miscorrection (>1 real error in
@@ -188,8 +180,8 @@ func (a *Array) recoverImpl() RecoveryReport {
 			atomic.AddUint64(&a.stats.Uncorrectable, 1)
 			return rep
 		}
-		for g, m := range remaining {
-			if m.IsZero() || a.residual[g] || !touched[g] {
+		for g := 0; g < a.cfg.VerticalGroups; g++ {
+			if remaining.Row(g).IsZero() || a.residual[g] || !touched[g] {
 				continue
 			}
 			// This recovery wrote into group g, every word now checks
@@ -210,20 +202,32 @@ func (a *Array) recoverImpl() RecoveryReport {
 	return rep
 }
 
+// faultyWord is a word the recovery scan flagged, with its horizontal
+// syndrome.
+type faultyWord struct {
+	r, w int
+	syn  uint64
+}
+
 // scan marches over the array checking every word's horizontal code.
-func (a *Array) scan(rep *RecoveryReport) (map[[2]int]uint64, map[int]bool) {
-	faultyWords := make(map[[2]int]uint64)
-	faultyRows := make(map[int]bool)
+// It returns the faulty words in row-major order and their distinct
+// rows in ascending order, both in the array's recovery scratch (valid
+// until the next scan).
+func (a *Array) scan(rep *RecoveryReport) (faulty []faultyWord, rows []int) {
+	faulty, rows = a.rec.faulty[:0], a.rec.rows[:0]
 	for r := 0; r < a.cfg.Rows; r++ {
 		for w := 0; w < a.cfg.WordsPerRow; w++ {
 			rep.ScanReads++
 			if syn := a.checkWord(r, w); syn != 0 {
-				faultyWords[[2]int{r, w}] = syn
-				faultyRows[r] = true
+				if len(rows) == 0 || rows[len(rows)-1] != r {
+					rows = append(rows, r)
+				}
+				faulty = append(faulty, faultyWord{r, w, syn})
 			}
 		}
 	}
-	return faultyWords, faultyRows
+	a.rec.faulty, a.rec.rows = faulty, rows // keep any grown capacity
+	return faulty, rows
 }
 
 // rowDeltaPlausible reports whether mismatch m is a credible error
@@ -267,19 +271,44 @@ func (a *Array) rowDeltaPlausible(r int, m *bitvec.Vector) bool {
 	return true
 }
 
-// verticalMismatch returns, per group, the XOR of the stored parity row
-// with the parity recomputed from the data rows. With at most one
-// faulty row in the group this equals that row's exact error pattern.
-func (a *Array) verticalMismatch() []*bitvec.Vector {
-	out := make([]*bitvec.Vector, a.cfg.VerticalGroups)
-	for g := range out {
-		m := a.vpar.Row(g).Clone()
+// verticalMismatch returns, as row g, the XOR of group g's stored
+// parity row with the parity recomputed from its data rows. With at
+// most one faulty row in the group this equals that row's exact error
+// pattern. The matrix is the array's recovery scratch, overwritten by
+// the next call.
+func (a *Array) verticalMismatch() *bitvec.Matrix {
+	out := a.rec.mismatch
+	for g := 0; g < a.cfg.VerticalGroups; g++ {
+		m := out.Row(g)
+		m.CopyFrom(a.vpar.Row(g))
 		for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
 			m.Xor(a.data.Row(r))
 		}
-		out[g] = m
 	}
 	return out
+}
+
+// groupMismatch reports whether group g's stored parity row disagrees
+// with its data rows, computed word by word without scratch.
+func (a *Array) groupMismatch(g int) bool {
+	for i, x := range a.vpar.RowWords(g) {
+		for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
+			x ^= a.data.RowWords(r)[i]
+		}
+		if x != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// rebuildGroup recomputes group g's vertical parity row from its data.
+func (a *Array) rebuildGroup(g int) {
+	p := a.vpar.Row(g)
+	p.Zero()
+	for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
+		p.Xor(a.data.Row(r))
+	}
 }
 
 // rebuildParity recomputes all vertical parity rows from the data.
@@ -287,11 +316,7 @@ func (a *Array) verticalMismatch() []*bitvec.Vector {
 // callers are responsible for only rebuilding over trustworthy data.
 func (a *Array) rebuildParity() {
 	for g := 0; g < a.cfg.VerticalGroups; g++ {
-		p := a.vpar.Row(g)
-		p.Zero()
-		for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
-			p.Xor(a.data.Row(r))
-		}
+		a.rebuildGroup(g)
 		a.residual[g] = false
 	}
 }
@@ -330,36 +355,24 @@ func (a *Array) rebuildParity() {
 // claims pool suspect columns across all groups and solve every faulty
 // word over the pool, which is sound when errors really are contiguous
 // column clusters (recoverColumnsClustered).
-func (a *Array) recoverColumns(mismatch []*bitvec.Vector, faultyWords map[[2]int]uint64, groupCount []int, touched []bool, rep *RecoveryReport) bool {
+func (a *Array) recoverColumns(mismatch *bitvec.Matrix, faulty []faultyWord, rows []int, groupCount []int, touched []bool, rep *RecoveryReport) bool {
 	if a.cfg.AssumeClusteredFaults {
-		return a.recoverColumnsClustered(mismatch, faultyWords, touched, rep)
+		return a.recoverColumnsClustered(mismatch, faulty, touched, rep)
 	}
 	h := a.cfg.Horizontal
 	canInline := h.CorrectCapability() > 0
 	ok := true
 
 	// Pass 1 — rows that are the sole faulty row of their group: repair
-	// with row-mode evidence. Ascending order for deterministic replay.
-	var soleRows []int
-	seenRow := make(map[int]bool)
-	for rw := range faultyWords {
-		r := rw[0]
-		if seenRow[r] {
-			continue
-		}
-		seenRow[r] = true
-		if groupCount[a.group(r)] == 1 {
-			soleRows = append(soleRows, r)
-		}
-	}
-	sort.Ints(soleRows)
+	// with row-mode evidence, in ascending order for deterministic
+	// replay.
 	repairedRow := make(map[int]bool)
-	for _, r := range soleRows {
+	for _, r := range rows {
 		g := a.group(r)
-		if a.residual[g] {
-			continue // tainted: fall through to pass 2's fallback
+		if groupCount[g] != 1 || a.residual[g] {
+			continue // shared or tainted: pass 2 handles the row's words
 		}
-		m := mismatch[g]
+		m := mismatch.Row(g)
 		if !a.rowDeltaPlausible(r, m) {
 			continue
 		}
@@ -372,22 +385,11 @@ func (a *Array) recoverColumns(mismatch []*bitvec.Vector, faultyWords map[[2]int
 	// Pass 2 — words in multi-faulty-row groups, plus sole rows refused
 	// above. Row-major order: per-word repairs touch disjoint cells, so
 	// the order is for deterministic replay, not correctness.
-	order := make([][2]int, 0, len(faultyWords))
-	for rw := range faultyWords {
-		order = append(order, rw)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i][0] != order[j][0] {
-			return order[i][0] < order[j][0]
-		}
-		return order[i][1] < order[j][1]
-	})
-	for _, rw := range order {
-		r, w := rw[0], rw[1]
+	for _, fw := range faulty {
+		r, w, syn := fw.r, fw.w, fw.syn
 		if repairedRow[r] {
 			continue
 		}
-		syn := faultyWords[rw]
 		g := a.group(r)
 		if !canInline || a.residual[g] {
 			// Detection-only code (no sound evidence for this word), or
@@ -401,7 +403,7 @@ func (a *Array) recoverColumns(mismatch []*bitvec.Vector, faultyWords map[[2]int
 			continue
 		}
 		var cand []int
-		for _, c := range mismatch[g].Ones() {
+		for _, c := range mismatch.Row(g).Ones() {
 			if ws, b := a.layout.Locate(c); ws == w {
 				cand = append(cand, b)
 			}
@@ -434,13 +436,13 @@ func (a *Array) recoverColumns(mismatch []*bitvec.Vector, faultyWords map[[2]int
 // (Fig. 4(b) as published). Sound only under the declared clustered
 // fault model — see recoverColumns for why arbitrary patterns can
 // forge it.
-func (a *Array) recoverColumnsClustered(mismatch []*bitvec.Vector, faultyWords map[[2]int]uint64, touched []bool, rep *RecoveryReport) bool {
+func (a *Array) recoverColumnsClustered(mismatch *bitvec.Matrix, faulty []faultyWord, touched []bool, rep *RecoveryReport) bool {
 	suspect := bitvec.New(a.layout.RowBits())
-	for g, m := range mismatch {
+	for g := 0; g < a.cfg.VerticalGroups; g++ {
 		if a.residual[g] {
 			continue // residue columns are not fault evidence
 		}
-		suspect.Or(m)
+		suspect.Or(mismatch.Row(g))
 	}
 	// Group suspect columns by word slot.
 	byWord := make(map[int][]int) // word slot -> codeword bit indices
@@ -453,19 +455,8 @@ func (a *Array) recoverColumnsClustered(mismatch []*bitvec.Vector, faultyWords m
 	ok := true
 	// Row-major order: repairs touch disjoint cells, so the order is
 	// for deterministic replay, not correctness.
-	order := make([][2]int, 0, len(faultyWords))
-	for rw := range faultyWords {
-		order = append(order, rw)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i][0] != order[j][0] {
-			return order[i][0] < order[j][0]
-		}
-		return order[i][1] < order[j][1]
-	})
-	for _, rw := range order {
-		r, w := rw[0], rw[1]
-		syn := faultyWords[rw]
+	for _, fw := range faulty {
+		r, w, syn := fw.r, fw.w, fw.syn
 		cand := byWord[w]
 		cols := make([]uint64, len(cand))
 		for i, b := range cand {
@@ -607,10 +598,8 @@ func solveGF2(cols []uint64, target uint64) (sel []bool, unique bool) {
 func (a *Array) FlushResidualParity() int {
 	flushed := 0
 	for g := 0; g < a.cfg.VerticalGroups; g++ {
-		m := a.vpar.Row(g).Clone()
 		clean := true
 		for r := g; r < a.cfg.Rows && clean; r += a.cfg.VerticalGroups {
-			m.Xor(a.data.Row(r))
 			for w := 0; w < a.cfg.WordsPerRow; w++ {
 				if a.syndromeAt(r, w) != 0 {
 					clean = false
@@ -624,26 +613,13 @@ func (a *Array) FlushResidualParity() int {
 		// Every word of the group checks clean: any residue is now
 		// retired (rebuilt away below) and the taint lifts.
 		a.residual[g] = false
-		if m.IsZero() {
+		if !a.groupMismatch(g) {
 			continue
 		}
-		p := a.vpar.Row(g)
-		p.Zero()
-		for r := g; r < a.cfg.Rows; r += a.cfg.VerticalGroups {
-			p.Xor(a.data.Row(r))
-		}
+		a.rebuildGroup(g)
 		flushed++
 	}
 	return flushed
-}
-
-func allZero(vs []*bitvec.Vector) bool {
-	for _, v := range vs {
-		if !v.IsZero() {
-			return false
-		}
-	}
-	return true
 }
 
 // IntegrityReport is the result of a non-mutating consistency audit.
@@ -673,8 +649,8 @@ func (a *Array) VerifyIntegrity() IntegrityReport {
 			}
 		}
 	}
-	for _, m := range a.verticalMismatch() {
-		if !m.IsZero() {
+	for g := 0; g < a.cfg.VerticalGroups; g++ {
+		if a.groupMismatch(g) {
 			rep.ParityMismatches++
 		}
 	}

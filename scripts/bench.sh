@@ -130,11 +130,13 @@ case "${1:-}" in
     # Per-round-trip allocation accounting for the pooled wire path:
     # the BenchmarkNet* loopback benches count the process's global
     # mallocs, so allocs/op covers both the client encoding the request
-    # and the server parsing, serving, and answering it. The "before"
-    # column is the committed pre-pooling baseline (per-call frame
+    # and the server parsing, serving, and answering it. The two earlier
+    # columns are committed baselines measured with the same benches:
+    # "pre-pooling" before any buffer was pooled (per-call frame
     # assembly, fresh op slices and Dst buffers per batch, unpooled
-    # response frames), measured with the same benches at the commit
-    # that introduced them.
+    # response frames), "pooled payloads" once request and response
+    # payloads came from bufpool but every frame header and every
+    # client response was still heap-allocated.
     out=results/BENCH_netalloc.md
     raw=$(mktemp)
     trap 'rm -f "$raw"' EXIT
@@ -151,17 +153,21 @@ case "${1:-}" in
         echo "- host cores: $(nproc); loopback TCP, 1-shard store, 64B lines"
         echo '- allocs/op and B/op are process-global: client + server'
         echo '  sides of one round trip combined'
-        echo '- before = pre-pooling baseline (per-call frame assembly,'
-        echo '  fresh per-op buffers, unpooled response frames), measured'
-        echo '  with these same benches before the pooled batch plane'
-        echo '- after = minimum across runs (steady state, pools warm)'
+        echo '- pre-pooling = baseline before any pooling (per-call frame'
+        echo '  assembly, fresh per-op buffers, unpooled response frames)'
+        echo '- pooled payloads = baseline with request and response'
+        echo '  payloads pooled, but each frame header (both ends) and each'
+        echo '  client response still heap-allocated'
+        echo '- now = minimum across runs (steady state, pools warm)'
+        echo '- single READ is `ReadInto`, which copies into the caller'"'"'s'
+        echo '  buffer; `Read` adds the one slice it returns'
         echo
-        echo '| round trip | before (allocs/op) | after (allocs/op) |'
-        echo '|---|---|---|'
-        echo "| single READ | 15 | $(allocs_of BenchmarkNetSingleRead) |"
-        echo "| single WRITE | 14 | $(allocs_of BenchmarkNetSingleWrite) |"
-        echo "| BATCH_READ x32 | 50 | $(allocs_of BenchmarkNetBatchRead32) |"
-        echo "| BATCH_WRITE x32 | 18 | $(allocs_of BenchmarkNetBatchWrite32) |"
+        echo '| round trip | pre-pooling (allocs/op) | pooled payloads (allocs/op) | now (allocs/op) |'
+        echo '|---|---|---|---|'
+        echo "| single READ | 15 | 3 | $(allocs_of BenchmarkNetSingleRead) |"
+        echo "| single WRITE | 14 | 3 | $(allocs_of BenchmarkNetSingleWrite) |"
+        echo "| BATCH_READ x32 | 50 | 3 | $(allocs_of BenchmarkNetBatchRead32) |"
+        echo "| BATCH_WRITE x32 | 18 | 3 | $(allocs_of BenchmarkNetBatchWrite32) |"
         echo
         echo '```'
         grep -E '^(goos|goarch|pkg|cpu|Benchmark)' "$raw"
