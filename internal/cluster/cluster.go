@@ -421,6 +421,38 @@ func (c *Client) callErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// attempt is one conn call that runs on a goroutine of its own.
+type attempt interface{ run() }
+
+// handoff carries each attempt to the goroutine goAttempt starts for it:
+// `go a.run()` would allocate a closure per call, an argument-free `go
+// runHandoff()` allocates nothing. Every attempt sent has a goroutine
+// started to receive it, though not necessarily the one that runs it. A
+// send waits only while the buffer is full, that is while 64 started
+// goroutines have yet to be scheduled; a caller sends at most one
+// attempt per endpoint before it waits for results, so 64 slots hold a
+// launch from each of 32 callers of a two-replica cluster at once.
+var handoff = make(chan attempt, 64)
+
+// goAttempt runs a on a new goroutine.
+func goAttempt(a attempt) {
+	handoff <- a
+	go runHandoff()
+}
+
+func runHandoff() { (<-handoff).run() }
+
+// resize returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // hedgeDelay derives the current hedge trigger from the live latency
 // histogram: the configured quantile, clamped. With under 64 samples it
 // answers HedgeMax so a cold client cannot hedge-storm. A histogram

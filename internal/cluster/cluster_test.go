@@ -27,7 +27,7 @@ var testCacheCfg = pcache.Config{Sets: 16, Ways: 2, LineBytes: lineBytes, Banks:
 // and restarted on the same address with a fresh (empty) store —
 // modelling a process crash that loses everything.
 type replica struct {
-	t    *testing.T
+	t    testing.TB
 	addr string
 
 	mu     sync.Mutex
@@ -36,7 +36,7 @@ type replica struct {
 	served chan error
 }
 
-func startReplica(t *testing.T) *replica {
+func startReplica(t testing.TB) *replica {
 	t.Helper()
 	r := &replica{t: t}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -236,7 +236,10 @@ func TestClusterKillRestartNoStaleReads(t *testing.T) {
 }
 
 // fakeConn is an in-memory Conn for policy-level tests: programmable
-// latency and error injection per operation.
+// latency and error injection per operation. It allocates only where a
+// netsrv client would, so the alloc pins measure the cluster: ReadCtx
+// returns a fresh slice, and nothing else allocates once an addr holds
+// a line.
 type fakeConn struct {
 	mu        sync.Mutex
 	data      map[uint64][]byte
@@ -249,7 +252,9 @@ type fakeConn struct {
 
 func newFakeConn() *fakeConn { return &fakeConn{data: map[uint64][]byte{}} }
 
-func (f *fakeConn) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
+// readHook counts one read call and applies its programmed delay and
+// error.
+func (f *fakeConn) readHook(ctx context.Context) error {
 	f.mu.Lock()
 	call := f.readCalls
 	f.readCalls++
@@ -259,13 +264,18 @@ func (f *fakeConn) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, err
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	if errf != nil {
-		if err := errf(call); err != nil {
-			return nil, err
-		}
+		return errf(call)
+	}
+	return nil
+}
+
+func (f *fakeConn) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
+	if err := f.readHook(ctx); err != nil {
+		return nil, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -276,6 +286,7 @@ func (f *fakeConn) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, err
 	return append([]byte(nil), d...), nil
 }
 
+// WriteCtx overwrites a stored line of the same length in place.
 func (f *fakeConn) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
 	f.mu.Lock()
 	call := f.writeCall
@@ -289,21 +300,27 @@ func (f *fakeConn) WriteCtx(ctx context.Context, addr uint64, data []byte) error
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.data[addr] = append([]byte(nil), data...)
+	if d, ok := f.data[addr]; ok && len(d) == len(data) {
+		copy(d, data)
+	} else {
+		f.data[addr] = append([]byte(nil), data...)
+	}
 	return nil
 }
 
-// ReadBatchCtx serves each op through the single-op path, so the same
-// programmable error/delay hooks drive batch tests.
+// ReadBatchCtx serves each op as one read call, so the same
+// programmable error/delay hooks drive batch tests, and copies straight
+// into the op's Dst.
 func (f *fakeConn) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed int, err error) {
 	for i := range ops {
-		d, rerr := f.ReadCtx(ctx, ops[i].Addr, len(ops[i].Dst))
-		ops[i].Err = rerr
-		if rerr != nil {
+		if ops[i].Err = f.readHook(ctx); ops[i].Err != nil {
 			failed++
 			continue
 		}
-		copy(ops[i].Dst, d)
+		f.mu.Lock()
+		clear(ops[i].Dst)
+		copy(ops[i].Dst, f.data[ops[i].Addr])
+		f.mu.Unlock()
 	}
 	return failed, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -482,4 +483,199 @@ func TestHedgeDelayAllocs(t *testing.T) {
 	if slow := c.hedgeDelay(); slow <= fast {
 		t.Fatalf("hedge delay stuck at %v after 1000 5ms reads", slow)
 	}
+}
+
+// slowReplica is a fake replica whose reads take delay. A cancelled
+// read returns its context's error at once, unless the replica answers
+// late: then it sleeps the delay out and answers anyway, as a response
+// already on the wire would. It logs the error every read returns.
+type slowReplica struct {
+	*fakeConn
+	late time.Duration // sleep before every read, deaf to cancellation
+
+	mu      sync.Mutex
+	entered int
+	errs    []error
+}
+
+func newSlowReplica(delay time.Duration, late bool) *slowReplica {
+	s := &slowReplica{fakeConn: newFakeConn()}
+	if late {
+		s.late = delay
+	} else {
+		s.readDelay = delay
+	}
+	return s
+}
+
+func (s *slowReplica) enter() {
+	s.mu.Lock()
+	s.entered++
+	s.mu.Unlock()
+	time.Sleep(s.late)
+}
+
+func (s *slowReplica) log(err error) {
+	s.mu.Lock()
+	s.errs = append(s.errs, err)
+	s.mu.Unlock()
+}
+
+func (s *slowReplica) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
+	s.enter()
+	out, err := s.fakeConn.ReadCtx(ctx, addr, n)
+	s.log(err)
+	return out, err
+}
+
+func (s *slowReplica) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed int, err error) {
+	s.enter()
+	failed, err = s.fakeConn.ReadBatchCtx(ctx, ops)
+	s.log(err)
+	return failed, err
+}
+
+// settled waits until every read that entered s has returned, and
+// returns their errors.
+func (s *slowReplica) settled(t *testing.T) []error {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		n, errs := s.entered, slices.Clone(s.errs)
+		s.mu.Unlock()
+		if len(errs) == n {
+			return errs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d slow reads never returned", n-len(errs), n)
+		}
+	}
+}
+
+// TestClusterStraggler pins what an attempt meets when its round ends
+// without it: its conn call ends through the plane's attempt context
+// with the right error, its breaker slot is released without a verdict
+// (the default breaker trips after 5 failures), and a payload it
+// delivers late never reaches a later read on a recycled plane.
+func TestClusterStraggler(t *testing.T) {
+	const lines = 64
+	const delay = 50 * time.Millisecond
+	hedged := func(slow *slowReplica, reg *obs.Registry) *Client {
+		c := newCluster(t, Config{
+			Endpoints:      []string{"slow", "fast"},
+			Dial:           fakeDialer(map[string]Conn{"slow": slow, "fast": newFakeConn()}),
+			HedgeMin:       5 * time.Millisecond,
+			HedgeMax:       5 * time.Millisecond,
+			RepairInterval: time.Hour,
+			Metrics:        reg,
+			Seed:           40,
+		})
+		for i := uint64(0); i < lines; i++ {
+			if err := c.Write(i*lineBytes, pattern(i*lineBytes, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	read := func(c *Client, ctx context.Context, addr uint64) error {
+		got, err := c.ReadCtx(ctx, addr, lineBytes)
+		if err == nil && !bytes.Equal(got, pattern(addr, 3)) {
+			return fmt.Errorf("read %#x returned another line's bytes", addr)
+		}
+		return err
+	}
+
+	t.Run("hedge-loser", func(t *testing.T) {
+		slow, reg := newSlowReplica(delay, false), obs.NewRegistry()
+		c := hedged(slow, reg)
+		// The slow replica is the primary of every other read, and the
+		// hedge to the fast one wins each of those.
+		for i := 0; i < 400 && reg.Snapshot().Counter("cluster_hedge_wins_total") < 10; i++ {
+			if err := read(c, context.Background(), uint64(i%lines)*lineBytes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		errs := slow.settled(t)
+		if len(errs) < 10 {
+			t.Fatalf("the slow replica lost %d times, want >= 10", len(errs))
+		}
+		for i, err := range errs {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("loser %d returned %v, want context.Canceled", i, err)
+			}
+		}
+		if s := c.Endpoints()[0]; s.Breaker != "closed" {
+			t.Fatalf("after %d cancelled losers the slow breaker is %s, want closed", len(errs), s)
+		}
+	})
+
+	t.Run("caller-deadline", func(t *testing.T) {
+		slow := newSlowReplica(delay, false)
+		c := newCluster(t, Config{
+			Endpoints:      []string{"slow"},
+			Dial:           fakeDialer(map[string]Conn{"slow": slow}),
+			RepairInterval: time.Hour,
+			Seed:           41,
+		})
+		for i := 0; i < 6; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			_, err := c.ReadCtx(ctx, 0, lineBytes)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("read %d: %v, want context.DeadlineExceeded", i, err)
+			}
+		}
+		for i, err := range slow.settled(t) {
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("attempt %d returned %v, want the caller's context.DeadlineExceeded", i, err)
+			}
+		}
+		if s := c.Endpoints()[0]; s.Breaker != "closed" {
+			t.Fatalf("after 6 deadline-cut attempts the breaker is %s, want closed", s)
+		}
+	})
+
+	t.Run("late-payload", func(t *testing.T) {
+		slow := newSlowReplica(delay, true)
+		c := hedged(slow, obs.NewRegistry())
+		// 1000 reads from four goroutines, singles and 4-op batches, while
+		// the losers of earlier hedges answer 45ms after their rounds.
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				ops := make([]pcache.ReadOp, 4)
+				for n := 0; n < 250; {
+					if n%8 != 0 {
+						if err := read(c, context.Background(), uint64(rng.Intn(lines))*lineBytes); err != nil {
+							t.Error(err)
+							return
+						}
+						n++
+						continue
+					}
+					for i := range ops {
+						ops[i] = pcache.ReadOp{Addr: uint64(rng.Intn(lines)) * lineBytes, Dst: make([]byte, lineBytes)}
+					}
+					if err := batchErr(c.ReadBatchCtx(context.Background(), ops)); err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range ops {
+						if !bytes.Equal(ops[i].Dst, pattern(ops[i].Addr, 3)) {
+							t.Errorf("batch read %#x returned another line's bytes", ops[i].Addr)
+							return
+						}
+					}
+					n += len(ops)
+				}
+			}(w)
+		}
+		wg.Wait()
+		if late := len(slow.settled(t)); late == 0 {
+			t.Fatal("no read was hedged against the slow replica")
+		}
+	})
 }

@@ -14,14 +14,20 @@ func (c *Client) Read(addr uint64, n int) ([]byte, error) {
 	return c.ReadCtx(context.Background(), addr, n)
 }
 
-// ReadCtx reads n bytes at addr: the read plane with a batch of one.
-// The returned slice is the winning attempt's own payload.
+// ReadCtx reads n bytes at addr: the read plane with a batch of one,
+// held in the plane's own op array. The returned slice is the winning
+// attempt's own payload.
 func (c *Client) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
-	op := [1]pcache.ReadOp{{Addr: addr}}
-	if _, err := c.read(ctx, op[:], n); err != nil {
-		return nil, err
+	p := c.readPlane()
+	op := &p.one[0]
+	*op = pcache.ReadOp{Addr: addr}
+	_, err := p.read(ctx, p.one[:], n)
+	if err == nil {
+		err = op.Err
 	}
-	return op[0].Dst, op[0].Err
+	dst := op.Dst // nil unless served
+	p.release()
+	return dst, err
 }
 
 // ReadBatchCtx reads every op through the read plane, so each op is
@@ -30,7 +36,10 @@ func (c *Client) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error
 // fail with ErrNoReplicas. A non-nil error is call-level (closed client
 // or expired ctx): no op was served.
 func (c *Client) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed int, err error) {
-	return c.read(ctx, ops, 0)
+	p := c.readPlane()
+	failed, err = p.read(ctx, ops, 0)
+	p.release()
+	return failed, err
 }
 
 // readOp is the read plane's state for one op in the current round.
@@ -53,32 +62,90 @@ type gate struct {
 
 // readAttempt is one conn call carrying a group of ops to one endpoint.
 // It reads into buffers it owns, so attempts racing for one op never
-// share the caller's Dst: only the winner's bytes land there.
+// share the caller's Dst: only the winner's bytes land there. Its plane
+// reuses it once it has reported back.
 type readAttempt struct {
 	ep           *endpoint
 	conn         Conn
 	probe, hedge bool
 	idx          []int           // caller op indices
 	ops          []pcache.ReadOp // per-op outcomes; Dst cut from buf
-	one          [1]pcache.ReadOp
-	oneIdx       [1]int
-	n            int    // bytes a group of one reads
-	buf          []byte // a larger group's pooled arena
-	err          error  // call-level outcome
+	n            int             // bytes a READ frame reads
+	buf          []byte          // a BATCH_READ's pooled arena; nil for a READ
+	err          error           // call-level outcome
 	latency      time.Duration
+	ctx          *attemptCtx
+	results      chan<- *readAttempt
 }
 
-// readPlane is one logical read, touched only by its caller's goroutine.
+// attemptCtx is the context a read plane's attempts run under: the
+// caller's context for Deadline, Value and Err, with a Done channel of
+// its own that the plane closes only when a round ends with attempts
+// still in flight (a hedge loser, or work the caller's context or Close
+// cut off). A round that sees the caller's context end closes stop after
+// it, so an attempt woken by Done finds the caller's error in Err, and a
+// loser whose round was won finds context.Canceled.
+type attemptCtx struct {
+	context.Context
+	stop chan struct{}
+}
+
+func (a *attemptCtx) Done() <-chan struct{} { return a.stop }
+
+func (a *attemptCtx) Err() error {
+	if err := a.Context.Err(); err != nil {
+		return err
+	}
+	select {
+	case <-a.stop:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// readPlane runs one logical read at a time, touched only by its
+// caller's goroutine.
 type readPlane struct {
 	c       *Client
 	ops     []pcache.ReadOp
-	n       int // bytes an op with a nil Dst reads
+	one     [1]pcache.ReadOp // ReadCtx's op
+	n       int              // bytes an op with a nil Dst reads
 	st      []readOp
 	gates   []gate
-	first   int // the round's round-robin start
-	open    int // ops of the round not yet done
-	actx    context.Context
+	first   int  // the round's round-robin start
+	open    int  // ops of the round not yet done
+	sent    int  // attempts of the round not yet reported back
+	strays  bool // a round ended with attempts in flight
+	actx    *attemptCtx
 	results chan *readAttempt
+	spare   []*readAttempt // attempts that reported back, for reuse
+}
+
+// readPlanes recycles read planes with their per-op state, attempts,
+// attempt context and results channel, so a read allocates nothing of
+// its own.
+var readPlanes = sync.Pool{New: func() any { return new(readPlane) }}
+
+func (c *Client) readPlane() *readPlane {
+	p := readPlanes.Get().(*readPlane)
+	p.c = c
+	return p
+}
+
+// release drops p's references to the caller's context and ops and
+// recycles it — unless a round left attempts running. Those still hold
+// attempts of p's, so p then goes to the GC with them, as netsrv's
+// response channels do: only the happy path recycles.
+func (p *readPlane) release() {
+	if p.strays {
+		return
+	}
+	p.c, p.ops, p.one[0] = nil, nil, pcache.ReadOp{}
+	if p.actx != nil {
+		p.actx.Context = nil
+	}
+	readPlanes.Put(p)
 }
 
 // hedgeTimers recycles the stopped, drained timers hedged rounds wait on.
@@ -97,12 +164,14 @@ var hedgeTimers = sync.Pool{New: func() any {
 // again after a jittered backoff while retries and deadline headroom
 // remain. An op with a nil Dst reads n bytes and takes the winning
 // payload as its Dst.
-func (c *Client) read(ctx context.Context, ops []pcache.ReadOp, n int) (failed int, err error) {
+func (p *readPlane) read(ctx context.Context, ops []pcache.ReadOp, n int) (failed int, err error) {
+	c := p.c
 	if err := c.callErr(ctx); err != nil || len(ops) == 0 {
 		return len(ops), err
 	}
 	c.reads.Add(uint64(len(ops)))
-	p := readPlane{c: c, ops: ops, n: n, st: make([]readOp, len(ops)), gates: make([]gate, len(c.eps))}
+	p.ops, p.n = ops, n
+	p.st, p.gates = resize(p.st, len(ops)), resize(p.gates, len(c.eps))
 	for attempt := 0; ; attempt++ {
 		if err = p.round(ctx, attempt); err != nil {
 			break
@@ -134,7 +203,7 @@ func (c *Client) read(ctx context.Context, ops []pcache.ReadOp, n int) (failed i
 // context ended or the client closed.
 func (p *readPlane) round(ctx context.Context, attempt int) error {
 	c := p.c
-	p.first = int(c.rr.Add(1))
+	p.first, p.open = int(c.rr.Add(1)), 0
 	clear(p.gates)
 	for i := range p.st {
 		if s := &p.st[i]; attempt == 0 || isRetryable(s.err) {
@@ -142,13 +211,16 @@ func (p *readPlane) round(ctx context.Context, attempt int) error {
 			p.open++
 		}
 	}
-	// A winner cancels the stragglers; each attempt settles its own
-	// breaker bookkeeping.
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	// Sized to the most attempts a round can send (each op tries each
 	// endpoint at most once), so a straggler never blocks.
-	p.actx, p.results = actx, make(chan *readAttempt, p.open*len(c.eps))
+	if need := len(p.ops) * len(c.eps); p.results == nil || cap(p.results) < need {
+		p.results = make(chan *readAttempt, need)
+	}
+	if p.actx == nil {
+		p.actx = &attemptCtx{stop: make(chan struct{})}
+	}
+	p.actx.Context = ctx
+	defer p.endRound()
 	p.launch(false)
 	var hedge <-chan time.Time
 	if !c.cfg.DisableHedging && len(c.eps) > 1 && p.open > 0 {
@@ -185,11 +257,25 @@ func (p *readPlane) round(ctx context.Context, attempt int) error {
 	return nil
 }
 
+// endRound cancels the attempts a round leaves in flight and leaves them
+// its attempt context and results channel, so they can never report into
+// a later round; the next round makes fresh ones. The caller's context
+// has already ended if that is why the round did, so the cancelled
+// attempts see its error first.
+func (p *readPlane) endRound() {
+	if p.sent == 0 {
+		return
+	}
+	close(p.actx.stop)
+	p.actx, p.results, p.sent, p.strays = nil, nil, 0, true
+}
+
 // settle folds a finished attempt into the ops it carried: an op's
 // first success lands its bytes, a failure moves the op on to its next
-// endpoint at once.
+// endpoint at once. The attempt then goes back to the plane's spares.
 func (p *readPlane) settle(ctx context.Context, a *readAttempt) error {
 	c := p.c
+	p.sent--
 	served, failover := false, false
 	for si, i := range a.idx {
 		s := &p.st[i]
@@ -223,6 +309,9 @@ func (p *readPlane) settle(ctx context.Context, a *readAttempt) error {
 	if served {
 		c.readLat.Observe(a.latency)
 	}
+	clear(a.ops)
+	*a = readAttempt{idx: a.idx[:0], ops: a.ops[:0]}
+	p.spare = append(p.spare, a)
 	if failover && ctx.Err() == nil {
 		p.launch(false)
 	}
@@ -272,46 +361,59 @@ func (p *readPlane) launch(hedge bool) {
 }
 
 // start sends endpoint k one attempt carrying every op the launch in
-// progress picked it for: a group of one as a READ frame, so netsrv
-// keeps re-batching pipelined singles, a larger group as one BATCH_READ.
+// progress picked it for. ReadCtx's op travels alone as a READ frame, so
+// netsrv keeps re-batching pipelined singles, and its payload becomes
+// the caller's result; batch ops travel as one BATCH_READ into the
+// attempt's pooled arena.
 func (p *readPlane) start(k int, hedge bool) {
 	c, g := p.c, &p.gates[k]
-	a := &readAttempt{ep: c.eps[k], conn: g.conn, probe: g.probe, hedge: hedge}
-	a.idx = a.oneIdx[:0]
+	var a *readAttempt
+	if n := len(p.spare); n > 0 {
+		a, p.spare = p.spare[n-1], p.spare[:n-1]
+	} else {
+		a = new(readAttempt)
+	}
+	a.ep, a.conn, a.probe, a.hedge = c.eps[k], g.conn, g.probe, hedge
+	size := 0
 	for i := range p.st {
 		if s := &p.st[i]; s.pick == k+1 {
 			s.pick, s.inflight, s.hedged = 0, s.inflight+1, s.hedged || hedge
 			a.idx = append(a.idx, i)
-			a.n += max(p.n, len(p.ops[i].Dst)) // p.n is nonzero only for ReadCtx
+			size += len(p.ops[i].Dst)
 		}
 	}
 	g.ok, g.picked = g.ok && !g.probe, false
 	if hedge {
 		c.hedges.Add(uint64(len(a.idx)))
 	}
-	a.one[0].Addr, a.ops = p.ops[a.idx[0]].Addr, a.one[:]
-	if len(a.idx) > 1 {
-		a.buf, a.ops = bufpool.Get(a.n), make([]pcache.ReadOp, len(a.idx))
+	if i := a.idx[0]; len(a.idx) == 1 && p.ops[i].Dst == nil {
+		a.n = p.n
+		a.ops = append(a.ops, pcache.ReadOp{Addr: p.ops[i].Addr})
+	} else {
+		a.buf = bufpool.Get(size)
 		off := 0
-		for si, i := range a.idx {
+		for _, i := range a.idx {
 			end := off + len(p.ops[i].Dst)
-			a.ops[si] = pcache.ReadOp{Addr: p.ops[i].Addr, Dst: a.buf[off:end:end]}
+			a.ops = append(a.ops, pcache.ReadOp{Addr: p.ops[i].Addr, Dst: a.buf[off:end:end]})
 			off = end
 		}
 	}
-	go a.run(p.actx, p.results)
+	a.ctx, a.results = p.actx, p.results
+	p.sent++
+	goAttempt(a)
 }
 
 // run performs the attempt, settles its breaker bookkeeping, and
-// reports back to its round.
-func (a *readAttempt) run(ctx context.Context, results chan<- *readAttempt) {
+// reports back to its round. It touches a no more after the report:
+// the plane may reuse it at once.
+func (a *readAttempt) run() {
 	t0 := time.Now()
 	if a.buf == nil {
-		a.ops[0].Dst, a.err = a.conn.ReadCtx(ctx, a.ops[0].Addr, a.n)
+		a.ops[0].Dst, a.err = a.conn.ReadCtx(a.ctx, a.ops[0].Addr, a.n)
 	} else {
-		_, a.err = a.conn.ReadBatchCtx(ctx, a.ops)
+		_, a.err = a.conn.ReadBatchCtx(a.ctx, a.ops)
 	}
 	a.latency = time.Since(t0)
-	a.ep.settle(ctx, a.conn, a.probe, a.err)
-	results <- a
+	a.ep.settle(a.ctx, a.conn, a.probe, a.err)
+	a.results <- a
 }

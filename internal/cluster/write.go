@@ -16,13 +16,17 @@ func (c *Client) Write(addr uint64, data []byte) error {
 	return c.WriteCtx(context.Background(), addr, data)
 }
 
-// WriteCtx stores data at addr: the write plane with a batch of one.
+// WriteCtx stores data at addr: the write plane with a batch of one,
+// held in the plane's own op array.
 func (c *Client) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
-	op := [1]pcache.WriteOp{{Addr: addr, Data: data}}
-	if _, err := c.write(ctx, op[:]); err != nil {
-		return err
+	p := c.writePlane()
+	p.one[0] = pcache.WriteOp{Addr: addr, Data: data}
+	_, err := p.write(ctx, p.one[:])
+	if err == nil {
+		err = p.one[0].Err
 	}
-	return op[0].Err
+	p.release()
+	return err
 }
 
 // WriteBatchCtx writes every op through the write plane, so each op
@@ -30,7 +34,10 @@ func (c *Client) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
 // would. Per-op outcomes land in each op's Err. A non-nil error is
 // call-level (closed client or expired ctx): no op was attempted.
 func (c *Client) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (failed int, err error) {
-	return c.write(ctx, ops)
+	p := c.writePlane()
+	failed, err = p.write(ctx, ops)
+	p.release()
+	return failed, err
 }
 
 // writeOp is the write plane's state for one op.
@@ -48,8 +55,44 @@ type writeAttempt struct {
 	conn  Conn      // nil when the replica is down or shed
 	probe bool
 	ops   []pcache.WriteOp // the carried ops in batch order, with outcomes
-	one   [1]pcache.WriteOp
-	err   error // call-level outcome
+	err   error            // call-level outcome
+	ctx   context.Context
+	wg    *sync.WaitGroup // the plane's
+}
+
+// writePlane runs one logical write at a time. Every round waits for
+// all of its attempts, so a plane always goes back to the pool.
+type writePlane struct {
+	c     *Client
+	one   [1]pcache.WriteOp // WriteCtx's op
+	st    []writeOp
+	locks []int          // the stripes held, sorted and compacted
+	atts  []writeAttempt // one per endpoint
+	wg    sync.WaitGroup
+}
+
+// writePlanes recycles write planes with their per-op state, lock
+// scratch and attempts, so a write allocates nothing of its own.
+var writePlanes = sync.Pool{New: func() any { return new(writePlane) }}
+
+func (c *Client) writePlane() *writePlane {
+	p := writePlanes.Get().(*writePlane)
+	p.c = c
+	if cap(p.atts) < len(c.eps) {
+		p.atts = make([]writeAttempt, len(c.eps))
+		for k := range p.atts {
+			p.atts[k].wg = &p.wg
+		}
+	}
+	p.atts = p.atts[:len(c.eps)]
+	return p
+}
+
+// release recycles p. Each round already dropped its attempts'
+// references to the caller's context and ops.
+func (p *writePlane) release() {
+	p.c, p.one[0] = nil, pcache.WriteOp{}
+	writePlanes.Put(p)
 }
 
 // write is the write plane. It holds the stripe locks of every op's
@@ -64,34 +107,31 @@ type writeAttempt struct {
 // otherwise retried with backoff while it fails retryably, unless a
 // later op in the batch on its addr was applied: retried, it would land
 // on top of that op, whose value stands either way.
-func (c *Client) write(ctx context.Context, ops []pcache.WriteOp) (failed int, err error) {
+func (p *writePlane) write(ctx context.Context, ops []pcache.WriteOp) (failed int, err error) {
+	c := p.c
 	if err := c.callErr(ctx); err != nil || len(ops) == 0 {
 		return len(ops), err
 	}
 	c.writes.Add(uint64(len(ops)))
-	var small [8]int
-	locks := small[:0]
+	p.locks = p.locks[:0]
 	for i := range ops {
-		locks = append(locks, stripeIndex(ops[i].Addr))
+		p.locks = append(p.locks, stripeIndex(ops[i].Addr))
 	}
-	slices.Sort(locks)
-	locks = slices.Compact(locks)
-	for _, s := range locks {
+	slices.Sort(p.locks)
+	p.locks = slices.Compact(p.locks)
+	for _, s := range p.locks {
 		c.stripes[s].Lock()
 	}
-	defer func() {
-		for _, s := range locks {
-			c.stripes[s].Unlock()
-		}
-	}()
+	defer p.unlock()
 
-	st := make([]writeOp, len(ops))
+	st := resize(p.st, len(ops))
+	p.st = st
 	for i := range ops {
 		c.noteWritten(ops[i].Addr, len(ops[i].Data))
 		st[i] = writeOp{skip: c.skewTarget(), live: true}
 	}
 	for attempt := 0; ; attempt++ {
-		c.writeRound(ctx, ops, st)
+		p.round(ctx, ops)
 		retry := 0
 		for i := range st {
 			s := &st[i]
@@ -138,6 +178,12 @@ func (c *Client) write(ctx context.Context, ops []pcache.WriteOp) (failed int, e
 	return failed, nil
 }
 
+func (p *writePlane) unlock() {
+	for _, s := range p.locks {
+		p.c.stripes[s].Unlock()
+	}
+}
+
 // superseded reports whether an op after op i in the batch writes the
 // same addr and was applied.
 func superseded(ops []pcache.WriteOp, st []writeOp, i int) bool {
@@ -149,20 +195,18 @@ func superseded(ops []pcache.WriteOp, st []writeOp, i int) bool {
 	return false
 }
 
-// writeRound fans the live ops out to every replica, one attempt per
-// replica, and folds each replica's per-op outcome into st and the
-// replica's missed set. A down or shed replica misses every op. The
-// selftest skip is deliberately silent: no missed record, no metrics
-// beyond the skip counter — it is the injected bug.
-func (c *Client) writeRound(ctx context.Context, ops []pcache.WriteOp, st []writeOp) {
-	atts := make([]writeAttempt, len(c.eps))
-	var wg sync.WaitGroup
+// round fans the live ops out to every replica, one attempt per
+// replica, the last on the caller's goroutine, and folds each replica's
+// per-op outcome into st and the replica's missed set. A down or shed
+// replica misses every op. The selftest skip is deliberately silent: no
+// missed record, no metrics beyond the skip counter — it is the
+// injected bug.
+func (p *writePlane) round(ctx context.Context, ops []pcache.WriteOp) {
+	c, st := p.c, p.st
+	last := -1
 	for k, ep := range c.eps {
-		a := &atts[k]
-		a.ops = a.one[:0]
-		if len(ops) > 1 {
-			a.ops = make([]pcache.WriteOp, 0, len(ops))
-		}
+		a := &p.atts[k]
+		a.ep, a.conn, a.probe, a.err = nil, nil, false, nil
 		for i := range st {
 			if st[i].live && st[i].skip != k {
 				a.ops = append(a.ops, pcache.WriteOp{Addr: ops[i].Addr, Data: ops[i].Data})
@@ -180,17 +224,24 @@ func (c *Client) writeRound(ctx context.Context, ops []pcache.WriteOp, st []writ
 			a.conn = nil
 			continue
 		}
-		wg.Add(1)
-		go a.run(ctx, &wg)
+		a.ctx = ctx
+		if last >= 0 {
+			p.wg.Add(1)
+			goAttempt(&p.atts[last])
+		}
+		last = k
 	}
-	wg.Wait()
+	if last >= 0 {
+		p.atts[last].send()
+	}
+	p.wg.Wait()
 	for i := range st {
 		if s := &st[i]; s.live {
 			s.applied, s.ambiguous, s.err = 0, false, nil
 		}
 	}
-	for k := range atts {
-		a, si := &atts[k], 0
+	for k := range p.atts {
+		a, si := &p.atts[k], 0
 		for i := range st {
 			if a.ep == nil || !st[i].live || st[i].skip == k {
 				continue
@@ -213,19 +264,26 @@ func (c *Client) writeRound(ctx context.Context, ops []pcache.WriteOp, st []writ
 			}
 			a.ep.markMissed(ops[i].Addr, len(ops[i].Data))
 		}
+		clear(a.ops)
+		a.ops, a.ctx = a.ops[:0], nil
 	}
 }
 
-// run sends the attempt — a group of one as a WRITE frame, a larger
+// send sends the attempt — a group of one as a WRITE frame, a larger
 // group as one BATCH_WRITE — and settles its breaker bookkeeping.
-func (a *writeAttempt) run(ctx context.Context, wg *sync.WaitGroup) {
-	defer wg.Done()
+func (a *writeAttempt) send() {
 	if len(a.ops) == 1 {
-		a.err = a.conn.WriteCtx(ctx, a.ops[0].Addr, a.ops[0].Data)
+		a.err = a.conn.WriteCtx(a.ctx, a.ops[0].Addr, a.ops[0].Data)
 	} else {
-		_, a.err = a.conn.WriteBatchCtx(ctx, a.ops)
+		_, a.err = a.conn.WriteBatchCtx(a.ctx, a.ops)
 	}
-	a.ep.settle(ctx, a.conn, a.probe, a.err)
+	a.ep.settle(a.ctx, a.conn, a.probe, a.err)
+}
+
+// run is send on a goroutine of the attempt's own.
+func (a *writeAttempt) run() {
+	a.send()
+	a.wg.Done()
 }
 
 // skewTarget is the selftest skew hook: every Nth written op silently

@@ -293,8 +293,9 @@ func (c *Client) ReadBatch(ops []pcache.ReadOp) (failed int, err error) {
 	return c.ReadBatchCtx(context.Background(), ops)
 }
 
-// ReadBatchCtx is ReadBatch bounded by ctx on the client side (the
-// batch itself rides the server's unbounded amortised path).
+// ReadBatchCtx is ReadBatch bounded by ctx: the deadline travels in the
+// frame, and the server runs the batch as one store call under it, so
+// an op the deadline cuts off answers a deadline status of its own.
 func (c *Client) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed int, err error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -349,7 +350,8 @@ func (c *Client) WriteBatch(ops []pcache.WriteOp) (failed int, err error) {
 	return c.WriteBatchCtx(context.Background(), ops)
 }
 
-// WriteBatchCtx is WriteBatch bounded by ctx on the client side.
+// WriteBatchCtx is WriteBatch bounded by ctx: the deadline travels in
+// the frame and bounds every op server-side, as in ReadBatchCtx.
 func (c *Client) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (failed int, err error) {
 	if len(ops) == 0 {
 		return 0, nil

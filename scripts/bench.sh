@@ -10,7 +10,8 @@
 #                                       # (cachenetd + cacheload), writes
 #                                       # results/BENCH_net.md
 #   ./scripts/bench.sh -netalloc        # loopback round-trip allocs/op,
-#                                       # writes results/BENCH_netalloc.md
+#                                       # netsrv and cluster client, writes
+#                                       # results/BENCH_netalloc.md
 #   ./scripts/bench.sh -cluster         # hedged vs unhedged cluster reads,
 #                                       # singles and 32-op batches, against
 #                                       # one slow replica; writes
@@ -136,12 +137,17 @@ case "${1:-}" in
     # assembly, fresh op slices and Dst buffers per batch, unpooled
     # response frames), "pooled payloads" once request and response
     # payloads came from bufpool but every frame header and every
-    # client response was still heap-allocated.
+    # client response was still heap-allocated. The BenchmarkCluster*
+    # benches run the same accounting through the cluster client over
+    # two loopback replicas; their baseline column is the client that
+    # made its per-call plane state fresh on every call.
     out=results/BENCH_netalloc.md
     raw=$(mktemp)
     trap 'rm -f "$raw"' EXIT
     go test -run '^$' -bench 'BenchmarkNet' -benchmem -count "${COUNT:-3}" \
         ./internal/netsrv/ | tee "$raw"
+    go test -run '^$' -bench 'BenchmarkCluster' -benchmem -count "${COUNT:-3}" \
+        ./internal/cluster/ | tee -a "$raw"
     allocs_of() { # $1 = benchmark name -> min allocs/op across runs
         awk -v b="$1" '$1 == b || $1 ~ "^"b"-" { if (min == "" || $7+0 < min) min = $7+0 } END { print (min == "" ? "?" : min) }' "$raw"
     }
@@ -168,6 +174,19 @@ case "${1:-}" in
         echo "| single WRITE | 14 | 3 | $(allocs_of BenchmarkNetSingleWrite) |"
         echo "| BATCH_READ x32 | 50 | 3 | $(allocs_of BenchmarkNetBatchRead32) |"
         echo "| BATCH_WRITE x32 | 18 | 3 | $(allocs_of BenchmarkNetBatchWrite32) |"
+        echo
+        echo 'Cluster client over two loopback replicas (`BenchmarkCluster*`):'
+        echo 'per-call planes = baseline that built each call'"'"'s plane state'
+        echo '(op array, per-op state, results channel, cancel context,'
+        echo 'attempts, goroutine closures, WaitGroup) fresh; `ReadCtx` keeps'
+        echo 'the slice it returns.'
+        echo
+        echo '| cluster call | per-call planes (allocs/op) | now (allocs/op) |'
+        echo '|---|---|---|'
+        echo "| ReadCtx | 11 | $(allocs_of BenchmarkClusterRead) |"
+        echo "| WriteCtx | 5 | $(allocs_of BenchmarkClusterWrite) |"
+        echo "| ReadBatchCtx x32 | 21 | $(allocs_of BenchmarkClusterReadBatch32) |"
+        echo "| WriteBatchCtx x32 | 9 | $(allocs_of BenchmarkClusterWriteBatch32) |"
         echo
         echo '```'
         grep -E '^(goos|goarch|pkg|cpu|Benchmark)' "$raw"

@@ -7,7 +7,10 @@
 # The race pass covers the packages with concurrent hot paths (banked
 # pcache locking, the resilience engine/scrubber, atomic twod stats,
 # the obs registry) and the kernel layer they are built on (bitvec word
-# views, ecc scratch pools); -full extends it to the whole module.
+# views, ecc scratch pools); -full extends it to the whole module. The
+# cluster's plane tests then run four more times under -race: planes,
+# their attempts and results channels are recycled between calls, and
+# one pass can miss a bug in state a straggler still holds.
 #
 # The bench module (bench/, its own go.mod) is vetted and tested too:
 # it builds on the façade's CacheStore and ClusterConn, so narrowing an
@@ -63,5 +66,7 @@ if [ "${1:-}" = "-full" ]; then
 else
     echo "== go test -race (concurrency-hardened packages + kernel layer)"
     go test -race -timeout 120s ./internal/bitvec/ ./internal/ecc/ ./internal/twod/ ./internal/pcache/ ./internal/resilience/ ./internal/obs/ ./internal/store/ ./internal/netsrv/ ./internal/fault/ ./internal/cluster/ ./internal/bufpool/
+    echo "== go test -race -count=5 (cluster planes: recycled plane state)"
+    go test -race -count=5 -timeout 120s -run 'Straggler|PathEquivalence|HedgedRead|AmbiguityParity|FreshnessPartition' ./internal/cluster/
 fi
 echo "check: OK"
