@@ -344,11 +344,27 @@ func MustBenchFaultyArray(rows, cols int) *FaultyArray {
 	return a
 }
 
+// prefillLines writes one byte to each of the first n lines in a
+// single batch, on a bare ProtectedCache or any CacheStore.
+func prefillLines(b *testing.B, w interface {
+	WriteBatch(ops []BatchWriteOp) (failed int)
+}, n int) {
+	b.Helper()
+	ops := make([]BatchWriteOp, n)
+	for l := range ops {
+		ops[l] = BatchWriteOp{Addr: uint64(l) * 64, Data: []byte{byte(l)}}
+	}
+	if failed := w.WriteBatch(ops); failed != 0 {
+		b.Fatalf("prefill: %d writes failed", failed)
+	}
+}
+
 // BenchmarkPCacheParallelRead is the contention benchmark for the
-// banked concurrent cache: all workers issue clean-hit reads, which
-// proceed under per-bank shared locks, so throughput should scale with
-// GOMAXPROCS instead of serialising on one global mutex. Compare
-// -cpu 1,2,4,8 runs to see the scaling.
+// banked concurrent cache: all workers issue clean-hit 8-byte reads as
+// 1-op ReadBatch calls, the one data path. Each takes its bank's lock
+// and checks the whole line, so readers of different banks proceed in
+// parallel and readers of one bank serialise. Compare -cpu 1,2,4,8
+// runs to see the scaling; a clean hit allocates nothing.
 func BenchmarkPCacheParallelRead(b *testing.B) {
 	backing := NewMemoryBacking(64)
 	c, err := NewProtectedCache(ProtectedCacheConfig{
@@ -358,24 +374,22 @@ func BenchmarkPCacheParallelRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Pre-fill exactly sets*ways lines so every read below is a hit.
-	for l := uint64(0); l < 256*4; l++ {
-		if err := c.Write(l*64, []byte{byte(l)}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	prefillLines(b, c, 256*4)
 	if err := c.Flush(); err != nil {
 		b.Fatal(err)
 	}
 	var workerSeed atomic.Int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		// Distinct seeds: identically seeded workers walk the same bank
 		// sequence in lockstep, manufacturing worst-case lock collisions.
 		rng := rand.New(rand.NewSource(workerSeed.Add(1)))
+		op := []BatchReadOp{{Dst: make([]byte, 8)}}
 		for pb.Next() {
-			l := uint64(rng.Intn(256 * 4))
-			if _, err := c.Read(l*64, 8); err != nil {
-				b.Fatal(err)
+			op[0].Addr = uint64(rng.Intn(256*4)) * 64
+			if c.ReadBatch(op) != 0 {
+				b.Fatal(op[0].Err)
 			}
 		}
 	})
@@ -393,11 +407,7 @@ func BenchmarkScrubberSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for l := uint64(0); l < 256*4; l++ {
-		if err := eng.Write(l*64, []byte{byte(l)}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	prefillLines(b, eng, 256*4)
 	s := eng.NewScrubber(ScrubberConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -414,15 +424,21 @@ func BenchmarkProtectedCacheAccess(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
+	wop := []BatchWriteOp{{Data: make([]byte, 1)}}
+	rop := []BatchReadOp{{Dst: make([]byte, 1)}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := uint64(rng.Intn(1 << 15))
 		if i%3 == 0 {
-			if err := c.Write(addr, []byte{byte(i)}); err != nil {
-				b.Fatal(err)
+			wop[0].Addr, wop[0].Data[0] = addr, byte(i)
+			if c.WriteBatch(wop) != 0 {
+				b.Fatal(wop[0].Err)
 			}
-		} else if _, err := c.Read(addr, 1); err != nil {
-			b.Fatal(err)
+			continue
+		}
+		rop[0].Addr = addr
+		if c.ReadBatch(rop) != 0 {
+			b.Fatal(rop[0].Err)
 		}
 	}
 }
@@ -501,40 +517,6 @@ func BenchmarkKernelDecodeOneError(b *testing.B) {
 	}
 }
 
-// BenchmarkPCacheParallelReadInto is BenchmarkPCacheParallelRead
-// through the zero-allocation ReadInto entry point: the remaining
-// ns/op is pure lock + kernel cost, with no garbage generated.
-func BenchmarkPCacheParallelReadInto(b *testing.B) {
-	backing := NewMemoryBacking(64)
-	c, err := NewProtectedCache(ProtectedCacheConfig{
-		Sets: 256, Ways: 4, LineBytes: 64, Banks: 8,
-	}, backing)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for l := uint64(0); l < 256*4; l++ {
-		if err := c.Write(l*64, []byte{byte(l)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	var workerSeed atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(workerSeed.Add(1)))
-		dst := make([]byte, 8)
-		for pb.Next() {
-			l := uint64(rng.Intn(256 * 4))
-			if err := c.ReadInto(l*64, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- sharded store benches ----------------------------------------------
 //
 // BenchmarkShardedParallelRead sweeps the shard count with a FIXED
@@ -555,12 +537,7 @@ func BenchmarkShardedParallelRead(b *testing.B) {
 				b.Fatal(err)
 			}
 			const lines = 256 // striped across all shards, always resident
-			for l := uint64(0); l < lines; l++ {
-				e, la := s.Locate(l * 64)
-				if err := e.Write(la, []byte{byte(l)}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			prefillLines(b, s, lines)
 			if err := s.Flush(); err != nil {
 				b.Fatal(err)
 			}
@@ -569,11 +546,11 @@ func BenchmarkShardedParallelRead(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				rng := rand.New(rand.NewSource(workerSeed.Add(1)))
-				dst := make([]byte, 8)
+				op := []BatchReadOp{{Dst: make([]byte, 8)}}
 				for pb.Next() {
-					e, la := s.Locate(uint64(rng.Intn(lines)) * 64)
-					if err := e.ReadInto(la, dst); err != nil {
-						b.Fatal(err)
+					op[0].Addr = uint64(rng.Intn(lines)) * 64
+					if s.ReadBatch(op) != 0 {
+						b.Fatal(op[0].Err)
 					}
 				}
 			})
@@ -594,11 +571,12 @@ func benchBatchStore(b *testing.B) (*ShardedCache, []BatchReadOp) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for l := uint64(0); l < 8; l++ {
-		e, la := s.Locate(l * 64)
-		if err := e.Write(la, bytes.Repeat([]byte{byte(l)}, 64)); err != nil {
-			b.Fatal(err)
-		}
+	fill := make([]BatchWriteOp, 8)
+	for l := range fill {
+		fill[l] = BatchWriteOp{Addr: uint64(l) * 64, Data: bytes.Repeat([]byte{byte(l)}, 64)}
+	}
+	if failed := s.WriteBatch(fill); failed != 0 {
+		b.Fatalf("prefill: %d writes failed", failed)
 	}
 	ops := make([]BatchReadOp, 64)
 	for i := range ops {
@@ -623,17 +601,16 @@ func BenchmarkStoreReadBatch(b *testing.B) {
 }
 
 // BenchmarkStoreSingleReads is the same 64 ops issued one at a time,
-// each to its shard's engine — the baseline ReadBatch must beat (64
-// lock acquisitions, 64 tag lookups, 64 line read-outs).
+// each as a 1-op ReadBatch on the store — the baseline ReadBatch must
+// beat (64 lock acquisitions, 64 tag lookups, 64 line read-outs).
 func BenchmarkStoreSingleReads(b *testing.B) {
 	s, ops := benchBatchStore(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range ops {
-			e, la := s.Locate(ops[j].Addr)
-			if err := e.ReadInto(la, ops[j].Dst); err != nil {
-				b.Fatal(err)
+			if s.ReadBatch(ops[j:j+1]) != 0 {
+				b.Fatal(ops[j].Err)
 			}
 		}
 	}

@@ -112,17 +112,20 @@ func ExampleNewProtectedCache() {
 	if err != nil {
 		panic(err)
 	}
-	if err := cache.Write(0x100, []byte("resilient")); err != nil {
-		panic(err)
+	// Batches are the cache's only data path: a single access is a
+	// batch of one.
+	w := []twodcache.BatchWriteOp{{Addr: 0x100, Data: []byte("resilient")}}
+	if cache.WriteBatch(w) != 0 {
+		panic(w[0].Err)
 	}
 	// A soft error strikes the bank that holds 0x100's set (set 4 =
 	// (0x100/64) % 16): BankOf finds it, BankArrays exposes its arrays.
 	da, _ := cache.BankArrays(cache.BankOf(4))
 	da.FlipBit(0, 5)
-	got, err := cache.Read(0x100, 9)
-	if err != nil {
-		panic(err)
+	r := []twodcache.BatchReadOp{{Addr: 0x100, Dst: make([]byte, 9)}}
+	if cache.ReadBatch(r) != 0 {
+		panic(r[0].Err)
 	}
-	fmt.Println(string(got))
+	fmt.Println(string(r[0].Dst))
 	// Output: resilient
 }

@@ -30,8 +30,10 @@ func main() {
 		addr := uint64(rng.Intn(1 << 16))
 		if rng.Intn(2) == 0 {
 			v := byte(rng.Intn(256))
-			err := cache.Write(addr, []byte{v})
-			if errors.Is(err, twodcache.ErrCacheUncorrectable) {
+			// A single access is a batch of one.
+			w := []twodcache.BatchWriteOp{{Addr: addr, Data: []byte{v}}}
+			cache.WriteBatch(w)
+			if err := w[0].Err; errors.Is(err, twodcache.ErrCacheUncorrectable) {
 				// The machine-check path: detected, never silent. The OS
 				// reloads the set from memory; unflushed dirty data in it
 				// is lost, so drop those addresses from the reference.
@@ -44,7 +46,9 @@ func main() {
 			}
 			ref[addr] = v
 		} else {
-			got, err := cache.Read(addr, 1)
+			r := []twodcache.BatchReadOp{{Addr: addr, Dst: make([]byte, 1)}}
+			cache.ReadBatch(r)
+			got, err := r[0].Dst, r[0].Err
 			if errors.Is(err, twodcache.ErrCacheUncorrectable) {
 				mces++
 				cache.Repair(addr)

@@ -136,9 +136,10 @@ type ProtectedCacheConfig = pcache.Config
 
 // ProtectedCache is a functional write-back cache whose data AND tag
 // stores live in 2D-coded arrays: reads and writes transparently
-// detect and repair injected bit errors. Latency-sensitive callers
-// should prefer ReadInto over Read: a clean hit served through
-// ReadInto (or Write) performs zero heap allocations end to end.
+// detect and repair injected bit errors. ReadBatch and WriteBatch are
+// its data calls — a single access is a batch of one — and each checks
+// every word of every line it touches. A clean hit through a reused
+// op slice performs zero heap allocations end to end.
 type ProtectedCache = pcache.Cache
 
 // CacheBacking is the next memory level behind a ProtectedCache.
@@ -173,8 +174,10 @@ type CacheUncorrectableError = pcache.UncorrectableError
 type ResilienceConfig = resilience.Config
 
 // ResilientCache wraps a ProtectedCache with the online escalation
-// ladder: its Read/Write/Flush never surface a DUE that graceful
-// degradation could absorb, and its Report exposes the health API.
+// ladder: its ReadBatch/WriteBatch (and their deadline-bounded Ctx
+// forms) and Flush never surface a DUE that graceful degradation could
+// absorb, and its Report exposes the health API. A failed op is
+// re-driven through the ladder as a batch of its own.
 type ResilientCache = resilience.Engine
 
 // HealthReport is the resilience health snapshot: DUE rate, MTTR,
@@ -240,9 +243,10 @@ func NewResilientCache(cfg ProtectedCacheConfig, backing CacheBacking, rcfg Resi
 // CacheStore is the storage-engine interface both a ResilientCache and
 // a ShardedCache satisfy: batch-amortised ReadBatch/WriteBatch (plus
 // deadline-bounded Ctx variants), Flush, and coherent Stats. Batches
-// are its only data path — a single op is a batch of one. Program
-// against it to swap shard counts without touching call sites; metrics
-// and event wiring live on the concrete types.
+// are the only data path below the network clients, down to the
+// ProtectedCache — a single op is a batch of one. Program against it to
+// swap shard counts without touching call sites; metrics and event
+// wiring live on the concrete types.
 type CacheStore = store.Store
 
 // ShardedCacheConfig assembles a sharded store: the shard count, the
@@ -288,9 +292,11 @@ type NetServerConfig = netsrv.Config
 type NetServer = netsrv.Server
 
 // NetClient is the pipelined protocol client — safe for concurrent
-// callers, mirroring the CacheStore read/write/batch/flush surface
-// over one connection. Remote failures unwrap to the same sentinels
-// local calls return.
+// callers, over one connection. Its data calls take a context whose
+// deadline travels in the frame: ReadCtx, WriteCtx, ReadBatchCtx and
+// WriteBatchCtx, plus the allocation-free ReadInto; Flush/FlushCtx
+// write back the server's dirty lines. Remote failures unwrap to the
+// same sentinels local calls return.
 type NetClient = netsrv.Client
 
 // Protocol-level failures surfaced by a NetClient.
@@ -317,8 +323,9 @@ type ClusterConfig = cluster.Config
 // ClusterClient is the replicated client over N NetServer endpoints:
 // hedged reads, bounded failover retries, write fan-out with
 // read-repair, and the freshness invariant that a replica which missed
-// a write never serves a read for it. Single ops and batches share one
-// read plane and one write plane, so an op gets the same hedging,
+// a write never serves a read for it. Its data calls are ReadCtx,
+// WriteCtx, ReadBatchCtx and WriteBatchCtx; singles and batches share
+// one read plane and one write plane, so an op gets the same hedging,
 // retries and error class whichever form sent it.
 type ClusterClient = cluster.Client
 

@@ -117,8 +117,9 @@ func TestPublicResilientCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Write(0, []byte("resilient")); err != nil {
-		t.Fatal(err)
+	w := []BatchWriteOp{{Addr: 0, Data: []byte("resilient")}}
+	if eng.WriteBatch(w) != 0 {
+		t.Fatal(w[0].Err)
 	}
 	if err := eng.Flush(); err != nil {
 		t.Fatal(err)
@@ -127,8 +128,9 @@ func TestPublicResilientCache(t *testing.T) {
 	// Plant the guaranteed beyond-coverage pair (rows 0 and 32 share a
 	// vertical group; codeword bits 0 and 8 share an EDC8 parity
 	// column) and let the ladder absorb it: the read must survive.
-	if err := eng.Write(16*64, []byte{9}); err != nil {
-		t.Fatal(err)
+	w = []BatchWriteOp{{Addr: 16 * 64, Data: []byte{9}}}
+	if eng.WriteBatch(w) != 0 {
+		t.Fatal(w[0].Err)
 	}
 	if err := eng.Flush(); err != nil {
 		t.Fatal(err)
@@ -137,9 +139,9 @@ func TestPublicResilientCache(t *testing.T) {
 	da.FlipBit(0, da.Layout().PhysColumn(0, 0))
 	da.FlipBit(32, da.Layout().PhysColumn(0, 8))
 
-	got, err := eng.Read(0, 9)
-	if err != nil || string(got) != "resilient" {
-		t.Fatalf("read through ladder: %q %v", got, err)
+	r := []BatchReadOp{{Addr: 0, Dst: make([]byte, 9)}}
+	if eng.ReadBatch(r) != 0 || string(r[0].Dst) != "resilient" {
+		t.Fatalf("read through ladder: %q %v", r[0].Dst, r[0].Err)
 	}
 	rep := eng.Report()
 	if rep.DUEs == 0 || rep.Decommissions == 0 {

@@ -20,7 +20,7 @@ func twoFakes(t *testing.T) *Client {
 		RepairInterval: time.Hour,
 		Seed:           20,
 	})
-	if err := c.Write(0, pattern(0, 1)); err != nil {
+	if err := c.WriteCtx(context.Background(), 0, pattern(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	return c

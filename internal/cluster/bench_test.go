@@ -14,7 +14,7 @@ import (
 
 func BenchmarkClusterRead(b *testing.B) {
 	c := twoReplicas(b)
-	if err := c.Write(0, pattern(0, 1)); err != nil {
+	if err := c.WriteCtx(context.Background(), 0, pattern(0, 1)); err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()

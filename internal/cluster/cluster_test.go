@@ -133,12 +133,12 @@ func TestClusterReplicationRoundTrip(t *testing.T) {
 
 	const lines = 32
 	for i := uint64(0); i < lines; i++ {
-		if err := c.Write(i*lineBytes, pattern(i*lineBytes, 1)); err != nil {
+		if err := c.WriteCtx(context.Background(), i*lineBytes, pattern(i*lineBytes, 1)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
 	for i := uint64(0); i < lines; i++ {
-		got, err := c.Read(i*lineBytes, lineBytes)
+		got, err := c.ReadCtx(context.Background(), i*lineBytes, lineBytes)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -153,7 +153,7 @@ func TestClusterReplicationRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := uint64(0); i < lines; i++ {
-			got, err := nc.Read(i*lineBytes, lineBytes)
+			got, err := nc.ReadCtx(context.Background(), i*lineBytes, lineBytes)
 			if err != nil || !bytes.Equal(got, pattern(i*lineBytes, 1)) {
 				t.Fatalf("replica %d line %d: %v", ri, i, err)
 			}
@@ -181,7 +181,7 @@ func TestClusterKillRestartNoStaleReads(t *testing.T) {
 
 	const lines = 24
 	for i := uint64(0); i < lines; i++ {
-		if err := c.Write(i*lineBytes, pattern(i*lineBytes, 1)); err != nil {
+		if err := c.WriteCtx(context.Background(), i*lineBytes, pattern(i*lineBytes, 1)); err != nil {
 			t.Fatalf("v1 write %d: %v", i, err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestClusterKillRestartNoStaleReads(t *testing.T) {
 
 	// Overwrite everything while replica 1 is down: it misses v2.
 	for i := uint64(0); i < lines; i++ {
-		if err := c.Write(i*lineBytes, pattern(i*lineBytes, 2)); err != nil {
+		if err := c.WriteCtx(context.Background(), i*lineBytes, pattern(i*lineBytes, 2)); err != nil {
 			t.Fatalf("v2 write %d: %v", i, err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestClusterKillRestartNoStaleReads(t *testing.T) {
 	healed := false
 	for !healed {
 		for i := uint64(0); i < lines; i++ {
-			got, err := c.Read(i*lineBytes, lineBytes)
+			got, err := c.ReadCtx(context.Background(), i*lineBytes, lineBytes)
 			if err != nil {
 				t.Fatalf("read %d during heal: %v", i, err)
 			}
@@ -228,7 +228,7 @@ func TestClusterKillRestartNoStaleReads(t *testing.T) {
 	}
 	defer nc.Close()
 	for i := uint64(0); i < lines; i++ {
-		got, err := nc.Read(i*lineBytes, lineBytes)
+		got, err := nc.ReadCtx(context.Background(), i*lineBytes, lineBytes)
 		if err != nil || !bytes.Equal(got, pattern(i*lineBytes, 2)) {
 			t.Fatalf("restarted replica line %d not repaired: %v", i, err)
 		}
@@ -375,13 +375,13 @@ func TestClusterHedgedReadBeatsSlowReplica(t *testing.T) {
 			Metrics:        reg,
 			Seed:           3,
 		})
-		if err := c.Write(0, pattern(0, 1)); err != nil {
+		if err := c.WriteCtx(context.Background(), 0, pattern(0, 1)); err != nil {
 			t.Fatal(err)
 		}
 		var worst time.Duration
 		for i := 0; i < 6; i++ {
 			t0 := time.Now()
-			got, err := c.Read(0, lineBytes)
+			got, err := c.ReadCtx(context.Background(), 0, lineBytes)
 			if err != nil {
 				t.Fatalf("hedged read: %v", err)
 			}
@@ -432,10 +432,10 @@ func TestClusterRetryTransient(t *testing.T) {
 		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 		Metrics: reg, Seed: 4,
 	})
-	if err := c.Write(0, pattern(0, 1)); err != nil {
+	if err := c.WriteCtx(context.Background(), 0, pattern(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(0, lineBytes)
+	got, err := c.ReadCtx(context.Background(), 0, lineBytes)
 	if err != nil {
 		t.Fatalf("read through transient recovery: %v", err)
 	}
@@ -480,7 +480,7 @@ func TestClusterAmbiguousWrite(t *testing.T) {
 		Dial:      fakeDialer(map[string]Conn{"a": fc}),
 		Seed:      6,
 	})
-	err := c.Write(0, pattern(0, 1))
+	err := c.WriteCtx(context.Background(), 0, pattern(0, 1))
 	if !errors.Is(err, ErrAmbiguousWrite) {
 		t.Fatalf("err = %v, want ErrAmbiguousWrite", err)
 	}
@@ -505,7 +505,7 @@ func TestClusterUnambiguousWriteRetries(t *testing.T) {
 		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 		Seed: 7,
 	})
-	if err := c.Write(0, pattern(0, 1)); err != nil {
+	if err := c.WriteCtx(context.Background(), 0, pattern(0, 1)); err != nil {
 		t.Fatalf("write through draining window: %v", err)
 	}
 	if n := fc.writes(); n != 3 {
@@ -530,11 +530,11 @@ func TestClusterStaleReplicaNeverServesReads(t *testing.T) {
 	bad.mu.Lock()
 	bad.data[0] = pattern(0, 1)
 	bad.mu.Unlock()
-	if err := c.Write(0, pattern(0, 2)); err != nil {
+	if err := c.WriteCtx(context.Background(), 0, pattern(0, 2)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	for i := 0; i < 50; i++ {
-		got, err := c.Read(0, lineBytes)
+		got, err := c.ReadCtx(context.Background(), 0, lineBytes)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -596,7 +596,7 @@ func TestClusterChaosHammer(t *testing.T) {
 				addr := base + uint64(i%lines)*lineBytes
 				if i%3 == 0 {
 					v := pattern(addr, byte(i))
-					if err := c.Write(addr, v); err != nil {
+					if err := c.WriteCtx(context.Background(), addr, v); err != nil {
 						// Outcome unknown: this addr leaves the verified set
 						// until a later write succeeds.
 						delete(shadow, addr)
@@ -606,7 +606,7 @@ func TestClusterChaosHammer(t *testing.T) {
 					continue
 				}
 				want, known := shadow[addr]
-				got, err := c.Read(addr, lineBytes)
+				got, err := c.ReadCtx(context.Background(), addr, lineBytes)
 				if err != nil {
 					continue
 				}

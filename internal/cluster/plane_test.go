@@ -444,7 +444,7 @@ func TestClusterWriteBatchKeepsAddrOrder(t *testing.T) {
 	if failed, err := c.WriteBatchCtx(context.Background(), ops); failed != 0 || err != nil {
 		t.Fatalf("batch write failed=%d err=%v (%v)", failed, err, ops[0].Err)
 	}
-	got, err := c.Read(0, lineBytes)
+	got, err := c.ReadCtx(context.Background(), 0, lineBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestClusterStraggler(t *testing.T) {
 			Seed:           40,
 		})
 		for i := uint64(0); i < lines; i++ {
-			if err := c.Write(i*lineBytes, pattern(i*lineBytes, 3)); err != nil {
+			if err := c.WriteCtx(context.Background(), i*lineBytes, pattern(i*lineBytes, 3)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,11 +9,6 @@ import (
 	"twodcache/internal/pcache"
 )
 
-// Read reads n bytes at addr from the cluster.
-func (c *Client) Read(addr uint64, n int) ([]byte, error) {
-	return c.ReadCtx(context.Background(), addr, n)
-}
-
 // ReadCtx reads n bytes at addr: the read plane with a batch of one,
 // held in the plane's own op array. The returned slice is the winning
 // attempt's own payload.

@@ -11,11 +11,6 @@ import (
 	"twodcache/internal/resilience"
 )
 
-// Write stores data at addr on the cluster.
-func (c *Client) Write(addr uint64, data []byte) error {
-	return c.WriteCtx(context.Background(), addr, data)
-}
-
 // WriteCtx stores data at addr: the write plane with a batch of one,
 // held in the plane's own op array.
 func (c *Client) WriteCtx(ctx context.Context, addr uint64, data []byte) error {

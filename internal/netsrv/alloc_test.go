@@ -2,6 +2,7 @@ package netsrv
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"twodcache/internal/pcache"
@@ -12,8 +13,9 @@ import (
 // counts the process's global mallocs, so each ceiling covers BOTH
 // sides of the loopback round trip — the client encoding the request
 // and the server parsing, serving, and answering it. A round trip
-// allocates only what its caller keeps: Read's returned slice, nothing
-// else. AllocsPerRun's integer average absorbs the odd pool refill.
+// allocates only what its caller keeps: ReadCtx's returned slice,
+// nothing else. AllocsPerRun's integer average absorbs the odd pool
+// refill.
 //
 // Skipped under -race: the race runtime allocates per sync operation
 // and the pins would measure it, not the code.
@@ -35,13 +37,13 @@ func TestLoopbackAllocsSingle(t *testing.T) {
 	cl := dial(t, addr)
 
 	data := bytes.Repeat([]byte{0xAB}, lineBytes)
-	if err := cl.Write(0, data); err != nil {
+	if err := cl.WriteCtx(context.Background(), 0, data); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, lineBytes)
 
-	pinAllocs(t, "single Read round trip", 1, func() {
-		if _, err := cl.Read(0, lineBytes); err != nil {
+	pinAllocs(t, "single ReadCtx round trip", 1, func() {
+		if _, err := cl.ReadCtx(context.Background(), 0, lineBytes); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -51,7 +53,7 @@ func TestLoopbackAllocsSingle(t *testing.T) {
 		}
 	})
 	pinAllocs(t, "single write round trip", 0, func() {
-		if err := cl.Write(0, data); err != nil {
+		if err := cl.WriteCtx(context.Background(), 0, data); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -78,12 +80,12 @@ func TestLoopbackAllocsBatch(t *testing.T) {
 	// Whole-batch ceilings (not per op): before pooling, a 32-op read
 	// round trip cost ~50 allocs and a write ~18.
 	pinAllocs(t, "32-op batch write round trip", 0, func() {
-		if failed, err := cl.WriteBatch(wops); failed != 0 || err != nil {
+		if failed, err := cl.WriteBatchCtx(context.Background(), wops); failed != 0 || err != nil {
 			t.Fatalf("failed=%d err=%v", failed, err)
 		}
 	})
 	pinAllocs(t, "32-op batch read round trip", 0, func() {
-		if failed, err := cl.ReadBatch(rops); failed != 0 || err != nil {
+		if failed, err := cl.ReadBatchCtx(context.Background(), rops); failed != 0 || err != nil {
 			t.Fatalf("failed=%d err=%v", failed, err)
 		}
 	})

@@ -35,13 +35,13 @@ func TestBatchDeadlineOverWire(t *testing.T) {
 	// single-op deadline test): two dirty lines sharing a vertical group
 	// and an EDC8 parity column.
 	c := st.Shard(0).Cache()
-	if err := c.Write(0, []byte{0x5A}); err != nil {
+	if err := write1(c, 0, []byte{0x5A}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(16*lineBytes, []byte{0xA5}); err != nil {
+	if err := write1(c, 16*lineBytes, []byte{0xA5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(lineBytes, bytes.Repeat([]byte{0x77}, lineBytes)); err != nil {
+	if err := write1(c, lineBytes, bytes.Repeat([]byte{0x77}, lineBytes)); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)
@@ -155,14 +155,14 @@ func TestOversizedBatchTrimsScratch(t *testing.T) {
 	for i := range wops {
 		wops[i] = pcache.WriteOp{Addr: uint64(i) * lineBytes, Data: bytes.Repeat([]byte{byte(i)}, lineBytes)}
 	}
-	if failed, err := cl.WriteBatch(wops); failed != 0 || err != nil {
+	if failed, err := cl.WriteBatchCtx(context.Background(), wops); failed != 0 || err != nil {
 		t.Fatalf("huge batch write failed=%d err=%v", failed, err)
 	}
 	rops := make([]pcache.ReadOp, huge)
 	for i := range rops {
 		rops[i] = pcache.ReadOp{Addr: uint64(i) * lineBytes, Dst: make([]byte, lineBytes)}
 	}
-	if failed, err := cl.ReadBatch(rops); failed != 0 || err != nil {
+	if failed, err := cl.ReadBatchCtx(context.Background(), rops); failed != 0 || err != nil {
 		t.Fatalf("huge batch read failed=%d err=%v", failed, err)
 	}
 

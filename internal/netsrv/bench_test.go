@@ -58,7 +58,7 @@ func BenchmarkNetSingleRead(b *testing.B) {
 	for i := range seed {
 		seed[i] = byte(i)
 	}
-	if err := c.Write(0, seed); err != nil {
+	if err := c.WriteCtx(context.Background(), 0, seed); err != nil {
 		b.Fatal(err)
 	}
 	dst := make([]byte, lineBytes)
@@ -81,7 +81,7 @@ func BenchmarkNetSingleWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Write(uint64(i%16)*lineBytes, data); err != nil {
+		if err := c.WriteCtx(context.Background(), uint64(i%16)*lineBytes, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func BenchmarkNetBatchRead32(b *testing.B) {
 	ops := make([]pcache.ReadOp, batch)
 	for i := range ops {
 		addr := uint64(i) * lineBytes
-		if err := c.Write(addr, data); err != nil {
+		if err := c.WriteCtx(context.Background(), addr, data); err != nil {
 			b.Fatal(err)
 		}
 		ops[i] = pcache.ReadOp{Addr: addr, Dst: make([]byte, lineBytes)}
@@ -105,7 +105,7 @@ func BenchmarkNetBatchRead32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		failed, err := c.ReadBatch(ops)
+		failed, err := c.ReadBatchCtx(context.Background(), ops)
 		if err != nil || failed != 0 {
 			b.Fatalf("failed=%d err=%v", failed, err)
 		}
@@ -128,7 +128,7 @@ func BenchmarkNetBatchWrite32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		failed, err := c.WriteBatch(ops)
+		failed, err := c.WriteBatchCtx(context.Background(), ops)
 		if err != nil || failed != 0 {
 			b.Fatalf("failed=%d err=%v", failed, err)
 		}

@@ -218,15 +218,10 @@ func wireDeadline(ctx context.Context) (uint64, error) {
 	return uint64(rel), nil
 }
 
-// Read returns n bytes at addr. Deadline-free reads ride the server's
-// batch accumulation.
-func (c *Client) Read(addr uint64, n int) ([]byte, error) {
-	return c.ReadCtx(context.Background(), addr, n)
-}
-
-// ReadCtx is Read bounded by ctx: the deadline travels in the frame, and
-// the server runs the read as part of a ReadBatchCtx under it. The
-// returned slice is the one allocation a read makes.
+// ReadCtx returns n bytes at addr, bounded by ctx: the deadline travels
+// in the frame, and the server runs the read as part of a ReadBatchCtx
+// under it; a deadline-free read rides the server's batch accumulation.
+// The returned slice is the one allocation a read makes.
 func (c *Client) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
 	data, buf, err := c.read(ctx, addr, n)
 	if err != nil {
@@ -264,12 +259,7 @@ func (c *Client) read(ctx context.Context, addr uint64, n int) (data, buf []byte
 	return data, buf, err
 }
 
-// Write stores data at addr.
-func (c *Client) Write(addr uint64, data []byte) error {
-	return c.WriteCtx(context.Background(), addr, data)
-}
-
-// WriteCtx is Write bounded by ctx.
+// WriteCtx stores data at addr, bounded by ctx.
 func (c *Client) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
 	wd, err := wireDeadline(ctx)
 	if err != nil {
@@ -285,17 +275,13 @@ func (c *Client) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
 	return err
 }
 
-// ReadBatch sends every op in one BATCH_READ frame — one round trip,
-// one server-side amortised store call. Per-op outcomes land in each
-// op's Err and Dst; failed counts ops whose Err is non-nil. A non-nil
-// error is transport-level: no op was served.
-func (c *Client) ReadBatch(ops []pcache.ReadOp) (failed int, err error) {
-	return c.ReadBatchCtx(context.Background(), ops)
-}
-
-// ReadBatchCtx is ReadBatch bounded by ctx: the deadline travels in the
-// frame, and the server runs the batch as one store call under it, so
-// an op the deadline cuts off answers a deadline status of its own.
+// ReadBatchCtx sends every op in one BATCH_READ frame — one round
+// trip, one server-side amortised store call. Per-op outcomes land in
+// each op's Err and Dst; failed counts ops whose Err is non-nil. A
+// non-nil error is transport-level: no op was served. The deadline
+// travels in the frame, and the server runs the batch as one store call
+// under it, so an op the deadline cuts off answers a deadline status of
+// its own.
 func (c *Client) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed int, err error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -345,13 +331,9 @@ func (c *Client) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed 
 	return failed, nil
 }
 
-// WriteBatch sends every op in one BATCH_WRITE frame; see ReadBatch.
-func (c *Client) WriteBatch(ops []pcache.WriteOp) (failed int, err error) {
-	return c.WriteBatchCtx(context.Background(), ops)
-}
-
-// WriteBatchCtx is WriteBatch bounded by ctx: the deadline travels in
-// the frame and bounds every op server-side, as in ReadBatchCtx.
+// WriteBatchCtx sends every op in one BATCH_WRITE frame; the deadline
+// travels in the frame and bounds every op server-side. Outcomes and
+// errors are as in ReadBatchCtx.
 func (c *Client) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (failed int, err error) {
 	if len(ops) == 0 {
 		return 0, nil

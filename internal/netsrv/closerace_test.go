@@ -56,7 +56,7 @@ func TestClientCloseReleasesAllWaiters(t *testing.T) {
 	errs := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
 		go func(i int) {
-			_, err := c.Read(uint64(i*64), 64)
+			_, err := c.ReadCtx(context.Background(), uint64(i*64), 64)
 			errs <- err
 		}(i)
 	}
@@ -81,7 +81,7 @@ func TestClientCloseReleasesAllWaiters(t *testing.T) {
 		}
 	}
 	// Post-close calls fail immediately with the same sentinel.
-	if _, err := c.Read(0, 64); !errors.Is(err, ErrClosed) {
+	if _, err := c.ReadCtx(context.Background(), 0, 64); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Read error = %v, want ErrClosed", err)
 	}
 }
@@ -110,12 +110,12 @@ func TestClientCloseRace(t *testing.T) {
 					a := uint64((w*97 + i) % 128 * 64)
 					var err error
 					if i%3 == 0 {
-						err = c.Write(a, buf)
+						err = c.WriteCtx(context.Background(), a, buf)
 					} else if i%7 == 0 {
 						ops := []pcache.ReadOp{{Addr: a, Dst: make([]byte, 64)}}
 						_, err = c.ReadBatchCtx(context.Background(), ops)
 					} else {
-						_, err = c.Read(a, 64)
+						_, err = c.ReadCtx(context.Background(), a, 64)
 					}
 					if err != nil {
 						if !errors.Is(err, ErrClosed) {

@@ -80,7 +80,7 @@ func TestGracefulDrain(t *testing.T) {
 				addr := uint64(g<<20|seq) * lineBytes
 				data := make([]byte, lineBytes)
 				rng.Read(data)
-				if err := clients[g].Write(addr, data); err != nil {
+				if err := clients[g].WriteCtx(context.Background(), addr, data); err != nil {
 					// The drain closed the connection under us — the
 					// expected way out.
 					if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrDraining) {
@@ -253,16 +253,16 @@ func TestHammer(t *testing.T) {
 					switch rng.Intn(10) {
 					case 0, 1, 2:
 						rng.Read(buf)
-						err = cl.Write(a, buf)
+						err = cl.WriteCtx(context.Background(), a, buf)
 					case 3, 4, 5:
-						_, err = cl.Read(a, lineBytes)
+						_, err = cl.ReadCtx(context.Background(), a, lineBytes)
 					case 6:
 						ops := make([]pcache.ReadOp, 4)
 						for j := range ops {
 							ops[j] = pcache.ReadOp{Addr: uint64(rng.Intn(lines)) * lineBytes, Dst: make([]byte, lineBytes)}
 						}
 						var terr error
-						if _, terr = cl.ReadBatch(ops); terr != nil {
+						if _, terr = cl.ReadBatchCtx(context.Background(), ops); terr != nil {
 							t.Errorf("hammer %d/%d: ReadBatch transport: %v", ci, g, terr)
 							return
 						}
@@ -279,7 +279,7 @@ func TestHammer(t *testing.T) {
 							ops[j] = pcache.WriteOp{Addr: uint64(rng.Intn(lines)) * lineBytes, Data: d}
 						}
 						var terr error
-						if _, terr = cl.WriteBatch(ops); terr != nil {
+						if _, terr = cl.WriteBatchCtx(context.Background(), ops); terr != nil {
 							t.Errorf("hammer %d/%d: WriteBatch transport: %v", ci, g, terr)
 							return
 						}

@@ -77,7 +77,13 @@ func read1(st store.Store, addr uint64, n int) ([]byte, error) {
 	return ops[0].Dst, nil
 }
 
-func write1(st store.Store, addr uint64, data []byte) error {
+// batchWriter is what write1 needs: a store, or a shard's
+// *pcache.Cache for planting state at shard-local addresses.
+type batchWriter interface {
+	WriteBatch(ops []pcache.WriteOp) (failed int)
+}
+
+func write1(st batchWriter, addr uint64, data []byte) error {
 	ops := []pcache.WriteOp{{Addr: addr, Data: data}}
 	st.WriteBatch(ops)
 	return ops[0].Err
@@ -212,7 +218,7 @@ func TestDifferentialLoopback(t *testing.T) {
 				case op < 3: // single write, whole line
 					a := uint64(rng.Intn(lines)) * lineBytes
 					data := randLine(make([]byte, lineBytes))
-					rerr := cl.Write(a, data)
+					rerr := cl.WriteCtx(context.Background(), a, data)
 					lerr := write1(local, a, data)
 					if (rerr == nil) != (lerr == nil) {
 						t.Fatalf("op %d: write err remote=%v local=%v", i, rerr, lerr)
@@ -220,7 +226,7 @@ func TestDifferentialLoopback(t *testing.T) {
 				case op < 6: // single read, random span within a line
 					n := 1 + rng.Intn(lineBytes)
 					a := uint64(rng.Intn(lines))*lineBytes + uint64(rng.Intn(lineBytes-n+1))
-					rdata, rerr := cl.Read(a, n)
+					rdata, rerr := cl.ReadCtx(context.Background(), a, n)
 					ldata, lerr := read1(local, a, n)
 					if (rerr == nil) != (lerr == nil) {
 						t.Fatalf("op %d: read err remote=%v local=%v", i, rerr, lerr)
@@ -238,7 +244,7 @@ func TestDifferentialLoopback(t *testing.T) {
 						rops[j] = pcache.WriteOp{Addr: a, Data: data}
 						lops[j] = pcache.WriteOp{Addr: a, Data: data}
 					}
-					rfail, err := cl.WriteBatch(rops)
+					rfail, err := cl.WriteBatchCtx(context.Background(), rops)
 					if err != nil {
 						t.Fatalf("op %d: WriteBatch transport: %v", i, err)
 					}
@@ -254,7 +260,7 @@ func TestDifferentialLoopback(t *testing.T) {
 						rops[j] = pcache.ReadOp{Addr: a, Dst: make([]byte, lineBytes)}
 						lops[j] = pcache.ReadOp{Addr: a, Dst: make([]byte, lineBytes)}
 					}
-					rfail, err := cl.ReadBatch(rops)
+					rfail, err := cl.ReadBatchCtx(context.Background(), rops)
 					if err != nil {
 						t.Fatalf("op %d: ReadBatch transport: %v", i, err)
 					}
@@ -397,10 +403,10 @@ func TestDeadlineOverWire(t *testing.T) {
 	// share a vertical group and an EDC8 parity column, so neither
 	// in-line recovery nor a backing refetch can satisfy the read.
 	c := st.Shard(0).Cache()
-	if err := c.Write(0, []byte{0x5A}); err != nil {
+	if err := write1(c, 0, []byte{0x5A}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(16*lineBytes, []byte{0xA5}); err != nil {
+	if err := write1(c, 16*lineBytes, []byte{0xA5}); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)

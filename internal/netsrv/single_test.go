@@ -79,14 +79,14 @@ func TestSingleMatchesBatchOfOneOverWire(t *testing.T) {
 	// The TestDeadlineOverWire plant: a persistent beyond-coverage DUE
 	// on line 0, plus a healthy line 1.
 	c := st.Shard(0).Cache()
-	if err := c.Write(0, []byte{0x5A}); err != nil {
+	if err := write1(c, 0, []byte{0x5A}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(16*lineBytes, []byte{0xA5}); err != nil {
+	if err := write1(c, 16*lineBytes, []byte{0xA5}); err != nil {
 		t.Fatal(err)
 	}
 	healthy := bytes.Repeat([]byte{0x77}, lineBytes)
-	if err := c.Write(lineBytes, healthy); err != nil {
+	if err := write1(c, lineBytes, healthy); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)

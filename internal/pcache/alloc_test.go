@@ -8,14 +8,14 @@ import (
 )
 
 // TestHitPathAllocFree pins the cache hit path to zero heap
-// allocations: once a line is resident and clean, ReadInto (fast path
-// under the shared bank lock) and Write (read-modify-write under the
-// exclusive lock) must not allocate. This holds for both the EDC
-// detection-only and the SECDED correcting configurations.
+// allocations: once a line is resident and clean, a 1-op ReadBatch (a
+// clean hit) and a 1-op WriteBatch (read-modify-write of a resident
+// line) must not allocate. This holds for both the EDC detection-only
+// and the SECDED correcting configurations.
 func TestHitPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		// sync.Pool deliberately drops items under the race detector,
-		// so the pooled TryRead fast path allocates by design there.
+		// so the pooled batch index scratch allocates by design there.
 		// The non-race tier-1 run enforces the zero-alloc contract.
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -39,34 +39,35 @@ func TestHitPathAllocFree(t *testing.T) {
 			for i := range seed {
 				seed[i] = byte(i * 7)
 			}
-			if err := c.Write(addr&^63, seed); err != nil {
+			if err := write1(c, addr&^63, seed); err != nil {
 				t.Fatal(err)
 			}
-			dst := make([]byte, 16)
+			rop := []ReadOp{{Addr: addr, Dst: make([]byte, 16)}}
 			if got := testing.AllocsPerRun(200, func() {
-				if err := c.ReadInto(addr, dst); err != nil {
-					t.Fatal(err)
+				if c.ReadBatch(rop) != 0 {
+					t.Fatal(rop[0].Err)
 				}
 			}); got != 0 {
-				t.Errorf("ReadInto (clean hit) allocates %.1f/op", got)
+				t.Errorf("1-op ReadBatch (clean hit) allocates %.1f/op", got)
 			}
-			src := make([]byte, 8)
+			wop := []WriteOp{{Addr: addr, Data: make([]byte, 8)}}
 			var x uint64
 			if got := testing.AllocsPerRun(200, func() {
 				x++
-				binary.LittleEndian.PutUint64(src, x)
-				if err := c.Write(addr, src); err != nil {
-					t.Fatal(err)
+				binary.LittleEndian.PutUint64(wop[0].Data, x)
+				if c.WriteBatch(wop) != 0 {
+					t.Fatal(wop[0].Err)
 				}
 			}); got != 0 {
-				t.Errorf("Write (hit) allocates %.1f/op", got)
+				t.Errorf("1-op WriteBatch (hit) allocates %.1f/op", got)
 			}
 			// The data must have survived the alloc-counted traffic.
-			if err := c.ReadInto(addr, dst[:8]); err != nil {
+			back, err := read1(c, addr, 8)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got := binary.LittleEndian.Uint64(dst[:8]); got != x {
-				t.Fatalf("readback %#x != last write %#x", got, x)
+			if v := binary.LittleEndian.Uint64(back); v != x {
+				t.Fatalf("readback %#x != last write %#x", v, x)
 			}
 		})
 	}

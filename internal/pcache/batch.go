@@ -3,12 +3,13 @@ package pcache
 // Batched accesses: many reads or writes served in one pass, grouped
 // by bank and line so each bank lock is taken once per batch and each
 // distinct line is tag-probed, checked and moved through its protected
-// array once, however many ops touch it. This is the multi-op
-// entrypoint the sharded store's ReadBatch/WriteBatch amortisation
-// rides on: the per-access costs a single-op path pays k times — lock
-// acquisition, tag lookup, the horizontal-code check of every word in
-// the line, and (for writes) the vertical-parity delta updates of a
-// full line store — are paid once per distinct line instead.
+// array once, however many ops touch it. These are the cache's only
+// data calls — a single access is a batch of one — and the sharded
+// store's ReadBatch/WriteBatch amortisation rides on them: the
+// per-access costs k separate calls pay k times — lock acquisition,
+// tag lookup, the horizontal-code check of every word in the line, and
+// (for writes) the vertical-parity delta updates of a full line store
+// — are paid once per distinct line instead.
 
 import (
 	"cmp"
@@ -17,8 +18,11 @@ import (
 )
 
 // ReadOp is one read of a batch: Dst receives len(Dst) bytes at Addr
-// (the span must not cross a line boundary, as with ReadInto), and Err
-// receives the per-op outcome. Err is overwritten on every batch call.
+// (the span must not cross a line boundary), and Err receives the
+// per-op outcome. An error satisfying errors.Is(err, ErrUncorrectable)
+// means the 2D coverage was exceeded (machine check); errors.As to
+// *UncorrectableError locates it. Err is overwritten on every batch
+// call.
 type ReadOp struct {
 	Addr uint64
 	Dst  []byte
@@ -26,8 +30,9 @@ type ReadOp struct {
 }
 
 // WriteOp is one write of a batch: len(Data) bytes are stored at Addr
-// (the span must not cross a line boundary, as with Write), and Err
-// receives the per-op outcome. Err is overwritten on every batch call.
+// (the span must not cross a line boundary), write-back — the line is
+// marked dirty in the protected tag store — and Err receives the per-op
+// outcome. Err is overwritten on every batch call.
 type WriteOp struct {
 	Addr uint64
 	Data []byte
@@ -128,7 +133,7 @@ func (c *Cache) ReadBatch(ops []ReadOp) (failed int) {
 }
 
 // readBankRun serves one bank's slice of the batch under a single
-// exclusive lock acquisition.
+// lock acquisition.
 func (c *Cache) readBankRun(b *bank, ops []ReadOp, run []int) (failed int) {
 	b.accesses.Add(uint64(len(run)))
 	b.mu.Lock()
@@ -178,7 +183,7 @@ func (c *Cache) groupWayLocked(b *bank, ls int, line uint64, k uint64) (way int,
 // readLineGroupLocked serves every op of one line with a single tag
 // lookup and a single protected read-out; a decommissioned set serves
 // the whole group from one backing fetch. Failures land on every op of
-// the group. ReadInto's slow path is a group of one.
+// the group. A single read is a group of one.
 func (c *Cache) readLineGroupLocked(b *bank, line uint64, ops []ReadOp, group []int) int {
 	ls := c.setOf(line) % c.setsPerBank
 	fail := func(err error) int {
@@ -259,8 +264,8 @@ func (c *Cache) writeBankRun(b *bank, ops []WriteOp, run []int) (failed int) {
 // writeLineGroupLocked applies every op of one line, in group order,
 // with one read-modify-write of the protected line and one dirty-tag
 // store; a decommissioned set takes one read-modify-write through to
-// backing instead. Failures land on every op of the group. Write is a
-// group of one.
+// backing instead. Failures land on every op of the group. A single
+// write is a group of one.
 func (c *Cache) writeLineGroupLocked(b *bank, line uint64, ops []WriteOp, group []int) int {
 	ls := c.setOf(line) % c.setsPerBank
 	fail := func(err error) int {

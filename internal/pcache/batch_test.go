@@ -8,9 +8,9 @@ import (
 )
 
 // TestBatchMatchesSerial drives the same randomized op sequence
-// through a batched cache and a serial twin and demands identical
-// bytes, identical per-op outcomes, identical stats, and identical
-// final backing contents.
+// through a batched cache and a serial twin issuing every op as a batch
+// of its own, and demands identical bytes, identical per-op outcomes,
+// identical traffic accounting, and identical final backing contents.
 func TestBatchMatchesSerial(t *testing.T) {
 	cfg := Config{Sets: 16, Ways: 2, LineBytes: 64, Banks: 4}
 	bb, sb := NewMapBacking(64), NewMapBacking(64)
@@ -38,7 +38,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 				t.Fatalf("round %d: WriteBatch failed %d ops", round, failed)
 			}
 			for i := range sops {
-				if err := serial.Write(sops[i].Addr, sops[i].Data); err != nil {
+				if err := write1(serial, sops[i].Addr, sops[i].Data); err != nil {
 					t.Fatalf("round %d: serial write: %v", round, err)
 				}
 			}
@@ -56,8 +56,8 @@ func TestBatchMatchesSerial(t *testing.T) {
 				t.Fatalf("round %d: ReadBatch failed %d ops", round, failed)
 			}
 			for i := range rops {
-				want := make([]byte, len(rops[i].Dst))
-				if err := serial.ReadInto(rops[i].Addr, want); err != nil {
+				want, err := read1(serial, rops[i].Addr, len(rops[i].Dst))
+				if err != nil {
 					t.Fatalf("round %d: serial read: %v", round, err)
 				}
 				if !bytes.Equal(rops[i].Dst, want) {
@@ -108,7 +108,7 @@ func TestBatchSameLineWriteOrder(t *testing.T) {
 	if failed := c.WriteBatch(ops); failed != 0 {
 		t.Fatalf("failed %d", failed)
 	}
-	got, err := c.Read(0x100, 4)
+	got, err := read1(c, 0x100, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBatchSameLineWriteOrder(t *testing.T) {
 // poisoning the rest of the batch.
 func TestBatchPerOpErrors(t *testing.T) {
 	c, _ := smallCache(t, false)
-	if err := c.Write(0, []byte{0xAB}); err != nil {
+	if err := write1(c, 0, []byte{0xAB}); err != nil {
 		t.Fatal(err)
 	}
 	ops := []ReadOp{
@@ -147,7 +147,7 @@ func TestBatchPerOpErrors(t *testing.T) {
 	if failed := c.WriteBatch(wops); failed != 1 {
 		t.Fatalf("write failed = %d, want 1", failed)
 	}
-	got, err := c.Read(8, 1)
+	got, err := read1(c, 8, 1)
 	if err != nil || got[0] != 0xCD {
 		t.Fatalf("good write lost: %v %v", got, err)
 	}
@@ -157,7 +157,7 @@ func TestBatchPerOpErrors(t *testing.T) {
 // served through the backing, whole group at once.
 func TestBatchBypassesDecommissionedSet(t *testing.T) {
 	c, _ := smallCache(t, false)
-	if err := c.Write(0, []byte{0x11, 0x22}); err != nil {
+	if err := write1(c, 0, []byte{0x11, 0x22}); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
@@ -193,7 +193,7 @@ func TestBatchAmortizesArrayWork(t *testing.T) {
 	const k = 32
 	mk := func() *Cache {
 		c := MustNew(Config{Sets: 16, Ways: 2, LineBytes: 64, Banks: 1}, NewMapBacking(64))
-		if err := c.Write(0x40, []byte{1}); err != nil {
+		if err := write1(c, 0x40, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -205,9 +205,8 @@ func TestBatchAmortizesArrayWork(t *testing.T) {
 
 	serial := mk()
 	base := arrayReads(serial)
-	var buf [8]byte
 	for i := 0; i < k; i++ {
-		if err := serial.ReadInto(0x40+uint64(i%56), buf[:]); err != nil {
+		if _, err := read1(serial, 0x40+uint64(i%56), 8); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,8 +247,10 @@ func TestBatchStatsAccounting(t *testing.T) {
 
 func ExampleCache_ReadBatch() {
 	c := MustNew(Config{Sets: 16, Ways: 2, LineBytes: 64}, NewMapBacking(64))
-	_ = c.Write(0x00, []byte("alpha"))
-	_ = c.Write(0x40, []byte("bravo"))
+	c.WriteBatch([]WriteOp{
+		{Addr: 0x00, Data: []byte("alpha")},
+		{Addr: 0x40, Data: []byte("bravo")},
+	})
 	ops := []ReadOp{
 		{Addr: 0x00, Dst: make([]byte, 5)},
 		{Addr: 0x40, Dst: make([]byte, 5)},

@@ -50,7 +50,7 @@ func TestConcurrentTrafficWithInjectionAndScrub(t *testing.T) {
 	var wg, aux sync.WaitGroup
 
 	// Stats coherence regression: before Stats() ordered its loads and
-	// clamped, a reader racing the fast-path hit counters could observe
+	// clamped, a reader racing the per-bank hit counters could observe
 	// Hits > Accesses. Hammer the snapshot while traffic runs.
 	aux.Add(1)
 	go func() {
@@ -128,7 +128,7 @@ func TestConcurrentTrafficWithInjectionAndScrub(t *testing.T) {
 					val := byte(rng.Intn(256))
 					var err error
 					for attempt := 0; attempt < 6; attempt++ {
-						if err = c.Write(addr, []byte{val}); err == nil {
+						if err = write1(c, addr, []byte{val}); err == nil {
 							break
 						}
 						if !errors.Is(err, ErrUncorrectable) {
@@ -145,14 +145,14 @@ func TestConcurrentTrafficWithInjectionAndScrub(t *testing.T) {
 					wep[l] = c.LossEpoch(set)
 					continue
 				}
-				got, err := c.Read(addr, 1)
+				got, err := read1(c, addr, 1)
 				if err != nil {
 					if !errors.Is(err, ErrUncorrectable) {
 						t.Errorf("worker %d: read error %v", id, err)
 						return
 					}
 					c.Repair(addr)
-					got, err = c.Read(addr, 1)
+					got, err = read1(c, addr, 1)
 					if err != nil {
 						t.Errorf("worker %d: read after repair: %v", id, err)
 						return
@@ -201,7 +201,7 @@ func TestConcurrentDecommissionUnderTraffic(t *testing.T) {
 	back := NewMapBacking(64)
 	c := MustNew(Config{Sets: 16, Ways: 2, LineBytes: 64, Banks: 4}, back)
 	for l := uint64(0); l < 16; l++ {
-		if err := c.Write(l*64, []byte{byte(l)}); err != nil {
+		if err := write1(c, l*64, []byte{byte(l)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestConcurrentDecommissionUnderTraffic(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(id)))
 			for i := 0; i < 2000; i++ {
 				l := uint64(rng.Intn(16))
-				got, err := c.Read(l*64, 1)
+				got, err := read1(c, l*64, 1)
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return
@@ -253,7 +253,7 @@ func TestConcurrentDecommissionUnderTraffic(t *testing.T) {
 		}
 	}
 	for l := uint64(0); l < 16; l++ {
-		got, err := c.Read(l*64, 1)
+		got, err := read1(c, l*64, 1)
 		if err != nil || got[0] != byte(l) {
 			t.Fatalf("final line %d: %v %v", l, got, err)
 		}

@@ -16,10 +16,10 @@ func beyondCoverageCache(t *testing.T) (*Cache, *MapBacking) {
 	t.Helper()
 	back := NewMapBacking(64)
 	c := MustNew(Config{Sets: 32, Ways: 2, LineBytes: 64, Banks: 1}, back)
-	if err := c.Write(0, []byte{0x11}); err != nil { // line 0 → set 0, way 0
+	if err := write1(c, 0, []byte{0x11}); err != nil { // line 0 → set 0, way 0
 		t.Fatal(err)
 	}
-	if err := c.Write(16*64, []byte{0x22}); err != nil { // line 16 → set 16, way 0
+	if err := write1(c, 16*64, []byte{0x22}); err != nil { // line 16 → set 16, way 0
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -34,7 +34,7 @@ func beyondCoverageCache(t *testing.T) (*Cache, *MapBacking) {
 
 func TestUncorrectableDeterministic(t *testing.T) {
 	c, _ := beyondCoverageCache(t)
-	_, err := c.Read(0, 1)
+	_, err := read1(c, 0, 1)
 	if err == nil {
 		t.Fatal("ambiguous beyond-coverage error went undetected")
 	}
@@ -55,7 +55,7 @@ func TestUncorrectableDeterministic(t *testing.T) {
 
 func TestDecommissionYieldsUsableSmallerCache(t *testing.T) {
 	c, _ := beyondCoverageCache(t)
-	if _, err := c.Read(0, 1); !errors.Is(err, ErrUncorrectable) {
+	if _, err := read1(c, 0, 1); !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("expected DUE, got %v", err)
 	}
 	epochBefore := c.LossEpoch(0)
@@ -71,7 +71,7 @@ func TestDecommissionYieldsUsableSmallerCache(t *testing.T) {
 	if c.DisabledWays() != 1 {
 		t.Fatalf("disabled ways = %d", c.DisabledWays())
 	}
-	got, err := c.Read(0, 1)
+	got, err := read1(c, 0, 1)
 	if err != nil || got[0] != 0x11 {
 		t.Fatalf("refetch after decommission: %v %v", got, err)
 	}
@@ -79,25 +79,25 @@ func TestDecommissionYieldsUsableSmallerCache(t *testing.T) {
 	// The partner row of the ambiguous pair (set 16) still carries its
 	// half of the damage; its DUE surfaces independently and the same
 	// degrade path retires it too.
-	if _, err := c.Read(16*64, 1); err != nil {
+	if _, err := read1(c, 16*64, 1); err != nil {
 		if !errors.Is(err, ErrUncorrectable) {
 			t.Fatalf("unexpected error %v", err)
 		}
 		c.Decommission(16, 0)
 	}
-	got, err = c.Read(16*64, 1)
+	got, err = read1(c, 16*64, 1)
 	if err != nil || got[0] != 0x22 {
 		t.Fatalf("set 16 after degrade: %v %v", got, err)
 	}
 
 	// The shrunken cache keeps working across its whole address space.
 	for l := uint64(0); l < 64; l++ {
-		if err := c.Write(l*64, []byte{byte(l + 1)}); err != nil {
+		if err := write1(c, l*64, []byte{byte(l + 1)}); err != nil {
 			t.Fatalf("line %d write: %v", l, err)
 		}
 	}
 	for l := uint64(0); l < 64; l++ {
-		got, err := c.Read(l*64, 1)
+		got, err := read1(c, l*64, 1)
 		if err != nil || got[0] != byte(l+1) {
 			t.Fatalf("line %d read: %v %v", l, got, err)
 		}
@@ -111,14 +111,14 @@ func TestFullyDecommissionedSetBypasses(t *testing.T) {
 	c.Decommission(3, 1)
 
 	addr := uint64(3 * 64) // line 3 → set 3
-	if err := c.Write(addr, []byte{0x5A}); err != nil {
+	if err := write1(c, addr, []byte{0x5A}); err != nil {
 		t.Fatal(err)
 	}
 	// The write went straight through to backing.
 	if back.ReadLine(addr)[0] != 0x5A {
 		t.Fatal("bypassed write not in backing store")
 	}
-	got, err := c.Read(addr, 1)
+	got, err := read1(c, addr, 1)
 	if err != nil || got[0] != 0x5A {
 		t.Fatalf("bypassed read: %v %v", got, err)
 	}
@@ -127,17 +127,17 @@ func TestFullyDecommissionedSetBypasses(t *testing.T) {
 	}
 
 	// Other sets are unaffected.
-	if err := c.Write(4*64, []byte{0x77}); err != nil {
+	if err := write1(c, 4*64, []byte{0x77}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.Read(4*64, 1); err != nil || got[0] != 0x77 {
+	if got, err := read1(c, 4*64, 1); err != nil || got[0] != 0x77 {
 		t.Fatalf("neighbour set: %v %v", got, err)
 	}
 
 	// Re-enabling restores normal caching for the set.
 	c.Reenable(3, 0)
 	c.Reenable(3, 1)
-	if got, err := c.Read(addr, 1); err != nil || got[0] != 0x5A {
+	if got, err := read1(c, addr, 1); err != nil || got[0] != 0x5A {
 		t.Fatalf("after re-enable: %v %v", got, err)
 	}
 	if c.Stats().Hits == 0 {
@@ -148,7 +148,7 @@ func TestFullyDecommissionedSetBypasses(t *testing.T) {
 func TestDecommissionDirtyLineCountsLoss(t *testing.T) {
 	back := NewMapBacking(64)
 	c := MustNew(Config{Sets: 16, Ways: 2, LineBytes: 64}, back)
-	if err := c.Write(0, []byte{0xEE}); err != nil { // dirty, never flushed
+	if err := write1(c, 0, []byte{0xEE}); err != nil { // dirty, never flushed
 		t.Fatal(err)
 	}
 	// Find which way holds line 0 by decommissioning both; exactly one
@@ -174,7 +174,7 @@ func TestDecommissionDirtyLineCountsLoss(t *testing.T) {
 func TestRecoverWordRungAtCacheLevel(t *testing.T) {
 	back := NewMapBacking(64)
 	c := MustNew(Config{Sets: 16, Ways: 2, LineBytes: 64, SECDEDHorizontal: true}, back)
-	if err := c.Write(0, []byte{0xAB}); err != nil {
+	if err := write1(c, 0, []byte{0xAB}); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(c.BankOf(0))
@@ -189,7 +189,7 @@ func TestRecoverWordRungAtCacheLevel(t *testing.T) {
 	if da.Stats().Recoveries != recBefore {
 		t.Fatal("word rung escalated to full recovery")
 	}
-	got, err := c.Read(0, 1)
+	got, err := read1(c, 0, 1)
 	if err != nil || got[0] != 0xAB {
 		t.Fatalf("after word recovery: %v %v", got, err)
 	}
@@ -268,10 +268,10 @@ func TestLossEpochBumpBeforeExpose(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		val := byte(i)
 		e0 := c.LossEpoch(0)
-		if err := c.Write(addr, []byte{val}); err != nil {
+		if err := write1(c, addr, []byte{val}); err != nil {
 			continue // set fully decommissioned at that instant
 		}
-		got, err := c.Read(addr, 1)
+		got, err := read1(c, addr, 1)
 		if err != nil {
 			continue
 		}

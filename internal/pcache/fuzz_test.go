@@ -64,7 +64,7 @@ func FuzzCacheVsBacking(f *testing.F) {
 				addr := line*lineBytes + uint64(b2)%lineBytes
 				var err error
 				for attempt := 0; attempt < 4; attempt++ {
-					if err = c.Write(addr, []byte{b3}); err == nil {
+					if err = write1(c, addr, []byte{b3}); err == nil {
 						break
 					}
 					if !errors.Is(err, ErrUncorrectable) {
@@ -80,14 +80,14 @@ func FuzzCacheVsBacking(f *testing.F) {
 			case 1: // read one byte, check against the shadow
 				line := uint64(b1) % lines
 				addr := line*lineBytes + uint64(b2)%lineBytes
-				got, err := c.Read(addr, 1)
+				got, err := read1(c, addr, 1)
 				if err != nil {
 					if !errors.Is(err, ErrUncorrectable) {
 						t.Fatalf("read error %v", err)
 					}
 					// Announced DUE: repair reverts the set to backing.
 					repair(addr)
-					got, err = c.Read(addr, 1)
+					got, err = read1(c, addr, 1)
 					if err != nil {
 						t.Fatalf("read after repair: %v", err)
 					}
@@ -141,7 +141,7 @@ func FuzzCacheVsBacking(f *testing.F) {
 
 		// Final sweep: every modelled byte must still be explained.
 		for addr, want := range shadow {
-			got, err := c.Read(addr, 1)
+			got, err := read1(c, addr, 1)
 			if err != nil {
 				if !errors.Is(err, ErrUncorrectable) {
 					t.Fatalf("final read error %v", err)

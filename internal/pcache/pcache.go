@@ -11,10 +11,12 @@
 // The cache is physically banked, as real SRAM macros are: the sets
 // are partitioned across independently locked bank pairs (one data
 // sub-array plus one tag sub-array each), so traffic to different
-// banks never contends and clean reads within a bank proceed under a
-// shared lock (twod.Array.TryRead). All of Read, Write, Flush, fault
-// injection (WithBankLock), scrubbing (ScrubBank) and degradation
-// (Decommission) are safe to call from many goroutines concurrently.
+// banks never contends. ReadBatch and WriteBatch are the only data
+// calls — a single access is a batch of one — and each holds a bank's
+// lock once per batch while it checks every word of every line it
+// touches. All of ReadBatch, WriteBatch, Flush, fault injection
+// (WithBankLock), scrubbing (ScrubBank) and degradation (Decommission)
+// are safe to call from many goroutines concurrently.
 package pcache
 
 import (
@@ -94,7 +96,7 @@ type Backing interface {
 // MapBacking is a simple in-memory Backing, safe for concurrent use.
 type MapBacking struct {
 	lineBytes int
-	mu        sync.RWMutex
+	mu        sync.Mutex
 	m         map[uint64][]byte
 }
 
@@ -105,9 +107,9 @@ func NewMapBacking(lineBytes int) *MapBacking {
 
 // ReadLine returns the stored line (zeroes if never written).
 func (b *MapBacking) ReadLine(addr uint64) []byte {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	out := make([]byte, b.lineBytes)
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if d, ok := b.m[addr]; ok {
 		copy(out, d)
 	}
@@ -167,7 +169,7 @@ func (e *UncorrectableError) Unwrap() error { return ErrUncorrectable }
 // Cache.Stats is coherent: Hits ≤ Accesses and Hits+Misses ≤ Accesses
 // hold even while traffic races the snapshot.
 type Stats struct {
-	// Accesses counts Read/Write operations issued.
+	// Accesses counts read and write ops issued.
 	Accesses uint64
 	// Hits and Misses count accesses by outcome.
 	Hits, Misses uint64
@@ -192,32 +194,31 @@ type WayRef struct {
 }
 
 // bank is one independently locked pair of protected sub-arrays plus
-// the per-set replacement and decommission state it owns.
+// the per-set replacement and decommission state it owns. mu guards
+// everything but the two counters: every access to the arrays, the
+// LRU stamps, the disabled map and lineBuf happens under it.
 type bank struct {
 	index int
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	data  *twod.Array // rows = setsPerBank*Ways, wordsPerRow = lineBytes/8
 	tags  *twod.Array // rows = setsPerBank, wordsPerRow = Ways
 
-	// lru stamps and the global stamp counter are atomics so the
-	// shared-lock read path can touch them.
-	lru   []atomic.Uint64 // [localSet*Ways+way]
-	stamp atomic.Uint64
+	lru   []uint64 // [localSet*Ways+way] last-touch stamps
+	stamp uint64   // the bank's LRU clock
 
-	// Fast-path counters live per bank so parallel clean hits do not
-	// serialise on one shared cache line; Stats()/Accesses() sum them.
-	_        [48]byte // keep the hot counters off the lru/stamp line
+	// hits and accesses are atomics because Stats()/Accesses() sum them
+	// without taking any bank lock; they live per bank so traffic to
+	// different banks does not serialise on one shared cache line.
+	_        [48]byte // keep the counters off mu's cache line
 	hits     atomic.Uint64
 	accesses atomic.Uint64
 
-	// disabled marks decommissioned ways; mutated only under mu held
-	// exclusively, read under either lock mode.
+	// disabled marks decommissioned ways.
 	disabled []bool
 
-	// lineBuf is the bank's line-sized staging buffer for the exclusive
-	// slow path (read-modify-write, fills, writebacks, flushes); reusing
-	// it keeps the hit path allocation-free. Only touched under mu held
-	// exclusively.
+	// lineBuf is the bank's line-sized staging buffer (line read-outs,
+	// read-modify-writes, fills, writebacks, flushes); reusing it keeps
+	// the hit path allocation-free.
 	lineBuf []byte
 }
 
@@ -312,7 +313,7 @@ func New(cfg Config, backing Backing) (*Cache, error) {
 			index:    i,
 			data:     data,
 			tags:     tags,
-			lru:      make([]atomic.Uint64, spb*cfg.Ways),
+			lru:      make([]uint64, spb*cfg.Ways),
 			disabled: make([]bool, spb*cfg.Ways),
 			lineBuf:  make([]byte, cfg.LineBytes),
 		}
@@ -444,7 +445,7 @@ func (c *Cache) RegisterMetrics(r *obs.Registry) {
 		sumArrays(func(s twod.Stats) uint64 { return s.Uncorrectable }))
 }
 
-// Accesses returns the number of Read/Write operations issued so far —
+// Accesses returns the number of read and write ops issued so far —
 // the traffic signal a traffic-aware scrubber keys off.
 func (c *Cache) Accesses() uint64 {
 	var n uint64
@@ -519,7 +520,7 @@ func (c *Cache) noteSt(st twod.ReadStatus, array string, set, way int) error {
 	return nil
 }
 
-// --- locked per-bank primitives (b.mu held exclusively) ----------------
+// --- locked per-bank primitives (b.mu held) ------------------------------
 
 func (c *Cache) readTagLocked(b *bank, ls, way int) (uint64, error) {
 	v, st := b.tags.ReadUint64(ls, way)
@@ -567,7 +568,7 @@ func (c *Cache) victimLocked(b *bank, ls int) (way int, ok bool, err error) {
 		if t&tagValidBit == 0 {
 			return w, true, nil
 		}
-		if s := b.lru[idx].Load(); !found || s < bestStamp {
+		if s := b.lru[idx]; !found || s < bestStamp {
 			best, bestStamp, found = w, s, true
 		}
 	}
@@ -654,116 +655,16 @@ func (c *Cache) fillLocked(b *bank, ls int, line uint64) (way int, ok bool, err 
 	return way, true, nil
 }
 
-// touch updates the LRU stamp (atomic: callable under either lock mode).
+// touch stamps the way as most recently used.
 func (b *bank) touch(ls, way, ways int) {
-	b.lru[ls*ways+way].Store(b.stamp.Add(1))
-}
-
-// --- fast path ---------------------------------------------------------
-
-// fastReadInto serves a clean hit under the bank's shared lock: every
-// tag word scanned and every data word touched must check clean via
-// TryReadUint64; anything else (miss, dirty word, disabled set) falls
-// back to the exclusive slow path (returns false). Only the words
-// overlapping the request are read — the sub-array read-out of a real
-// bank — so a clean hit costs O(request), allocates nothing, and many
-// readers proceed in parallel.
-func (c *Cache) fastReadInto(b *bank, ls int, line, addr uint64, dst []byte) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	tag := c.tagOf(line)
-	n := len(dst)
-	for way := 0; way < c.cfg.Ways; way++ {
-		if b.disabled[ls*c.cfg.Ways+way] {
-			continue
-		}
-		t, ok := b.tags.TryReadUint64(ls, way)
-		if !ok {
-			return false // tag word needs repair: escalate
-		}
-		if t&tagValidBit == 0 || t>>tagShift != tag {
-			continue
-		}
-		off := int(addr) & (c.cfg.LineBytes - 1)
-		row := c.dataRow(ls, way)
-		for w := off / 8; w <= (off+n-1)/8; w++ {
-			v, ok := b.data.TryReadUint64(row, w)
-			if !ok {
-				return false // data word needs repair: escalate
-			}
-			for i := 0; i < 8; i++ {
-				pos := w*8 + i
-				if pos >= off && pos < off+n {
-					dst[pos-off] = byte(v >> (8 * uint(i)))
-				}
-			}
-		}
-		b.hits.Add(1)
-		b.touch(ls, way, c.cfg.Ways)
-		return true
-	}
-	return false // miss: the fill needs the exclusive path
+	b.stamp++
+	b.lru[ls*ways+way] = b.stamp
 }
 
 // --- public access API --------------------------------------------------
 
-// Read returns n bytes at addr (must not cross a line boundary). An
-// error satisfying errors.Is(err, ErrUncorrectable) means the 2D
-// coverage was exceeded (machine check); errors.As to
-// *UncorrectableError locates it. Safe for concurrent use.
-func (c *Cache) Read(addr uint64, n int) ([]byte, error) {
-	if err := c.checkSpan(addr, n); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	if err := c.ReadInto(addr, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadInto fills dst with len(dst) bytes at addr (must not cross a line
-// boundary) — the allocation-free variant of Read: a clean hit performs
-// zero heap allocations. Safe for concurrent use.
-func (c *Cache) ReadInto(addr uint64, dst []byte) error {
-	if err := c.checkSpan(addr, len(dst)); err != nil {
-		return err
-	}
-	line := c.lineAddr(addr)
-	b, ls := c.bankOf(c.setOf(line))
-	b.accesses.Add(1)
-	if c.fastReadInto(b, ls, line, addr, dst) {
-		return nil
-	}
-	// Anything but a clean hit is a line group of one on the batch
-	// pass's exclusive path.
-	ops, group := [1]ReadOp{{Addr: addr, Dst: dst}}, [1]int{}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c.readLineGroupLocked(b, line, ops[:], group[:])
-	return ops[0].Err
-}
-
-// Write stores bytes at addr (must not cross a line boundary),
-// write-back: the line is marked dirty in the protected tag store.
-// It is a line group of one on the batch pass's path. Safe for
-// concurrent use.
-func (c *Cache) Write(addr uint64, data []byte) error {
-	if err := c.checkSpan(addr, len(data)); err != nil {
-		return err
-	}
-	line := c.lineAddr(addr)
-	b, _ := c.bankOf(c.setOf(line))
-	b.accesses.Add(1)
-	ops, group := [1]WriteOp{{Addr: addr, Data: data}}, [1]int{}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c.writeLineGroupLocked(b, line, ops[:], group[:])
-	return ops[0].Err
-}
-
 // Flush writes every dirty line back to the backing store. Safe for
-// concurrent use (each bank is flushed under its exclusive lock).
+// concurrent use (each bank is flushed under its lock).
 func (c *Cache) Flush() error {
 	for _, b := range c.banks {
 		if err := c.flushBank(b); err != nil {

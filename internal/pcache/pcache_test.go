@@ -14,6 +14,20 @@ func smallCache(t testing.TB, secded bool) (*Cache, *MapBacking) {
 	return c, b
 }
 
+// read1 reads n bytes at addr as a batch of one.
+func read1(c *Cache, addr uint64, n int) ([]byte, error) {
+	ops := []ReadOp{{Addr: addr, Dst: make([]byte, n)}}
+	c.ReadBatch(ops)
+	return ops[0].Dst, ops[0].Err
+}
+
+// write1 stores data at addr as a batch of one.
+func write1(c *Cache, addr uint64, data []byte) error {
+	ops := []WriteOp{{Addr: addr, Data: data}}
+	c.WriteBatch(ops)
+	return ops[0].Err
+}
+
 func TestConfigValidation(t *testing.T) {
 	b := NewMapBacking(64)
 	bad := []Config{
@@ -35,10 +49,10 @@ func TestConfigValidation(t *testing.T) {
 
 func TestReadWriteRoundTrip(t *testing.T) {
 	c, _ := smallCache(t, false)
-	if err := c.Write(0x1000, []byte("hello protected world")); err != nil {
+	if err := write1(c, 0x1000, []byte("hello protected world")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(0x1000, 21)
+	got, err := read1(c, 0x1000, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +67,13 @@ func TestReadWriteRoundTrip(t *testing.T) {
 
 func TestSpanChecks(t *testing.T) {
 	c, _ := smallCache(t, false)
-	if _, err := c.Read(60, 8); err == nil {
+	if _, err := read1(c, 60, 8); err == nil {
 		t.Fatal("line-crossing read accepted")
 	}
-	if err := c.Write(0, make([]byte, 65)); err == nil {
+	if err := write1(c, 0, make([]byte, 65)); err == nil {
 		t.Fatal("oversized write accepted")
 	}
-	if _, err := c.Read(0, 0); err == nil {
+	if _, err := read1(c, 0, 0); err == nil {
 		t.Fatal("zero-size read accepted")
 	}
 }
@@ -68,13 +82,13 @@ func TestWritebackOnEviction(t *testing.T) {
 	c, b := smallCache(t, false)
 	// Fill set 0 with three conflicting lines (2 ways).
 	stride := uint64(16 * 64)
-	if err := c.Write(0, []byte{0xAA}); err != nil {
+	if err := write1(c, 0, []byte{0xAA}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(stride, []byte{0xBB}); err != nil {
+	if err := write1(c, stride, []byte{0xBB}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(2*stride, []byte{0xCC}); err != nil {
+	if err := write1(c, 2*stride, []byte{0xCC}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().Writebacks == 0 {
@@ -85,7 +99,7 @@ func TestWritebackOnEviction(t *testing.T) {
 		t.Fatal("evicted data lost")
 	}
 	// Re-reading the evicted line refetches it correctly.
-	got, err := c.Read(0, 1)
+	got, err := read1(c, 0, 1)
 	if err != nil || got[0] != 0xAA {
 		t.Fatalf("refetch: %v %v", got, err)
 	}
@@ -94,7 +108,7 @@ func TestWritebackOnEviction(t *testing.T) {
 func TestFlush(t *testing.T) {
 	c, b := smallCache(t, false)
 	for i := 0; i < 8; i++ {
-		if err := c.Write(uint64(i)*64, []byte{byte(i + 1)}); err != nil {
+		if err := write1(c, uint64(i)*64, []byte{byte(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +133,7 @@ func TestFlush(t *testing.T) {
 func TestTransparentErrorRecoveryInData(t *testing.T) {
 	c, _ := smallCache(t, false)
 	payload := []byte("precious data that must survive")
-	if err := c.Write(0x2000, payload); err != nil {
+	if err := write1(c, 0x2000, payload); err != nil {
 		t.Fatal(err)
 	}
 	// Inject a 16x16 clustered error into the bank holding 0x2000's set.
@@ -129,7 +143,7 @@ func TestTransparentErrorRecoveryInData(t *testing.T) {
 			da.FlipBit(r, col)
 		}
 	}
-	got, err := c.Read(0x2000, len(payload))
+	got, err := read1(c, 0x2000, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +157,12 @@ func TestTransparentErrorRecoveryInData(t *testing.T) {
 
 func TestTransparentErrorRecoveryInTags(t *testing.T) {
 	c, _ := smallCache(t, true) // SECDED horizontal: inline tag repair
-	if err := c.Write(0x3000, []byte{1, 2, 3}); err != nil {
+	if err := write1(c, 0x3000, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	_, ta := c.BankArrays(c.BankOf(0))
 	ta.FlipBit(0, 0) // single-bit tag error somewhere in set 0
-	got, err := c.Read(0x3000, 3)
+	got, err := read1(c, 0x3000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +173,13 @@ func TestTransparentErrorRecoveryInTags(t *testing.T) {
 
 func TestScrub(t *testing.T) {
 	c, _ := smallCache(t, false)
-	_ = c.Write(0, []byte{9})
+	_ = write1(c, 0, []byte{9})
 	da, _ := c.BankArrays(c.BankOf(0))
 	da.FlipBit(0, 3)
 	if !c.Scrub() {
 		t.Fatal("scrub failed")
 	}
-	got, _ := c.Read(0, 1)
+	got, _ := read1(c, 0, 1)
 	if got[0] != 9 {
 		t.Fatal("scrub lost data")
 	}
@@ -183,7 +197,7 @@ func TestRandomisedAgainstReferenceModel(t *testing.T) {
 		switch rng.Intn(5) {
 		case 0, 1:
 			val := byte(rng.Intn(256))
-			if err := c.Write(addr, []byte{val}); err != nil {
+			if err := write1(c, addr, []byte{val}); err != nil {
 				t.Fatal(err)
 			}
 			ref[addr] = val
@@ -201,7 +215,7 @@ func TestRandomisedAgainstReferenceModel(t *testing.T) {
 				da.FlipBit(r, col)
 			}
 		default:
-			got, err := c.Read(addr, 1)
+			got, err := read1(c, addr, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +245,7 @@ func TestMapBacking(t *testing.T) {
 
 func TestUncorrectableSurfacesAndRepairs(t *testing.T) {
 	c, _ := smallCache(t, false)
-	if err := c.Write(0x4000, []byte{7}); err != nil {
+	if err := write1(c, 0x4000, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -249,7 +263,7 @@ func TestUncorrectableSurfacesAndRepairs(t *testing.T) {
 	}
 	sawErr := false
 	for addr := uint64(0); addr < 64*64; addr += 64 {
-		if _, err := c.Read(addr, 1); err != nil {
+		if _, err := read1(c, addr, 1); err != nil {
 			if !errors.Is(err, ErrUncorrectable) {
 				t.Fatalf("unexpected error %v", err)
 			}
@@ -268,7 +282,7 @@ func TestUncorrectableSurfacesAndRepairs(t *testing.T) {
 		t.Fatal("uncorrectable not counted")
 	}
 	// After repair, the flushed value is intact (it was clean in backing).
-	got, err := c.Read(0x4000, 1)
+	got, err := read1(c, 0x4000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,7 @@ import (
 // The run plants a bit flip in a word of the line that the 1-byte read
 // does not cover: the batch read checks the whole line, so the live
 // run repairs that word, and the replay must take that same path. A
-// replayer that served reads through the engine's single-op clean-hit
-// path (which checks only the covered word) would leave the flip in
+// read path that checked only the covered word would leave the flip in
 // place and end in a different state.
 func TestRecordThenReplayMatchesLive(t *testing.T) {
 	cfg := Config{

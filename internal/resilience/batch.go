@@ -1,12 +1,13 @@
 package resilience
 
-// Batched accesses through the escalation ladder: the cache's
+// Batched accesses through the escalation ladder — the engine's only
+// data calls; a single access is a batch of one. The cache's
 // bank-grouped batch path serves the common (fault-free) case with
 // amortised locking and line movement; any op that surfaces a
-// detected-uncorrectable error is then re-driven individually through
-// the ladder, exactly as a single access would be — each failed op
-// gets its own RecoveryStart/End bracket, DUE accounting, and ladder
-// latency observation.
+// detected-uncorrectable error is then re-driven through the ladder as
+// a batch of its own, so every attempt checks the whole line the first
+// pass checked — and each failed op gets its own RecoveryStart/End
+// bracket, DUE accounting, and ladder latency observation.
 //
 // The Ctx variants bound only the expensive half of that split: the
 // amortised cache pass always runs to completion (it never blocks on
@@ -17,9 +18,7 @@ package resilience
 // ctx.Err() via errors.Is); the repair itself keeps running. A batch
 // that arrives with its context already expired is not served at all —
 // every op is stamped with the context's error, so an expired deadline
-// yields per-op deadline outcomes, never silent success. These are the
-// engine's only deadline-bounded data calls: a bounded single op is a
-// batch of one.
+// yields per-op deadline outcomes, never silent success.
 
 import (
 	"context"
@@ -54,13 +53,13 @@ func (e *Engine) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed 
 		return 0
 	}
 	for i := range ops {
-		op := &ops[i]
-		if op.Err == nil {
+		if ops[i].Err == nil {
 			continue
 		}
-		op.Err = e.ladderCtx(ctx, op.Err,
-			func() error { return e.cache.ReadInto(op.Addr, op.Dst) })
-		if op.Err != nil {
+		one := ops[i : i+1]
+		ops[i].Err = e.ladderCtx(ctx, ops[i].Err,
+			func() error { e.cache.ReadBatch(one); return one[0].Err })
+		if ops[i].Err != nil {
 			failed++
 		}
 	}
@@ -91,13 +90,13 @@ func (e *Engine) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (faile
 		return 0
 	}
 	for i := range ops {
-		op := &ops[i]
-		if op.Err == nil {
+		if ops[i].Err == nil {
 			continue
 		}
-		op.Err = e.ladderCtx(ctx, op.Err,
-			func() error { return e.cache.Write(op.Addr, op.Data) })
-		if op.Err != nil {
+		one := ops[i : i+1]
+		ops[i].Err = e.ladderCtx(ctx, ops[i].Err,
+			func() error { e.cache.WriteBatch(one); return one[0].Err })
+		if ops[i].Err != nil {
 			failed++
 		}
 	}

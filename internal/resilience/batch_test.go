@@ -13,7 +13,7 @@ func TestReadBatchLaddersFailedOps(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{})
 	plantBeyondCoverage(t, e)
 	// A clean line in another set, plus reads over both planted lines.
-	if err := e.Cache().Write(5*64, []byte{0x77}); err != nil {
+	if err := write1(e.Cache(), 5*64, []byte{0x77}); err != nil {
 		t.Fatal(err)
 	}
 	ops := []pcache.ReadOp{
@@ -49,13 +49,42 @@ func TestWriteBatchLaddersFailedOps(t *testing.T) {
 		}
 		t.Fatalf("batch failed %d ops after recovery", failed)
 	}
-	got, err := e.Read(0, 1)
+	got, err := read1(e, 0, 1)
 	if err != nil || got[0] != 0xAA {
 		t.Fatalf("readback: %x %v", got, err)
 	}
-	got, err = e.Read(16*64, 1)
+	got, err = read1(e, 16*64, 1)
 	if err != nil || got[0] != 0xBB {
 		t.Fatalf("readback: %x %v", got, err)
+	}
+}
+
+// TestLadderRedriveChecksWholeLine: the ladder re-drives a failed op
+// as a batch of its own, so every attempt checks the whole line the
+// first pass checked. A 1-byte read of word 7 next to beyond-coverage
+// damage in word 0 of the same line must not count a bare retry as a
+// rescue: the damage is still there, so the ladder has to climb to
+// degradation, retire the way and advance the set's loss epoch.
+func TestLadderRedriveChecksWholeLine(t *testing.T) {
+	e, _ := newEngine(t, bigCfg, Config{})
+	plantBeyondCoverage(t, e)
+	epoch := e.Cache().LossEpoch(0)
+	got, err := read1(e, 0x38, 1)
+	if err != nil || got[0] != 0 {
+		t.Fatalf("read of word 7: %x %v", got, err)
+	}
+	r := e.Report()
+	if r.DUEs == 0 {
+		t.Fatal("no DUE entered the ladder — the fault was not exercised")
+	}
+	if r.RetrySuccesses != 0 {
+		t.Fatalf("a retry that repaired nothing counted as a rescue: %+v", r)
+	}
+	if r.Decommissions == 0 {
+		t.Fatalf("damaged way never retired: %+v", r)
+	}
+	if e.Cache().LossEpoch(0) == epoch {
+		t.Fatal("loss epoch unmoved after the way was retired")
 	}
 }
 

@@ -31,10 +31,10 @@ func readCtx1(ctx context.Context, e *Engine, addr uint64, n int) error {
 func plantPersistentDUE(t *testing.T, e *Engine) {
 	t.Helper()
 	c := e.Cache()
-	if err := c.Write(0, []byte{0x5A}); err != nil {
+	if err := write1(c, 0, []byte{0x5A}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(16*64, []byte{0xA5}); err != nil {
+	if err := write1(c, 16*64, []byte{0xA5}); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)
@@ -84,7 +84,7 @@ func TestReadCtxDeadlineAbortDuringStall(t *testing.T) {
 	// With the stall disarmed, the same engine resolves the fault on the
 	// next unbounded access (beyond-coverage damage: via degradation).
 	stall.Disarm()
-	if _, err := e.Read(0, 1); err != nil {
+	if _, err := read1(e, 0, 1); err != nil {
 		t.Fatalf("post-abort read: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestSingleFlightRungAccounting(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = e.Read(0, 1)
+			_, errs[i] = read1(e, 0, 1)
 		}(i)
 	}
 	wg.Wait()
@@ -157,7 +157,7 @@ func TestCoalescedWaiterDeadline(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := e.Read(0, 1) // unbounded: rides the repair to the end
+		_, err := read1(e, 0, 1) // unbounded: rides the repair to the end
 		leaderErr <- err
 	}()
 	<-leaderIn
@@ -341,7 +341,7 @@ func TestBreakerShedsToDegrade(t *testing.T) {
 	// A fault source the rungs can never satisfy.
 	broken := func() error { return due(0, 0) }
 	for i := 0; i < 2; i++ {
-		if err := e.ladder(due(0, 0), broken); err == nil {
+		if err := e.ladderCtx(context.Background(), due(0, 0), broken); err == nil {
 			t.Fatal("unsatisfiable ladder returned nil")
 		}
 	}
@@ -351,7 +351,7 @@ func TestBreakerShedsToDegrade(t *testing.T) {
 	r := e.Report()
 	fullBefore, shedsBefore := r.FullAttempts, r.BreakerSheds
 
-	if err := e.ladder(due(0, 1), broken); err == nil {
+	if err := e.ladderCtx(context.Background(), due(0, 1), broken); err == nil {
 		t.Fatal("unsatisfiable ladder returned nil")
 	}
 	r = e.Report()
@@ -385,7 +385,7 @@ func TestWatchdogForcesStalledRepair(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		_, err = e.Read(0, 1)
+		_, err = read1(e, 0, 1)
 	}()
 	select {
 	case <-done:

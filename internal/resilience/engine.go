@@ -301,49 +301,8 @@ func (e *Engine) Cache() *pcache.Cache { return e.cache }
 // mount its Prometheus handler.
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
-// Read serves n bytes at addr, running the escalation ladder on any
-// detected-uncorrectable error. An error return means even graceful
-// degradation could not produce trustworthy data. Deadline-bounded
-// access goes through ReadBatchCtx.
-func (e *Engine) Read(addr uint64, n int) (out []byte, err error) {
-	out, err = e.cache.Read(addr, n)
-	if err == nil {
-		return out, nil
-	}
-	err = e.ladder(err, func() error {
-		var e2 error
-		out, e2 = e.cache.Read(addr, n)
-		return e2
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadInto fills dst with len(dst) bytes at addr, running the
-// escalation ladder on any detected-uncorrectable error — the
-// allocation-free variant of Read (a clean hit allocates nothing).
-func (e *Engine) ReadInto(addr uint64, dst []byte) error {
-	err := e.cache.ReadInto(addr, dst)
-	if err == nil {
-		return nil
-	}
-	return e.ladder(err, func() error { return e.cache.ReadInto(addr, dst) })
-}
-
 // Stats returns the underlying cache's coherent counter snapshot.
 func (e *Engine) Stats() pcache.Stats { return e.cache.Stats() }
-
-// Write stores bytes at addr, running the escalation ladder on any
-// detected-uncorrectable error.
-func (e *Engine) Write(addr uint64, data []byte) error {
-	err := e.cache.Write(addr, data)
-	if err == nil {
-		return nil
-	}
-	return e.ladder(err, func() error { return e.cache.Write(addr, data) })
-}
 
 // Flush writes all dirty lines back, escalating on DUEs until the
 // flush completes.
@@ -364,12 +323,6 @@ func (e *Engine) FlushCtx(ctx context.Context) error {
 		return nil
 	}
 	return e.ladderCtx(ctx, err, func() error { return e.cache.Flush() })
-}
-
-// ladder is ladderCtx without a budget — the unbounded entry point of
-// the single-op forms.
-func (e *Engine) ladder(err error, attempt func() error) error {
-	return e.ladderCtx(context.Background(), err, attempt)
 }
 
 // ladderCtx escalates a located DUE rung by rung, re-issuing attempt()

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -18,6 +19,26 @@ func newEngine(t *testing.T, ccfg pcache.Config, ecfg Config) (*Engine, *pcache.
 	return New(c, ecfg), back
 }
 
+// batcher is the batch surface the cache and the engine share.
+type batcher interface {
+	ReadBatch(ops []pcache.ReadOp) (failed int)
+	WriteBatch(ops []pcache.WriteOp) (failed int)
+}
+
+// read1 reads n bytes at addr as a batch of one.
+func read1(b batcher, addr uint64, n int) ([]byte, error) {
+	ops := []pcache.ReadOp{{Addr: addr, Dst: make([]byte, n)}}
+	b.ReadBatch(ops)
+	return ops[0].Dst, ops[0].Err
+}
+
+// write1 stores data at addr as a batch of one.
+func write1(b batcher, addr uint64, data []byte) error {
+	ops := []pcache.WriteOp{{Addr: addr, Data: data}}
+	b.WriteBatch(ops)
+	return ops[0].Err
+}
+
 // plantBeyondCoverage writes and flushes two lines, then plants the
 // guaranteed-ambiguous error across their data rows: in a 64-row,
 // V=32 array, rows 0 (set 0 way 0) and 32 (set 16 way 0) share a
@@ -26,10 +47,10 @@ func newEngine(t *testing.T, ccfg pcache.Config, ecfg Config) (*Engine, *pcache.
 func plantBeyondCoverage(t *testing.T, e *Engine) {
 	t.Helper()
 	c := e.Cache()
-	if err := c.Write(0, []byte{0x11}); err != nil {
+	if err := write1(c, 0, []byte{0x11}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(16*64, []byte{0x22}); err != nil {
+	if err := write1(c, 16*64, []byte{0x22}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -51,7 +72,7 @@ func TestRungRetry(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{})
 	// The damage "vanished" before the retry (a concurrent repair):
 	// rung 1 alone must rescue the access.
-	if err := e.ladder(due(0, 0), func() error { return nil }); err != nil {
+	if err := e.ladderCtx(context.Background(), due(0, 0), func() error { return nil }); err != nil {
 		t.Fatalf("ladder: %v", err)
 	}
 	r := e.Report()
@@ -68,7 +89,7 @@ func TestRungWordRecovery(t *testing.T) {
 	cfg.SECDEDHorizontal = true
 	e, _ := newEngine(t, cfg, Config{})
 	c := e.Cache()
-	if err := c.Write(0, []byte{0xAB}); err != nil {
+	if err := write1(c, 0, []byte{0xAB}); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)
@@ -84,7 +105,7 @@ func TestRungWordRecovery(t *testing.T) {
 		}
 		return false
 	}
-	err := e.ladder(due(0, 0), func() error {
+	err := e.ladderCtx(context.Background(), due(0, 0), func() error {
 		if dirty() {
 			return due(0, 0)
 		}
@@ -108,7 +129,7 @@ func TestRungWordRecovery(t *testing.T) {
 func TestRungFull2D(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{}) // EDC: word rung cannot correct
 	c := e.Cache()
-	if err := c.Write(0, []byte{0xCD}); err != nil {
+	if err := write1(c, 0, []byte{0xCD}); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)
@@ -118,7 +139,7 @@ func TestRungFull2D(t *testing.T) {
 		_, ok := da.TryRead(0, 0)
 		return !ok
 	}
-	err := e.ladder(due(0, 0), func() error {
+	err := e.ladderCtx(context.Background(), due(0, 0), func() error {
 		if dirty() {
 			return due(0, 0)
 		}
@@ -143,9 +164,9 @@ func TestRungDegradeEndToEnd(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{})
 	plantBeyondCoverage(t, e)
 
-	// The engine's Read must survive the RecoveryFailed path: refetch
+	// The engine's read must survive the RecoveryFailed path: refetch
 	// from backing after decommissioning the broken way.
-	got, err := e.Read(0, 1)
+	got, err := read1(e, 0, 1)
 	if err != nil || got[0] != 0x11 {
 		t.Fatalf("read through degrade: %v %v", got, err)
 	}
@@ -158,7 +179,7 @@ func TestRungDegradeEndToEnd(t *testing.T) {
 	}
 
 	// The partner half of the ambiguous pair degrades the same way.
-	got, err = e.Read(16*64, 1)
+	got, err = read1(e, 16*64, 1)
 	if err != nil || got[0] != 0x22 {
 		t.Fatalf("partner set: %v %v", got, err)
 	}
@@ -166,12 +187,12 @@ func TestRungDegradeEndToEnd(t *testing.T) {
 	// RecoveryFailed ended in a usable, smaller cache — not an error
 	// loop: the whole address space still serves correctly.
 	for l := uint64(0); l < 64; l++ {
-		if err := e.Write(l*64, []byte{byte(l + 1)}); err != nil {
+		if err := write1(e, l*64, []byte{byte(l + 1)}); err != nil {
 			t.Fatalf("line %d write: %v", l, err)
 		}
 	}
 	for l := uint64(0); l < 64; l++ {
-		got, err := e.Read(l*64, 1)
+		got, err := read1(e, l*64, 1)
 		if err != nil || got[0] != byte(l+1) {
 			t.Fatalf("line %d read: %v %v", l, got, err)
 		}
@@ -186,10 +207,10 @@ func TestRungDegradeRemapsToSpare(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{SpareRows: 4})
 	plantBeyondCoverage(t, e)
 
-	if got, err := e.Read(0, 1); err != nil || got[0] != 0x11 {
+	if got, err := read1(e, 0, 1); err != nil || got[0] != 0x11 {
 		t.Fatalf("read: %v %v", got, err)
 	}
-	if got, err := e.Read(16*64, 1); err != nil || got[0] != 0x22 {
+	if got, err := read1(e, 16*64, 1); err != nil || got[0] != 0x22 {
 		t.Fatalf("read: %v %v", got, err)
 	}
 	r := e.Report()
@@ -229,7 +250,7 @@ func TestRemapBudgetExhausts(t *testing.T) {
 
 func TestLadderPassesThroughNonDUE(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{})
-	if _, err := e.Read(0, 0); err == nil {
+	if _, err := read1(e, 0, 0); err == nil {
 		t.Fatal("zero-length read accepted")
 	} else if errors.Is(err, pcache.ErrUncorrectable) {
 		t.Fatalf("span error misclassified: %v", err)
@@ -246,7 +267,7 @@ func TestMTTRAccounting(t *testing.T) {
 		return now
 	}
 	e, _ := newEngine(t, bigCfg, Config{Clock: clock})
-	if err := e.ladder(due(0, 0), func() error { return nil }); err != nil {
+	if err := e.ladderCtx(context.Background(), due(0, 0), func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Report().MTTR; got != 5*time.Millisecond {
@@ -256,7 +277,7 @@ func TestMTTRAccounting(t *testing.T) {
 
 func TestDegradeCountsLostDirtyData(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{})
-	if err := e.Write(0, []byte{0xEE}); err != nil { // dirty, unflushed
+	if err := write1(e, 0, []byte{0xEE}); err != nil { // dirty, unflushed
 		t.Fatal(err)
 	}
 	lost := e.Degrade(0, 0) || e.Degrade(0, 1) // one of the two ways holds it

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,7 +47,7 @@ func TestReportCoherentUnderConcurrentRepairs(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{MaxRetries: 1})
 	// Seed some resident lines so traffic counters move too.
 	for l := uint64(0); l < 32; l++ {
-		if err := e.Write(l*64, []byte{byte(l)}); err != nil {
+		if err := write1(e, l*64, []byte{byte(l)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,11 +69,11 @@ func TestReportCoherentUnderConcurrentRepairs(t *testing.T) {
 					}
 					return nil
 				}
-				if err := e.ladder(due((w*7+n)%32, n%2), attempt); err != nil {
+				if err := e.ladderCtx(context.Background(), due((w*7+n)%32, n%2), attempt); err != nil {
 					t.Errorf("ladder: %v", err)
 					return
 				}
-				if _, err := e.Read(uint64(n%32)*64, 1); err != nil {
+				if _, err := read1(e, uint64(n%32)*64, 1); err != nil {
 					t.Errorf("read: %v", err)
 					return
 				}

@@ -9,7 +9,7 @@ import (
 func TestSweepRepairsRecoverableDamage(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{})
 	c := e.Cache()
-	if err := c.Write(0, []byte{0x42}); err != nil {
+	if err := write1(c, 0, []byte{0x42}); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)
@@ -22,7 +22,7 @@ func TestSweepRepairsRecoverableDamage(t *testing.T) {
 	if s.Passes() != 1 || s.Victims() != 0 {
 		t.Fatalf("passes=%d victims=%d", s.Passes(), s.Victims())
 	}
-	if got, err := c.Read(0, 1); err != nil || got[0] != 0x42 {
+	if got, err := read1(c, 0, 1); err != nil || got[0] != 0x42 {
 		t.Fatalf("data after sweep: %v %v", got, err)
 	}
 	if r := e.Report(); r.ScrubPasses != 1 {
@@ -49,10 +49,10 @@ func TestSweepRetiresBeyondCoverageVictims(t *testing.T) {
 		t.Fatal("cache still inconsistent after retiring victims")
 	}
 	// The flushed data survives via refetch.
-	if got, err := e.Read(0, 1); err != nil || got[0] != 0x11 {
+	if got, err := read1(e, 0, 1); err != nil || got[0] != 0x11 {
 		t.Fatalf("read after sweep degrade: %v %v", got, err)
 	}
-	if got, err := e.Read(16*64, 1); err != nil || got[0] != 0x22 {
+	if got, err := read1(e, 16*64, 1); err != nil || got[0] != 0x22 {
 		t.Fatalf("read after sweep degrade: %v %v", got, err)
 	}
 }

@@ -59,10 +59,10 @@ func TestShardedGlobalisesErrorCoordinates(t *testing.T) {
 	// vertical group and an EDC8 parity column, so neither in-line
 	// recovery nor a backing refetch can satisfy the read.
 	c := s.Shard(1).Cache()
-	if err := c.Write(0, []byte{0x5A}); err != nil {
+	if err := write1(c, 0, []byte{0x5A}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(16*64, []byte{0xA5}); err != nil {
+	if err := write1(c, 16*64, []byte{0xA5}); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)

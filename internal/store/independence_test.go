@@ -40,10 +40,10 @@ func TestShardIndependence(t *testing.T) {
 	// Plant a persistent ambiguous DUE on shard 0 (dirty lines + the
 	// beyond-coverage double fault; see resilience's bounded tests).
 	c := s.Shard(0).Cache()
-	if err := c.Write(0, []byte{0x5A}); err != nil { // shard-local addrs
+	if err := write1(c, 0, []byte{0x5A}); err != nil { // shard-local addrs
 		t.Fatal(err)
 	}
-	if err := c.Write(16*64, []byte{0xA5}); err != nil {
+	if err := write1(c, 16*64, []byte{0xA5}); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)

@@ -29,7 +29,13 @@ func readCtx1(ctx context.Context, s Store, addr uint64, n int) ([]byte, error) 
 	return ops[0].Dst, ops[0].Err
 }
 
-func write1(s Store, addr uint64, data []byte) error {
+// batchWriter is what write1 needs: a Store, or a shard's
+// *pcache.Cache for planting state at shard-local addresses.
+type batchWriter interface {
+	WriteBatch(ops []pcache.WriteOp) (failed int)
+}
+
+func write1(s batchWriter, addr uint64, data []byte) error {
 	ops := []pcache.WriteOp{{Addr: addr, Data: data}}
 	s.WriteBatch(ops)
 	return ops[0].Err
@@ -333,7 +339,7 @@ func TestShardSinkGlobalisesCoordinates(t *testing.T) {
 	// Plant a beyond-coverage double fault on shard 1 and read through
 	// it; the sink must see the shard label and a globalised set index.
 	c := s.Shard(1).Cache()
-	if err := c.Write(0, []byte{0x5A}); err != nil { // shard-local addr
+	if err := write1(c, 0, []byte{0x5A}); err != nil { // shard-local addr
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {

@@ -25,8 +25,20 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# host_facts prints the host facts every markdown report records: core
+# count, GOMAXPROCS ($1 overrides the value shown, for modes that sweep
+# it), Go version and commit — marked when the tree has uncommitted
+# changes, so a report never claims a commit it was not measured on.
+host_facts() {
+    rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+    if [ "$rev" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
+        rev="$rev + uncommitted changes"
+    fi
+    echo "host cores: $(nproc); GOMAXPROCS ${1:-${GOMAXPROCS:-$(nproc)}}; $(go env GOVERSION); commit $rev"
+}
+
 count=${COUNT:-5}
-pattern='BenchmarkArrayWrite$|BenchmarkArrayReadClean$|BenchmarkEDC8Syndrome$|BenchmarkSECDEDDecode$|BenchmarkPCacheParallelRead$|BenchmarkPCacheParallelReadInto$|BenchmarkKernel|BenchmarkObs'
+pattern='BenchmarkArrayWrite$|BenchmarkArrayReadClean$|BenchmarkEDC8Syndrome$|BenchmarkSECDEDDecode$|BenchmarkPCacheParallelRead$|BenchmarkKernel|BenchmarkObs'
 pkgs='. ./internal/obs/'
 case "${1:-}" in
 -kernels)
@@ -51,17 +63,17 @@ case "${1:-}" in
         echo
         echo 'Generated by `./scripts/bench.sh -shards`.'
         echo
-        echo "- host cores: $(nproc) (GOMAXPROCS swept 1,2,4,8 via -cpu;"
-        echo '  with fewer physical cores than GOMAXPROCS the curve shows'
+        echo "- $(host_facts 'swept 1,2,4,8 via -cpu')"
+        echo '- with fewer physical cores than GOMAXPROCS the curve shows'
         echo '  lock-domain and tag-scan amortisation only, not true'
         echo '  parallel speedup — re-run on a multi-core host for the'
-        echo '  scheduling-limited numbers)'
+        echo '  scheduling-limited numbers'
         echo '- `BenchmarkShardedParallelRead/shards=N`: fixed 256-line'
         echo '  working set striped over N shards (per-shard geometry'
         echo '  fixed: 64 sets × 4 ways × 8 banks)'
         echo '- `BenchmarkStoreReadBatch` vs `BenchmarkStoreSingleReads`:'
         echo '  the same 64 ops (8 spans × 8 lines, 4 shards) as one'
-        echo '  ReadBatch vs 64 single ReadInto calls'
+        echo '  ReadBatch vs 64 1-op ReadBatch calls'
         echo
         echo '```'
         grep -E '^(goos|goarch|pkg|cpu|Benchmark)' "$raw"
@@ -109,7 +121,8 @@ case "${1:-}" in
         echo
         echo 'Generated by `./scripts/bench.sh -net`.'
         echo
-        echo "- host cores: $(nproc); loopback TCP; ${dur} per cell"
+        echo "- $(host_facts)"
+        echo "- loopback TCP; ${dur} per cell"
         echo '- closed loop: 2 connections x 4 pipelined workers, 64B'
         echo '  lines, 30% writes, verification off'
         echo '- single-op: one request frame per op (server still'
@@ -156,7 +169,8 @@ case "${1:-}" in
         echo
         echo 'Generated by `./scripts/bench.sh -netalloc`.'
         echo
-        echo "- host cores: $(nproc); loopback TCP, 1-shard store, 64B lines"
+        echo "- $(host_facts)"
+        echo '- loopback TCP, 1-shard store, 64B lines'
         echo '- allocs/op and B/op are process-global: client + server'
         echo '  sides of one round trip combined'
         echo '- pre-pooling = baseline before any pooling (per-call frame'
@@ -166,7 +180,7 @@ case "${1:-}" in
         echo '  client response still heap-allocated'
         echo '- now = minimum across runs (steady state, pools warm)'
         echo '- single READ is `ReadInto`, which copies into the caller'"'"'s'
-        echo '  buffer; `Read` adds the one slice it returns'
+        echo '  buffer; `ReadCtx` adds the one slice it returns'
         echo
         echo '| round trip | pre-pooling (allocs/op) | pooled payloads (allocs/op) | now (allocs/op) |'
         echo '|---|---|---|---|'
@@ -245,7 +259,8 @@ case "${1:-}" in
         echo
         echo 'Generated by `./scripts/bench.sh -cluster`.'
         echo
-        echo "- host cores: $(nproc); loopback TCP; ${dur} per run"
+        echo "- $(host_facts)"
+        echo "- loopback TCP; ${dur} per run"
         echo '- three cachenetd replicas; one sits behind its chaos proxy'
         echo '  with -chaos-delay-prob 0.4 (1-5ms uniform stall per chunk,'
         echo '  seed 42) — a deterministic slow replica'

@@ -21,6 +21,10 @@
 # run) through the deterministic replayer; -full repeats them under
 # -race and adds the cmd/soak exit-code contract.
 #
+# examples/protectedcache runs too (~0.3 s): it drives the bare
+# protected cache through a soft-error storm against a reference model
+# and exits non-zero (log.Fatal) on silent data loss.
+#
 # Every go test invocation carries -timeout 120s — the deadlock gate: a
 # wedged repair (stuck single-flight leader, watchdog that never fires,
 # scrubber Stop that never joins) fails the build in two minutes with a
@@ -56,6 +60,8 @@ go -C bench vet ./...
 go -C bench test -timeout 120s ./...
 echo "== replay gate (committed fault traces)"
 go test -timeout 120s ./internal/replay/ -run 'TestCommittedTraces'
+echo "== self-checking example (exits non-zero on silent data loss)"
+go run ./examples/protectedcache
 if [ "${1:-}" = "-full" ]; then
     echo "== go test -race ./... (full)"
     go test -race -timeout 120s ./...
