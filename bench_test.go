@@ -149,24 +149,22 @@ func paperArray() *twod.Array {
 
 func BenchmarkArrayWrite(b *testing.B) {
 	a := paperArray()
-	d := WordFromUint64(0xDEADBEEF, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Write(i%256, i%4, d)
+		a.WriteUint64(i%256, i%4, 0xDEADBEEF)
 	}
 }
 
 func BenchmarkArrayReadClean(b *testing.B) {
 	a := paperArray()
-	d := WordFromUint64(0xDEADBEEF, 64)
 	for r := 0; r < 256; r++ {
 		for w := 0; w < 4; w++ {
-			a.Write(r, w, d)
+			a.WriteUint64(r, w, 0xDEADBEEF)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st := a.Read(i%256, i%4); st != twod.ReadClean {
+		if _, st := a.ReadUint64(i%256, i%4); st != twod.ReadClean {
 			b.Fatal("unexpected status")
 		}
 	}

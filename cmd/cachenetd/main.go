@@ -201,7 +201,7 @@ func main() {
 					p := storm.NextEvent(a.Rows(), a.RowBits())
 					for _, fl := range p.Flips {
 						w, _ := a.Layout().Locate(fl.Col)
-						if _, ok := a.TryRead(fl.Row, w); ok {
+						if _, ok := a.TryReadUint64(fl.Row, w); ok {
 							a.FlipBit(fl.Row, fl.Col)
 						}
 					}

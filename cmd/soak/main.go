@@ -342,7 +342,7 @@ func main() {
 						rec.Flip(bi, hitTags, fl.Row, fl.Col)
 					}
 					w, _ := a.Layout().Locate(fl.Col)
-					if _, ok := a.TryRead(fl.Row, w); ok {
+					if _, ok := a.TryReadUint64(fl.Row, w); ok {
 						a.FlipBit(fl.Row, fl.Col)
 					}
 				}

@@ -11,7 +11,7 @@ import (
 // clustered error up to 32x32 bits.
 func Example() {
 	arr := twodcache.NewPaperArray()
-	arr.Write(0, 0, twodcache.WordFromUint64(0xC0FFEE, 64))
+	arr.WriteUint64(0, 0, 0xC0FFEE)
 
 	// A 32x32 single-event upset...
 	for r := 0; r < 32; r++ {
@@ -22,8 +22,8 @@ func Example() {
 
 	// ...is detected by the horizontal code on the next read and
 	// repaired by the vertical recovery process.
-	data, status := arr.Read(0, 0)
-	fmt.Println(status, data.Uint64())
+	data, status := arr.ReadUint64(0, 0)
+	fmt.Println(status, data)
 	// Output: recovered-2d 12648430
 }
 

@@ -21,7 +21,7 @@ func main() {
 	// that keeps the vertical parity rows up to date in the background.
 	for r := 0; r < arr.Rows(); r++ {
 		for w := 0; w < 4; w++ {
-			arr.Write(r, w, twodcache.WordFromUint64(uint64(r)<<32|uint64(w), 64))
+			arr.WriteUint64(r, w, uint64(r)<<32|uint64(w))
 		}
 	}
 
@@ -36,8 +36,8 @@ func main() {
 
 	// The next read of an affected word detects the corruption via the
 	// horizontal EDC8 code and triggers the 2D recovery process.
-	data, status := arr.Read(105, 2)
-	fmt.Printf("read row 105 word 2: status=%v value=%#x\n", status, data.Uint64())
+	data, status := arr.ReadUint64(105, 2)
+	fmt.Printf("read row 105 word 2: status=%v value=%#x\n", status, data)
 	if status != twodcache.ReadRecovered {
 		log.Fatalf("expected recovery, got %v", status)
 	}
@@ -45,8 +45,8 @@ func main() {
 	// Everything is back: spot-check the whole cluster region.
 	for r := 100; r < 132; r++ {
 		for w := 0; w < 4; w++ {
-			d, st := arr.Read(r, w)
-			if st != twodcache.ReadClean || d.Uint64() != uint64(r)<<32|uint64(w) {
+			d, st := arr.ReadUint64(r, w)
+			if st != twodcache.ReadClean || d != uint64(r)<<32|uint64(w) {
 				log.Fatalf("row %d word %d corrupt after recovery", r, w)
 			}
 		}

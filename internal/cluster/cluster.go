@@ -19,7 +19,7 @@
 // Reads and writes each run through one plane that works on batches; a
 // single op is a batch of one, so it gets the same bytes and error
 // class whichever API sent it. Reads hedge: after a delay derived from
-// the live read-latency histogram (HedgeQuantile, clamped to [HedgeMin,
+// the live read-latency histogram (its p95, clamped to [HedgeMin,
 // HedgeMax]), ops still outstanding are re-issued to another replica
 // and the first success wins. Retryable failures (recovery in progress,
 // draining, transport loss) fail over immediately and then retry with
@@ -92,10 +92,6 @@ type Config struct {
 	// Breaker configures each endpoint's health breaker. The zero value
 	// selects the resilience defaults (threshold 5, open 10ms, 2 probes).
 	Breaker resilience.BreakerConfig
-	// HedgeQuantile is the read-latency quantile the hedge delay tracks
-	// (default 0.95): a hedge fires when a read has outlived that share
-	// of recent reads.
-	HedgeQuantile float64
 	// HedgeMin and HedgeMax clamp the derived hedge delay (defaults
 	// 200µs and 20ms). Until enough samples accumulate the delay sits at
 	// HedgeMax, so a cold client cannot hedge-storm.
@@ -121,9 +117,6 @@ type Config struct {
 	RedialBackoff time.Duration
 	// RepairInterval is the read-repair scan period (default 2ms).
 	RepairInterval time.Duration
-	// RepairBatch bounds addrs repaired per endpoint per pass
-	// (default 64).
-	RepairBatch int
 	// SelftestSkewEvery, when positive, deliberately skips one replica
 	// on every Nth write WITHOUT recording the miss — an injected
 	// replication bug that must surface as silent corruption in the
@@ -135,9 +128,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Dial == nil {
 		c.Dial = func(addr string) (Conn, error) { return netsrv.Dial(addr) }
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile > 1 {
-		c.HedgeQuantile = 0.95
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 200 * time.Microsecond
@@ -162,17 +152,20 @@ func (c Config) withDefaults() Config {
 	if c.RepairInterval <= 0 {
 		c.RepairInterval = 2 * time.Millisecond
 	}
-	if c.RepairBatch <= 0 {
-		c.RepairBatch = 64
-	}
 	return c
 }
 
-// numStripes is the per-addr lock fan-out: writes and repairs to the
-// same addr serialise, unrelated addrs almost never collide.
 const (
+	// numStripes, 1<<stripeBits, is the per-addr lock fan-out: writes
+	// and repairs to the same addr serialise, unrelated addrs almost
+	// never collide.
 	stripeBits = 8
 	numStripes = 1 << stripeBits
+	// hedgeQuantile is the read-latency quantile the hedge delay tracks:
+	// a hedge fires when a read has outlived that share of recent reads.
+	hedgeQuantile = 0.95
+	// repairBatch bounds the addrs repaired per endpoint per pass.
+	repairBatch = 64
 )
 
 // Client is a replicated cluster client. Safe for concurrent use.
@@ -454,7 +447,7 @@ func resize[T any](s []T, n int) []T {
 }
 
 // hedgeDelay derives the current hedge trigger from the live latency
-// histogram: the configured quantile, clamped. With under 64 samples it
+// histogram: hedgeQuantile, clamped. With under 64 samples it
 // answers HedgeMax so a cold client cannot hedge-storm. A histogram
 // snapshot allocates, so the quantile is re-derived once per 64 new
 // samples; the hedge_delay_ns gauge holds it in between.
@@ -464,7 +457,7 @@ func (c *Client) hedgeDelay() time.Duration {
 	} else if n-c.hedgeAt.Load() >= 64 {
 		s := c.readLat.Snapshot()
 		c.hedgeAt.Store(s.Count)
-		d := min(max(s.Quantile(c.cfg.HedgeQuantile), c.cfg.HedgeMin), c.cfg.HedgeMax)
+		d := min(max(s.Quantile(hedgeQuantile), c.cfg.HedgeMin), c.cfg.HedgeMax)
 		c.hedgeDelayGauge.Set(int64(d))
 	}
 	return time.Duration(c.hedgeDelayGauge.Load())

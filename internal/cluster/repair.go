@@ -28,10 +28,10 @@ func (c *Client) repairLoop() {
 	}
 }
 
-// repairPass repairs up to RepairBatch addrs per endpoint.
+// repairPass repairs up to repairBatch addrs per endpoint.
 func (c *Client) repairPass() {
 	for _, ep := range c.eps {
-		batch := ep.missedBatch(c.cfg.RepairBatch)
+		batch := ep.missedBatch(repairBatch)
 		for addr, n := range batch {
 			select {
 			case <-c.done:

@@ -3,7 +3,6 @@ package experiments
 import (
 	"math/rand"
 
-	"twodcache/internal/bitvec"
 	"twodcache/internal/ecc"
 	"twodcache/internal/fault"
 	"twodcache/internal/twod"
@@ -54,7 +53,7 @@ func Fig4(opt Options) Table {
 		})
 		for r := 0; r < a.Rows(); r++ {
 			for w := 0; w < 4; w++ {
-				a.Write(r, w, bitvec.FromUint64(rng.Uint64(), 64))
+				a.WriteUint64(r, w, rng.Uint64())
 			}
 		}
 		sc.inject(a)

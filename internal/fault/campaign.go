@@ -77,7 +77,7 @@ func (s TwoDScheme) New(rng *rand.Rand) Instance {
 	k := s.Cfg.Horizontal.DataBits()
 	for r := 0; r < a.Rows(); r++ {
 		for w := 0; w < s.Cfg.WordsPerRow; w++ {
-			a.Write(r, w, randWord(rng, k))
+			a.WriteUint64(r, w, randUint64(rng, k))
 		}
 	}
 	return &twoDInstance{arr: a, golden: a.SnapshotData()}
@@ -223,6 +223,16 @@ func randWord(rng *rand.Rand, k int) *bitvec.Vector {
 		if rng.Intn(2) == 1 {
 			v.Set(i, true)
 		}
+	}
+	return v
+}
+
+// randUint64 is randWord for k <= 64 packed into a uint64: the same k
+// draws, so the rng stream is the same too.
+func randUint64(rng *rand.Rand, k int) uint64 {
+	var v uint64
+	for i := 0; i < k; i++ {
+		v |= uint64(rng.Intn(2)) << uint(i)
 	}
 	return v
 }

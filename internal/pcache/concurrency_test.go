@@ -85,7 +85,7 @@ func TestConcurrentTrafficWithInjectionAndScrub(t *testing.T) {
 				r := rng.Intn(a.Rows())
 				wpr := a.Config().WordsPerRow
 				w := rng.Intn(wpr)
-				if _, ok := a.TryRead(r, w); ok {
+				if _, ok := a.TryReadUint64(r, w); ok {
 					bit := rng.Intn(a.RowBits() / wpr)
 					a.FlipBit(r, a.Layout().PhysColumn(w, bit))
 				}

@@ -125,7 +125,7 @@ func FuzzCacheVsBacking(f *testing.F) {
 				r := int(b2) % a.Rows()
 				wpr := a.Config().WordsPerRow
 				w := int(b3) % wpr
-				if _, ok := a.TryRead(r, w); ok {
+				if _, ok := a.TryReadUint64(r, w); ok {
 					bit := int(b4) % (a.RowBits() / wpr)
 					a.FlipBit(r, a.Layout().PhysColumn(w, bit))
 				}

@@ -211,7 +211,7 @@ func TestRandomisedAgainstReferenceModel(t *testing.T) {
 			da, _ := c.BankArrays(rng.Intn(c.NumBanks()))
 			r, col := rng.Intn(da.Rows()), rng.Intn(da.RowBits())
 			w, _ := da.Layout().Locate(col)
-			if _, ok := da.TryRead(r, w); ok {
+			if _, ok := da.TryReadUint64(r, w); ok {
 				da.FlipBit(r, col)
 			}
 		default:

@@ -63,7 +63,7 @@ func TestRecordThenReplayMatchesLive(t *testing.T) {
 		d.FlipBit(0, col)
 	})
 	read(0, 0x5a)
-	if _, ok := data.TryRead(0, word); !ok {
+	if _, ok := data.TryReadUint64(0, word); !ok {
 		t.Fatal("the read left the flipped word outside its span unrepaired")
 	}
 	// The replayer's final sweep and flush, mirrored on the live side.

@@ -141,7 +141,7 @@ func Run(tr Trace) (Result, error) {
 				// that currently check clean, so every fault stays
 				// within the horizontal code's guaranteed detection.
 				w, _ := a.Layout().Locate(e.Col)
-				if _, ok := a.TryRead(e.Row, w); !ok {
+				if _, ok := a.TryReadUint64(e.Row, w); !ok {
 					res.FlipsSkipped++
 					return
 				}

@@ -99,7 +99,7 @@ func TestRungWordRecovery(t *testing.T) {
 	// word rung (SECDED correction in place) can clear it.
 	dirty := func() bool {
 		for w := 0; w < 64/8; w++ {
-			if _, ok := da.TryRead(0, w); !ok {
+			if _, ok := da.TryReadUint64(0, w); !ok {
 				return true
 			}
 		}
@@ -136,7 +136,7 @@ func TestRungFull2D(t *testing.T) {
 	da.FlipBit(0, 0)
 
 	dirty := func() bool {
-		_, ok := da.TryRead(0, 0)
+		_, ok := da.TryReadUint64(0, 0)
 		return !ok
 	}
 	err := e.ladderCtx(context.Background(), due(0, 0), func() error {

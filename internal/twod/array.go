@@ -2,8 +2,6 @@ package twod
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"twodcache/internal/bitvec"
@@ -17,7 +15,8 @@ type Config struct {
 	// WordsPerRow is the physical bit-interleave degree d.
 	WordsPerRow int
 	// Horizontal is the per-word code checked on every read (EDCn or
-	// SECDED).
+	// SECDED). Its data words are at most 64 bits wide: the array reads
+	// and writes words as uint64.
 	Horizontal ecc.HorizontalCode
 	// VerticalGroups is V, the number of interleaved vertical parity
 	// rows: data row r accumulates into parity row r mod V. The paper's
@@ -48,6 +47,9 @@ func (c Config) Validate() error {
 	if c.Horizontal == nil {
 		return fmt.Errorf("twod: nil horizontal code")
 	}
+	if k := c.Horizontal.DataBits(); k > 64 {
+		return fmt.Errorf("twod: %d-bit data words, at most 64 supported", k)
+	}
 	if c.Rows <= 0 || c.WordsPerRow <= 0 {
 		return fmt.Errorf("twod: invalid geometry rows=%d words/row=%d", c.Rows, c.WordsPerRow)
 	}
@@ -59,7 +61,8 @@ func (c Config) Validate() error {
 
 // Stats counts array activity; the CMP simulator and the overhead
 // benches consume these. Counters are maintained with atomic adds so
-// concurrent readers holding a shared lock (see TryRead) do not race.
+// Stats and the metrics registry can read them without the array's
+// lock.
 type Stats struct {
 	// Reads is the number of word read operations.
 	Reads uint64
@@ -117,22 +120,22 @@ func (s ReadStatus) String() string {
 // explicit, so fault injection can flip any physical bit and recovery
 // must cope exactly as hardware would.
 //
-// Concurrency contract: Write, Read, Recover and the other mutating
-// entry points require external exclusive access (the pcache banks hold
-// an exclusive lock around them); they reuse array-owned scratch
-// buffers, so the uint64 accesses, a clean Recover pass and a Recover
-// that rebuilds faulty rows from their groups perform no heap
-// allocation (only column-mode recovery allocates). TryRead and
-// TryReadUint64 are the shared-lock fast path: many may run
-// concurrently (against each other, never against a writer) and they
-// draw scratch from an internal pool instead.
+// Words are read and written as uint64 (ReadUint64, WriteUint64,
+// TryReadUint64, ForceWriteUint64); Config.Validate rejects data words
+// wider than 64 bits.
+//
+// Concurrency contract: every entry point except Stats requires the
+// caller's exclusive access (the pcache banks hold their mutex around
+// them). They all reuse array-owned scratch buffers, so the word
+// accesses, a clean Recover pass and a Recover that rebuilds faulty
+// rows from their groups perform no heap allocation (only column-mode
+// recovery allocates).
 type Array struct {
-	cfg     cfgCache
-	layout  Layout
-	data    *bitvec.Matrix // Rows x RowBits: interleaved codewords
-	vpar    *bitvec.Matrix // VerticalGroups x RowBits: parity rows
-	stats   Stats
-	cwWords int // backing words per codeword scratch
+	cfg    cfgCache
+	layout Layout
+	data   *bitvec.Matrix // Rows x RowBits: interleaved codewords
+	vpar   *bitvec.Matrix // VerticalGroups x RowBits: parity rows
+	stats  Stats
 
 	// residual[g] marks vertical group g as carrying an unattributable
 	// parity residue: a word with unrepairable damage was overwritten by
@@ -143,7 +146,7 @@ type Array struct {
 	// check and forges a clean-looking wrong word. Cleared when the
 	// group's parity is rebuilt from clean data (FlushResidualParity, a
 	// clean Recover pass). Exclusive-path state: guarded by the same
-	// external lock as Write/Recover.
+	// external lock as WriteUint64/Recover.
 	residual []bool
 
 	// scr holds the exclusive-path scratch: one codeword buffer for the
@@ -165,9 +168,6 @@ type Array struct {
 		groupCount []int
 		touched    []bool
 	}
-	// tryScratch pools codeword buffers for the concurrent TryRead path.
-	tryScratch sync.Pool
-
 	// sink, when set, receives recovery and uncorrectable events (see
 	// SetEventSink in obs.go). Atomic so installation races no access.
 	sink atomic.Pointer[arraySink]
@@ -176,7 +176,7 @@ type Array struct {
 // cfgCache embeds Config plus derived values the hot loops need.
 type cfgCache struct {
 	Config
-	dataWords int
+	dataMask uint64 // the low DataBits bits
 }
 
 // NewArray builds a zero-initialised protected array (vertical parity
@@ -194,25 +194,21 @@ func NewArray(cfg Config) (*Array, error) {
 		return nil, err
 	}
 	a := &Array{
-		cfg:      cfgCache{Config: cfg, dataWords: bitvec.WordsFor(cfg.Horizontal.DataBits())},
+		cfg:      cfgCache{Config: cfg, dataMask: ^uint64(0) >> (64 - cfg.Horizontal.DataBits())},
 		layout:   layout,
 		data:     bitvec.NewMatrix(cfg.Rows, layout.RowBits()),
 		vpar:     bitvec.NewMatrix(cfg.VerticalGroups, layout.RowBits()),
-		cwWords:  bitvec.WordsFor(layout.CodewordBits),
 		residual: make([]bool, cfg.VerticalGroups),
 	}
-	a.scr.cw = make([]uint64, a.cwWords)
-	a.scr.old = make([]uint64, a.cwWords)
-	a.scr.data = make([]uint64, a.cfg.dataWords)
+	cwWords := bitvec.WordsFor(layout.CodewordBits)
+	a.scr.cw = make([]uint64, cwWords)
+	a.scr.old = make([]uint64, cwWords)
+	a.scr.data = make([]uint64, 1)
 	a.rec.faulty = make([]faultyWord, 0, cfg.WordsPerRow)
 	a.rec.rows = make([]int, 0, cfg.VerticalGroups)
 	a.rec.mismatch = bitvec.NewMatrix(cfg.VerticalGroups, layout.RowBits())
 	a.rec.groupCount = make([]int, cfg.VerticalGroups)
 	a.rec.touched = make([]bool, cfg.VerticalGroups)
-	a.tryScratch.New = func() any {
-		buf := make([]uint64, a.cwWords)
-		return &buf
-	}
 	return a, nil
 }
 
@@ -272,27 +268,9 @@ func (a *Array) group(r int) int { return r % a.cfg.VerticalGroups }
 // changed bits back. No step allocates.
 
 // extractInto gathers word w's codeword out of physical row r into dst
-// (length >= cwWords; cleared first).
+// (at least one codeword of words).
 func (a *Array) extractInto(dst []uint64, r, w int) {
-	row := a.data.RowWords(r)
-	d := a.cfg.WordsPerRow
-	nb := a.layout.CodewordBits
-	if d == 1 {
-		// Contiguous layout: the codeword is the row prefix.
-		copy(dst[:a.cwWords], row)
-		if rem := nb & 63; rem != 0 {
-			dst[a.cwWords-1] &= 1<<uint(rem) - 1
-		}
-		return
-	}
-	for i := 0; i < a.cwWords; i++ {
-		dst[i] = 0
-	}
-	col := w
-	for b := 0; b < nb; b++ {
-		dst[b>>6] |= (row[col>>6] >> uint(col&63) & 1) << uint(b&63)
-		col += d
-	}
+	a.layout.gather(dst, a.data.RowWords(r), w)
 }
 
 // syndromeAt returns the horizontal syndrome of word (r, w) using the
@@ -300,30 +278,6 @@ func (a *Array) extractInto(dst []uint64, r, w int) {
 func (a *Array) syndromeAt(r, w int) uint64 {
 	a.extractInto(a.scr.old, r, w)
 	return a.cfg.Horizontal.SyndromeWords(bitvec.MakeCodeword(a.scr.old, a.layout.CodewordBits))
-}
-
-// scatterXor flips, in physical row r (and optionally the row's
-// vertical parity), every cell whose codeword bit is set in delta.
-func (a *Array) scatterXor(r, w int, delta []uint64, withParity bool) {
-	row := a.data.RowWords(r)
-	var par []uint64
-	if withParity {
-		par = a.vpar.RowWords(a.group(r))
-	}
-	d := a.cfg.WordsPerRow
-	for wi, x := range delta {
-		base := wi << 6
-		for x != 0 {
-			b := base + bits.TrailingZeros64(x)
-			x &= x - 1
-			col := b*d + w
-			mask := uint64(1) << uint(col&63)
-			row[col>>6] ^= mask
-			if withParity {
-				par[col>>6] ^= mask
-			}
-		}
-	}
 }
 
 // storeWords writes codeword cw into word slot (r, w), updating the
@@ -334,7 +288,7 @@ func (a *Array) storeWords(r, w int, cw []uint64) {
 	for i := range a.scr.old {
 		a.scr.old[i] ^= cw[i] // now the delta
 	}
-	a.scatterXor(r, w, a.scr.old, true)
+	a.layout.scatterXor(w, a.scr.old, a.data.RowWords(r), a.vpar.RowWords(a.group(r)))
 }
 
 // storeRawWords writes codeword bits without a parity delta — used only
@@ -345,7 +299,7 @@ func (a *Array) storeRawWords(r, w int, cw []uint64) {
 	for i := range a.scr.old {
 		a.scr.old[i] ^= cw[i]
 	}
-	a.scatterXor(r, w, a.scr.old, false)
+	a.layout.scatterXor(w, a.scr.old, a.data.RowWords(r))
 }
 
 // encodeDataInto encodes the staged data scratch into dst.
@@ -355,43 +309,15 @@ func (a *Array) encodeDataInto(dst []uint64) {
 		bitvec.MakeCodeword(a.scr.data, a.DataBits()))
 }
 
-// extract reads word w's codeword out of physical row r as a fresh
-// Vector (legacy/cold-path convenience).
-func (a *Array) extract(r, w int) *bitvec.Vector {
-	cw := bitvec.New(a.layout.CodewordBits)
-	a.extractInto(cw.Words(), r, w)
-	return cw
-}
-
-// checkWord returns the horizontal syndrome of word (r, w).
-func (a *Array) checkWord(r, w int) uint64 { return a.syndromeAt(r, w) }
-
 // --- access API --------------------------------------------------------
 
-// Write stores data (DataBits wide) into word w of row r. Every write
-// is converted to a read-before-write: the old codeword is read both to
-// compute the vertical parity delta and to check its integrity — a
-// latent error under the overwritten word triggers recovery first, as
-// the hardware's read-check would.
-func (a *Array) Write(r, w int, data *bitvec.Vector) ReadStatus {
-	if data.Len() != a.DataBits() {
-		panic(fmt.Sprintf("twod: Write data width %d != %d", data.Len(), a.DataBits()))
-	}
-	copy(a.scr.data, data.Words())
-	return a.writeStaged(r, w)
-}
-
-// WriteUint64 is the allocation-free Write fast path for arrays with
-// DataBits <= 64 (the cache word size).
+// WriteUint64 stores the low DataBits bits of v into word w of row r.
+// Every write is converted to a read-before-write: the old codeword is
+// read both to compute the vertical parity delta and to check its
+// integrity — a latent error under the overwritten word triggers
+// recovery first, as the hardware's read-check would.
 func (a *Array) WriteUint64(r, w int, v uint64) ReadStatus {
-	k := a.DataBits()
-	if k > 64 {
-		panic(fmt.Sprintf("twod: WriteUint64 on %d-bit words", k))
-	}
-	if k < 64 {
-		v &= 1<<uint(k) - 1
-	}
-	a.scr.data[0] = v
+	a.scr.data[0] = v & a.cfg.dataMask
 	return a.writeStaged(r, w)
 }
 
@@ -437,33 +363,15 @@ func (a *Array) writeStaged(r, w int) ReadStatus {
 	return status
 }
 
-// Read returns word w of row r, checking the horizontal code and
+// ReadUint64 returns word w of row r, checking the horizontal code and
 // escalating to in-line SECDED correction or full 2D recovery as
 // needed.
-func (a *Array) Read(r, w int) (*bitvec.Vector, ReadStatus) {
-	st := a.readIntoScratch(r, w)
-	out := bitvec.New(a.DataBits())
-	copy(out.Words(), a.scr.cw[:a.cfg.dataWords])
-	out.AsCodeword().MaskTail()
-	return out, st
-}
-
-// ReadUint64 is the allocation-free Read fast path for arrays with
-// DataBits <= 64: it returns the data word directly.
 func (a *Array) ReadUint64(r, w int) (uint64, ReadStatus) {
-	k := a.DataBits()
-	if k > 64 {
-		panic(fmt.Sprintf("twod: ReadUint64 on %d-bit words", k))
-	}
 	st := a.readIntoScratch(r, w)
-	v := a.scr.cw[0]
-	if k < 64 {
-		v &= 1<<uint(k) - 1
-	}
-	return v, st
+	return a.scr.cw[0] & a.cfg.dataMask, st
 }
 
-// readIntoScratch performs the Read escalation, leaving the (possibly
+// readIntoScratch performs the ReadUint64 escalation, leaving the (possibly
 // repaired) codeword in a.scr.cw. Exclusive path.
 func (a *Array) readIntoScratch(r, w int) ReadStatus {
 	atomic.AddUint64(&a.stats.Reads, 1)
@@ -491,50 +399,17 @@ func (a *Array) readIntoScratch(r, w int) ReadStatus {
 	}
 }
 
-// TryRead returns word (r, w) if its horizontal code checks clean,
-// WITHOUT mutating the array: no inline correction, no recovery. The
-// second result is false when the word needs repair, in which case the
-// caller must escalate to Read (or Recover) under exclusive access.
-// Because the only side effects are an atomic counter and pooled
-// scratch, TryRead is safe for many concurrent callers as long as no
-// writer runs — the shared-lock fast path of a concurrent cache.
-func (a *Array) TryRead(r, w int) (*bitvec.Vector, bool) {
-	atomic.AddUint64(&a.stats.Reads, 1)
-	buf := a.tryScratch.Get().(*[]uint64)
-	a.extractInto(*buf, r, w)
-	syn := a.cfg.Horizontal.SyndromeWords(bitvec.MakeCodeword(*buf, a.layout.CodewordBits))
-	if syn != 0 {
-		a.tryScratch.Put(buf)
-		return nil, false
-	}
-	out := bitvec.New(a.DataBits())
-	copy(out.Words(), (*buf)[:a.cfg.dataWords])
-	out.AsCodeword().MaskTail()
-	a.tryScratch.Put(buf)
-	return out, true
-}
-
-// TryReadUint64 is the allocation-free TryRead fast path for arrays
-// with DataBits <= 64. Safe for concurrent callers (no writer running).
+// TryReadUint64 returns word (r, w) if its horizontal code checks
+// clean, WITHOUT mutating the array: no inline correction, no recovery.
+// The second result is false when the word needs repair. Fault
+// injectors use it to aim flips at words that are still clean.
 func (a *Array) TryReadUint64(r, w int) (uint64, bool) {
-	k := a.DataBits()
-	if k > 64 {
-		panic(fmt.Sprintf("twod: TryReadUint64 on %d-bit words", k))
-	}
 	atomic.AddUint64(&a.stats.Reads, 1)
-	buf := a.tryScratch.Get().(*[]uint64)
-	s := *buf
-	a.extractInto(s, r, w)
-	syn := a.cfg.Horizontal.SyndromeWords(bitvec.MakeCodeword(s, a.layout.CodewordBits))
-	v := s[0]
-	a.tryScratch.Put(buf)
-	if syn != 0 {
+	a.extractInto(a.scr.cw, r, w)
+	if a.cfg.Horizontal.SyndromeWords(bitvec.MakeCodeword(a.scr.cw, a.layout.CodewordBits)) != 0 {
 		return 0, false
 	}
-	if k < 64 {
-		v &= 1<<uint(k) - 1
-	}
-	return v, true
+	return a.scr.cw[0] & a.cfg.dataMask, true
 }
 
 // CorrectWord attempts a targeted word-level repair of (r, w) using the
@@ -615,9 +490,9 @@ func (a *Array) ParityRowWords(g int) []uint64 {
 	return append([]uint64(nil), a.vpar.RowWords(g)...)
 }
 
-// ForceWrite overwrites word (r, w) unconditionally — no integrity
-// check, no recovery escalation. It is the software-visible "reload
-// after an uncorrectable error" path: after data beyond the 2D
+// ForceWriteUint64 overwrites word (r, w) unconditionally — no
+// integrity check, no recovery escalation. It is the software-visible
+// "reload after an uncorrectable error" path: after data beyond the 2D
 // coverage is detected (a machine-check in real hardware), the OS
 // refetches the line regardless of how corrupted it was. The vertical
 // parity is updated by delta against the word's raw stored content,
@@ -628,35 +503,13 @@ func (a *Array) ParityRowWords(g int) []uint64 {
 // destroy the mismatch of every still-faulty row in the array —
 // see writeStaged). Set-wipe callers follow up with
 // FlushResidualParity once the affected groups check clean.
-func (a *Array) ForceWrite(r, w int, data *bitvec.Vector) {
-	if data.Len() != a.DataBits() {
-		panic(fmt.Sprintf("twod: ForceWrite data width %d != %d", data.Len(), a.DataBits()))
-	}
-	atomic.AddUint64(&a.stats.Writes, 1)
-	if a.syndromeAt(r, w) != 0 {
-		a.residual[a.group(r)] = true
-	}
-	copy(a.scr.data, data.Words())
-	a.encodeDataInto(a.scr.cw)
-	a.storeWords(r, w, a.scr.cw)
-}
-
-// ForceWriteUint64 is ForceWrite for DataBits <= 64. Allocation-free,
-// and — since the raw-delta discipline replaced the full parity
-// rebuild — O(codeword), not O(array).
+// Allocation-free and O(codeword), not O(array).
 func (a *Array) ForceWriteUint64(r, w int, v uint64) {
-	k := a.DataBits()
-	if k > 64 {
-		panic(fmt.Sprintf("twod: ForceWriteUint64 on %d-bit words", k))
-	}
 	atomic.AddUint64(&a.stats.Writes, 1)
 	if a.syndromeAt(r, w) != 0 {
 		a.residual[a.group(r)] = true
 	}
-	if k < 64 {
-		v &= 1<<uint(k) - 1
-	}
-	a.scr.data[0] = v
+	a.scr.data[0] = v & a.cfg.dataMask
 	a.encodeDataInto(a.scr.cw)
 	a.storeWords(r, w, a.scr.cw)
 }

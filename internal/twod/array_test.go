@@ -34,6 +34,7 @@ func TestConfigValidation(t *testing.T) {
 		{Rows: 8, WordsPerRow: 1, Horizontal: nil, VerticalGroups: 1},
 		{Rows: 8, WordsPerRow: 1, Horizontal: ecc.MustEDC(64, 8), VerticalGroups: 0},
 		{Rows: 8, WordsPerRow: 1, Horizontal: ecc.MustEDC(64, 8), VerticalGroups: 9},
+		{Rows: 8, WordsPerRow: 1, Horizontal: ecc.MustEDC(128, 8), VerticalGroups: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewArray(cfg); err == nil {
@@ -76,19 +77,19 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	a := small8kb(t)
 	rng := rand.New(rand.NewSource(1))
 	type wr struct{ r, w int }
-	written := map[wr]*bitvec.Vector{}
+	written := map[wr]uint64{}
 	for i := 0; i < 500; i++ {
 		r, w := rng.Intn(a.Rows()), rng.Intn(4)
-		d := randVec(rng, 64)
-		a.Write(r, w, d)
+		d := randWord(rng)
+		a.WriteUint64(r, w, d)
 		written[wr{r, w}] = d
 	}
 	for k, d := range written {
-		got, st := a.Read(k.r, k.w)
+		got, st := a.ReadUint64(k.r, k.w)
 		if st != ReadClean {
 			t.Fatalf("read (%d,%d) status %v", k.r, k.w, st)
 		}
-		if !got.Equal(d) {
+		if got != d {
 			t.Fatalf("read (%d,%d) data mismatch", k.r, k.w)
 		}
 	}
@@ -104,7 +105,7 @@ func TestVerticalParityInvariantAfterWrites(t *testing.T) {
 	a := small8kb(t)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 2000; i++ {
-		a.Write(rng.Intn(a.Rows()), rng.Intn(4), randVec(rng, 64))
+		a.WriteUint64(rng.Intn(a.Rows()), rng.Intn(4), randWord(rng))
 		if i%200 == 0 && !parityConsistent(a) {
 			t.Fatalf("parity inconsistent after %d writes", i+1)
 		}
@@ -116,9 +117,8 @@ func TestVerticalParityInvariantAfterWrites(t *testing.T) {
 
 func TestReadBeforeWriteCounted(t *testing.T) {
 	a := small8kb(t)
-	d := bitvec.New(64)
-	a.Write(0, 0, d)
-	a.Write(0, 0, d)
+	a.WriteUint64(0, 0, 0)
+	a.WriteUint64(0, 0, 0)
 	st := a.Stats()
 	if st.Writes != 2 || st.ExtraReads != 2 {
 		t.Fatalf("stats = %+v, want 2 writes and 2 extra reads", st)
@@ -129,14 +129,14 @@ func TestSingleBitErrorRecoveredWithEDC(t *testing.T) {
 	a := small8kb(t)
 	rng := rand.New(rand.NewSource(3))
 	fillRandom(a, rng)
-	want, _ := a.Read(100, 2)
+	want, _ := a.ReadUint64(100, 2)
 	// Flip one bit of word 2 in row 100.
 	a.FlipBit(100, a.Layout().PhysColumn(2, 17))
-	got, st := a.Read(100, 2)
+	got, st := a.ReadUint64(100, 2)
 	if st != ReadRecovered {
 		t.Fatalf("status = %v", st)
 	}
-	if !got.Equal(want) {
+	if got != want {
 		t.Fatal("data not recovered")
 	}
 	// Array must be fully consistent afterwards.
@@ -149,13 +149,13 @@ func TestSECDEDInlineCorrection(t *testing.T) {
 	a := tiny(t, ecc.MustSECDED(64))
 	rng := rand.New(rand.NewSource(4))
 	fillRandom(a, rng)
-	want, _ := a.Read(5, 1)
+	want, _ := a.ReadUint64(5, 1)
 	a.FlipBit(5, a.Layout().PhysColumn(1, 30))
-	got, st := a.Read(5, 1)
+	got, st := a.ReadUint64(5, 1)
 	if st != ReadCorrectedInline {
 		t.Fatalf("status = %v, want inline correction", st)
 	}
-	if !got.Equal(want) {
+	if got != want {
 		t.Fatal("data wrong after inline correction")
 	}
 	if a.Stats().Recoveries != 0 {
@@ -165,7 +165,7 @@ func TestSECDEDInlineCorrection(t *testing.T) {
 		t.Fatalf("inline corrections = %d", a.Stats().InlineCorrections)
 	}
 	// The cells themselves must have been repaired (self-healing).
-	if _, st := a.Read(5, 1); st != ReadClean {
+	if _, st := a.ReadUint64(5, 1); st != ReadClean {
 		t.Fatalf("second read status = %v, want clean", st)
 	}
 }
@@ -177,7 +177,7 @@ func TestWriteOverLatentError(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	fillRandom(a, rng)
 	a.FlipBit(50, a.Layout().PhysColumn(1, 3))
-	st := a.Write(50, 1, randVec(rng, 64))
+	st := a.WriteUint64(50, 1, randWord(rng))
 	if st != ReadRecovered {
 		t.Fatalf("write status = %v", st)
 	}
@@ -188,8 +188,8 @@ func TestWriteOverLatentError(t *testing.T) {
 
 func TestStatsSnapshot(t *testing.T) {
 	a := small8kb(t)
-	a.Write(0, 0, bitvec.New(64))
-	a.Read(0, 0)
+	a.WriteUint64(0, 0, 0)
+	a.ReadUint64(0, 0)
 	st := a.Stats()
 	if st.Reads != 1 || st.Writes != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -203,11 +203,14 @@ func TestStatsSnapshot(t *testing.T) {
 func fillRandom(a *Array, rng *rand.Rand) {
 	for r := 0; r < a.Rows(); r++ {
 		for w := 0; w < a.Config().WordsPerRow; w++ {
-			a.Write(r, w, randVec(rng, a.DataBits()))
+			a.WriteUint64(r, w, randWord(rng))
 		}
 	}
 	a.ResetStats()
 }
+
+// randWord draws a data word as randVec does, one rng.Intn(2) per bit.
+func randWord(rng *rand.Rand) uint64 { return randVec(rng, 64).Uint64() }
 
 func randVec(rng *rand.Rand, n int) *bitvec.Vector {
 	v := bitvec.New(n)

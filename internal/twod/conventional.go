@@ -49,11 +49,7 @@ func (a *ConventionalArray) Layout() Layout { return a.layout }
 
 // Write stores data into word w of row r.
 func (a *ConventionalArray) Write(r, w int, data *bitvec.Vector) {
-	cw := a.code.Encode(data)
-	row := a.data.Row(r)
-	for b := 0; b < a.layout.CodewordBits; b++ {
-		row.Set(a.layout.PhysColumn(w, b), cw.Bit(b))
-	}
+	a.store(r, w, a.code.Encode(data))
 }
 
 // Read returns word w of row r after per-word decode. Corrections are
@@ -62,23 +58,23 @@ func (a *ConventionalArray) Read(r, w int) (*bitvec.Vector, ecc.Result) {
 	cw := a.extract(r, w)
 	res, _ := a.code.Decode(cw)
 	if res == ecc.Corrected {
-		row := a.data.Row(r)
-		for b := 0; b < a.layout.CodewordBits; b++ {
-			row.Set(a.layout.PhysColumn(w, b), cw.Bit(b))
-		}
+		a.store(r, w, cw)
 	}
 	return a.code.Data(cw), res
 }
 
+// extract gathers word w's codeword out of row r.
 func (a *ConventionalArray) extract(r, w int) *bitvec.Vector {
 	cw := bitvec.New(a.layout.CodewordBits)
-	row := a.data.Row(r)
-	for b := 0; b < a.layout.CodewordBits; b++ {
-		if row.Bit(a.layout.PhysColumn(w, b)) {
-			cw.Set(b, true)
-		}
-	}
+	a.layout.gather(cw.Words(), a.data.RowWords(r), w)
 	return cw
+}
+
+// store overwrites word w's codeword in row r with cw.
+func (a *ConventionalArray) store(r, w int, cw *bitvec.Vector) {
+	delta := a.extract(r, w)
+	delta.Xor(cw)
+	a.layout.scatterXor(w, delta.Words(), a.data.RowWords(r))
 }
 
 // FlipBit flips the physical bit at (row, col) — fault injection.

@@ -69,7 +69,7 @@ func TestRecoverNeverPanicsOnRandomSoup(t *testing.T) {
 			// the parity invariant intact.
 			for r := 0; r < a.Rows(); r++ {
 				for w := 0; w < 2; w++ {
-					if a.checkWord(r, w) != 0 {
+					if a.syndromeAt(r, w) != 0 {
 						t.Fatalf("trial %d: success with dirty word (%d,%d)", trial, r, w)
 					}
 				}
@@ -106,9 +106,9 @@ func TestReadsNeverPanicUnderErrors(t *testing.T) {
 		case 0:
 			a.FlipBit(rng.Intn(32), rng.Intn(a.RowBits()))
 		case 1:
-			a.Write(rng.Intn(32), rng.Intn(2), randVec(rng, 64))
+			a.WriteUint64(rng.Intn(32), rng.Intn(2), randWord(rng))
 		default:
-			_, st := a.Read(rng.Intn(32), rng.Intn(2))
+			_, st := a.ReadUint64(rng.Intn(32), rng.Intn(2))
 			if st < ReadClean || st > ReadUncorrectable {
 				t.Fatalf("bogus status %v", st)
 			}

@@ -8,7 +8,10 @@
 // errors, row failures, and column failures.
 package twod
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Layout describes the physical geometry of one protected sub-array:
 // how many logical words share a physical row and how their codeword
@@ -17,7 +20,9 @@ import "fmt"
 // With d-way physical bit interleaving, physical column c of a row
 // holds bit c/d of word c%d, so a contiguous physical burst of up to
 // d*n bits touches each word's EDCn parity groups at most once per
-// group (paper §2.2, §3).
+// group (paper §2.2, §3). Every array in this package moves a whole
+// codeword in or out of a row through gather and scatterXor;
+// PhysColumn and Locate address single bits.
 type Layout struct {
 	// Rows is the number of data rows in the array (excluding vertical
 	// parity rows).
@@ -61,3 +66,48 @@ func (l Layout) Locate(col int) (word, bit int) {
 
 // Words returns the total number of addressable words in the array.
 func (l Layout) Words() int { return l.Rows * l.WordsPerRow }
+
+// gather copies word w's codeword out of the interleaved row bits src
+// into the first bitvec.WordsFor(CodewordBits) words of dst. Codeword
+// bit b is physical column b*d+w, as in PhysColumn; the bits of those
+// words past CodewordBits come out zero.
+func (l Layout) gather(dst, src []uint64, w int) {
+	nb, d := l.CodewordBits, l.WordsPerRow
+	n := (nb + 63) >> 6
+	if d == 1 {
+		// Contiguous layout: the codeword is the row prefix.
+		copy(dst[:n], src)
+		if rem := nb & 63; rem != 0 {
+			dst[n-1] &= 1<<uint(rem) - 1
+		}
+		return
+	}
+	col := w
+	for i := range dst[:n] {
+		var x uint64
+		for b := range min(64, nb-i<<6) {
+			x |= (src[col>>6] >> uint(col&63) & 1) << uint(b)
+			col += d
+		}
+		dst[i] = x
+	}
+}
+
+// scatterXor flips, in each of the interleaved rows, the physical column
+// of every bit of word w's codeword that is set in delta: gather's
+// inverse for a delta, so applying it to the row a codeword was gathered
+// from, with delta = old XOR new, stores new.
+func (l Layout) scatterXor(w int, delta []uint64, rows ...[]uint64) {
+	d := l.WordsPerRow
+	for i, x := range delta {
+		base := i << 6
+		for x != 0 {
+			col := (base+bits.TrailingZeros64(x))*d + w
+			x &= x - 1
+			mask := uint64(1) << uint(col&63)
+			for _, row := range rows {
+				row[col>>6] ^= mask
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"twodcache/internal/bitvec"
 	"twodcache/internal/ecc"
 )
 
@@ -57,14 +56,14 @@ func TestPropertyWritesPreserveParity(t *testing.T) {
 			r, w := rng.Intn(cfg.Rows), rng.Intn(cfg.WordsPerRow)
 			if rng.Intn(3) == 0 {
 				d := rng.Uint64()
-				a.Write(r, w, u64vec(d))
+				a.WriteUint64(r, w, d)
 				shadow[[2]int{r, w}] = d
 			} else {
-				got, st := a.Read(r, w)
+				got, st := a.ReadUint64(r, w)
 				if st != ReadClean {
 					return false
 				}
-				if got.Uint64() != shadow[[2]int{r, w}] {
+				if got != shadow[[2]int{r, w}] {
 					return false
 				}
 			}
@@ -111,12 +110,10 @@ func TestPropertySECDEDInlineNeverBreaksParity(t *testing.T) {
 		col := rng.Intn(a.RowBits())
 		a.FlipBit(r, col)
 		w, _ := a.Layout().Locate(col)
-		_, st := a.Read(r, w)
+		_, st := a.ReadUint64(r, w)
 		return st == ReadCorrectedInline && parityConsistent(a)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
-
-func u64vec(x uint64) *bitvec.Vector { return bitvec.FromUint64(x, 64) }

@@ -160,7 +160,7 @@ func (a *Array) recoverImpl() RecoveryReport {
 	for r := 0; r < a.cfg.Rows; r++ {
 		for w := 0; w < a.cfg.WordsPerRow; w++ {
 			rep.ScanReads++
-			if a.checkWord(r, w) != 0 {
+			if a.syndromeAt(r, w) != 0 {
 				rep.Mode = RecoveryFailed
 				rep.Success = false
 				atomic.AddUint64(&a.stats.Uncorrectable, 1)
@@ -218,7 +218,7 @@ func (a *Array) scan(rep *RecoveryReport) (faulty []faultyWord, rows []int) {
 	for r := 0; r < a.cfg.Rows; r++ {
 		for w := 0; w < a.cfg.WordsPerRow; w++ {
 			rep.ScanReads++
-			if syn := a.checkWord(r, w); syn != 0 {
+			if syn := a.syndromeAt(r, w); syn != 0 {
 				if len(rows) == 0 || rows[len(rows)-1] != r {
 					rows = append(rows, r)
 				}
@@ -239,32 +239,18 @@ func (a *Array) scan(rep *RecoveryReport) (faulty []faultyWord, rows []int) {
 // confined to an already-faulty word is indistinguishable from a real
 // error pattern and remains beyond coverage, as in the paper.
 func (a *Array) rowDeltaPlausible(r int, m *bitvec.Vector) bool {
-	nb := a.layout.CodewordBits
-	d := a.cfg.WordsPerRow
-	mw := m.Words()
+	s := bitvec.MakeCodeword(a.scr.cw, a.layout.CodewordBits)
 	for w := 0; w < a.cfg.WordsPerRow; w++ {
 		// Gather m's interleaved slice for word slot w into scratch.
-		s := a.scr.cw
-		for i := range s {
-			s[i] = 0
-		}
-		zero := true
-		col := w
-		for b := 0; b < nb; b++ {
-			if mw[col>>6]>>uint(col&63)&1 != 0 {
-				zero = false
-				s[b>>6] |= 1 << uint(b&63)
-			}
-			col += d
-		}
+		a.layout.gather(a.scr.cw, m.Words(), w)
 		syn := a.syndromeAt(r, w)
 		if syn == 0 {
-			if !zero {
+			if !s.IsZero() {
 				return false
 			}
 			continue
 		}
-		if a.cfg.Horizontal.SyndromeWords(bitvec.MakeCodeword(s, nb)) != syn {
+		if a.cfg.Horizontal.SyndromeWords(s) != syn {
 			return false
 		}
 	}
@@ -581,8 +567,8 @@ func solveGF2(cols []uint64, target uint64) (sel []bool, unique bool) {
 // whose data rows all check clean horizontally but whose stored parity
 // disagrees with the data. Such residues are the deliberate leftovers
 // of the raw-delta overwrite discipline (writeStaged's uncorrectable
-// branch, ForceWrite): when an unrepairable word is overwritten, its
-// old error pattern stays in its group's mismatch instead of a full
+// branch, ForceWriteUint64): when an unrepairable word is overwritten,
+// its old error pattern stays in its group's mismatch instead of a full
 // parity rebuild erasing every other faulty row's recovery
 // information. A lone residue has a nonzero horizontal syndrome and is
 // refused by rowDeltaPlausible, but residues left to accumulate can
@@ -644,7 +630,7 @@ func (a *Array) VerifyIntegrity() IntegrityReport {
 	rep := IntegrityReport{}
 	for r := 0; r < a.cfg.Rows; r++ {
 		for w := 0; w < a.cfg.WordsPerRow; w++ {
-			if a.checkWord(r, w) != 0 {
+			if a.syndromeAt(r, w) != 0 {
 				rep.FaultyWords++
 			}
 		}

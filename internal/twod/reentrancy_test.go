@@ -3,7 +3,6 @@ package twod
 import (
 	"testing"
 
-	"twodcache/internal/bitvec"
 	"twodcache/internal/ecc"
 )
 
@@ -23,7 +22,7 @@ func smallEDCArray(t testing.TB) *Array {
 func fillArray(a *Array, seed uint64) {
 	for r := 0; r < a.Rows(); r++ {
 		for w := 0; w < a.Config().WordsPerRow; w++ {
-			a.Write(r, w, bitvec.FromUint64(seed+uint64(r*13+w*7), 64))
+			a.WriteUint64(r, w, seed+uint64(r*13+w*7))
 		}
 	}
 }
@@ -106,14 +105,14 @@ func TestPartialFailureLeavesParitySelfConsistent(t *testing.T) {
 		t.Fatalf("parity mismatches = %d, want exactly the damaged group", audit.ParityMismatches)
 	}
 
-	// The prescribed machine-check reload: ForceWrite of the affected
-	// words, then a residue flush once the group checks clean. The
-	// raw-delta ForceWrite deliberately keeps the pair's error pattern
+	// The prescribed machine-check reload: ForceWriteUint64 of the
+	// affected words, then a residue flush once the group checks clean.
+	// The raw-delta ForceWriteUint64 deliberately keeps the pair's error pattern
 	// in the group mismatch (instead of a rebuild erasing every other
 	// row's recovery information); the flush retires it safely because
 	// the group is clean by then.
-	a.ForceWrite(0, 0, bitvec.FromUint64(0x3333+0, 64))
-	a.ForceWrite(4, 0, bitvec.FromUint64(0x3333+4*13, 64))
+	a.ForceWriteUint64(0, 0, 0x3333+0)
+	a.ForceWriteUint64(4, 0, 0x3333+4*13)
 	if n := a.FlushResidualParity(); n != 1 {
 		t.Fatalf("flushed %d residual groups, want 1 (the pair's group)", n)
 	}
@@ -125,19 +124,19 @@ func TestPartialFailureLeavesParitySelfConsistent(t *testing.T) {
 func TestTryReadDoesNotMutate(t *testing.T) {
 	a := smallEDCArray(t)
 	fillArray(a, 0x4444)
-	if _, ok := a.TryRead(3, 1); !ok {
+	if _, ok := a.TryReadUint64(3, 1); !ok {
 		t.Fatal("clean word rejected")
 	}
 	a.FlipBit(3, 7)
 	recBefore := a.Stats().Recoveries
-	if _, ok := a.TryRead(3, 1); ok {
+	if _, ok := a.TryReadUint64(3, 1); ok {
 		t.Fatal("dirty word accepted")
 	}
 	if a.Stats().Recoveries != recBefore {
-		t.Fatal("TryRead triggered recovery")
+		t.Fatal("TryReadUint64 triggered recovery")
 	}
 	// The damage is still there for the exclusive path to repair.
-	if _, st := a.Read(3, 1); st != ReadRecovered {
+	if _, st := a.ReadUint64(3, 1); st != ReadRecovered {
 		t.Fatalf("exclusive read status %v", st)
 	}
 }
@@ -159,7 +158,7 @@ func TestCorrectWordRungSemantics(t *testing.T) {
 	if s.Stats().Recoveries != recBefore {
 		t.Fatal("CorrectWord escalated to full recovery")
 	}
-	if _, ok := s.TryRead(2, 0); !ok {
+	if _, ok := s.TryReadUint64(2, 0); !ok {
 		t.Fatal("word still dirty after CorrectWord")
 	}
 	if rep := s.VerifyIntegrity(); !rep.Clean() {

@@ -38,7 +38,6 @@ package twod
 import (
 	"testing"
 
-	"twodcache/internal/bitvec"
 	"twodcache/internal/ecc"
 )
 
@@ -89,10 +88,10 @@ func TestWriteOverUncorrectableDoesNotPoisonParity(t *testing.T) {
 	golden := a.SnapshotData()
 	injectBeyondCoverage(a) // rows 0 and 4, word 0: ambiguous pair
 
-	if st := a.Write(0, 0, bitvec.FromUint64(0xABCD, 64)); st != ReadUncorrectable {
+	if st := a.WriteUint64(0, 0, 0xABCD); st != ReadUncorrectable {
 		t.Fatalf("write over latent uncorrectable damage: status %v", st)
 	}
-	if got, ok := a.TryRead(0, 0); !ok || got.Uint64() != 0xABCD {
+	if got, ok := a.TryReadUint64(0, 0); !ok || got != 0xABCD {
 		t.Fatalf("overwritten word did not read back clean: ok=%v", ok)
 	}
 	rep := a.VerifyIntegrity()
@@ -127,7 +126,7 @@ func TestWriteOverUncorrectableDoesNotPoisonParity(t *testing.T) {
 	// The machine-check reload of the damaged word, plus the residue
 	// flush once the group checks clean, restores a fully clean,
 	// consistent array.
-	a.ForceWrite(4, 0, bitvec.FromUint64(0, 64))
+	a.ForceWriteUint64(4, 0, 0)
 	if n := a.FlushResidualParity(); n != 1 {
 		t.Fatalf("flushed %d residual groups, want 1", n)
 	}
@@ -157,10 +156,10 @@ func TestRowModeRefusesTaintedResiduePair(t *testing.T) {
 	// overwrite both words: each overwrite leaves its old error pattern
 	// as a residue, and together the residues form the code-valid pair.
 	injectBeyondCoverage(a)
-	if st := a.Write(0, 0, bitvec.FromUint64(0x1111, 64)); st != ReadUncorrectable {
+	if st := a.WriteUint64(0, 0, 0x1111); st != ReadUncorrectable {
 		t.Fatalf("first overwrite status %v", st)
 	}
-	if st := a.Write(4, 0, bitvec.FromUint64(0x2222, 64)); st != ReadUncorrectable {
+	if st := a.WriteUint64(4, 0, 0x2222); st != ReadUncorrectable {
 		t.Fatalf("second overwrite status %v", st)
 	}
 
@@ -181,13 +180,13 @@ func TestRowModeRefusesTaintedResiduePair(t *testing.T) {
 	if !a.SnapshotData().Row(8).Equal(golden8) {
 		t.Fatal("row-mode recovery wrote into the tainted group's faulty row")
 	}
-	if _, ok := a.TryRead(1, 1); !ok {
+	if _, ok := a.TryReadUint64(1, 1); !ok {
 		t.Fatal("untainted group's row was not repaired")
 	}
 
 	// Reload the damaged word and flush: the taint lifts and the group
 	// is fully row-recoverable again.
-	a.ForceWrite(8, 0, bitvec.FromUint64(0x6060+8*13, 64))
+	a.ForceWriteUint64(8, 0, 0x6060+8*13)
 	if n := a.FlushResidualParity(); n != 1 {
 		t.Fatalf("flushed %d residual groups, want 1", n)
 	}

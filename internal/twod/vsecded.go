@@ -128,22 +128,20 @@ func (a *VSECDEDArray) Read(r, w int) (*bitvec.Vector, ReadStatus) {
 	}
 }
 
+// extract gathers word w's codeword out of row r.
 func (a *VSECDEDArray) extract(r, w int) *bitvec.Vector {
 	cw := bitvec.New(a.layout.CodewordBits)
-	row := a.data.Row(r)
-	for b := 0; b < a.layout.CodewordBits; b++ {
-		if row.Bit(a.layout.PhysColumn(w, b)) {
-			cw.Set(b, true)
-		}
-	}
+	a.layout.gather(cw.Words(), a.data.RowWords(r), w)
 	return cw
 }
 
+// storeRaw overwrites word w's codeword in row r with cw, leaving the
+// vertical checks alone: it restores corrupted cells to their intended
+// value, which the checks already hold.
 func (a *VSECDEDArray) storeRaw(r, w int, cw *bitvec.Vector) {
-	row := a.data.Row(r)
-	for b := 0; b < a.layout.CodewordBits; b++ {
-		row.Set(a.layout.PhysColumn(w, b), cw.Bit(b))
-	}
+	delta := a.extract(r, w)
+	delta.Xor(cw)
+	a.layout.scatterXor(w, delta.Words(), a.data.RowWords(r))
 }
 
 // FlipBit injects an error into a data cell.

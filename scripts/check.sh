@@ -23,7 +23,9 @@
 #
 # examples/protectedcache runs too (~0.3 s): it drives the bare
 # protected cache through a soft-error storm against a reference model
-# and exits non-zero (log.Fatal) on silent data loss.
+# and exits non-zero (log.Fatal) on silent data loss. So does
+# examples/quickstart (~0.5 s): it exits non-zero if the paper array
+# does not recover a 32x32 cluster or any word reads back wrong.
 #
 # Every go test invocation carries -timeout 120s — the deadlock gate: a
 # wedged repair (stuck single-flight leader, watchdog that never fires,
@@ -60,8 +62,9 @@ go -C bench vet ./...
 go -C bench test -timeout 120s ./...
 echo "== replay gate (committed fault traces)"
 go test -timeout 120s ./internal/replay/ -run 'TestCommittedTraces'
-echo "== self-checking example (exits non-zero on silent data loss)"
+echo "== self-checking examples (exit non-zero on silent data loss)"
 go run ./examples/protectedcache
+go run ./examples/quickstart
 if [ "${1:-}" = "-full" ]; then
     echo "== go test -race ./... (full)"
     go test -race -timeout 120s ./...

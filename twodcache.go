@@ -37,17 +37,12 @@ import (
 
 // --- bit vectors -------------------------------------------------------
 
-// Word is a fixed-width bit vector, the unit of array reads and writes.
+// Word is a fixed-width bit vector, the unit the per-word codes
+// encode and decode.
 type Word = bitvec.Vector
-
-// NewWord returns a zeroed Word of n bits.
-func NewWord(n int) *Word { return bitvec.New(n) }
 
 // WordFromUint64 packs the low n bits (n <= 64) of x into a Word.
 func WordFromUint64(x uint64, n int) *Word { return bitvec.FromUint64(x, n) }
-
-// WordFromBytes builds an n-bit Word from little-endian bytes.
-func WordFromBytes(b []byte, n int) *Word { return bitvec.FromBytes(b, n) }
 
 // --- per-word codes ----------------------------------------------------
 
@@ -97,13 +92,15 @@ type ArrayConfig = twod.Config
 
 // Array is a memory array protected by 2D error coding, with explicit
 // check-bit and vertical-parity storage, raw fault injection
-// (FlipBit/FlipParityBit) and the BIST-style recovery process.
+// (FlipBit/FlipParityBit) and the BIST-style recovery process. Words
+// are at most 64 bits wide and are read and written as uint64
+// (ReadUint64, WriteUint64); callers serialise access to one array.
 type Array = twod.Array
 
 // RecoveryReport summarises one recovery invocation.
 type RecoveryReport = twod.RecoveryReport
 
-// ReadStatus reports how a Read completed.
+// ReadStatus reports how a ReadUint64 or WriteUint64 completed.
 type ReadStatus = twod.ReadStatus
 
 // Read outcomes.

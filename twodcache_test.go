@@ -7,11 +7,11 @@ import (
 
 func TestPublicArrayRoundTrip(t *testing.T) {
 	a := NewPaperArray()
-	d := WordFromUint64(0xCAFEBABE12345678, 64)
-	a.Write(10, 1, d)
-	got, st := a.Read(10, 1)
-	if st != ReadClean || !got.Equal(d) {
-		t.Fatalf("read %v status %v", got, st)
+	const d = 0xCAFEBABE12345678
+	a.WriteUint64(10, 1, d)
+	got, st := a.ReadUint64(10, 1)
+	if st != ReadClean || got != d {
+		t.Fatalf("read %#x status %v", got, st)
 	}
 }
 
@@ -19,7 +19,7 @@ func TestPublicArrayRecovers32x32(t *testing.T) {
 	a := NewPaperArray()
 	for r := 0; r < a.Rows(); r++ {
 		for w := 0; w < 4; w++ {
-			a.Write(r, w, WordFromUint64(uint64(r*4+w)*0x9E3779B9, 64))
+			a.WriteUint64(r, w, uint64(r*4+w)*0x9E3779B9)
 		}
 	}
 	for r := 100; r < 132; r++ {
@@ -31,9 +31,9 @@ func TestPublicArrayRecovers32x32(t *testing.T) {
 	if !rep.Success {
 		t.Fatalf("recovery failed: %+v", rep)
 	}
-	got, st := a.Read(101, 0)
-	if st != ReadClean || got.Uint64() != uint64(101*4)*0x9E3779B9 {
-		t.Fatalf("post-recovery read wrong: %#x, %v", got.Uint64(), st)
+	got, st := a.ReadUint64(101, 0)
+	if st != ReadClean || got != uint64(101*4)*0x9E3779B9 {
+		t.Fatalf("post-recovery read wrong: %#x, %v", got, st)
 	}
 }
 
