@@ -191,10 +191,11 @@ func BenchmarkRecovery32x32(b *testing.B) {
 
 func BenchmarkEDC8Syndrome(b *testing.B) {
 	e := ecc.MustEDC(64, 8)
-	cw := e.Encode(WordFromUint64(0x123456789ABCDEF0, 64))
+	cw := MakeCodeword(make([]uint64, 2), 72)
+	e.EncodeInto(cw, MakeCodeword([]uint64{0x123456789ABCDEF0}, 64))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if e.SyndromeBits(cw) != 0 {
+		if e.SyndromeWords(cw) != 0 {
 			b.Fatal("dirty syndrome")
 		}
 	}
@@ -202,12 +203,14 @@ func BenchmarkEDC8Syndrome(b *testing.B) {
 
 func BenchmarkSECDEDDecode(b *testing.B) {
 	s := ecc.MustSECDED(64)
-	clean := s.Encode(WordFromUint64(0x123456789ABCDEF0, 64))
+	clean := MakeCodeword(make([]uint64, 2), 72)
+	s.EncodeInto(clean, MakeCodeword([]uint64{0x123456789ABCDEF0}, 64))
+	cw := MakeCodeword(make([]uint64, 2), 72)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cw := clean.Clone()
+		cw.CopyFrom(clean)
 		cw.Flip(i % 72)
-		if res, _ := s.Decode(cw); res != ecc.Corrected {
+		if res, _ := s.DecodeInPlace(cw); res != ecc.Corrected {
 			b.Fatal("not corrected")
 		}
 	}
@@ -218,17 +221,20 @@ func BenchmarkOECNEDDecode8Errors(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	clean := c.Encode(WordFromUint64(0x123456789ABCDEF0, 64))
+	n := c.DataBits() + c.CheckBits()
+	clean := MakeCodeword(make([]uint64, 2), n)
+	c.EncodeInto(clean, MakeCodeword([]uint64{0x123456789ABCDEF0}, 64))
+	cw := MakeCodeword(make([]uint64, 2), n)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cw := clean.Clone()
-		for _, p := range rng.Perm(cw.Len())[:8] {
+		cw.CopyFrom(clean)
+		for _, p := range rng.Perm(n)[:8] {
 			cw.Flip(p)
 		}
 		b.StartTimer()
-		if res, _ := c.Decode(cw); res != ecc.Corrected {
+		if res, _ := c.DecodeInPlace(cw); res != ecc.Corrected {
 			b.Fatal("not corrected")
 		}
 	}

@@ -56,12 +56,14 @@ func ExampleNewOECNED() {
 	if err != nil {
 		panic(err)
 	}
-	cw := code.Encode(twodcache.WordFromUint64(12345, 64))
+	bits := code.DataBits() + code.CheckBits()
+	cw := twodcache.MakeCodeword(make([]uint64, (bits+63)/64), bits)
+	code.EncodeInto(cw, twodcache.MakeCodeword([]uint64{12345}, 64))
 	for i := 0; i < 8; i++ {
 		cw.Flip(i * 13)
 	}
-	res, n := code.Decode(cw)
-	fmt.Println(res, n, code.Data(cw).Uint64())
+	res, n := code.DecodeInPlace(cw)
+	fmt.Println(res, n, cw.Uint64At(0))
 	// Output: corrected 8 12345
 }
 

@@ -30,42 +30,6 @@ func New(n int) *Vector {
 	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// FromBytes returns a Vector of n bits initialised from b in little-endian
-// bit order (bit i of the vector is bit i%8 of b[i/8]). Bytes beyond n bits
-// are ignored; missing bytes are treated as zero.
-func FromBytes(b []byte, n int) *Vector {
-	v := New(n)
-	nb := (n + 7) / 8
-	if nb > len(b) {
-		nb = len(b)
-	}
-	for i := 0; i < nb; i++ {
-		v.words[i/8] |= uint64(b[i]) << (8 * uint(i%8))
-	}
-	// Bits beyond n in the straddling byte must not leak into the vector.
-	if rem := n % wordBits; rem != 0 && nb*8 > n {
-		v.words[len(v.words)-1] &= (1 << uint(rem)) - 1
-	}
-	return v
-}
-
-// FromUint64 returns a Vector of n bits (n ≤ 64) holding the low n bits of x.
-func FromUint64(x uint64, n int) *Vector {
-	if n > 64 {
-		panic("bitvec: FromUint64 width exceeds 64")
-	}
-	v := New(n)
-	if n == 0 {
-		return v
-	}
-	mask := ^uint64(0)
-	if n < 64 {
-		mask = (1 << uint(n)) - 1
-	}
-	v.words[0] = x & mask
-	return v
-}
-
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 

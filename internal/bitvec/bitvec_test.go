@@ -121,32 +121,6 @@ func TestParityMatchesPopCount(t *testing.T) {
 	}
 }
 
-func TestFromUint64(t *testing.T) {
-	v := FromUint64(0xDEADBEEF, 32)
-	if v.Uint64() != 0xDEADBEEF {
-		t.Fatalf("round trip = %#x", v.Uint64())
-	}
-	v = FromUint64(^uint64(0), 16)
-	if v.Uint64() != 0xFFFF {
-		t.Fatalf("mask failed: %#x", v.Uint64())
-	}
-	if v.PopCount() != 16 {
-		t.Fatalf("popcount = %d", v.PopCount())
-	}
-}
-
-func TestFromBytes(t *testing.T) {
-	v := FromBytes([]byte{0x01, 0x80}, 16)
-	if !v.Bit(0) || !v.Bit(15) || v.PopCount() != 2 {
-		t.Fatalf("FromBytes wrong: %s", v)
-	}
-	// Truncation: only first 4 bits used.
-	v = FromBytes([]byte{0xFF}, 4)
-	if v.PopCount() != 4 {
-		t.Fatalf("truncated popcount = %d", v.PopCount())
-	}
-}
-
 func TestSliceAndSetSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	v := randomVec(rng, 200)

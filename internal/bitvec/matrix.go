@@ -52,9 +52,6 @@ func (m *Matrix) row(r int) *Vector {
 	return m.data[r]
 }
 
-// SetRow overwrites row r with src (length must equal Cols).
-func (m *Matrix) SetRow(r int, src *Vector) { m.row(r).CopyFrom(src) }
-
 // Col extracts column c as a new Vector of length Rows.
 func (m *Matrix) Col(c int) *Vector {
 	if c < 0 || c >= m.cols {

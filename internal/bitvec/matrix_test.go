@@ -55,7 +55,7 @@ func TestMatrixXorRowRecoversRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewMatrix(16, 64)
 	for r := 0; r < 16; r++ {
-		m.SetRow(r, randomVec(rng, 64))
+		m.Row(r).CopyFrom(randomVec(rng, 64))
 	}
 	parity := New(64)
 	for r := 0; r < 16; r++ {

@@ -13,8 +13,7 @@ import (
 //
 // A Codeword never owns or grows its storage. Bits at positions >= Len
 // inside the last backing word are "tail" bits: kernel operations keep
-// them zero, and MaskTail restores that invariant after raw word
-// manipulation.
+// them zero, and so must callers that write the backing words directly.
 type Codeword struct {
 	n int
 	w []uint64
@@ -37,8 +36,9 @@ func MakeCodeword(buf []uint64, n int) Codeword {
 }
 
 // AsCodeword returns a Codeword view sharing v's storage: mutations
-// through the view mutate the vector. This is the zero-copy bridge from
-// the legacy Vector API onto the kernels.
+// through the view mutate the vector. It lets code that holds words as
+// Vectors, such as the BCH coder's scratch, call the word kernels
+// without copying.
 func (v *Vector) AsCodeword() Codeword { return Codeword{n: v.n, w: v.words} }
 
 // Words exposes v's backing words (little-endian bit order). Mutating
@@ -213,19 +213,4 @@ func (c Codeword) Slice(lo, hi int) Codeword {
 		panic(fmt.Sprintf("bitvec: codeword Slice offset %d not word-aligned", lo))
 	}
 	return Codeword{n: hi - lo, w: c.w[lo/wordBits : WordsFor(hi)]}
-}
-
-// MaskTail clears the tail bits (positions >= Len) of the last backing
-// word, restoring the kernel invariant after raw word writes.
-func (c Codeword) MaskTail() {
-	if rem := c.n % wordBits; rem != 0 && len(c.w) > 0 {
-		c.w[len(c.w)-1] &= (1 << uint(rem)) - 1
-	}
-}
-
-// CopyToVector materialises the view as a freshly allocated Vector.
-func (c Codeword) CopyToVector() *Vector {
-	v := New(c.n)
-	copy(v.words, c.w)
-	return v
 }

@@ -53,10 +53,6 @@ func TestCodewordVectorBridge(t *testing.T) {
 		if c.Bit(n-1) != v.Bit(n-1) {
 			t.Fatal("view does not share storage")
 		}
-		got := c.CopyToVector()
-		if !got.Equal(v) {
-			t.Fatalf("n=%d CopyToVector mismatch", n)
-		}
 	}
 }
 
@@ -133,43 +129,6 @@ func TestCodewordSliceXor(t *testing.T) {
 		}
 	}()
 	c.Slice(1, 65)
-}
-
-func TestCodewordMaskTail(t *testing.T) {
-	buf := []uint64{^uint64(0), ^uint64(0)}
-	c := MakeCodeword(buf, 72)
-	c.MaskTail()
-	if buf[1] != 0xFF {
-		t.Fatalf("tail not masked: %#x", buf[1])
-	}
-	if c.PopCount() != 72 {
-		t.Fatalf("popcount %d", c.PopCount())
-	}
-}
-
-func TestFromBytesBytewise(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 100, 256} {
-		b := make([]byte, (n+7)/8+2) // extra bytes must be ignored
-		rng.Read(b)
-		got := FromBytes(b, n)
-		want := New(n)
-		for i := 0; i < n; i++ {
-			if b[i/8]&(1<<(i%8)) != 0 {
-				want.Set(i, true)
-			}
-		}
-		if !got.Equal(want) {
-			t.Fatalf("n=%d FromBytes mismatch\n got %s\nwant %s", n, got, want)
-		}
-		// Short input: missing bytes are zero.
-		short := FromBytes(b[:1], n)
-		for i := 8; i < n; i++ {
-			if short.Bit(i) {
-				t.Fatalf("n=%d short FromBytes set bit %d", n, i)
-			}
-		}
-	}
 }
 
 func TestAppendUint64AndUint64At(t *testing.T) {

@@ -23,19 +23,14 @@ const (
 	Detected  = bch.Detected
 )
 
-// Code is a systematic per-word error code. Encode appends check bits to
-// the data word; Decode checks (and for correcting codes, repairs) a
-// codeword in place.
-//
-// Every code exposes two equivalent data paths. The legacy Vector path
-// (Encode/Decode/Data) allocates its results and is the convenient API
-// for experiments and tools. The word-kernel path
-// (EncodeInto/DecodeInPlace) operates on bitvec.Codeword views over
-// caller-owned []uint64 scratch and performs no heap allocation for the
-// parity/Hsiao codes (the BCH codes amortise through an internal
-// scratch pool) — it is the API the per-access hot paths in twod and
-// pcache use. FuzzKernelVsVector pins the two paths to identical
-// outcomes.
+// Code is a systematic per-word error code over bitvec.Codeword views:
+// EncodeInto appends check bits to a data word, DecodeInPlace checks
+// (and for correcting codes, repairs) a codeword in place. The views
+// lie over caller-owned []uint64 scratch, and the parity/Hsiao codes
+// perform no heap allocation (the BCH codes adapt through an internal
+// scratch pool). FuzzKernelVsReference pins the horizontal codes'
+// syndromes to their parity-check columns and every code's decoder to
+// its correction capability.
 type Code interface {
 	// Name identifies the code, e.g. "EDC8", "SECDED", "OECNED".
 	Name() string
@@ -49,18 +44,11 @@ type Code interface {
 	// DetectCapability is the maximum number of bit errors the code is
 	// guaranteed to detect. For EDCn this applies to contiguous bursts.
 	DetectCapability() int
-	// Encode returns the codeword (data followed by check bits).
-	Encode(data *bitvec.Vector) *bitvec.Vector
-	// Decode verifies cw, correcting in place when possible. It returns
-	// the outcome and the number of bits corrected.
-	Decode(cw *bitvec.Vector) (Result, int)
-	// Data extracts the data bits from a codeword.
-	Data(cw *bitvec.Vector) *bitvec.Vector
 	// EncodeInto writes the codeword for data (a DataBits-bit view)
 	// into cw (a CodewordBits-bit view). The views must not overlap.
 	EncodeInto(cw, data bitvec.Codeword)
-	// DecodeInPlace is Decode over a word view: it verifies cw,
-	// correcting in place when possible, without allocating.
+	// DecodeInPlace verifies cw, correcting it in place when possible.
+	// It returns the outcome and the number of bits corrected.
 	DecodeInPlace(cw bitvec.Codeword) (Result, int)
 }
 
@@ -78,9 +66,8 @@ func StorageOverhead(c Code) float64 {
 type bchCode struct {
 	name string
 	c    *bch.Code
-	// scratch pools the Vector conversion buffers for the kernel
-	// methods: the algebraic decoder works on Vectors internally, so
-	// the word-kernel path adapts through pooled scratch instead of
+	// scratch pools the Vector buffers the algebraic coder works on, so
+	// the word-view methods adapt through pooled scratch instead of
 	// allocating fresh vectors per call.
 	scratch sync.Pool
 }
@@ -123,23 +110,17 @@ func (b *bchCode) CheckBits() int         { return b.c.ParityBits() }
 func (b *bchCode) CorrectCapability() int { return b.c.T() }
 func (b *bchCode) DetectCapability() int  { return b.c.T() + 1 }
 
-func (b *bchCode) Encode(data *bitvec.Vector) *bitvec.Vector {
-	// bch stores parity first; re-order to data-then-check for a uniform
-	// external layout.
+// encode returns data's codeword in the uniform data-then-check layout.
+// bch.New builds extended codes, stored as the r-1 BCH parity bits,
+// then the data, then the overall parity bit.
+func (b *bchCode) encode(data *bitvec.Vector) *bitvec.Vector {
 	cw := b.c.Encode(data)
 	r := b.c.ParityBits()
 	out := bitvec.New(cw.Len())
 	out.SetSlice(0, b.c.Data(cw))
-	out.SetSlice(data.Len(), cw.Slice(0, r-boolToInt(b.extended())))
-	if b.extended() {
-		out.Set(cw.Len()-1, cw.Bit(cw.Len()-1))
-	}
+	out.SetSlice(data.Len(), cw.Slice(0, r-1))
+	out.Set(cw.Len()-1, cw.Bit(cw.Len()-1))
 	return out
-}
-
-func (b *bchCode) extended() bool {
-	// bch.New always builds extended codes in this package.
-	return true
 }
 
 func (b *bchCode) toInternal(cw *bitvec.Vector) *bitvec.Vector {
@@ -162,7 +143,8 @@ func (b *bchCode) fromInternal(in *bitvec.Vector) *bitvec.Vector {
 	return out
 }
 
-func (b *bchCode) Decode(cw *bitvec.Vector) (Result, int) {
+// decode checks cw, correcting it in place when possible.
+func (b *bchCode) decode(cw *bitvec.Vector) (Result, int) {
 	in := b.toInternal(cw)
 	res, n := b.c.Decode(in)
 	if res == Corrected {
@@ -171,36 +153,24 @@ func (b *bchCode) Decode(cw *bitvec.Vector) (Result, int) {
 	return res, n
 }
 
-func (b *bchCode) Data(cw *bitvec.Vector) *bitvec.Vector {
-	return cw.Slice(0, b.c.K())
-}
-
-// EncodeInto implements the word-kernel path by adapting through the
-// pooled Vector scratch: the BCH encoder itself stays algebraic.
+// EncodeInto adapts through the pooled Vector scratch: the BCH encoder
+// itself stays algebraic.
 func (b *bchCode) EncodeInto(cw, data bitvec.Codeword) {
 	s := b.scratch.Get().(*bchVecs)
 	s.data.AsCodeword().CopyFrom(data)
-	out := b.Encode(s.data)
-	cw.CopyFrom(out.AsCodeword())
+	cw.CopyFrom(b.encode(s.data).AsCodeword())
 	b.scratch.Put(s)
 }
 
-// DecodeInPlace implements the word-kernel path through the scratch
-// pool; corrections are copied back into the caller's view.
+// DecodeInPlace adapts through the scratch pool; corrections are copied
+// back into the caller's view.
 func (b *bchCode) DecodeInPlace(cw bitvec.Codeword) (Result, int) {
 	s := b.scratch.Get().(*bchVecs)
 	s.cw.AsCodeword().CopyFrom(cw)
-	res, n := b.Decode(s.cw)
+	res, n := b.decode(s.cw)
 	if res == Corrected {
 		cw.CopyFrom(s.cw.AsCodeword())
 	}
 	b.scratch.Put(s)
 	return res, n
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -26,22 +26,22 @@ func TestBCHCodeWrappers(t *testing.T) {
 		}
 		for trial := 0; trial < 15; trial++ {
 			d := randVec(rng, 64)
-			cw := c.Encode(d)
+			cw := encode(c, d)
 			if cw.Len() != CodewordBits(c) {
 				t.Fatalf("%s: codeword length %d", tc.name, cw.Len())
 			}
-			if !c.Data(cw).Equal(d) {
+			if !cw.Slice(0, d.Len()).Equal(d) {
 				t.Fatalf("%s: not systematic", tc.name)
 			}
 			// Inject exactly t errors in random positions.
 			for _, p := range rng.Perm(cw.Len())[:tc.t] {
 				cw.Flip(p)
 			}
-			res, n := c.Decode(cw)
+			res, n := c.DecodeInPlace(cw.AsCodeword())
 			if res != Corrected || n != tc.t {
 				t.Fatalf("%s: decode %v/%d, want corrected/%d", tc.name, res, n, tc.t)
 			}
-			if !c.Data(cw).Equal(d) {
+			if !cw.Slice(0, d.Len()).Equal(d) {
 				t.Fatalf("%s: data not restored", tc.name)
 			}
 		}
@@ -55,12 +55,12 @@ func TestBCHWrapperDetectsTPlusOne(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
-		cw := c.Encode(randVec(rng, 64))
+		cw := encode(c, randVec(rng, 64))
 		before := cw.Clone()
 		for _, p := range rng.Perm(cw.Len())[:3] {
 			cw.Flip(p)
 		}
-		res, _ := c.Decode(cw)
+		res, _ := c.DecodeInPlace(cw.AsCodeword())
 		if res != Detected {
 			t.Fatalf("3 errors on DECTED: %v", res)
 		}

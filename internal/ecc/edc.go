@@ -139,46 +139,9 @@ func (e *EDC) DecodeInPlace(cw bitvec.Codeword) (Result, int) {
 
 // SyndromeWords returns the packed n-bit parity mismatch of a codeword
 // view (bit g set when parity group g is inconsistent), allocation-free.
+// The 2D recovery process uses it to identify faulty column groups.
 func (e *EDC) SyndromeWords(cw bitvec.Codeword) uint64 {
 	return e.dataChecks(cw.Words()) ^ cw.Uint64At(e.k)
 }
-
-// checks computes the n interleaved parity bits of data.
-func (e *EDC) checks(data *bitvec.Vector) *bitvec.Vector {
-	c := bitvec.New(e.n)
-	c.AsCodeword().StoreBits(0, e.n, e.dataChecks(data.Words()))
-	return c
-}
-
-// Encode appends the n parity bits to data.
-func (e *EDC) Encode(data *bitvec.Vector) *bitvec.Vector {
-	if data.Len() != e.k {
-		panic(fmt.Sprintf("ecc: EDC encode length %d != k %d", data.Len(), e.k))
-	}
-	cw := bitvec.New(e.k + e.n)
-	e.EncodeInto(cw.AsCodeword(), data.AsCodeword())
-	return cw
-}
-
-// Decode verifies the interleaved parity. EDC never corrects; any parity
-// mismatch yields Detected.
-func (e *EDC) Decode(cw *bitvec.Vector) (Result, int) {
-	if cw.Len() != e.k+e.n {
-		panic(fmt.Sprintf("ecc: EDC codeword length %d != %d", cw.Len(), e.k+e.n))
-	}
-	return e.DecodeInPlace(cw.AsCodeword())
-}
-
-// Syndrome returns the n-bit parity mismatch vector: bit g is set when
-// parity group g is inconsistent. The 2D recovery process uses it to
-// identify faulty column groups.
-func (e *EDC) Syndrome(cw *bitvec.Vector) *bitvec.Vector {
-	s := bitvec.New(e.n)
-	s.AsCodeword().StoreBits(0, e.n, e.SyndromeWords(cw.AsCodeword()))
-	return s
-}
-
-// Data extracts the data bits.
-func (e *EDC) Data(cw *bitvec.Vector) *bitvec.Vector { return cw.Slice(0, e.k) }
 
 var _ Code = (*EDC)(nil)

@@ -30,11 +30,11 @@ func TestEDCCleanRoundTrip(t *testing.T) {
 		e := MustEDC(64, n)
 		for i := 0; i < 20; i++ {
 			d := randVec(rng, 64)
-			cw := e.Encode(d)
-			if res, _ := e.Decode(cw); res != Clean {
+			cw := encode(e, d)
+			if res, _ := e.DecodeInPlace(cw.AsCodeword()); res != Clean {
 				t.Fatalf("EDC%d clean decode failed", n)
 			}
-			if !e.Data(cw).Equal(d) {
+			if !cw.Slice(0, d.Len()).Equal(d) {
 				t.Fatalf("EDC%d data mismatch", n)
 			}
 		}
@@ -47,13 +47,13 @@ func TestEDCDetectsContiguousBursts(t *testing.T) {
 	for _, n := range []int{4, 8, 16} {
 		e := MustEDC(64, n)
 		for trial := 0; trial < 30; trial++ {
-			cw := e.Encode(randVec(rng, 64))
+			cw := encode(e, randVec(rng, 64))
 			blen := 1 + rng.Intn(n)
 			start := rng.Intn(cw.Len() - blen)
 			for i := 0; i < blen; i++ {
 				cw.Flip(start + i)
 			}
-			if res, _ := e.Decode(cw); res != Detected {
+			if res, _ := e.DecodeInPlace(cw.AsCodeword()); res != Detected {
 				t.Fatalf("EDC%d missed a %d-bit burst at %d", n, blen, start)
 			}
 		}
@@ -64,22 +64,21 @@ func TestEDCMissesAlignedPairs(t *testing.T) {
 	// Two flips n apart fall in the same parity group and cancel: the
 	// fundamental limitation that motivates interleaving choice.
 	e := MustEDC(64, 8)
-	cw := e.Encode(bitvec.New(64))
+	cw := encode(e, bitvec.New(64))
 	cw.Flip(0)
 	cw.Flip(8)
-	if res, _ := e.Decode(cw); res != Clean {
+	if res, _ := e.DecodeInPlace(cw.AsCodeword()); res != Clean {
 		t.Fatalf("aligned pair should be invisible to EDC8, got %v", res)
 	}
 }
 
 func TestEDCSyndromeIdentifiesGroups(t *testing.T) {
 	e := MustEDC(64, 8)
-	cw := e.Encode(bitvec.New(64))
+	cw := encode(e, bitvec.New(64))
 	cw.Flip(3)  // group 3
 	cw.Flip(12) // group 4
-	syn := e.Syndrome(cw)
-	if !syn.Bit(3) || !syn.Bit(4) || syn.PopCount() != 2 {
-		t.Fatalf("syndrome = %s", syn)
+	if syn := e.SyndromeWords(cw.AsCodeword()); syn != 1<<3|1<<4 {
+		t.Fatalf("syndrome = %#x", syn)
 	}
 }
 
@@ -87,9 +86,9 @@ func TestEDCQuickSingleFlipAlwaysDetected(t *testing.T) {
 	e := MustEDC(64, 8)
 	prop := func(seed int64, posRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cw := e.Encode(randVec(rng, 64))
+		cw := encode(e, randVec(rng, 64))
 		cw.Flip(int(posRaw) % cw.Len())
-		res, _ := e.Decode(cw)
+		res, _ := e.DecodeInPlace(cw.AsCodeword())
 		return res == Detected
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {

@@ -3,29 +3,21 @@ package ecc
 import "twodcache/internal/bitvec"
 
 // HorizontalCode is the subset of codes usable as the horizontal
-// dimension of 2D coding. Beyond plain encode/decode it exposes its
+// dimension of 2D coding. Beyond encode/decode it exposes its
 // parity-check matrix column-wise, which the 2D column-failure recovery
 // uses to localise erroneous bits: given a set of suspect columns (from
 // the vertical code) and a word's syndrome, recovery solves for the
 // unique flip set over GF(2).
 type HorizontalCode interface {
 	Code
-	// SyndromeBits returns the syndrome of cw packed into a uint64
-	// (bit i = syndrome bit i). Zero means the word checks clean.
-	SyndromeBits(cw *bitvec.Vector) uint64
-	// SyndromeWords is SyndromeBits over a word-kernel view: the
-	// allocation-free per-access check the twod/pcache hot paths run.
+	// SyndromeWords returns the syndrome of cw packed into a uint64
+	// (bit i = syndrome bit i). Zero means the word checks clean. It is
+	// the allocation-free per-access check the twod/pcache hot paths run.
 	SyndromeWords(cw bitvec.Codeword) uint64
 	// ParityColumn returns the parity-check column of codeword bit j,
 	// packed the same way: flipping bit j XORs this mask into the
 	// syndrome.
 	ParityColumn(j int) uint64
-}
-
-// SyndromeBits implements HorizontalCode for EDC: bit g of the result is
-// parity group g's mismatch.
-func (e *EDC) SyndromeBits(cw *bitvec.Vector) uint64 {
-	return e.SyndromeWords(cw.AsCodeword())
 }
 
 // ParityColumn implements HorizontalCode for EDC: data bit b belongs to
@@ -35,11 +27,6 @@ func (e *EDC) ParityColumn(j int) uint64 {
 		return 1 << uint(j%e.n)
 	}
 	return 1 << uint(j-e.k)
-}
-
-// SyndromeBits implements HorizontalCode for SECDED.
-func (s *SECDED) SyndromeBits(cw *bitvec.Vector) uint64 {
-	return uint64(s.syndrome(cw))
 }
 
 // ParityColumn implements HorizontalCode for SECDED.

@@ -7,70 +7,53 @@ import (
 	"twodcache/internal/bitvec"
 )
 
-// randData builds a random k-bit data vector.
-func randData(rng *rand.Rand, k int) *bitvec.Vector {
-	v := bitvec.New(k)
-	for i := 0; i < k; i++ {
-		if rng.Intn(2) == 1 {
-			v.Set(i, true)
-		}
-	}
-	return v
+// encode returns data's codeword as a Vector, through EncodeInto.
+func encode(c Code, data *bitvec.Vector) *bitvec.Vector {
+	cw := bitvec.New(CodewordBits(c))
+	c.EncodeInto(cw.AsCodeword(), data.AsCodeword())
+	return cw
 }
 
-// TestKernelMatchesVectorPath cross-checks EncodeInto/DecodeInPlace
-// against Encode/Decode for every registered code over random data and
-// random error patterns of increasing weight.
-func TestKernelMatchesVectorPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, c := range Registry() {
-		k, n := c.DataBits(), CodewordBits(c)
-		cwBuf := make([]uint64, bitvec.WordsFor(n))
-		for trial := 0; trial < 50; trial++ {
-			data := randData(rng, k)
-			want := c.Encode(data)
-			kcw := bitvec.MakeCodeword(cwBuf, n)
-			c.EncodeInto(kcw, data.AsCodeword())
-			if !kcw.Equal(want.AsCodeword()) {
-				t.Fatalf("%s: EncodeInto != Encode\n got %v\nwant %v", c.Name(), kcw.Words(), want.Words())
-			}
-			// Inject 0..DetectCapability+1 random flips into both copies.
-			nerr := rng.Intn(c.DetectCapability() + 2)
-			vcw := want.Clone()
-			for _, p := range rng.Perm(n)[:nerr] {
-				vcw.Flip(p)
-				kcw.Flip(p)
-			}
-			vres, vn := c.Decode(vcw)
-			kres, kn := c.DecodeInPlace(kcw)
-			if vres != kres || vn != kn {
-				t.Fatalf("%s: %d errors: DecodeInPlace (%v,%d) != Decode (%v,%d)",
-					c.Name(), nerr, kres, kn, vres, vn)
-			}
-			if !kcw.Equal(vcw.AsCodeword()) {
-				t.Fatalf("%s: %d errors: corrected codewords differ", c.Name(), nerr)
-			}
+// refSyndrome is the H-matrix definition of a syndrome: the XOR of the
+// parity-check columns of cw's set bits.
+func refSyndrome(h HorizontalCode, cw bitvec.Codeword) uint64 {
+	var syn uint64
+	for j := 0; j < cw.Len(); j++ {
+		if cw.Bit(j) {
+			syn ^= h.ParityColumn(j)
 		}
 	}
+	return syn
 }
 
-// TestHorizontalSyndromeWordsMatch pins SyndromeWords to SyndromeBits
-// for every horizontal code.
-func TestHorizontalSyndromeWordsMatch(t *testing.T) {
+// kernelCodes is the registry plus EDCn widths that are not a power of
+// two or cover less than a whole word, so the group-mask kernel and the
+// straddling-word masks are covered too.
+func kernelCodes() []Code {
+	return append(Registry(), MustEDC(64, 11), MustEDC(64, 24), MustEDC(48, 8))
+}
+
+// TestSyndromeWordsMatchParityColumns pins every horizontal code's
+// syndrome kernel to its parity-check columns, on encoded words (whose
+// reference syndrome must be zero) with 0-3 random flips.
+func TestSyndromeWordsMatchParityColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, c := range Registry() {
+	for _, c := range kernelCodes() {
 		h, ok := c.(HorizontalCode)
 		if !ok {
 			continue
 		}
 		n := CodewordBits(h)
 		for trial := 0; trial < 100; trial++ {
-			cw := h.Encode(randData(rng, h.DataBits()))
-			for i := rng.Intn(4); i > 0; i-- {
-				cw.Flip(rng.Intn(n))
+			cw := encode(h, randVec(rng, h.DataBits()))
+			if ref := refSyndrome(h, cw.AsCodeword()); ref != 0 {
+				t.Fatalf("%s: reference syndrome %#x of an encoded word", h.Name(), ref)
 			}
-			if got, want := h.SyndromeWords(cw.AsCodeword()), h.SyndromeBits(cw); got != want {
-				t.Fatalf("%s: SyndromeWords %#x != SyndromeBits %#x", h.Name(), got, want)
+			for _, p := range rng.Perm(n)[:rng.Intn(4)] {
+				cw.Flip(p)
+			}
+			if got, want := h.SyndromeWords(cw.AsCodeword()), refSyndrome(h, cw.AsCodeword()); got != want {
+				t.Fatalf("%s: SyndromeWords %#x != reference %#x", h.Name(), got, want)
 			}
 		}
 	}
@@ -100,12 +83,12 @@ func TestKernelAllocFree(t *testing.T) {
 	}
 }
 
-// FuzzKernelVsVector drives random data words plus injected error
-// patterns through both the legacy Encode/Decode path and the new
-// EncodeInto/DecodeInPlace kernels for every code in the registry;
-// outcomes, corrected bit counts, and resulting codewords must match
-// exactly.
-func FuzzKernelVsVector(f *testing.F) {
+// FuzzKernelVsReference drives fuzzed data words and error patterns
+// through every code's kernels. A fresh codeword decodes clean; after
+// the flips, a horizontal code's syndrome matches its parity-check
+// columns, and any pattern within the code's correction capability
+// decodes back to the original codeword.
+func FuzzKernelVsReference(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(0xDEADBEEF), uint64(1)<<63, uint64(3))
 	f.Add(^uint64(0), uint64(0x8000000000000001), ^uint64(0))
@@ -113,45 +96,47 @@ func FuzzKernelVsVector(f *testing.F) {
 	// group boundary only when n does not divide the word evenly.
 	f.Add(uint64(0xA5A5_5A5A_0F0F_F0F0), uint64(0x7FF)<<9, uint64(0))
 	f.Add(uint64(0x0123_4567_89AB_CDEF), uint64(0x1F)<<59, uint64(0x1F))
-	// Beyond the curated 64-bit power-of-two registry: EDCn with n not a
-	// power of two (group masks of uneven width) must agree too.
-	codes := append(Registry(), MustEDC(64, 11), MustEDC(64, 24), MustEDC(48, 8))
+	codes := kernelCodes()
 	f.Fuzz(func(t *testing.T, dataBits, errLo, errHi uint64) {
 		for _, c := range codes {
 			k, n := c.DataBits(), CodewordBits(c)
-			data := bitvec.New(k)
-			for i := 0; i < k && i < 64; i++ {
-				if dataBits&(1<<uint(i)) != 0 {
-					data.Set(i, true)
+			data := bitvec.MakeCodeword(make([]uint64, bitvec.WordsFor(k)), k)
+			data.StoreBits(0, min(k, 64), dataBits)
+			cw := bitvec.MakeCodeword(make([]uint64, bitvec.WordsFor(n)), n)
+			c.EncodeInto(cw, data)
+			clean := bitvec.MakeCodeword(append([]uint64(nil), cw.Words()...), n)
+			if res, nc := c.DecodeInPlace(cw); res != Clean || nc != 0 {
+				t.Fatalf("%s: fresh codeword decodes (%v,%d)", c.Name(), res, nc)
+			}
+			// Error pattern from the fuzzed 128-bit mask, cut to the
+			// codeword length.
+			flips := 0
+			for i := 0; i < n && i < 128; i++ {
+				e := errLo
+				if i >= 64 {
+					e = errHi
+				}
+				if e&(1<<uint(i%64)) != 0 {
+					cw.Flip(i)
+					flips++
 				}
 			}
-			vcw := c.Encode(data)
-			kcw := bitvec.MakeCodeword(make([]uint64, bitvec.WordsFor(n)), n)
-			c.EncodeInto(kcw, data.AsCodeword())
-			if !kcw.Equal(vcw.AsCodeword()) {
-				t.Fatalf("%s: EncodeInto != Encode", c.Name())
-			}
-			// Error pattern from the fuzzed 128-bit mask, wrapped over
-			// the codeword length.
-			for i := 0; i < n; i++ {
-				var hit bool
-				if i < 64 {
-					hit = errLo&(1<<uint(i)) != 0
-				} else if i < 128 {
-					hit = errHi&(1<<uint(i-64)) != 0
-				}
-				if hit {
-					vcw.Flip(i)
-					kcw.Flip(i)
+			if h, ok := c.(HorizontalCode); ok {
+				if got, want := h.SyndromeWords(cw), refSyndrome(h, cw); got != want {
+					t.Fatalf("%s: SyndromeWords %#x != reference %#x", c.Name(), got, want)
 				}
 			}
-			vres, vn := c.Decode(vcw)
-			kres, kn := c.DecodeInPlace(kcw)
-			if vres != kres || vn != kn {
-				t.Fatalf("%s: DecodeInPlace (%v,%d) != Decode (%v,%d)", c.Name(), kres, kn, vres, vn)
+			res, nc := c.DecodeInPlace(cw)
+			if flips > c.CorrectCapability() {
+				continue
 			}
-			if !kcw.Equal(vcw.AsCodeword()) {
-				t.Fatalf("%s: corrected codewords diverge", c.Name())
+			want := Clean
+			if flips > 0 {
+				want = Corrected
+			}
+			if res != want || nc != flips || !cw.Equal(clean) {
+				t.Fatalf("%s: %d flips decode (%v,%d), codeword restored %v",
+					c.Name(), flips, res, nc, cw.Equal(clean))
 			}
 		}
 	})

@@ -3,9 +3,9 @@ package ecc
 // Registry returns one representative instance of every per-word code
 // family over 64-bit data words: the paper's interleaved-parity
 // detection codes, the Hsiao correcting codes, and the BCH multi-bit
-// baselines. Differential tests (FuzzKernelVsVector) and the kernel
-// micro-benches iterate it so a new code family is covered the moment
-// it is registered here.
+// baselines. The reference tests (TestSyndromeWordsMatchParityColumns,
+// FuzzKernelVsReference) iterate it, so a new code family is covered
+// the moment it is registered here.
 func Registry() []Code {
 	codes := []Code{
 		MustEDC(64, 8),

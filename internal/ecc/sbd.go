@@ -228,26 +228,9 @@ func (s *SECDEDSBD) CorrectCapability() int { return 1 }
 // (plus all double-bit errors anywhere).
 func (s *SECDEDSBD) DetectCapability() int { return s.b }
 
-// ByteWidth returns b.
-func (s *SECDEDSBD) ByteWidth() int { return s.b }
-
-// Encode appends check bits.
-func (s *SECDEDSBD) Encode(data *bitvec.Vector) *bitvec.Vector {
-	if data.Len() != s.k {
-		panic(fmt.Sprintf("ecc: SBD encode length %d != k %d", data.Len(), s.k))
-	}
-	cw := bitvec.New(s.k + s.r)
-	s.EncodeInto(cw.AsCodeword(), data.AsCodeword())
-	return cw
-}
-
 // EncodeInto writes data plus check bits into cw without allocating.
 func (s *SECDEDSBD) EncodeInto(cw, data bitvec.Codeword) {
 	s.kern.encodeInto(cw, data, s.Name())
-}
-
-func (s *SECDEDSBD) syndrome(cw *bitvec.Vector) uint16 {
-	return s.kern.syndromeWords(cw.Words())
 }
 
 // SyndromeWords returns the packed syndrome of a codeword view,
@@ -256,25 +239,11 @@ func (s *SECDEDSBD) SyndromeWords(cw bitvec.Codeword) uint64 {
 	return uint64(s.kern.syndromeWords(cw.Words()))
 }
 
-// Decode corrects single-bit errors and detects double-bit and
-// single-byte multi-bit errors.
-func (s *SECDEDSBD) Decode(cw *bitvec.Vector) (Result, int) {
-	if cw.Len() != s.k+s.r {
-		panic(fmt.Sprintf("ecc: SBD codeword length %d != %d", cw.Len(), s.k+s.r))
-	}
-	return s.DecodeInPlace(cw.AsCodeword())
-}
-
-// DecodeInPlace is Decode on a word view without allocating.
+// DecodeInPlace corrects single-bit errors and detects double-bit and
+// single-byte multi-bit errors, without allocating.
 func (s *SECDEDSBD) DecodeInPlace(cw bitvec.Codeword) (Result, int) {
 	return s.kern.decodeInPlace(cw, s.colIndex, s.Name())
 }
-
-// Data extracts the data bits.
-func (s *SECDEDSBD) Data(cw *bitvec.Vector) *bitvec.Vector { return cw.Slice(0, s.k) }
-
-// SyndromeBits implements HorizontalCode.
-func (s *SECDEDSBD) SyndromeBits(cw *bitvec.Vector) uint64 { return uint64(s.syndrome(cw)) }
 
 // ParityColumn implements HorizontalCode.
 func (s *SECDEDSBD) ParityColumn(j int) uint64 { return uint64(s.cols[j]) }

@@ -29,11 +29,11 @@ func TestSBDSingleBitCorrection(t *testing.T) {
 	s := MustSECDEDSBD(64)
 	rng := rand.New(rand.NewSource(1))
 	d := randVec(rng, 64)
-	clean := s.Encode(d)
+	clean := encode(s, d)
 	for pos := 0; pos < clean.Len(); pos++ {
 		cw := clean.Clone()
 		cw.Flip(pos)
-		res, n := s.Decode(cw)
+		res, n := s.DecodeInPlace(cw.AsCodeword())
 		if res != Corrected || n != 1 {
 			t.Fatalf("pos %d: %v/%d", pos, res, n)
 		}
@@ -46,14 +46,14 @@ func TestSBDSingleBitCorrection(t *testing.T) {
 func TestSBDDoubleBitDetection(t *testing.T) {
 	s := MustSECDEDSBD(32)
 	rng := rand.New(rand.NewSource(2))
-	clean := s.Encode(randVec(rng, 32))
+	clean := encode(s, randVec(rng, 32))
 	n := clean.Len()
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			cw := clean.Clone()
 			cw.Flip(a)
 			cw.Flip(b)
-			if res, _ := s.Decode(cw); res != Detected {
+			if res, _ := s.DecodeInPlace(cw.AsCodeword()); res != Detected {
 				t.Fatalf("double (%d,%d): %v", a, b, res)
 			}
 		}
@@ -66,7 +66,7 @@ func TestSBDByteErrorDetectionExhaustive(t *testing.T) {
 	// bytes x all 247 multi-bit patterns.
 	s := MustSECDEDSBD(64)
 	rng := rand.New(rand.NewSource(3))
-	clean := s.Encode(randVec(rng, 64))
+	clean := encode(s, randVec(rng, 64))
 	for byteIdx := 0; byteIdx < 8; byteIdx++ {
 		for mask := 0; mask < 256; mask++ {
 			pop := 0
@@ -84,7 +84,7 @@ func TestSBDByteErrorDetectionExhaustive(t *testing.T) {
 					cw.Flip(byteIdx*8 + b)
 				}
 			}
-			res, _ := s.Decode(cw)
+			res, _ := s.DecodeInPlace(cw.AsCodeword())
 			if res != Detected {
 				t.Fatalf("byte %d mask %#x: %v (miscorrection!)", byteIdx, mask, res)
 			}
@@ -97,7 +97,7 @@ func TestPlainSECDEDMissesByteErrors(t *testing.T) {
 	// byte-confined patterns — the gap SBD closes.
 	s := MustSECDED(64)
 	rng := rand.New(rand.NewSource(4))
-	clean := s.Encode(randVec(rng, 64))
+	clean := encode(s, randVec(rng, 64))
 	bad := 0
 	for byteIdx := 0; byteIdx < 8; byteIdx++ {
 		for mask := 0; mask < 256; mask++ {
@@ -116,7 +116,7 @@ func TestPlainSECDEDMissesByteErrors(t *testing.T) {
 					cw.Flip(byteIdx*8 + b)
 				}
 			}
-			if res, _ := s.Decode(cw); res == Corrected {
+			if res, _ := s.DecodeInPlace(cw.AsCodeword()); res == Corrected {
 				bad++ // miscorrection: plausible single-bit fix applied
 			}
 		}
@@ -132,11 +132,11 @@ func TestSBDCleanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 50; i++ {
 		d := randVec(rng, 64)
-		cw := s.Encode(d)
-		if res, _ := s.Decode(cw); res != Clean {
+		cw := encode(s, d)
+		if res, _ := s.DecodeInPlace(cw.AsCodeword()); res != Clean {
 			t.Fatal("clean decode failed")
 		}
-		if !s.Data(cw).Equal(d) {
+		if !cw.Slice(0, d.Len()).Equal(d) {
 			t.Fatal("data mismatch")
 		}
 	}
@@ -144,12 +144,12 @@ func TestSBDCleanRoundTrip(t *testing.T) {
 
 func TestSBDAsHorizontalCode(t *testing.T) {
 	var h HorizontalCode = MustSECDEDSBD(64)
-	cw := h.Encode(randVec(rand.New(rand.NewSource(6)), 64))
-	if h.SyndromeBits(cw) != 0 {
+	cw := encode(h, randVec(rand.New(rand.NewSource(6)), 64))
+	if h.SyndromeWords(cw.AsCodeword()) != 0 {
 		t.Fatal("clean syndrome nonzero")
 	}
 	cw.Flip(10)
-	if h.SyndromeBits(cw) == 0 {
+	if h.SyndromeWords(cw.AsCodeword()) == 0 {
 		t.Fatal("error invisible")
 	}
 	if h.ParityColumn(10) == 0 {
@@ -174,15 +174,15 @@ func TestS4EDMatchesSECDEDCheckBits(t *testing.T) {
 		t.Fatalf("S4ED uses %d check bits, SECDED uses %d",
 			s.CheckBits(), MustSECDED(64).CheckBits())
 	}
-	if s.Name() != "SECDED-S4ED" || s.ByteWidth() != 4 {
-		t.Fatalf("metadata: %s/%d", s.Name(), s.ByteWidth())
+	if s.Name() != "SECDED-S4ED" || s.b != 4 {
+		t.Fatalf("metadata: %s/%d", s.Name(), s.b)
 	}
 }
 
 func TestS4EDNibbleDetectionExhaustive(t *testing.T) {
 	s := MustSECDEDSbED(64, 4)
 	rng := rand.New(rand.NewSource(9))
-	clean := s.Encode(randVec(rng, 64))
+	clean := encode(s, randVec(rng, 64))
 	for nib := 0; nib < 16; nib++ {
 		for mask := 0; mask < 16; mask++ {
 			pop := 0
@@ -200,7 +200,7 @@ func TestS4EDNibbleDetectionExhaustive(t *testing.T) {
 					cw.Flip(nib*4 + b)
 				}
 			}
-			if res, _ := s.Decode(cw); res != Detected {
+			if res, _ := s.DecodeInPlace(cw.AsCodeword()); res != Detected {
 				t.Fatalf("nibble %d mask %#x: %v", nib, mask, res)
 			}
 		}

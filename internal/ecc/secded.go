@@ -89,47 +89,22 @@ func (s *SECDED) CorrectCapability() int { return 1 }
 // DetectCapability is 2.
 func (s *SECDED) DetectCapability() int { return 2 }
 
-// Encode appends check bits so that every parity-check row is even.
-func (s *SECDED) Encode(data *bitvec.Vector) *bitvec.Vector {
-	if data.Len() != s.k {
-		panic(fmt.Sprintf("ecc: SECDED encode length %d != k %d", data.Len(), s.k))
-	}
-	cw := bitvec.New(s.k + s.r)
-	s.EncodeInto(cw.AsCodeword(), data.AsCodeword())
-	return cw
-}
-
-// EncodeInto writes data plus check bits into cw without allocating.
+// EncodeInto writes data plus check bits into cw, so that every
+// parity-check row is even, without allocating.
 func (s *SECDED) EncodeInto(cw, data bitvec.Codeword) {
 	s.kern.encodeInto(cw, data, "SECDED")
 }
 
-// syndrome computes H * cw.
-func (s *SECDED) syndrome(cw *bitvec.Vector) uint16 {
-	return s.kern.syndromeWords(cw.Words())
-}
-
-// SyndromeWords returns the packed syndrome of a codeword view,
+// SyndromeWords returns the packed syndrome H*cw of a codeword view,
 // allocation-free.
 func (s *SECDED) SyndromeWords(cw bitvec.Codeword) uint64 {
 	return uint64(s.kern.syndromeWords(cw.Words()))
 }
 
-// Decode corrects a single-bit error in place; even-weight or unmatched
-// syndromes report Detected.
-func (s *SECDED) Decode(cw *bitvec.Vector) (Result, int) {
-	if cw.Len() != s.k+s.r {
-		panic(fmt.Sprintf("ecc: SECDED codeword length %d != %d", cw.Len(), s.k+s.r))
-	}
-	return s.DecodeInPlace(cw.AsCodeword())
-}
-
-// DecodeInPlace is Decode on a word view without allocating.
+// DecodeInPlace corrects a single-bit error in place without
+// allocating; even-weight or unmatched syndromes report Detected.
 func (s *SECDED) DecodeInPlace(cw bitvec.Codeword) (Result, int) {
 	return s.kern.decodeInPlace(cw, s.colIndex, "SECDED")
 }
-
-// Data extracts the data bits.
-func (s *SECDED) Data(cw *bitvec.Vector) *bitvec.Vector { return cw.Slice(0, s.k) }
 
 var _ Code = (*SECDED)(nil)

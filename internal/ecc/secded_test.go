@@ -25,11 +25,11 @@ func TestSECDEDCleanAndData(t *testing.T) {
 		s := MustSECDED(k)
 		for i := 0; i < 20; i++ {
 			d := randVec(rng, k)
-			cw := s.Encode(d)
-			if res, n := s.Decode(cw); res != Clean || n != 0 {
+			cw := encode(s, d)
+			if res, n := s.DecodeInPlace(cw.AsCodeword()); res != Clean || n != 0 {
 				t.Fatalf("k=%d: clean decode %v/%d", k, res, n)
 			}
-			if !s.Data(cw).Equal(d) {
+			if !cw.Slice(0, d.Len()).Equal(d) {
 				t.Fatalf("k=%d: data mismatch", k)
 			}
 		}
@@ -42,11 +42,11 @@ func TestSECDEDCorrectsEverySingleBit(t *testing.T) {
 		s := MustSECDED(k)
 		rng := rand.New(rand.NewSource(int64(k)))
 		d := randVec(rng, k)
-		clean := s.Encode(d)
+		clean := encode(s, d)
 		for pos := 0; pos < clean.Len(); pos++ {
 			cw := clean.Clone()
 			cw.Flip(pos)
-			res, n := s.Decode(cw)
+			res, n := s.DecodeInPlace(cw.AsCodeword())
 			if res != Corrected || n != 1 {
 				t.Fatalf("k=%d pos=%d: %v/%d", k, pos, res, n)
 			}
@@ -60,14 +60,14 @@ func TestSECDEDCorrectsEverySingleBit(t *testing.T) {
 func TestSECDEDDetectsEveryDoubleBit(t *testing.T) {
 	s := MustSECDED(32)
 	rng := rand.New(rand.NewSource(3))
-	clean := s.Encode(randVec(rng, 32))
+	clean := encode(s, randVec(rng, 32))
 	n := clean.Len()
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			cw := clean.Clone()
 			cw.Flip(a)
 			cw.Flip(b)
-			res, _ := s.Decode(cw)
+			res, _ := s.DecodeInPlace(cw.AsCodeword())
 			if res != Detected {
 				t.Fatalf("double error (%d,%d) gave %v", a, b, res)
 			}
@@ -110,10 +110,10 @@ func TestSECDEDHardErrorPlusSoftError(t *testing.T) {
 	s := MustSECDED(64)
 	rng := rand.New(rand.NewSource(4))
 	d := randVec(rng, 64)
-	cw := s.Encode(d)
+	cw := encode(s, d)
 	cw.Flip(10) // manufacture-time hard error
 	cw.Flip(40) // in-field soft error
-	res, _ := s.Decode(cw)
+	res, _ := s.DecodeInPlace(cw.AsCodeword())
 	if res != Detected {
 		t.Fatalf("hard+soft pair should be uncorrectable: %v", res)
 	}

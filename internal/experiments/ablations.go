@@ -486,23 +486,25 @@ func AblationMiscorrection(opt Options) Table {
 	}
 	for _, code := range codes {
 		row := []string{code.Name()}
+		n := ecc.CodewordBits(code)
+		data := bitvec.MakeCodeword(make([]uint64, 1), 64)
+		cw := bitvec.MakeCodeword(make([]uint64, bitvec.WordsFor(n)), n)
 		for _, w := range weights {
 			mis := 0
 			for tr := 0; tr < trials; tr++ {
-				data := bitvec.New(64)
+				var d uint64
 				for i := 0; i < 64; i++ {
-					if rng.Intn(2) == 1 {
-						data.Set(i, true)
-					}
+					d |= uint64(rng.Intn(2)) << uint(i)
 				}
-				cw := code.Encode(data)
-				for _, p := range rng.Perm(cw.Len())[:w] {
+				data.StoreBits(0, 64, d)
+				code.EncodeInto(cw, data)
+				for _, p := range rng.Perm(n)[:w] {
 					cw.Flip(p)
 				}
-				res, _ := code.Decode(cw)
+				res, _ := code.DecodeInPlace(cw)
 				// Miscorrection: the decoder claims success (or clean)
 				// but the data bits are wrong.
-				if (res == ecc.Corrected || res == ecc.Clean) && !code.Data(cw).Equal(data) {
+				if (res == ecc.Corrected || res == ecc.Clean) && cw.Uint64At(0) != d {
 					mis++
 				}
 			}

@@ -129,7 +129,7 @@ func (s ConventionalScheme) New(rng *rand.Rand) Instance {
 	a := twod.MustConventionalArray(s.Rows, s.WordsPerRow, s.Code)
 	for r := 0; r < s.Rows; r++ {
 		for w := 0; w < s.WordsPerRow; w++ {
-			a.Write(r, w, randWord(rng, s.Code.DataBits()))
+			a.WriteUint64(r, w, randUint64(rng, s.Code.DataBits()))
 		}
 	}
 	return &convInstance{arr: a, golden: a.SnapshotData()}
@@ -217,18 +217,8 @@ func cellSeed(base int64, h, w int) int64 {
 	return DeriveSeed(base, uint64(h)<<32^uint64(w))
 }
 
-func randWord(rng *rand.Rand, k int) *bitvec.Vector {
-	v := bitvec.New(k)
-	for i := 0; i < k; i++ {
-		if rng.Intn(2) == 1 {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
-// randUint64 is randWord for k <= 64 packed into a uint64: the same k
-// draws, so the rng stream is the same too.
+// randUint64 draws a k-bit (k <= 64) data word, one rng.Intn(2) per
+// bit.
 func randUint64(rng *rand.Rand, k int) uint64 {
 	var v uint64
 	for i := 0; i < k; i++ {
@@ -278,7 +268,7 @@ func (s VSECDEDScheme) New(rng *rand.Rand) Instance {
 	a := twod.MustVSECDEDArray(s.Rows, s.WordsPerRow, s.Horizontal)
 	for r := 0; r < s.Rows; r++ {
 		for w := 0; w < s.WordsPerRow; w++ {
-			a.Write(r, w, randWord(rng, s.Horizontal.DataBits()))
+			a.WriteUint64(r, w, randUint64(rng, s.Horizontal.DataBits()))
 		}
 	}
 	return &vsecInstance{arr: a, golden: a.SnapshotData()}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"twodcache/internal/bitvec"
 	"twodcache/internal/ecc"
 )
 
@@ -80,7 +79,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	written := map[wr]uint64{}
 	for i := 0; i < 500; i++ {
 		r, w := rng.Intn(a.Rows()), rng.Intn(4)
-		d := randWord(rng)
+		d := randUint64(rng)
 		a.WriteUint64(r, w, d)
 		written[wr{r, w}] = d
 	}
@@ -105,7 +104,7 @@ func TestVerticalParityInvariantAfterWrites(t *testing.T) {
 	a := small8kb(t)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 2000; i++ {
-		a.WriteUint64(rng.Intn(a.Rows()), rng.Intn(4), randWord(rng))
+		a.WriteUint64(rng.Intn(a.Rows()), rng.Intn(4), randUint64(rng))
 		if i%200 == 0 && !parityConsistent(a) {
 			t.Fatalf("parity inconsistent after %d writes", i+1)
 		}
@@ -177,7 +176,7 @@ func TestWriteOverLatentError(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	fillRandom(a, rng)
 	a.FlipBit(50, a.Layout().PhysColumn(1, 3))
-	st := a.WriteUint64(50, 1, randWord(rng))
+	st := a.WriteUint64(50, 1, randUint64(rng))
 	if st != ReadRecovered {
 		t.Fatalf("write status = %v", st)
 	}
@@ -203,21 +202,17 @@ func TestStatsSnapshot(t *testing.T) {
 func fillRandom(a *Array, rng *rand.Rand) {
 	for r := 0; r < a.Rows(); r++ {
 		for w := 0; w < a.Config().WordsPerRow; w++ {
-			a.WriteUint64(r, w, randWord(rng))
+			a.WriteUint64(r, w, randUint64(rng))
 		}
 	}
 	a.ResetStats()
 }
 
-// randWord draws a data word as randVec does, one rng.Intn(2) per bit.
-func randWord(rng *rand.Rand) uint64 { return randVec(rng, 64).Uint64() }
-
-func randVec(rng *rand.Rand, n int) *bitvec.Vector {
-	v := bitvec.New(n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 1 {
-			v.Set(i, true)
-		}
+// randUint64 draws a 64-bit data word, one rng.Intn(2) per bit.
+func randUint64(rng *rand.Rand) uint64 {
+	var v uint64
+	for i := 0; i < 64; i++ {
+		v |= uint64(rng.Intn(2)) << uint(i)
 	}
 	return v
 }

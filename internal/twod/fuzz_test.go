@@ -106,7 +106,7 @@ func TestReadsNeverPanicUnderErrors(t *testing.T) {
 		case 0:
 			a.FlipBit(rng.Intn(32), rng.Intn(a.RowBits()))
 		case 1:
-			a.WriteUint64(rng.Intn(32), rng.Intn(2), randWord(rng))
+			a.WriteUint64(rng.Intn(32), rng.Intn(2), randUint64(rng))
 		default:
 			_, st := a.ReadUint64(rng.Intn(32), rng.Intn(2))
 			if st < ReadClean || st > ReadUncorrectable {
@@ -124,7 +124,7 @@ func TestVSECDEDNeverPanicsOnRandomSoup(t *testing.T) {
 		a := MustVSECDEDArray(64, 2, ecc.MustEDC(64, 8))
 		for r := 0; r < 64; r++ {
 			for w := 0; w < 2; w++ {
-				a.Write(r, w, randVec(rng, 64))
+				a.WriteUint64(r, w, randUint64(rng))
 			}
 		}
 		n := rng.Intn(30)

@@ -111,3 +111,13 @@ func (l Layout) scatterXor(w int, delta []uint64, rows ...[]uint64) {
 		}
 	}
 }
+
+// store overwrites word w's codeword in row with cw, using delta (as
+// many words as cw) as scratch for old XOR new.
+func (l Layout) store(row []uint64, w int, cw, delta []uint64) {
+	l.gather(delta, row, w)
+	for i, x := range cw {
+		delta[i] ^= x
+	}
+	l.scatterXor(w, delta, row)
+}

@@ -426,12 +426,15 @@ func TestSolveGF2(t *testing.T) {
 func TestConventionalArrayBaseline(t *testing.T) {
 	// 4-way interleaved SECDED corrects any physical burst of <= 4 bits
 	// along a row (one bit per word) but fails at 8.
+	if _, err := NewConventionalArray(64, 4, ecc.MustSECDED(128)); err == nil {
+		t.Fatal("128-bit data words accepted")
+	}
 	sec := ecc.MustSECDED(64)
 	a := MustConventionalArray(64, 4, sec)
 	rng := rand.New(rand.NewSource(23))
 	for r := 0; r < 64; r++ {
 		for w := 0; w < 4; w++ {
-			a.Write(r, w, randVec(rng, 64))
+			a.WriteUint64(r, w, randUint64(rng))
 		}
 	}
 	golden := a.SnapshotData()
@@ -465,7 +468,7 @@ func TestConventionalOECNEDWideBurst(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for r := 0; r < 32; r++ {
 		for w := 0; w < 4; w++ {
-			a.Write(r, w, randVec(rng, 64))
+			a.WriteUint64(r, w, randUint64(rng))
 		}
 	}
 	golden := a.SnapshotData()

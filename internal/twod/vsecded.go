@@ -17,6 +17,9 @@ import (
 // taller than one row defeat it. The trade-off is quantified by the
 // abl-vcode ablation: vertical parity wins on clustered errors,
 // vertical SECDED on scattered ones, at a third of the check storage.
+//
+// Words are at most 64 bits wide and are read and written as uint64.
+// Accesses reuse array-owned scratch, so callers serialise them.
 type VSECDEDArray struct {
 	layout Layout
 	horiz  ecc.HorizontalCode
@@ -24,6 +27,11 @@ type VSECDEDArray struct {
 	data   *bitvec.Matrix
 	checks *bitvec.Matrix // vcode.CheckBits() rows x RowBits
 	stats  Stats
+	mask   uint64 // the low DataBits bits
+	// scr is the access scratch: the word codeword in flight, the
+	// old-XOR-new delta of a store, the staged data word, and one
+	// column's vertical codeword (Rows + CheckRows bits).
+	scr struct{ cw, delta, data, col []uint64 }
 }
 
 // NewVSECDEDArray builds a zeroed array with horizontal code h and a
@@ -31,6 +39,9 @@ type VSECDEDArray struct {
 func NewVSECDEDArray(rows, wordsPerRow int, h ecc.HorizontalCode) (*VSECDEDArray, error) {
 	if h == nil {
 		return nil, fmt.Errorf("twod: nil horizontal code")
+	}
+	if k := h.DataBits(); k > 64 {
+		return nil, fmt.Errorf("twod: %d-bit data words, at most 64 supported", k)
 	}
 	layout := Layout{Rows: rows, WordsPerRow: wordsPerRow, CodewordBits: ecc.CodewordBits(h)}
 	if err := layout.Validate(); err != nil {
@@ -40,13 +51,19 @@ func NewVSECDEDArray(rows, wordsPerRow int, h ecc.HorizontalCode) (*VSECDEDArray
 	if err != nil {
 		return nil, fmt.Errorf("twod: vertical code: %w", err)
 	}
-	return &VSECDEDArray{
+	a := &VSECDEDArray{
 		layout: layout,
 		horiz:  h,
 		vcode:  vcode,
 		data:   bitvec.NewMatrix(rows, layout.RowBits()),
 		checks: bitvec.NewMatrix(vcode.CheckBits(), layout.RowBits()),
-	}, nil
+		mask:   ^uint64(0) >> (64 - h.DataBits()),
+	}
+	a.scr.cw = make([]uint64, bitvec.WordsFor(layout.CodewordBits))
+	a.scr.delta = make([]uint64, len(a.scr.cw))
+	a.scr.data = make([]uint64, 1)
+	a.scr.col = make([]uint64, bitvec.WordsFor(ecc.CodewordBits(vcode)))
+	return a, nil
 }
 
 // MustVSECDEDArray panics on error.
@@ -86,15 +103,15 @@ func (a *VSECDEDArray) vDelta(r, c int) {
 	}
 }
 
-// Write stores data into word w of row r with a read-before-write
-// vertical update, exactly as the parity variant does.
-func (a *VSECDEDArray) Write(r, w int, data *bitvec.Vector) {
-	if data.Len() != a.horiz.DataBits() {
-		panic(fmt.Sprintf("twod: Write data width %d != %d", data.Len(), a.horiz.DataBits()))
-	}
+// WriteUint64 stores the low DataBits bits of v into word w of row r
+// with a read-before-write vertical update, exactly as the parity
+// variant does.
+func (a *VSECDEDArray) WriteUint64(r, w int, v uint64) {
 	a.stats.Writes++
 	a.stats.ExtraReads++
-	cw := a.horiz.Encode(data)
+	a.scr.data[0] = v & a.mask
+	cw := bitvec.MakeCodeword(a.scr.cw, a.layout.CodewordBits)
+	a.horiz.EncodeInto(cw, bitvec.MakeCodeword(a.scr.data, a.horiz.DataBits()))
 	row := a.data.Row(r)
 	for b := 0; b < a.layout.CodewordBits; b++ {
 		col := a.layout.PhysColumn(w, b)
@@ -105,43 +122,35 @@ func (a *VSECDEDArray) Write(r, w int, data *bitvec.Vector) {
 	}
 }
 
-// Read returns word w of row r, recovering through the vertical SECDED
-// when the horizontal code flags an error.
-func (a *VSECDEDArray) Read(r, w int) (*bitvec.Vector, ReadStatus) {
+// ReadUint64 returns word w of row r, recovering through the vertical
+// SECDED when the horizontal code flags an error.
+func (a *VSECDEDArray) ReadUint64(r, w int) (uint64, ReadStatus) {
 	a.stats.Reads++
-	cw := a.extract(r, w)
-	res, _ := a.horiz.Decode(cw)
-	switch res {
+	st := ReadClean
+	switch res, _ := a.horiz.DecodeInPlace(a.extract(r, w)); res {
 	case ecc.Clean:
-		return a.horiz.Data(cw), ReadClean
 	case ecc.Corrected:
+		// Restore the corrupted cells; the vertical checks already hold
+		// their intended value, so they stay as they are.
 		a.stats.InlineCorrections++
-		a.storeRaw(r, w, cw)
-		return a.horiz.Data(cw), ReadCorrectedInline
+		a.layout.store(a.data.RowWords(r), w, a.scr.cw, a.scr.delta)
+		st = ReadCorrectedInline
 	default:
-		rep := a.Recover()
-		cw = a.extract(r, w)
-		if !rep.Success || a.horiz.SyndromeBits(cw) != 0 {
-			return a.horiz.Data(cw), ReadUncorrectable
+		// Recover's final scan reuses scr.cw, so gather the word again
+		// whatever the outcome.
+		ok := a.Recover().Success
+		st = ReadRecovered
+		if a.horiz.SyndromeWords(a.extract(r, w)) != 0 || !ok {
+			st = ReadUncorrectable
 		}
-		return a.horiz.Data(cw), ReadRecovered
 	}
+	return a.scr.cw[0] & a.mask, st
 }
 
-// extract gathers word w's codeword out of row r.
-func (a *VSECDEDArray) extract(r, w int) *bitvec.Vector {
-	cw := bitvec.New(a.layout.CodewordBits)
-	a.layout.gather(cw.Words(), a.data.RowWords(r), w)
-	return cw
-}
-
-// storeRaw overwrites word w's codeword in row r with cw, leaving the
-// vertical checks alone: it restores corrupted cells to their intended
-// value, which the checks already hold.
-func (a *VSECDEDArray) storeRaw(r, w int, cw *bitvec.Vector) {
-	delta := a.extract(r, w)
-	delta.Xor(cw)
-	a.layout.scatterXor(w, delta.Words(), a.data.RowWords(r))
+// extract gathers word w's codeword out of row r into scr.cw.
+func (a *VSECDEDArray) extract(r, w int) bitvec.Codeword {
+	a.layout.gather(a.scr.cw, a.data.RowWords(r), w)
+	return bitvec.MakeCodeword(a.scr.cw, a.layout.CodewordBits)
 }
 
 // FlipBit injects an error into a data cell.
@@ -151,18 +160,18 @@ func (a *VSECDEDArray) FlipBit(row, col int) { a.data.Flip(row, col) }
 func (a *VSECDEDArray) SnapshotData() *bitvec.Matrix { return a.data.Clone() }
 
 // columnCodeword assembles column c's vertical codeword (data bits then
-// check bits) for decoding.
-func (a *VSECDEDArray) columnCodeword(c int) *bitvec.Vector {
-	n := a.layout.Rows + a.vcode.CheckBits()
-	cw := bitvec.New(n)
+// check bits) in scr.col for decoding.
+func (a *VSECDEDArray) columnCodeword(c int) bitvec.Codeword {
+	cw := bitvec.MakeCodeword(a.scr.col, a.layout.Rows+a.vcode.CheckBits())
+	cw.Zero()
 	for r := 0; r < a.layout.Rows; r++ {
 		if a.data.Bit(r, c) {
-			cw.Set(r, true)
+			cw.SetBit(r, true)
 		}
 	}
 	for i := 0; i < a.vcode.CheckBits(); i++ {
 		if a.checks.Bit(i, c) {
-			cw.Set(a.layout.Rows+i, true)
+			cw.SetBit(a.layout.Rows+i, true)
 		}
 	}
 	return cw
@@ -178,7 +187,7 @@ func (a *VSECDEDArray) Recover() RecoveryReport {
 	for c := 0; c < a.layout.RowBits(); c++ {
 		rep.ScanReads++
 		cw := a.columnCodeword(c)
-		res, _ := a.vcode.Decode(cw)
+		res, _ := a.vcode.DecodeInPlace(cw)
 		switch res {
 		case ecc.Clean:
 			continue
@@ -204,7 +213,7 @@ func (a *VSECDEDArray) Recover() RecoveryReport {
 	for r := 0; r < a.layout.Rows; r++ {
 		for w := 0; w < a.layout.WordsPerRow; w++ {
 			rep.ScanReads++
-			if a.horiz.SyndromeBits(a.extract(r, w)) != 0 {
+			if a.horiz.SyndromeWords(a.extract(r, w)) != 0 {
 				ok = false
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"twodcache/internal/bitvec"
 	"twodcache/internal/ecc"
 )
 
@@ -25,6 +24,9 @@ func TestVSECDEDConstruction(t *testing.T) {
 	if _, err := NewVSECDEDArray(256, 4, nil); err == nil {
 		t.Fatal("nil horizontal accepted")
 	}
+	if _, err := NewVSECDEDArray(256, 4, ecc.MustEDC(128, 8)); err == nil {
+		t.Fatal("128-bit data words accepted")
+	}
 }
 
 func TestVSECDEDWriteReadRoundTrip(t *testing.T) {
@@ -34,13 +36,13 @@ func TestVSECDEDWriteReadRoundTrip(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		r, w := rng.Intn(256), rng.Intn(4)
 		v := rng.Uint64()
-		a.Write(r, w, bitvec.FromUint64(v, 64))
+		a.WriteUint64(r, w, v)
 		vals[[2]int{r, w}] = v
 	}
 	for k, v := range vals {
-		got, st := a.Read(k[0], k[1])
-		if st != ReadClean || got.Uint64() != v {
-			t.Fatalf("read (%d,%d) = %#x/%v", k[0], k[1], got.Uint64(), st)
+		got, st := a.ReadUint64(k[0], k[1])
+		if st != ReadClean || got != v {
+			t.Fatalf("read (%d,%d) = %#x/%v", k[0], k[1], got, st)
 		}
 	}
 }
@@ -53,7 +55,7 @@ func TestVSECDEDRecoversScatteredErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for r := 0; r < 256; r++ {
 		for w := 0; w < 4; w++ {
-			a.Write(r, w, bitvec.FromUint64(rng.Uint64(), 64))
+			a.WriteUint64(r, w, rng.Uint64())
 		}
 	}
 	golden := a.SnapshotData()
@@ -73,14 +75,13 @@ func TestVSECDEDRecoversScatteredErrors(t *testing.T) {
 
 func TestVSECDEDReadTriggersRecovery(t *testing.T) {
 	a := vsec(t)
-	d := bitvec.FromUint64(0xABCD, 64)
-	a.Write(9, 2, d)
+	a.WriteUint64(9, 2, 0xABCD)
 	a.FlipBit(9, a.Layout().PhysColumn(2, 5))
-	got, st := a.Read(9, 2)
-	if st != ReadRecovered || !got.Equal(d) {
-		t.Fatalf("read = %v/%v", got.Uint64(), st)
+	got, st := a.ReadUint64(9, 2)
+	if st != ReadRecovered || got != 0xABCD {
+		t.Fatalf("read = %#x/%v", got, st)
 	}
-	if _, st := a.Read(9, 2); st != ReadClean {
+	if _, st := a.ReadUint64(9, 2); st != ReadClean {
 		t.Fatal("error not repaired in storage")
 	}
 }
@@ -101,13 +102,32 @@ func TestVSECDEDFailsOnTallClusters(t *testing.T) {
 	}
 }
 
+func TestVSECDEDUncorrectableReadReturnsStoredWord(t *testing.T) {
+	// A read that recovery cannot fix still returns the word's own
+	// stored bits, not another word's.
+	a := vsec(t)
+	val := func(r, w int) uint64 { return uint64(r*4+w) * 0x9E3779B97F4A7C15 }
+	for r := 0; r < 256; r++ {
+		for w := 0; w < 4; w++ {
+			a.WriteUint64(r, w, val(r, w))
+		}
+	}
+	col := a.Layout().PhysColumn(1, 3)
+	a.FlipBit(10, col)
+	a.FlipBit(20, col)
+	got, st := a.ReadUint64(10, 1)
+	if want := val(10, 1) ^ 1<<3; st != ReadUncorrectable || got != want {
+		t.Fatalf("read = %#x/%v, want %#x/%v", got, st, want, ReadUncorrectable)
+	}
+}
+
 func TestVSECDEDSingleRowClusterOK(t *testing.T) {
 	// A 1x32 burst touches 32 distinct columns once each: correctable.
 	a := vsec(t)
 	rng := rand.New(rand.NewSource(3))
 	for r := 0; r < 256; r++ {
 		for w := 0; w < 4; w++ {
-			a.Write(r, w, bitvec.FromUint64(rng.Uint64(), 64))
+			a.WriteUint64(r, w, rng.Uint64())
 		}
 	}
 	golden := a.SnapshotData()
@@ -125,12 +145,11 @@ func TestVSECDEDSingleRowClusterOK(t *testing.T) {
 
 func TestVSECDEDInlineWithSECDEDHorizontal(t *testing.T) {
 	a := MustVSECDEDArray(64, 2, ecc.MustSECDED(64))
-	d := bitvec.FromUint64(42, 64)
-	a.Write(3, 1, d)
+	a.WriteUint64(3, 1, 42)
 	a.FlipBit(3, a.Layout().PhysColumn(1, 7))
-	got, st := a.Read(3, 1)
-	if st != ReadCorrectedInline || !got.Equal(d) {
-		t.Fatalf("read = %v/%v", got.Uint64(), st)
+	got, st := a.ReadUint64(3, 1)
+	if st != ReadCorrectedInline || got != 42 {
+		t.Fatalf("read = %#x/%v", got, st)
 	}
 }
 

@@ -16,7 +16,8 @@
 //   - NewArray and ArrayConfig build 2D-protected arrays with explicit
 //     storage, fault injection, and the Fig. 4(b) recovery algorithm;
 //   - NewEDC, NewSECDED, NewDECTED, NewQECPED, NewOECNED construct the
-//     per-word codes (the latter three are real shortened BCH codes);
+//     per-word codes (the latter three are real shortened BCH codes),
+//     which encode and decode Codeword views built by MakeCodeword;
 //   - FatCMP, LeanCMP, RunCMP and MeasureIPCLoss drive the cycle-level
 //     chip-multiprocessor simulator behind the paper's Fig. 5 and 6;
 //   - CacheYield and FieldReliability expose the Fig. 8 models;
@@ -35,18 +36,23 @@ import (
 	"twodcache/internal/yield"
 )
 
-// --- bit vectors -------------------------------------------------------
+// --- codeword views ----------------------------------------------------
 
-// Word is a fixed-width bit vector, the unit the per-word codes
-// encode and decode.
-type Word = bitvec.Vector
+// Codeword is an n-bit view over caller-owned uint64 words (bit i is bit
+// i%64 of word i/64), the unit the per-word codes encode and decode.
+// Code.EncodeInto writes a DataBits-bit data view's codeword into a
+// (DataBits+CheckBits)-bit view, and Code.DecodeInPlace checks and, for
+// correcting codes, repairs one in place.
+type Codeword = bitvec.Codeword
 
-// WordFromUint64 packs the low n bits (n <= 64) of x into a Word.
-func WordFromUint64(x uint64, n int) *Word { return bitvec.FromUint64(x, n) }
+// MakeCodeword returns an n-bit view over buf. It panics if buf holds
+// fewer than (n+63)/64 words.
+func MakeCodeword(buf []uint64, n int) Codeword { return bitvec.MakeCodeword(buf, n) }
 
 // --- per-word codes ----------------------------------------------------
 
-// Code is a systematic per-word error code (encode, detect/correct).
+// Code is a systematic per-word error code over Codeword views
+// (EncodeInto, then DecodeInPlace to detect or correct).
 type Code = ecc.Code
 
 // HorizontalCode is the subset of codes usable as the horizontal

@@ -43,8 +43,10 @@ func TestPublicCodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cw := c.Encode(WordFromUint64(42, 64))
-		if res, _ := c.Decode(cw); res != Clean {
+		n := c.DataBits() + c.CheckBits()
+		cw := MakeCodeword(make([]uint64, (n+63)/64), n)
+		c.EncodeInto(cw, MakeCodeword([]uint64{42}, 64))
+		if res, _ := c.DecodeInPlace(cw); res != Clean {
 			t.Fatalf("%s clean decode: %v", c.Name(), res)
 		}
 	}
