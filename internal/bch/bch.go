@@ -137,7 +137,7 @@ func (c *Code) bchLen() int { return c.k + c.r }
 // Encode produces the systematic codeword for data (length K bits):
 // bits [0,r) hold the BCH remainder, bits [r, r+k) the data, and with
 // Extended codes bit r+k holds overall even parity.
-func (c *Code) Encode(data *bitvec.Vector) *bitvec.Vector {
+func (c *Code) Encode(data bitvec.Codeword) bitvec.Codeword {
 	if data.Len() != c.k {
 		panic(fmt.Sprintf("bch: Encode data length %d != k %d", data.Len(), c.k))
 	}
@@ -150,10 +150,10 @@ func (c *Code) Encode(data *bitvec.Vector) *bitvec.Vector {
 	cw := bitvec.New(c.N())
 	for i := 0; i < c.r; i++ {
 		if rem.Coeff(i) == 1 {
-			cw.Set(i, true)
+			cw.SetBit(i, true)
 		}
 	}
-	cw.SetSlice(c.r, data)
+	cw.CopyBits(c.r, data, 0, c.k)
 	if c.extended {
 		// Overall even parity across the BCH portion.
 		p := 0
@@ -162,22 +162,24 @@ func (c *Code) Encode(data *bitvec.Vector) *bitvec.Vector {
 				p ^= 1
 			}
 		}
-		cw.Set(c.bchLen(), p == 1)
+		cw.SetBit(c.bchLen(), p == 1)
 	}
 	return cw
 }
 
-// Data extracts the data bits from a codeword.
-func (c *Code) Data(cw *bitvec.Vector) *bitvec.Vector {
+// Data returns a copy of a codeword's data bits.
+func (c *Code) Data(cw bitvec.Codeword) bitvec.Codeword {
 	if cw.Len() != c.N() {
 		panic(fmt.Sprintf("bch: codeword length %d != n %d", cw.Len(), c.N()))
 	}
-	return cw.Slice(c.r, c.r+c.k)
+	data := bitvec.New(c.k)
+	data.CopyBits(0, cw, c.r, c.k)
+	return data
 }
 
 // syndromes returns S_1..S_2t for the BCH portion of cw and whether any
 // is nonzero.
-func (c *Code) syndromes(cw *bitvec.Vector) ([]uint16, bool) {
+func (c *Code) syndromes(cw bitvec.Codeword) ([]uint16, bool) {
 	s := make([]uint16, 2*c.t)
 	any := false
 	for _, pos := range cw.Ones() {
@@ -202,7 +204,7 @@ func (c *Code) syndromes(cw *bitvec.Vector) ([]uint16, bool) {
 // exceeds the code's capability the decoder reports Detected where the
 // design distance guarantees it (≤ t+1 errors for extended codes);
 // beyond that, like any bounded-distance decoder, it may miscorrect.
-func (c *Code) Decode(cw *bitvec.Vector) (Result, int) {
+func (c *Code) Decode(cw bitvec.Codeword) (Result, int) {
 	if cw.Len() != c.N() {
 		panic(fmt.Sprintf("bch: codeword length %d != n %d", cw.Len(), c.N()))
 	}

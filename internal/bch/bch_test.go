@@ -188,19 +188,17 @@ func TestDecodeDoesNotMutateOnDetect(t *testing.T) {
 	}
 }
 
-func randVec(rng *rand.Rand, n int) *bitvec.Vector {
+func randVec(rng *rand.Rand, n int) bitvec.Codeword {
 	v := bitvec.New(n)
 	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 1 {
-			v.Set(i, true)
-		}
+		v.SetBit(i, rng.Intn(2) == 1)
 	}
 	return v
 }
 
 // flipRandom flips exactly n distinct random bits of v and returns their
 // positions.
-func flipRandom(rng *rand.Rand, v *bitvec.Vector, n int) []int {
+func flipRandom(rng *rand.Rand, v bitvec.Codeword, n int) []int {
 	perm := rng.Perm(v.Len())[:n]
 	for _, p := range perm {
 		v.Flip(p)

@@ -91,7 +91,7 @@ func TestGeneratorDividesCodewords(t *testing.T) {
 }
 
 // polyFromVec converts a codeword bit vector to a GF(2) polynomial.
-func polyFromVec(v *bitvec.Vector) gf2.Poly {
+func polyFromVec(v bitvec.Codeword) gf2.Poly {
 	p := gf2.Poly{}
 	for _, i := range v.Ones() {
 		p = p.Add(gf2.PolyX(i))

@@ -1,121 +1,105 @@
-// Package bitvec provides dense bit vectors and two-dimensional bit
-// matrices used throughout the 2D error-coding library.
+// Package bitvec provides the bit vectors and bit matrices used
+// throughout the 2D error-coding library.
 //
-// A Vector is a fixed-width sequence of bits packed into 64-bit words.
-// A Matrix is a rectangular grid of bits with efficient row-wise XOR,
-// the fundamental operation of interleaved-parity codes and of the 2D
-// recovery process.
+// A Codeword is n bits packed little-endian into uint64 words: a view
+// over caller-owned words (MakeCodeword) or over freshly allocated ones
+// (New). A Matrix is a rectangular grid of bits held in one word array
+// whose rows are Codeword views; row-wise XOR is the fundamental
+// operation of interleaved-parity codes and of the 2D recovery process.
 package bitvec
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
 const wordBits = 64
 
-// Vector is a fixed-length bit vector. The zero value is an empty vector;
-// use New to create one with a given width.
-type Vector struct {
-	n     int
-	words []uint64
+// Codeword is a view of n bits packed little-endian into a []uint64.
+// Every operation works in place on the backing words, so the hot
+// coding paths (per-access horizontal checks, the delta-XOR vertical
+// update) run over caller-owned scratch without a heap allocation.
+//
+// A Codeword never grows its storage. Bits at positions >= Len inside
+// the last backing word are "tail" bits: every operation keeps them
+// zero, and so must callers that write the backing words directly.
+type Codeword struct {
+	n int
+	w []uint64
 }
 
-// New returns a zeroed Vector of n bits. It panics if n is negative.
-func New(n int) *Vector {
+// WordsFor returns the number of uint64 words needed to hold n bits.
+func WordsFor(n int) int { return (n + wordBits - 1) / wordBits }
+
+// New returns a zeroed n-bit Codeword over freshly allocated words. It
+// panics if n is negative.
+func New(n int) Codeword {
 	if n < 0 {
 		panic(fmt.Sprintf("bitvec: negative length %d", n))
 	}
-	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
+	return Codeword{n: n, w: make([]uint64, WordsFor(n))}
 }
 
-// Len returns the number of bits in the vector.
-func (v *Vector) Len() int { return v.n }
+// MakeCodeword returns an n-bit view over buf. It panics if buf is too
+// short. Extra words beyond WordsFor(n) are ignored.
+func MakeCodeword(buf []uint64, n int) Codeword {
+	if n < 0 {
+		panic(fmt.Sprintf("bitvec: negative codeword length %d", n))
+	}
+	nw := WordsFor(n)
+	if len(buf) < nw {
+		panic(fmt.Sprintf("bitvec: codeword buffer %d words < %d needed for %d bits", len(buf), nw, n))
+	}
+	return Codeword{n: n, w: buf[:nw]}
+}
+
+// Len returns the number of bits in the view.
+func (c Codeword) Len() int { return c.n }
+
+// Words returns the backing word slice of the view.
+func (c Codeword) Words() []uint64 { return c.w }
 
 // Bit reports whether bit i is set. It panics if i is out of range.
-func (v *Vector) Bit(i int) bool {
-	v.check(i)
-	return v.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
+func (c Codeword) Bit(i int) bool {
+	c.check(i)
+	return c.w[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
-// Set sets bit i to val. It panics if i is out of range.
-func (v *Vector) Set(i int, val bool) {
-	v.check(i)
+// SetBit sets bit i to val. It panics if i is out of range.
+func (c Codeword) SetBit(i int, val bool) {
+	c.check(i)
 	if val {
-		v.words[i/wordBits] |= 1 << (uint(i) % wordBits)
+		c.w[i/wordBits] |= 1 << (uint(i) % wordBits)
 	} else {
-		v.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
+		c.w[i/wordBits] &^= 1 << (uint(i) % wordBits)
 	}
 }
 
 // Flip inverts bit i. It panics if i is out of range.
-func (v *Vector) Flip(i int) {
-	v.check(i)
-	v.words[i/wordBits] ^= 1 << (uint(i) % wordBits)
+func (c Codeword) Flip(i int) {
+	c.check(i)
+	c.w[i/wordBits] ^= 1 << (uint(i) % wordBits)
 }
 
-func (v *Vector) check(i int) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
-	}
-}
-
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	c := New(v.n)
-	copy(c.words, v.words)
-	return c
-}
-
-// CopyFrom overwrites v with the contents of src. Both must have equal length.
-func (v *Vector) CopyFrom(src *Vector) {
-	if v.n != src.n {
-		panic(fmt.Sprintf("bitvec: CopyFrom length mismatch %d != %d", v.n, src.n))
-	}
-	copy(v.words, src.words)
-}
-
-// Xor sets v to v XOR other. Both must have equal length.
-func (v *Vector) Xor(other *Vector) {
-	if v.n != other.n {
-		panic(fmt.Sprintf("bitvec: Xor length mismatch %d != %d", v.n, other.n))
-	}
-	for i := range v.words {
-		v.words[i] ^= other.words[i]
+func (c Codeword) check(i int) {
+	if i < 0 || i >= c.n {
+		panic(fmt.Sprintf("bitvec: codeword index %d out of range [0,%d)", i, c.n))
 	}
 }
 
-// And sets v to v AND other. Both must have equal length.
-func (v *Vector) And(other *Vector) {
-	if v.n != other.n {
-		panic(fmt.Sprintf("bitvec: And length mismatch %d != %d", v.n, other.n))
-	}
-	for i := range v.words {
-		v.words[i] &= other.words[i]
-	}
-}
-
-// Or sets v to v OR other. Both must have equal length.
-func (v *Vector) Or(other *Vector) {
-	if v.n != other.n {
-		panic(fmt.Sprintf("bitvec: Or length mismatch %d != %d", v.n, other.n))
-	}
-	for i := range v.words {
-		v.words[i] |= other.words[i]
-	}
+// Clone returns a copy of c over freshly allocated words.
+func (c Codeword) Clone() Codeword {
+	return Codeword{n: c.n, w: slices.Clone(c.w)}
 }
 
 // Zero clears every bit.
-func (v *Vector) Zero() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
+func (c Codeword) Zero() { clear(c.w) }
 
 // IsZero reports whether no bit is set.
-func (v *Vector) IsZero() bool {
-	for _, w := range v.words {
+func (c Codeword) IsZero() bool {
+	for _, w := range c.w {
 		if w != 0 {
 			return false
 		}
@@ -124,131 +108,125 @@ func (v *Vector) IsZero() bool {
 }
 
 // PopCount returns the number of set bits.
-func (v *Vector) PopCount() int {
-	c := 0
-	for _, w := range v.words {
-		c += bits.OnesCount64(w)
+func (c Codeword) PopCount() int {
+	n := 0
+	for _, w := range c.w {
+		n += bits.OnesCount64(w)
 	}
-	return c
-}
-
-// Equal reports whether v and other hold identical bits (and equal lengths).
-func (v *Vector) Equal(other *Vector) bool {
-	if v.n != other.n {
-		return false
-	}
-	for i := range v.words {
-		if v.words[i] != other.words[i] {
-			return false
-		}
-	}
-	return true
+	return n
 }
 
 // Ones returns the indices of all set bits, in ascending order.
-func (v *Vector) Ones() []int {
+func (c Codeword) Ones() []int {
 	var idx []int
-	for wi, w := range v.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			idx = append(idx, wi*wordBits+b)
-			w &= w - 1
+	for wi, w := range c.w {
+		for ; w != 0; w &= w - 1 {
+			idx = append(idx, wi*wordBits+bits.TrailingZeros64(w))
 		}
 	}
 	return idx
 }
 
-// AppendUint64 grows the vector by nb bits (nb <= 64) holding the low
-// nb bits of x, returning v for chaining.
-func (v *Vector) AppendUint64(x uint64, nb int) *Vector {
-	if nb < 0 || nb > wordBits {
-		panic(fmt.Sprintf("bitvec: AppendUint64 width %d out of [0,64]", nb))
+// Xor sets c to c XOR other. Both must have equal length.
+func (c Codeword) Xor(other Codeword) {
+	if c.n != other.n {
+		panic(fmt.Sprintf("bitvec: codeword Xor length mismatch %d != %d", c.n, other.n))
 	}
-	off := v.n
-	v.n += nb
-	for len(v.words) < WordsFor(v.n) {
-		v.words = append(v.words, 0)
+	for i := range c.w {
+		c.w[i] ^= other.w[i]
 	}
-	MakeCodeword(v.words, v.n).StoreBits(off, nb, x)
-	return v
+}
+
+// Or sets c to c OR other. Both must have equal length.
+func (c Codeword) Or(other Codeword) {
+	if c.n != other.n {
+		panic(fmt.Sprintf("bitvec: codeword Or length mismatch %d != %d", c.n, other.n))
+	}
+	for i := range c.w {
+		c.w[i] |= other.w[i]
+	}
+}
+
+// CopyFrom overwrites c with the contents of src (equal lengths).
+func (c Codeword) CopyFrom(src Codeword) {
+	if c.n != src.n {
+		panic(fmt.Sprintf("bitvec: codeword CopyFrom length mismatch %d != %d", c.n, src.n))
+	}
+	copy(c.w, src.w)
+}
+
+// CopyBits overwrites the n bits of c at offset off with bits [lo,
+// lo+n) of src, 64 bits at a time. Bits outside [off, off+n) are
+// untouched. The two ranges must not share storage.
+func (c Codeword) CopyBits(off int, src Codeword, lo, n int) {
+	if n < 0 || lo < 0 || lo+n > src.n || off < 0 || off+n > c.n {
+		panic(fmt.Sprintf("bitvec: CopyBits %d bits from [%d,%d) to [%d,%d) out of range", n, lo, src.n, off, c.n))
+	}
+	for i := 0; i < n; i += wordBits {
+		c.StoreBits(off+i, min(wordBits, n-i), src.Uint64At(lo+i))
+	}
+}
+
+// Equal reports whether both views hold identical bits and lengths.
+func (c Codeword) Equal(other Codeword) bool {
+	return c.n == other.n && slices.Equal(c.w, other.w)
 }
 
 // Uint64At returns up to 64 bits starting at bit offset off, shifted
-// down to bit 0 and zero-padded past the end of the vector.
-func (v *Vector) Uint64At(off int) uint64 {
-	return v.AsCodeword().Uint64At(off)
-}
-
-// Uint64 returns the low 64 bits of the vector as a uint64.
-func (v *Vector) Uint64() uint64 {
-	if len(v.words) == 0 {
+// down to bit 0 and zero-padded past the end of the view.
+func (c Codeword) Uint64At(off int) uint64 {
+	if off < 0 || off > c.n {
+		panic(fmt.Sprintf("bitvec: codeword offset %d out of range [0,%d]", off, c.n))
+	}
+	wi, sh := off/wordBits, uint(off)%wordBits
+	if wi >= len(c.w) {
 		return 0
 	}
-	x := v.words[0]
-	if v.n < 64 {
-		x &= (1 << uint(v.n)) - 1
+	x := c.w[wi] >> sh
+	if sh != 0 && wi+1 < len(c.w) {
+		x |= c.w[wi+1] << (wordBits - sh)
+	}
+	if rem := c.n - off; rem < wordBits {
+		x &= (1 << uint(rem)) - 1
 	}
 	return x
 }
 
-// Slice returns a new Vector holding bits [lo, hi) of v.
-func (v *Vector) Slice(lo, hi int) *Vector {
-	if lo < 0 || hi > v.n || lo > hi {
-		panic(fmt.Sprintf("bitvec: Slice [%d,%d) out of range [0,%d)", lo, hi, v.n))
+// StoreBits overwrites the nb bits at offset off with the low nb bits
+// of x (nb <= 64). Bits outside [off, off+nb) are untouched.
+func (c Codeword) StoreBits(off, nb int, x uint64) {
+	if nb < 0 || nb > wordBits {
+		panic(fmt.Sprintf("bitvec: StoreBits width %d out of [0,64]", nb))
 	}
-	out := New(hi - lo)
-	for i := lo; i < hi; i++ {
-		if v.Bit(i) {
-			out.Set(i-lo, true)
-		}
+	if off < 0 || off+nb > c.n {
+		panic(fmt.Sprintf("bitvec: StoreBits [%d,%d) out of range [0,%d)", off, off+nb, c.n))
 	}
-	return out
+	if nb == 0 {
+		return
+	}
+	mask := ^uint64(0)
+	if nb < wordBits {
+		mask = (1 << uint(nb)) - 1
+	}
+	x &= mask
+	wi, sh := off/wordBits, uint(off)%wordBits
+	c.w[wi] = c.w[wi]&^(mask<<sh) | x<<sh
+	if spill := int(sh) + nb - wordBits; spill > 0 {
+		hi := uint(wordBits) - sh
+		c.w[wi+1] = c.w[wi+1]&^(mask>>hi) | x>>hi
+	}
 }
 
-// SetSlice writes src into v starting at bit offset off.
-func (v *Vector) SetSlice(off int, src *Vector) {
-	if off < 0 || off+src.n > v.n {
-		panic(fmt.Sprintf("bitvec: SetSlice [%d,%d) out of range [0,%d)", off, off+src.n, v.n))
-	}
-	for i := 0; i < src.n; i++ {
-		v.Set(off+i, src.Bit(i))
-	}
-}
-
-// Parity returns the XOR of all bits (1 if odd number of set bits).
-func (v *Vector) Parity() int {
-	var acc uint64
-	for _, w := range v.words {
-		acc ^= w
-	}
-	return bits.OnesCount64(acc) & 1
-}
-
-// String renders the vector as a bit string, bit 0 first.
-func (v *Vector) String() string {
+// String renders the view as a bit string, bit 0 first.
+func (c Codeword) String() string {
 	var sb strings.Builder
-	sb.Grow(v.n)
-	for i := 0; i < v.n; i++ {
-		if v.Bit(i) {
+	sb.Grow(c.n)
+	for i := 0; i < c.n; i++ {
+		if c.Bit(i) {
 			sb.WriteByte('1')
 		} else {
 			sb.WriteByte('0')
 		}
 	}
 	return sb.String()
-}
-
-// Parse builds a Vector from a bit string of '0'/'1' runes (bit 0 first).
-func Parse(s string) (*Vector, error) {
-	v := New(len(s))
-	for i, r := range s {
-		switch r {
-		case '0':
-		case '1':
-			v.Set(i, true)
-		default:
-			return nil, fmt.Errorf("bitvec: invalid character %q at position %d", r, i)
-		}
-	}
-	return v, nil
 }

@@ -3,45 +3,59 @@ package bitvec
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewZeroed(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 1000} {
-		v := New(n)
-		if v.Len() != n {
-			t.Fatalf("Len = %d, want %d", v.Len(), n)
+		c := New(n)
+		if c.Len() != n || len(c.Words()) != WordsFor(n) {
+			t.Fatalf("New(%d): Len %d over %d words", n, c.Len(), len(c.Words()))
 		}
-		if !v.IsZero() {
+		if !c.IsZero() || c.PopCount() != 0 {
 			t.Fatalf("New(%d) not zero", n)
-		}
-		if v.PopCount() != 0 {
-			t.Fatalf("PopCount of zero vector = %d", v.PopCount())
 		}
 	}
 }
 
+// TestMakeCodewordBasics: a view over a caller's buffer covers its first
+// WordsFor(n) words and writes through to them.
+func TestMakeCodewordBasics(t *testing.T) {
+	buf := make([]uint64, 4)
+	c := MakeCodeword(buf, 130)
+	if c.Len() != 130 || len(c.Words()) != 3 {
+		t.Fatalf("len=%d words=%d", c.Len(), len(c.Words()))
+	}
+	c.SetBit(129, true)
+	if buf[2] != 1<<1 {
+		t.Fatalf("view does not write through: buf[2] = %#x", buf[2])
+	}
+	c.Zero()
+	if !c.IsZero() || buf[2] != 0 {
+		t.Fatal("Zero left bits set")
+	}
+}
+
 func TestSetBitFlip(t *testing.T) {
-	v := New(130)
-	v.Set(0, true)
-	v.Set(64, true)
-	v.Set(129, true)
+	c := New(130)
+	c.SetBit(0, true)
+	c.SetBit(64, true)
+	c.SetBit(129, true)
 	for i := 0; i < 130; i++ {
 		want := i == 0 || i == 64 || i == 129
-		if v.Bit(i) != want {
-			t.Fatalf("Bit(%d) = %v, want %v", i, v.Bit(i), want)
+		if c.Bit(i) != want {
+			t.Fatalf("Bit(%d) = %v, want %v", i, c.Bit(i), want)
 		}
 	}
-	if v.PopCount() != 3 {
-		t.Fatalf("PopCount = %d, want 3", v.PopCount())
+	if c.PopCount() != 3 {
+		t.Fatalf("PopCount = %d, want 3", c.PopCount())
 	}
-	v.Flip(64)
-	if v.Bit(64) {
+	c.Flip(64)
+	if c.Bit(64) {
 		t.Fatal("Flip did not clear bit 64")
 	}
-	v.Set(0, false)
-	if v.Bit(0) {
-		t.Fatal("Set(0,false) did not clear")
+	c.SetBit(0, false)
+	if c.Bit(0) {
+		t.Fatal("SetBit(0, false) did not clear")
 	}
 }
 
@@ -49,11 +63,21 @@ func TestOutOfRangePanics(t *testing.T) {
 	cases := []func(){
 		func() { New(10).Bit(10) },
 		func() { New(10).Bit(-1) },
-		func() { New(10).Set(10, true) },
+		func() { New(10).SetBit(10, true) },
 		func() { New(10).Flip(-1) },
 		func() { New(-1) },
+		func() { MakeCodeword(make([]uint64, 1), 65) },
 		func() { New(8).Xor(New(9)) },
-		func() { New(8).Slice(3, 9) },
+		func() { New(8).Or(New(9)) },
+		func() { New(8).CopyFrom(New(9)) },
+		func() { New(8).Uint64At(9) },
+		func() { New(8).StoreBits(4, 5, 0) },
+		func() { New(8).CopyBits(0, New(8), 3, 6) },
+		func() { New(8).CopyBits(3, New(8), 0, 6) },
+		func() { NewMatrix(2, 70).Bit(0, 70) },
+		func() { NewMatrix(2, 70).Flip(2, 0) },
+		func() { NewMatrix(2, 70).Set(-1, 0, true) },
+		func() { NewMatrix(2, 70).RowWords(2) },
 	}
 	for i, f := range cases {
 		func() {
@@ -71,7 +95,7 @@ func TestXorSelfInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(300)
-		a, b := randomVec(rng, n), randomVec(rng, n)
+		a, b := randomCodeword(rng, n), randomCodeword(rng, n)
 		orig := a.Clone()
 		a.Xor(b)
 		a.Xor(b)
@@ -81,98 +105,41 @@ func TestXorSelfInverse(t *testing.T) {
 	}
 }
 
+func TestOr(t *testing.T) {
+	a, b := New(4), New(4)
+	a.SetBit(0, true)
+	a.SetBit(1, true)
+	b.SetBit(0, true)
+	b.SetBit(2, true)
+	a.Or(b)
+	if a.String() != "1110" || b.String() != "1010" {
+		t.Fatalf("Or = %s (other %s), want 1110 (1010)", a, b)
+	}
+}
+
 func TestOnesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(500)
-		v := randomVec(rng, n)
-		ones := v.Ones()
-		if len(ones) != v.PopCount() {
-			t.Fatalf("len(Ones)=%d popcount=%d", len(ones), v.PopCount())
+		c := randomCodeword(rng, n)
+		ones := c.Ones()
+		if len(ones) != c.PopCount() {
+			t.Fatalf("len(Ones)=%d popcount=%d", len(ones), c.PopCount())
 		}
 		rebuilt := New(n)
 		for _, i := range ones {
-			rebuilt.Set(i, true)
+			rebuilt.SetBit(i, true)
 		}
-		if !rebuilt.Equal(v) {
+		if !rebuilt.Equal(c) {
 			t.Fatal("rebuilding from Ones() differs")
 		}
 	}
 }
 
-func TestParityMatchesPopCount(t *testing.T) {
-	f := func(words []uint64) bool {
-		n := len(words) * 64
-		if n == 0 {
-			return true
-		}
-		v := New(n)
-		for i, w := range words {
-			for b := 0; b < 64; b++ {
-				if w&(1<<uint(b)) != 0 {
-					v.Set(i*64+b, true)
-				}
-			}
-		}
-		return v.Parity() == v.PopCount()%2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSliceAndSetSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	v := randomVec(rng, 200)
-	s := v.Slice(37, 150)
-	if s.Len() != 113 {
-		t.Fatalf("slice len = %d", s.Len())
-	}
-	for i := 0; i < s.Len(); i++ {
-		if s.Bit(i) != v.Bit(37+i) {
-			t.Fatalf("slice bit %d mismatch", i)
-		}
-	}
-	w := New(200)
-	w.SetSlice(37, s)
-	for i := 0; i < 113; i++ {
-		if w.Bit(37+i) != v.Bit(37+i) {
-			t.Fatalf("SetSlice bit %d mismatch", i)
-		}
-	}
-}
-
-func TestParseString(t *testing.T) {
-	v, err := Parse("10110")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.String() != "10110" {
-		t.Fatalf("round trip = %q", v.String())
-	}
-	if _, err := Parse("10x"); err == nil {
-		t.Fatal("expected error for invalid char")
-	}
-}
-
-func TestAndOr(t *testing.T) {
-	a, _ := Parse("1100")
-	b, _ := Parse("1010")
-	x := a.Clone()
-	x.And(b)
-	if x.String() != "1000" {
-		t.Fatalf("And = %s", x)
-	}
-	y := a.Clone()
-	y.Or(b)
-	if y.String() != "1110" {
-		t.Fatalf("Or = %s", y)
-	}
-}
-
+// TestCopyFromAndEqual also pins Clone: a copy over its own words.
 func TestCopyFromAndEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	a := randomVec(rng, 99)
+	a := randomCodeword(rng, 99)
 	b := New(99)
 	b.CopyFrom(a)
 	if !a.Equal(b) {
@@ -185,14 +152,76 @@ func TestCopyFromAndEqual(t *testing.T) {
 	if a.Equal(New(98)) {
 		t.Fatal("Equal across lengths")
 	}
+	c := a.Clone()
+	if !c.Equal(a) {
+		t.Fatal("Clone not equal")
+	}
+	c.Flip(42)
+	if a.Equal(c) {
+		t.Fatal("Clone shares storage with the original")
+	}
 }
 
-func randomVec(rng *rand.Rand, n int) *Vector {
-	v := New(n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 1 {
-			v.Set(i, true)
+func TestCodewordUint64AtStoreBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 200
+	for trial := 0; trial < 200; trial++ {
+		ref := randomCodeword(rng, n)
+		c := ref.Clone()
+		off := rng.Intn(n + 1)
+		// Uint64At must agree with a bit-by-bit read.
+		var want uint64
+		for i := 0; i < 64 && off+i < n; i++ {
+			if ref.Bit(off + i) {
+				want |= 1 << uint(i)
+			}
+		}
+		if got := c.Uint64At(off); got != want {
+			t.Fatalf("Uint64At(%d) = %#x want %#x", off, got, want)
+		}
+		// StoreBits round-trips through bit reads.
+		nb := min(rng.Intn(65), n-off)
+		x := rng.Uint64()
+		c.StoreBits(off, nb, x)
+		for i := 0; i < nb; i++ {
+			if c.Bit(off+i) != (x&(1<<uint(i)) != 0) {
+				t.Fatalf("StoreBits(%d,%d) bit %d wrong", off, nb, i)
+			}
+		}
+		// Bits outside the stored span must be untouched.
+		for i := 0; i < n; i++ {
+			if (i < off || i >= off+nb) && c.Bit(i) != ref.Bit(i) {
+				t.Fatalf("StoreBits(%d,%d) clobbered bit %d", off, nb, i)
+			}
 		}
 	}
-	return v
+}
+
+// TestCopyBits checks CopyBits against a bit-by-bit copy over random
+// source and destination lengths, offsets and counts. Equal compares
+// whole words, so it also pins the destination's tail bits at zero.
+func TestCopyBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		src := randomCodeword(rng, 1+rng.Intn(300))
+		dst := randomCodeword(rng, 1+rng.Intn(300))
+		n := rng.Intn(min(src.Len(), dst.Len()) + 1)
+		lo, off := rng.Intn(src.Len()-n+1), rng.Intn(dst.Len()-n+1)
+		want := dst.Clone()
+		for i := 0; i < n; i++ {
+			want.SetBit(off+i, src.Bit(lo+i))
+		}
+		dst.CopyBits(off, src, lo, n)
+		if !dst.Equal(want) {
+			t.Fatalf("CopyBits(%d, %d-bit src, %d, %d):\n got %s\nwant %s", off, src.Len(), lo, n, dst, want)
+		}
+	}
+}
+
+func randomCodeword(rng *rand.Rand, n int) Codeword {
+	c := New(n)
+	for i := 0; i < n; i++ {
+		c.SetBit(i, rng.Intn(2) == 1)
+	}
+	return c
 }

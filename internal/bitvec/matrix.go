@@ -1,13 +1,18 @@
 package bitvec
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
-// Matrix is a rectangular grid of bits, stored row-major as a slice of
-// Vectors. It models a physical SRAM sub-array: Rows() is the wordline
-// dimension and Cols() the bitline dimension.
+// Matrix is a rectangular grid of bits, stored row-major in one word
+// array with WordsFor(Cols) words per row. It models a physical SRAM
+// sub-array: Rows() is the wordline dimension and Cols() the bitline
+// dimension.
 type Matrix struct {
-	rows, cols int
-	data       []*Vector
+	rows, cols, stride int
+	words              []uint64
 }
 
 // NewMatrix returns a zeroed rows×cols matrix.
@@ -15,11 +20,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("bitvec: negative matrix dimensions %dx%d", rows, cols))
 	}
-	m := &Matrix{rows: rows, cols: cols, data: make([]*Vector, rows)}
-	for i := range m.data {
-		m.data[i] = New(cols)
-	}
-	return m
+	stride := WordsFor(cols)
+	return &Matrix{rows: rows, cols: cols, stride: stride, words: make([]uint64, rows*stride)}
 }
 
 // Rows returns the number of rows.
@@ -29,83 +31,76 @@ func (m *Matrix) Rows() int { return m.rows }
 func (m *Matrix) Cols() int { return m.cols }
 
 // Bit reports whether the bit at (r, c) is set.
-func (m *Matrix) Bit(r, c int) bool { return m.row(r).Bit(c) }
+func (m *Matrix) Bit(r, c int) bool {
+	i, mask := m.at(r, c)
+	return m.words[i]&mask != 0
+}
 
 // Set sets the bit at (r, c).
-func (m *Matrix) Set(r, c int, val bool) { m.row(r).Set(c, val) }
+func (m *Matrix) Set(r, c int, val bool) {
+	i, mask := m.at(r, c)
+	if val {
+		m.words[i] |= mask
+	} else {
+		m.words[i] &^= mask
+	}
+}
 
 // Flip inverts the bit at (r, c).
-func (m *Matrix) Flip(r, c int) { m.row(r).Flip(c) }
+func (m *Matrix) Flip(r, c int) {
+	i, mask := m.at(r, c)
+	m.words[i] ^= mask
+}
 
-// Row returns the Vector backing row r. Mutating it mutates the matrix.
-func (m *Matrix) Row(r int) *Vector { return m.row(r) }
+// at returns the backing-word index and mask of the bit at (r, c).
+func (m *Matrix) at(r, c int) (int, uint64) {
+	if r < 0 || r >= m.rows || c < 0 || c >= m.cols {
+		panic(fmt.Sprintf("bitvec: bit (%d,%d) out of range %dx%d", r, c, m.rows, m.cols))
+	}
+	return r*m.stride + c/wordBits, 1 << (uint(c) % wordBits)
+}
 
-// RowWords returns row r's backing words for allocation-free kernel
-// access. Mutating them mutates the matrix; bits >= Cols in the last
-// word must stay zero.
-func (m *Matrix) RowWords(r int) []uint64 { return m.row(r).words }
+// Row returns a Cols-bit view of row r. Mutating it mutates the matrix.
+func (m *Matrix) Row(r int) Codeword { return Codeword{n: m.cols, w: m.RowWords(r)} }
 
-func (m *Matrix) row(r int) *Vector {
+// RowWords returns row r's WordsFor(Cols) backing words for
+// allocation-free kernel access, with capacity clipped to the row so an
+// append cannot spill into the next one. Mutating them mutates the
+// matrix; bits >= Cols in the last word must stay zero.
+func (m *Matrix) RowWords(r int) []uint64 {
 	if r < 0 || r >= m.rows {
 		panic(fmt.Sprintf("bitvec: row %d out of range [0,%d)", r, m.rows))
 	}
-	return m.data[r]
-}
-
-// Col extracts column c as a new Vector of length Rows.
-func (m *Matrix) Col(c int) *Vector {
-	if c < 0 || c >= m.cols {
-		panic(fmt.Sprintf("bitvec: col %d out of range [0,%d)", c, m.cols))
-	}
-	v := New(m.rows)
-	for r := 0; r < m.rows; r++ {
-		if m.data[r].Bit(c) {
-			v.Set(r, true)
-		}
-	}
-	return v
+	lo, hi := r*m.stride, (r+1)*m.stride
+	return m.words[lo:hi:hi]
 }
 
 // XorRow XORs src into row r in place.
-func (m *Matrix) XorRow(r int, src *Vector) { m.row(r).Xor(src) }
+func (m *Matrix) XorRow(r int, src Codeword) { m.Row(r).Xor(src) }
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{rows: m.rows, cols: m.cols, data: make([]*Vector, m.rows)}
-	for i, v := range m.data {
-		c.data[i] = v.Clone()
-	}
-	return c
+	c := *m
+	c.words = slices.Clone(m.words)
+	return &c
 }
 
 // Equal reports whether both matrices have identical dimensions and bits.
 func (m *Matrix) Equal(other *Matrix) bool {
-	if m.rows != other.rows || m.cols != other.cols {
-		return false
-	}
-	for i := range m.data {
-		if !m.data[i].Equal(other.data[i]) {
-			return false
-		}
-	}
-	return true
+	return m.rows == other.rows && m.cols == other.cols && slices.Equal(m.words, other.words)
 }
 
 // PopCount returns the total number of set bits.
 func (m *Matrix) PopCount() int {
-	c := 0
-	for _, v := range m.data {
-		c += v.PopCount()
+	n := 0
+	for _, w := range m.words {
+		n += bits.OnesCount64(w)
 	}
-	return c
+	return n
 }
 
 // Zero clears every bit.
-func (m *Matrix) Zero() {
-	for _, v := range m.data {
-		v.Zero()
-	}
-}
+func (m *Matrix) Zero() { clear(m.words) }
 
 // Diff returns the set of (row, col) positions at which m and other differ.
 func (m *Matrix) Diff(other *Matrix) [][2]int {
@@ -113,11 +108,10 @@ func (m *Matrix) Diff(other *Matrix) [][2]int {
 		panic("bitvec: Diff dimension mismatch")
 	}
 	var out [][2]int
-	for r := 0; r < m.rows; r++ {
-		d := m.data[r].Clone()
-		d.Xor(other.data[r])
-		for _, c := range d.Ones() {
-			out = append(out, [2]int{r, c})
+	for i, x := range m.words {
+		r, c0 := i/m.stride, i%m.stride*wordBits
+		for x ^= other.words[i]; x != 0; x &= x - 1 {
+			out = append(out, [2]int{r, c0 + bits.TrailingZeros64(x)})
 		}
 	}
 	return out

@@ -34,18 +34,48 @@ func TestMatrixRowColExtraction(t *testing.T) {
 		if row.PopCount() != 1 || !row.Bit(i) {
 			t.Fatalf("row %d = %s", i, row)
 		}
-		col := m.Col(i)
-		if col.PopCount() != 1 || !col.Bit(i) {
-			t.Fatalf("col %d = %s", i, col)
-		}
 	}
 }
 
 func TestMatrixRowAliasesStorage(t *testing.T) {
 	m := NewMatrix(2, 4)
-	m.Row(0).Set(3, true)
+	m.Row(0).SetBit(3, true)
 	if !m.Bit(0, 3) {
 		t.Fatal("Row() must alias backing storage")
+	}
+}
+
+// TestMatrixRowsAreViews pins the one-array layout: Row(r) writes
+// through to row r alone, RowWords(r) holds WordsFor(Cols) words with
+// no spare capacity to append into the next row, and on a width that is
+// not a multiple of 64 the bits past Cols stay zero after Flip and
+// XorRow. The word kernels and the 2D array's layout rely on that.
+func TestMatrixRowsAreViews(t *testing.T) {
+	const rows, cols = 4, 130
+	m := NewMatrix(rows, cols)
+	for r := 0; r < rows; r++ {
+		w := m.RowWords(r)
+		if len(w) != WordsFor(cols) || cap(w) != len(w) {
+			t.Fatalf("row %d: %d words, capacity %d, want %d", r, len(w), cap(w), WordsFor(cols))
+		}
+		m.Row(r).Flip(r)
+		if !m.Bit(r, r) || m.PopCount() != r+1 {
+			t.Fatalf("row %d: a flip through Row reached %d bits", r, m.PopCount())
+		}
+	}
+	ones := New(cols)
+	for c := 0; c < cols; c++ {
+		ones.SetBit(c, true)
+	}
+	for r := 0; r < rows; r++ {
+		m.XorRow(r, ones)
+		m.Flip(r, cols-1)
+		if tail := m.RowWords(r)[WordsFor(cols)-1] >> (cols % 64); tail != 0 {
+			t.Fatalf("row %d: bits past Cols set: %#x", r, tail)
+		}
+	}
+	if m.PopCount() != rows*(cols-2) {
+		t.Fatalf("PopCount = %d, want %d", m.PopCount(), rows*(cols-2))
 	}
 }
 
@@ -55,7 +85,7 @@ func TestMatrixXorRowRecoversRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewMatrix(16, 64)
 	for r := 0; r < 16; r++ {
-		m.Row(r).CopyFrom(randomVec(rng, 64))
+		m.Row(r).CopyFrom(randomCodeword(rng, 64))
 	}
 	parity := New(64)
 	for r := 0; r < 16; r++ {

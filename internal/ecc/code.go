@@ -7,7 +7,6 @@ package ecc
 
 import (
 	"fmt"
-	"sync"
 
 	"twodcache/internal/bch"
 	"twodcache/internal/bitvec"
@@ -27,10 +26,11 @@ const (
 // EncodeInto appends check bits to a data word, DecodeInPlace checks
 // (and for correcting codes, repairs) a codeword in place. The views
 // lie over caller-owned []uint64 scratch, and the parity/Hsiao codes
-// perform no heap allocation (the BCH codes adapt through an internal
-// scratch pool). FuzzKernelVsReference pins the horizontal codes'
-// syndromes to their parity-check columns and every code's decoder to
-// its correction capability.
+// perform no heap allocation. The BCH codes, the paper's conventional
+// baselines, stay outside that contract: their algebraic coder works on
+// codewords of its own, allocated per call. FuzzKernelVsReference pins
+// the horizontal codes' syndromes to their parity-check columns and
+// every code's decoder to its correction capability.
 type Code interface {
 	// Name identifies the code, e.g. "EDC8", "SECDED", "OECNED".
 	Name() string
@@ -62,20 +62,14 @@ func StorageOverhead(c Code) float64 {
 
 // --- BCH-backed correcting codes -------------------------------------
 
-// bchCode adapts bch.Code to the Code interface.
+// bchCode adapts bch.Code to the Code interface. bch.New builds
+// extended codes, which the algebraic coder lays out parity-first: the
+// r-1 BCH parity bits, then the data, then the overall parity bit. The
+// adapter moves the data to the front with CopyBits; the overall parity
+// bit stays last in both layouts.
 type bchCode struct {
 	name string
 	c    *bch.Code
-	// scratch pools the Vector buffers the algebraic coder works on, so
-	// the word-view methods adapt through pooled scratch instead of
-	// allocating fresh vectors per call.
-	scratch sync.Pool
-}
-
-// bchVecs is one pooled set of conversion buffers.
-type bchVecs struct {
-	data *bitvec.Vector // k bits
-	cw   *bitvec.Vector // k + r bits
 }
 
 // NewBCHCode wraps a t-error-correcting, (t+1)-detecting BCH code for k
@@ -85,14 +79,7 @@ func NewBCHCode(name string, k, t int) (Code, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ecc: %s: %w", name, err)
 	}
-	b := &bchCode{name: name, c: c}
-	b.scratch.New = func() any {
-		return &bchVecs{
-			data: bitvec.New(c.K()),
-			cw:   bitvec.New(c.K() + c.ParityBits()),
-		}
-	}
-	return b, nil
+	return &bchCode{name: name, c: c}, nil
 }
 
 // NewDECTED returns a double-error-correct triple-error-detect code.
@@ -110,67 +97,32 @@ func (b *bchCode) CheckBits() int         { return b.c.ParityBits() }
 func (b *bchCode) CorrectCapability() int { return b.c.T() }
 func (b *bchCode) DetectCapability() int  { return b.c.T() + 1 }
 
-// encode returns data's codeword in the uniform data-then-check layout.
-// bch.New builds extended codes, stored as the r-1 BCH parity bits,
-// then the data, then the overall parity bit.
-func (b *bchCode) encode(data *bitvec.Vector) *bitvec.Vector {
-	cw := b.c.Encode(data)
-	r := b.c.ParityBits()
-	out := bitvec.New(cw.Len())
-	out.SetSlice(0, b.c.Data(cw))
-	out.SetSlice(data.Len(), cw.Slice(0, r-1))
-	out.Set(cw.Len()-1, cw.Bit(cw.Len()-1))
-	return out
+// EncodeInto encodes data with the algebraic coder and writes the
+// codeword into cw in the uniform data-then-check layout.
+func (b *bchCode) EncodeInto(cw, data bitvec.Codeword) {
+	b.fromCoder(cw, b.c.Encode(data))
 }
 
-func (b *bchCode) toInternal(cw *bitvec.Vector) *bitvec.Vector {
-	k := b.c.K()
-	r := b.c.ParityBits()
+// DecodeInPlace decodes a fresh copy of cw in the coder's layout, so
+// concurrent callers share nothing, and copies corrections back.
+func (b *bchCode) DecodeInPlace(cw bitvec.Codeword) (Result, int) {
+	k, p := b.c.K(), b.c.ParityBits()-1
 	in := bitvec.New(cw.Len())
-	in.SetSlice(r-1, cw.Slice(0, k))       // data after BCH parity
-	in.SetSlice(0, cw.Slice(k, k+r-1))     // BCH parity first
-	in.Set(cw.Len()-1, cw.Bit(cw.Len()-1)) // extended parity last
-	return in
-}
-
-func (b *bchCode) fromInternal(in *bitvec.Vector) *bitvec.Vector {
-	k := b.c.K()
-	r := b.c.ParityBits()
-	out := bitvec.New(in.Len())
-	out.SetSlice(0, in.Slice(r-1, r-1+k))
-	out.SetSlice(k, in.Slice(0, r-1))
-	out.Set(in.Len()-1, in.Bit(in.Len()-1))
-	return out
-}
-
-// decode checks cw, correcting it in place when possible.
-func (b *bchCode) decode(cw *bitvec.Vector) (Result, int) {
-	in := b.toInternal(cw)
+	in.CopyBits(0, cw, k, p)
+	in.CopyBits(p, cw, 0, k)
+	in.CopyBits(p+k, cw, p+k, 1)
 	res, n := b.c.Decode(in)
 	if res == Corrected {
-		cw.CopyFrom(b.fromInternal(in))
+		b.fromCoder(cw, in)
 	}
 	return res, n
 }
 
-// EncodeInto adapts through the pooled Vector scratch: the BCH encoder
-// itself stays algebraic.
-func (b *bchCode) EncodeInto(cw, data bitvec.Codeword) {
-	s := b.scratch.Get().(*bchVecs)
-	s.data.AsCodeword().CopyFrom(data)
-	cw.CopyFrom(b.encode(s.data).AsCodeword())
-	b.scratch.Put(s)
-}
-
-// DecodeInPlace adapts through the scratch pool; corrections are copied
-// back into the caller's view.
-func (b *bchCode) DecodeInPlace(cw bitvec.Codeword) (Result, int) {
-	s := b.scratch.Get().(*bchVecs)
-	s.cw.AsCodeword().CopyFrom(cw)
-	res, n := b.decode(s.cw)
-	if res == Corrected {
-		cw.CopyFrom(s.cw.AsCodeword())
-	}
-	b.scratch.Put(s)
-	return res, n
+// fromCoder writes in, a codeword in the coder's layout, into cw in the
+// uniform layout.
+func (b *bchCode) fromCoder(cw, in bitvec.Codeword) {
+	k, p := b.c.K(), b.c.ParityBits()-1
+	cw.CopyBits(0, in, p, k)
+	cw.CopyBits(k, in, 0, p)
+	cw.CopyBits(p+k, in, p+k, 1)
 }

@@ -30,18 +30,18 @@ func TestBCHCodeWrappers(t *testing.T) {
 			if cw.Len() != CodewordBits(c) {
 				t.Fatalf("%s: codeword length %d", tc.name, cw.Len())
 			}
-			if !cw.Slice(0, d.Len()).Equal(d) {
+			if !dataBits(cw, d.Len()).Equal(d) {
 				t.Fatalf("%s: not systematic", tc.name)
 			}
 			// Inject exactly t errors in random positions.
 			for _, p := range rng.Perm(cw.Len())[:tc.t] {
 				cw.Flip(p)
 			}
-			res, n := c.DecodeInPlace(cw.AsCodeword())
+			res, n := c.DecodeInPlace(cw)
 			if res != Corrected || n != tc.t {
 				t.Fatalf("%s: decode %v/%d, want corrected/%d", tc.name, res, n, tc.t)
 			}
-			if !cw.Slice(0, d.Len()).Equal(d) {
+			if !dataBits(cw, d.Len()).Equal(d) {
 				t.Fatalf("%s: data not restored", tc.name)
 			}
 		}
@@ -60,7 +60,7 @@ func TestBCHWrapperDetectsTPlusOne(t *testing.T) {
 		for _, p := range rng.Perm(cw.Len())[:3] {
 			cw.Flip(p)
 		}
-		res, _ := c.DecodeInPlace(cw.AsCodeword())
+		res, _ := c.DecodeInPlace(cw)
 		if res != Detected {
 			t.Fatalf("3 errors on DECTED: %v", res)
 		}

@@ -31,10 +31,10 @@ func TestEDCCleanRoundTrip(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			d := randVec(rng, 64)
 			cw := encode(e, d)
-			if res, _ := e.DecodeInPlace(cw.AsCodeword()); res != Clean {
+			if res, _ := e.DecodeInPlace(cw); res != Clean {
 				t.Fatalf("EDC%d clean decode failed", n)
 			}
-			if !cw.Slice(0, d.Len()).Equal(d) {
+			if !dataBits(cw, d.Len()).Equal(d) {
 				t.Fatalf("EDC%d data mismatch", n)
 			}
 		}
@@ -53,7 +53,7 @@ func TestEDCDetectsContiguousBursts(t *testing.T) {
 			for i := 0; i < blen; i++ {
 				cw.Flip(start + i)
 			}
-			if res, _ := e.DecodeInPlace(cw.AsCodeword()); res != Detected {
+			if res, _ := e.DecodeInPlace(cw); res != Detected {
 				t.Fatalf("EDC%d missed a %d-bit burst at %d", n, blen, start)
 			}
 		}
@@ -67,7 +67,7 @@ func TestEDCMissesAlignedPairs(t *testing.T) {
 	cw := encode(e, bitvec.New(64))
 	cw.Flip(0)
 	cw.Flip(8)
-	if res, _ := e.DecodeInPlace(cw.AsCodeword()); res != Clean {
+	if res, _ := e.DecodeInPlace(cw); res != Clean {
 		t.Fatalf("aligned pair should be invisible to EDC8, got %v", res)
 	}
 }
@@ -77,7 +77,7 @@ func TestEDCSyndromeIdentifiesGroups(t *testing.T) {
 	cw := encode(e, bitvec.New(64))
 	cw.Flip(3)  // group 3
 	cw.Flip(12) // group 4
-	if syn := e.SyndromeWords(cw.AsCodeword()); syn != 1<<3|1<<4 {
+	if syn := e.SyndromeWords(cw); syn != 1<<3|1<<4 {
 		t.Fatalf("syndrome = %#x", syn)
 	}
 }
@@ -88,7 +88,7 @@ func TestEDCQuickSingleFlipAlwaysDetected(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cw := encode(e, randVec(rng, 64))
 		cw.Flip(int(posRaw) % cw.Len())
-		res, _ := e.DecodeInPlace(cw.AsCodeword())
+		res, _ := e.DecodeInPlace(cw)
 		return res == Detected
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -96,12 +96,10 @@ func TestEDCQuickSingleFlipAlwaysDetected(t *testing.T) {
 	}
 }
 
-func randVec(rng *rand.Rand, n int) *bitvec.Vector {
+func randVec(rng *rand.Rand, n int) bitvec.Codeword {
 	v := bitvec.New(n)
 	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 1 {
-			v.Set(i, true)
-		}
+		v.SetBit(i, rng.Intn(2) == 1)
 	}
 	return v
 }

@@ -7,11 +7,20 @@ import (
 	"twodcache/internal/bitvec"
 )
 
-// encode returns data's codeword as a Vector, through EncodeInto.
-func encode(c Code, data *bitvec.Vector) *bitvec.Vector {
+// encode returns data's codeword, through EncodeInto.
+func encode(c Code, data bitvec.Codeword) bitvec.Codeword {
 	cw := bitvec.New(CodewordBits(c))
-	c.EncodeInto(cw.AsCodeword(), data.AsCodeword())
+	c.EncodeInto(cw, data)
 	return cw
+}
+
+// dataBits returns a copy of cw's first k bits, the data part of the
+// uniform layout. A view would carry check bits when k is not a
+// multiple of 64.
+func dataBits(cw bitvec.Codeword, k int) bitvec.Codeword {
+	d := bitvec.New(k)
+	d.CopyBits(0, cw, 0, k)
+	return d
 }
 
 // refSyndrome is the H-matrix definition of a syndrome: the XOR of the
@@ -46,13 +55,13 @@ func TestSyndromeWordsMatchParityColumns(t *testing.T) {
 		n := CodewordBits(h)
 		for trial := 0; trial < 100; trial++ {
 			cw := encode(h, randVec(rng, h.DataBits()))
-			if ref := refSyndrome(h, cw.AsCodeword()); ref != 0 {
+			if ref := refSyndrome(h, cw); ref != 0 {
 				t.Fatalf("%s: reference syndrome %#x of an encoded word", h.Name(), ref)
 			}
 			for _, p := range rng.Perm(n)[:rng.Intn(4)] {
 				cw.Flip(p)
 			}
-			if got, want := h.SyndromeWords(cw.AsCodeword()), refSyndrome(h, cw.AsCodeword()); got != want {
+			if got, want := h.SyndromeWords(cw), refSyndrome(h, cw); got != want {
 				t.Fatalf("%s: SyndromeWords %#x != reference %#x", h.Name(), got, want)
 			}
 		}
@@ -61,7 +70,7 @@ func TestSyndromeWordsMatchParityColumns(t *testing.T) {
 
 // TestKernelAllocFree verifies the parity/Hsiao kernels perform zero
 // heap allocations per op — the contract the twod/pcache hot paths
-// build on. (BCH kernels amortise via a pool and are exempt.)
+// build on. (BCH kernels allocate per call and are exempt.)
 func TestKernelAllocFree(t *testing.T) {
 	for _, c := range []Code{MustEDC(64, 8), MustEDC(64, 16), MustSECDED(64), MustSECDEDSBD(64)} {
 		n := CodewordBits(c)

@@ -26,10 +26,10 @@ func TestSECDEDCleanAndData(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			d := randVec(rng, k)
 			cw := encode(s, d)
-			if res, n := s.DecodeInPlace(cw.AsCodeword()); res != Clean || n != 0 {
+			if res, n := s.DecodeInPlace(cw); res != Clean || n != 0 {
 				t.Fatalf("k=%d: clean decode %v/%d", k, res, n)
 			}
-			if !cw.Slice(0, d.Len()).Equal(d) {
+			if !dataBits(cw, d.Len()).Equal(d) {
 				t.Fatalf("k=%d: data mismatch", k)
 			}
 		}
@@ -46,7 +46,7 @@ func TestSECDEDCorrectsEverySingleBit(t *testing.T) {
 		for pos := 0; pos < clean.Len(); pos++ {
 			cw := clean.Clone()
 			cw.Flip(pos)
-			res, n := s.DecodeInPlace(cw.AsCodeword())
+			res, n := s.DecodeInPlace(cw)
 			if res != Corrected || n != 1 {
 				t.Fatalf("k=%d pos=%d: %v/%d", k, pos, res, n)
 			}
@@ -67,7 +67,7 @@ func TestSECDEDDetectsEveryDoubleBit(t *testing.T) {
 			cw := clean.Clone()
 			cw.Flip(a)
 			cw.Flip(b)
-			res, _ := s.DecodeInPlace(cw.AsCodeword())
+			res, _ := s.DecodeInPlace(cw)
 			if res != Detected {
 				t.Fatalf("double error (%d,%d) gave %v", a, b, res)
 			}
@@ -113,7 +113,7 @@ func TestSECDEDHardErrorPlusSoftError(t *testing.T) {
 	cw := encode(s, d)
 	cw.Flip(10) // manufacture-time hard error
 	cw.Flip(40) // in-field soft error
-	res, _ := s.DecodeInPlace(cw.AsCodeword())
+	res, _ := s.DecodeInPlace(cw)
 	if res != Detected {
 		t.Fatalf("hard+soft pair should be uncorrectable: %v", res)
 	}

@@ -30,7 +30,6 @@ var defaultPrimitive = map[int]uint32{
 
 // Field represents GF(2^m) with exp/log tables for O(1) multiplication.
 type Field struct {
-	m    int
 	size int // 2^m
 	poly uint32
 	exp  []uint16 // exp[i] = alpha^i, length 2*(size-1) to avoid mod
@@ -65,7 +64,7 @@ func NewFieldPoly(m int, poly uint32) (*Field, error) {
 	if poly>>uint(m) != 1 {
 		return nil, fmt.Errorf("gf2: polynomial %#x is not monic of degree %d", poly, m)
 	}
-	f := &Field{m: m, size: 1 << uint(m), poly: poly}
+	f := &Field{size: 1 << uint(m), poly: poly}
 	n := f.size - 1
 	f.exp = make([]uint16, 2*n)
 	f.log = make([]int, f.size)
@@ -90,9 +89,6 @@ func NewFieldPoly(m int, poly uint32) (*Field, error) {
 	copy(f.exp[n:], f.exp[:n])
 	return f, nil
 }
-
-// M returns the field degree m.
-func (f *Field) M() int { return f.m }
 
 // Size returns 2^m, the number of field elements.
 func (f *Field) Size() int { return f.size }

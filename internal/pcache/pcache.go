@@ -458,9 +458,6 @@ func (c *Cache) Accesses() uint64 {
 // NumBanks returns the number of independently locked banks.
 func (c *Cache) NumBanks() int { return len(c.banks) }
 
-// SetsPerBank returns how many sets each bank holds.
-func (c *Cache) SetsPerBank() int { return c.setsPerBank }
-
 // BankOf returns the bank index serving the given global set — the
 // granularity at which repairs serialise (one bank lock, one in-flight
 // recovery) and at which the resilience layer keys its circuit

@@ -224,6 +224,7 @@ func TestBreakerTransitionTable(t *testing.T) {
 		},
 	})
 	const bank = 0
+	b := e.breakers[bank]
 	expectState := func(want string) {
 		t.Helper()
 		if got := e.BreakerState(bank); got != want {
@@ -232,19 +233,19 @@ func TestBreakerTransitionTable(t *testing.T) {
 	}
 
 	// closed + success stays closed and resets the failure streak.
-	if v := e.admit(bank); v != admitRun {
+	if v := b.Admit(); v != BreakerRun {
 		t.Fatalf("closed admit = %v, want run", v)
 	}
-	e.recordBreaker(bank, false, false)
-	e.recordBreaker(bank, false, false)
-	e.recordBreaker(bank, false, true) // streak broken
+	b.Record(false, false)
+	b.Record(false, false)
+	b.Record(false, true) // streak broken
 	expectState("closed")
 
 	// threshold consecutive failures trip it open.
-	e.recordBreaker(bank, false, false)
-	e.recordBreaker(bank, false, false)
+	b.Record(false, false)
+	b.Record(false, false)
 	expectState("closed")
-	e.recordBreaker(bank, false, false)
+	b.Record(false, false)
 	expectState("open")
 	if g := e.breakersOpen.Load(); g != 1 {
 		t.Fatalf("open gauge = %d, want 1", g)
@@ -252,42 +253,42 @@ func TestBreakerTransitionTable(t *testing.T) {
 
 	// open sheds until OpenTimeout elapses...
 	now = now.Add(5 * time.Millisecond)
-	if v := e.admit(bank); v != admitShed {
+	if v := b.Admit(); v != BreakerShed {
 		t.Fatalf("open admit before timeout = %v, want shed", v)
 	}
 	// ...then admits exactly one half-open probe; a second concurrent
 	// admit sheds while the probe is out.
 	now = now.Add(5 * time.Millisecond)
-	if v := e.admit(bank); v != admitProbe {
+	if v := b.Admit(); v != BreakerProbe {
 		t.Fatalf("open admit after timeout = %v, want probe", v)
 	}
 	expectState("half-open")
-	if v := e.admit(bank); v != admitShed {
+	if v := b.Admit(); v != BreakerShed {
 		t.Fatalf("second probe admitted, want shed")
 	}
 
 	// probe failure reopens.
-	e.recordBreaker(bank, true, false)
+	b.Record(true, false)
 	expectState("open")
 
 	// probe abort (caller deadline) returns the slot without an outcome.
 	now = now.Add(10 * time.Millisecond)
-	if v := e.admit(bank); v != admitProbe {
+	if v := b.Admit(); v != BreakerProbe {
 		t.Fatal("no probe after second open timeout")
 	}
-	e.releaseBreaker(bank, true)
-	if v := e.admit(bank); v != admitProbe {
+	b.Release(true)
+	if v := b.Admit(); v != BreakerProbe {
 		t.Fatal("released probe slot not reusable")
 	}
 	expectState("half-open")
 
 	// ProbeSuccesses consecutive good probes close the breaker.
-	e.recordBreaker(bank, true, true)
+	b.Record(true, true)
 	expectState("half-open")
-	if v := e.admit(bank); v != admitProbe {
+	if v := b.Admit(); v != BreakerProbe {
 		t.Fatal("no second probe admitted")
 	}
-	e.recordBreaker(bank, true, true)
+	b.Record(true, true)
 	expectState("closed")
 	if g := e.breakersOpen.Load(); g != 0 {
 		t.Fatalf("open gauge = %d, want 0 after close", g)
@@ -316,11 +317,12 @@ func TestBreakerTransitionTable(t *testing.T) {
 
 func TestBreakerDisabled(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{Breaker: BreakerConfig{Disabled: true}})
+	b := e.breakers[0]
 	for i := 0; i < 20; i++ {
-		if v := e.admit(0); v != admitRun {
+		if v := b.Admit(); v != BreakerRun {
 			t.Fatalf("disabled breaker verdict = %v, want run", v)
 		}
-		e.recordBreaker(0, false, false)
+		b.Record(false, false)
 	}
 	if e.BreakerState(0) != "closed" || e.breakerTrips.Load() != 0 {
 		t.Fatal("disabled breaker kept state")

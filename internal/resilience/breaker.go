@@ -61,19 +61,6 @@ func (s breakerState) String() string {
 	}
 }
 
-// admitVerdict is the breaker's routing decision for a would-be repair.
-type admitVerdict int
-
-const (
-	// admitRun: run the full ladder (breaker closed or disabled).
-	admitRun admitVerdict = iota
-	// admitProbe: run the full ladder as a half-open probe; the result
-	// decides whether the breaker closes or re-opens.
-	admitProbe
-	// admitShed: skip the recovery rungs, go straight to degrade.
-	admitShed
-)
-
 // newBankBreakers builds the engine's per-bank breakers over the shared
 // HealthBreaker machine. The transition hook keeps the engine's gauge,
 // trip/transition counters, and event stream exactly as the in-line
@@ -97,47 +84,10 @@ func (e *Engine) newBankBreakers(n int) []*HealthBreaker {
 	return bs
 }
 
-// admit asks bank's breaker how to route a new repair. Single-flight
-// serialises repairs per bank, so admit/record pairs never interleave
-// for the same bank in practice; the breaker is still safe on its own.
-func (e *Engine) admit(bank int) admitVerdict {
-	if e.cfg.Breaker.Disabled {
-		return admitRun
-	}
-	switch e.breakers[bank].Admit() {
-	case BreakerRun:
-		return admitRun
-	case BreakerProbe:
-		return admitProbe
-	default:
-		return admitShed
-	}
-}
-
-// recordBreaker feeds a finished repair's outcome back into bank's
-// breaker. success means the rungs rescued the access without the
-// watchdog forcing the repair over.
-func (e *Engine) recordBreaker(bank int, probe, success bool) {
-	if e.cfg.Breaker.Disabled {
-		return
-	}
-	e.breakers[bank].Record(probe, success)
-}
-
-// releaseBreaker returns a probe slot without recording an outcome —
-// the repair aborted for reasons that say nothing about the bank's
-// health (caller deadline, hard non-DUE error).
-func (e *Engine) releaseBreaker(bank int, probe bool) {
-	if !probe || e.cfg.Breaker.Disabled {
-		return
-	}
-	e.breakers[bank].Release(probe)
-}
-
 // BreakerState reports bank's breaker state ("closed", "open",
 // "half-open") for reports and tests.
 func (e *Engine) BreakerState(bank int) string {
-	if e.cfg.Breaker.Disabled || bank < 0 || bank >= len(e.breakers) {
+	if bank < 0 || bank >= len(e.breakers) {
 		return breakerClosed.String()
 	}
 	return e.breakers[bank].State()

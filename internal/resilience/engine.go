@@ -428,9 +428,13 @@ func (e *Engine) lead(ctx context.Context, fl *flight, ue **pcache.Uncorrectable
 	defer stop()
 	defer e.finishFlight(fl)
 
-	verdict := e.admit(fl.bank)
-	probe := verdict == admitProbe
-	if verdict == admitShed {
+	// Single-flight serialises repairs per bank, so Admit/Record pairs
+	// never interleave for one bank in practice; the breaker is still
+	// safe on its own.
+	br := e.breakers[fl.bank]
+	verdict := br.Admit()
+	probe := verdict == BreakerProbe
+	if verdict == BreakerShed {
 		// Open breaker: the bank has stopped earning repair attempts.
 		// Route straight to the degrade/bypass path — bounded work, and
 		// the access still completes against backing.
@@ -441,25 +445,25 @@ func (e *Engine) lead(ctx context.Context, fl *flight, ue **pcache.Uncorrectable
 
 	outcome, herr := e.runRungs(fl, ue, again)
 	if herr != nil {
-		e.releaseBreaker(fl.bank, probe)
+		br.Release(probe)
 		return true, herr
 	}
 	switch outcome {
 	case outcomeRescued:
-		e.recordBreaker(fl.bank, probe, true)
+		br.Record(probe, true)
 		return true, nil
 	case outcomeCallerAbort:
 		// Says nothing about the bank's health: release any probe slot
 		// without recording an outcome. The flight resolves (deferred
 		// finishFlight) so waiters re-issue and a fresh leader can pick
 		// the repair up.
-		e.releaseBreaker(fl.bank, probe)
+		br.Release(probe)
 		e.deadlineAborts.Inc()
 		return true, e.progressErr(fl, ctx.Err())
 	case outcomeForced:
 		// The watchdog already degraded the flight's way; re-issue and
 		// let a fresh round handle any remaining damage.
-		e.recordBreaker(fl.bank, probe, false)
+		br.Record(probe, false)
 		ok, herr := again()
 		if herr != nil {
 			return true, herr
@@ -469,7 +473,7 @@ func (e *Engine) lead(ctx context.Context, fl *flight, ue **pcache.Uncorrectable
 		}
 		return false, nil
 	default: // outcomeFailed
-		e.recordBreaker(fl.bank, probe, false)
+		br.Record(probe, false)
 		return true, e.degradeLoop(ctx, fl, ue, again)
 	}
 }

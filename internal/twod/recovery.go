@@ -238,7 +238,7 @@ func (a *Array) scan(rep *RecoveryReport) (faulty []faultyWord, rows []int) {
 // garbage into words that were never faulty. Code-valid garbage
 // confined to an already-faulty word is indistinguishable from a real
 // error pattern and remains beyond coverage, as in the paper.
-func (a *Array) rowDeltaPlausible(r int, m *bitvec.Vector) bool {
+func (a *Array) rowDeltaPlausible(r int, m bitvec.Codeword) bool {
 	s := bitvec.MakeCodeword(a.scr.cw, a.layout.CodewordBits)
 	for w := 0; w < a.cfg.WordsPerRow; w++ {
 		// Gather m's interleaved slice for word slot w into scratch.
@@ -345,8 +345,7 @@ func (a *Array) recoverColumns(mismatch *bitvec.Matrix, faulty []faultyWord, row
 	if a.cfg.AssumeClusteredFaults {
 		return a.recoverColumnsClustered(mismatch, faulty, touched, rep)
 	}
-	h := a.cfg.Horizontal
-	canInline := h.CorrectCapability() > 0
+	canInline := a.cfg.Horizontal.CorrectCapability() > 0
 	ok := true
 
 	// Pass 1 — rows that are the sole faulty row of their group: repair
@@ -372,44 +371,28 @@ func (a *Array) recoverColumns(mismatch *bitvec.Matrix, faulty []faultyWord, row
 	// above. Row-major order: per-word repairs touch disjoint cells, so
 	// the order is for deterministic replay, not correctness.
 	for _, fw := range faulty {
-		r, w, syn := fw.r, fw.w, fw.syn
-		if repairedRow[r] {
+		if repairedRow[fw.r] {
 			continue
 		}
-		g := a.group(r)
+		g := a.group(fw.r)
 		if !canInline || a.residual[g] {
 			// Detection-only code (no sound evidence for this word), or
 			// the group's mismatch carries an overwritten word's residue
 			// (its columns are not trustworthy). Escalation handles the
 			// word as an accounted loss; the inline ECC may still fix it
 			// in the tainted-group case.
-			if !a.tryInline(r, w, canInline, rep) {
+			if !a.tryInline(fw.r, fw.w, canInline, rep) {
 				ok = false
 			}
 			continue
 		}
 		var cand []int
 		for _, c := range mismatch.Row(g).Ones() {
-			if ws, b := a.layout.Locate(c); ws == w {
+			if ws, b := a.layout.Locate(c); ws == fw.w {
 				cand = append(cand, b)
 			}
 		}
-		cols := make([]uint64, len(cand))
-		for i, b := range cand {
-			cols[i] = h.ParityColumn(b)
-		}
-		sel, unique := solveGF2(cols, syn)
-		if unique {
-			for i, use := range sel {
-				if use {
-					a.data.Flip(r, a.layout.PhysColumn(w, cand[i]))
-					rep.BitsFlipped++
-					touched[g] = true
-				}
-			}
-			continue
-		}
-		if !a.tryInline(r, w, canInline, rep) {
+		if !a.solveWord(fw, cand, canInline, touched, rep) {
 			ok = false
 		}
 	}
@@ -436,34 +419,40 @@ func (a *Array) recoverColumnsClustered(mismatch *bitvec.Matrix, faulty []faulty
 		w, b := a.layout.Locate(c)
 		byWord[w] = append(byWord[w], b)
 	}
-	h := a.cfg.Horizontal
-	canInline := h.CorrectCapability() > 0
+	canInline := a.cfg.Horizontal.CorrectCapability() > 0
 	ok := true
 	// Row-major order: repairs touch disjoint cells, so the order is
 	// for deterministic replay, not correctness.
 	for _, fw := range faulty {
-		r, w, syn := fw.r, fw.w, fw.syn
-		cand := byWord[w]
-		cols := make([]uint64, len(cand))
-		for i, b := range cand {
-			cols[i] = h.ParityColumn(b)
-		}
-		sel, unique := solveGF2(cols, syn)
-		if unique {
-			for i, use := range sel {
-				if use {
-					a.data.Flip(r, a.layout.PhysColumn(w, cand[i]))
-					rep.BitsFlipped++
-					touched[a.group(r)] = true
-				}
-			}
-			continue
-		}
-		if !a.tryInline(r, w, canInline, rep) {
+		if !a.solveWord(fw, byWord[fw.w], canInline, touched, rep) {
 			ok = false
 		}
 	}
 	return ok
+}
+
+// solveWord repairs faulty word fw from its candidate codeword bits:
+// when fw's syndrome has a unique GF(2) solution over the candidates'
+// parity columns, it flips the solution's bits; otherwise it falls back
+// to the horizontal code's inline correction. It reports whether the
+// word was repaired.
+func (a *Array) solveWord(fw faultyWord, cand []int, canInline bool, touched []bool, rep *RecoveryReport) bool {
+	cols := make([]uint64, len(cand))
+	for i, b := range cand {
+		cols[i] = a.cfg.Horizontal.ParityColumn(b)
+	}
+	sel, unique := solveGF2(cols, fw.syn)
+	if !unique {
+		return a.tryInline(fw.r, fw.w, canInline, rep)
+	}
+	for i, use := range sel {
+		if use {
+			a.data.Flip(fw.r, a.layout.PhysColumn(fw.w, cand[i]))
+			rep.BitsFlipped++
+			touched[a.group(fw.r)] = true
+		}
+	}
+	return true
 }
 
 // tryInline falls back to the horizontal ECC's own correction for one

@@ -7,7 +7,7 @@
 # The race pass covers the packages with concurrent hot paths (banked
 # pcache locking, the resilience engine/scrubber, atomic twod stats,
 # the obs registry) and the kernel layer they are built on (bitvec word
-# views, ecc scratch pools); -full extends it to the whole module. The
+# views, ecc codes); -full extends it to the whole module. The
 # cluster's plane tests then run four more times under -race: planes,
 # their attempts and results channels are recycled between calls, and
 # one pass can miss a bug in state a straggler still holds.
