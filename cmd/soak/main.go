@@ -1,13 +1,14 @@
 // Soak runs the online resilience engine under fire: N client
-// goroutines read and write through a ResilientCache while a
-// continuous Poisson fault storm upsets the protected arrays and the
+// goroutines read and write through a ShardedCache (one shard by
+// default, the store cachenetd serves) while a continuous Poisson
+// fault storm upsets the protected arrays and each shard's
 // traffic-aware background scrubber sweeps them, for a bounded
 // duration. Every client checks its reads against a private shadow
 // model using the loss-epoch protocol: a mismatch is legitimate only
 // if the set's loss epoch advanced (a reported DUE led to a repair or
 // decommission) since the value was written — otherwise it is SILENT
-// corruption and the run fails. On success the health report is
-// printed and the process exits 0.
+// corruption and the run fails. On success each shard's health report
+// is printed and the process exits 0.
 //
 // The storm flips at most one bit per currently-clean word per event —
 // within the horizontal code's guaranteed detection — so every
@@ -142,76 +143,36 @@ func main() {
 	rcfg := twodcache.ResilienceConfig{
 		SpareRows: *spares, Metrics: reg, RecoveryStall: stall,
 	}
-	needWatchdog := *p99Budget > 0 || *chaosStall > 0
 
-	// The store under test: one engine, or N independent engines behind
-	// the sharded router. The single-engine path is kept verbatim (its
-	// scrub/record interplay below depends on it); the sharded path owns
-	// its scrubbers and watchdogs via Start/Stop.
-	var (
-		st      twodcache.CacheStore
-		sharded *twodcache.ShardedCache
-		engines []*twodcache.ResilientCache
-		scrub1  *twodcache.CacheScrubber
-	)
-	if *shards <= 1 {
-		eng, err := twodcache.NewResilientCache(ccfg, backing, rcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "soak:", err)
-			os.Exit(2)
-		}
-		st = eng
-		engines = []*twodcache.ResilientCache{eng}
-		scrub1 = eng.NewScrubber(twodcache.ScrubberConfig{
-			Interval: *scrubInterval,
-			HighRate: *highRate,
-		})
-		if needWatchdog {
-			wd := eng.NewWatchdog(twodcache.RecoveryWatchdogConfig{Budget: *repairBudget})
-			wd.Start()
-			defer wd.Stop()
-		}
-	} else {
-		scfg := twodcache.ShardedCacheConfig{
-			Shards:     *shards,
-			Cache:      ccfg,
-			Resilience: rcfg,
-			Scrubber: &twodcache.ScrubberConfig{
-				Interval: *scrubInterval,
-				HighRate: *highRate,
-			},
-		}
-		if needWatchdog {
-			scfg.Watchdog = &twodcache.RecoveryWatchdogConfig{Budget: *repairBudget}
-		}
-		var err error
-		sharded, err = twodcache.NewShardedCache(scfg, backing)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "soak:", err)
-			os.Exit(2)
-		}
-		st = sharded
-		for i := 0; i < sharded.NumShards(); i++ {
-			engines = append(engines, sharded.Shard(i))
-		}
-		sharded.Start()
-		defer sharded.Stop()
+	// The store under test is the sharded router cachenetd serves (one
+	// shard by default). Its scrubbers and watchdogs run through
+	// Start/Stop; a recorded run leaves the scrubbers out and sweeps
+	// shard 0 bank by bank below, so every sweep lands in the trace.
+	scfg := twodcache.ShardedCacheConfig{Shards: *shards, Cache: ccfg, Resilience: rcfg}
+	if *recordPath == "" {
+		scfg.Scrubber = &twodcache.ScrubberConfig{Interval: *scrubInterval, HighRate: *highRate}
 	}
-	// locate maps a global address to its owning engine and that
-	// engine's local address — the repair/loss-epoch oracle must talk to
-	// the shard that actually holds the line.
-	locate := func(addr uint64) (*twodcache.ResilientCache, uint64) {
-		if sharded == nil {
-			return engines[0], addr
-		}
-		return sharded.Locate(addr)
+	if *p99Budget > 0 || *chaosStall > 0 {
+		scfg.Watchdog = &twodcache.RecoveryWatchdogConfig{Budget: *repairBudget}
 	}
+	st, err := twodcache.NewShardedCache(scfg, backing)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "soak:", err)
+		os.Exit(2)
+	}
+	var engines []*twodcache.ResilientCache
+	for i := 0; i < st.NumShards(); i++ {
+		engines = append(engines, st.Shard(i))
+	}
+	st.Start()
+	// The repair/loss-epoch oracle must talk to the shard that actually
+	// holds the line, in that shard's local address space.
 	repairAt := func(addr uint64) {
-		e, la := locate(addr)
+		e, la := st.Locate(addr)
 		e.Cache().Repair(la)
 	}
 	epochOf := func(addr uint64) uint64 {
-		e, la := locate(addr)
+		e, la := st.Locate(addr)
 		return e.Cache().LossEpoch(int((la / uint64(*lineBytes)) % uint64(*sets)))
 	}
 
@@ -285,20 +246,15 @@ func main() {
 		stormCount atomic.Uint64
 	)
 
-	// Background scrubber. Sharded runs scrub per shard via Start above;
-	// the single-engine path drives its scrubber here. When recording,
-	// sweeps run bank by bank so each one lands in the trace
-	// (traffic-aware backoff is skipped — a recorded run favours
-	// reproducibility over load shaping).
+	// A recorded run's scrubber: sweeps run bank by bank so each one
+	// lands in the trace (traffic-aware backoff is skipped — a recorded
+	// run favours reproducibility over load shaping).
 	go func() {
 		defer close(scrubDone)
-		if scrub1 == nil {
-			return
-		}
 		if rec == nil {
-			_ = scrub1.Run(ctx)
 			return
 		}
+		scrub := engines[0].NewScrubber(twodcache.ScrubberConfig{})
 		ticker := time.NewTicker(*scrubInterval)
 		defer ticker.Stop()
 		for {
@@ -309,7 +265,7 @@ func main() {
 			}
 			for i := 0; i < engines[0].Cache().NumBanks(); i++ {
 				rec.Scrub(i)
-				scrub1.SweepBank(i)
+				scrub.SweepBank(i)
 			}
 		}
 	}()
@@ -368,7 +324,9 @@ func main() {
 		}
 	}()
 
-	// Live stats line, straight off coherent registry snapshots.
+	// Live stats line, straight off coherent registry snapshots:
+	// store_* aggregates plus per-shard sums (every shard's metrics live
+	// under its prefix).
 	statsDone := make(chan struct{})
 	go func() {
 		defer close(statsDone)
@@ -385,22 +343,6 @@ func main() {
 			case <-ticker.C:
 			}
 			s := reg.Snapshot()
-			if sharded == nil {
-				lat := s.Histogram("resilience_ladder_seconds")
-				fmt.Printf("soak: t=%5.1fs acc=%d hits=%d dues=%d mttr=%v scrubs=%d victims=%d disabled=%d faults=%d\n",
-					time.Since(start).Seconds(),
-					s.Counter("pcache_accesses_total"),
-					s.Counter("pcache_hits_total"),
-					s.Counter("resilience_dues_total"),
-					lat.Mean().Round(time.Microsecond),
-					s.Counter("scrub_passes_total"),
-					s.Counter("scrub_victims_total"),
-					s.Gauge("pcache_disabled_ways"),
-					stormCount.Load())
-				continue
-			}
-			// Sharded line: store_* aggregates plus per-shard sums
-			// (every shard's metrics live under its prefix).
 			var dues, scrubs, victims uint64
 			var disabled int64
 			for i := range engines {
@@ -560,6 +502,7 @@ func main() {
 	wg.Wait()
 	interrupted := ctx.Err() != nil && context.Cause(ctx) != context.DeadlineExceeded
 	cancel()
+	st.Stop()
 	<-scrubDone
 	<-stormDone
 	<-statsDone
@@ -589,22 +532,10 @@ func main() {
 	fmt.Printf("soak: %v, %d clients, %d client ops, %d fault events\n",
 		*duration, *clients, clientOps.Load(), stormCount.Load())
 	var watchdogFires uint64
-	if sharded == nil {
-		rep := engines[0].Report()
-		watchdogFires = rep.WatchdogFires
-		fmt.Print(rep.String())
-	} else {
-		ss := st.Stats()
-		fmt.Printf("  store:       %d shards, %d accesses (%.1f%% hit rate), %d writebacks\n",
-			len(engines), ss.Accesses,
-			100*float64(ss.Hits)/float64(max(ss.Hits+ss.Misses, 1)), ss.Writebacks)
-		for i, e := range engines {
-			r := e.Report()
-			watchdogFires += r.WatchdogFires
-			fmt.Printf("  shard %d:     %d DUEs, %d recoveries, %d decommissions, %d remaps, %d scrub passes, %d watchdog fires\n",
-				i, r.DUEs, r.RetrySuccesses+r.WordRecoveries+r.FullRecoveries, r.Decommissions, r.Remaps,
-				r.ScrubPasses, r.WatchdogFires)
-		}
+	for i, e := range engines {
+		r := e.Report()
+		watchdogFires += r.WatchdogFires
+		fmt.Printf("shard %d %s", i, r.String())
 	}
 	fmt.Printf("  accounting:  %d accounted losses, %d ladder-exhausted DUEs, %d SILENT corruptions\n",
 		accounted.Load(), reported.Load(), silent.Load())

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"twodcache/internal/fault"
+	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
 	"twodcache/internal/store"
@@ -49,7 +50,8 @@ func TestBatchDeadlineOverWire(t *testing.T) {
 	da.FlipBit(0, lay.PhysColumn(0, 0))
 	da.FlipBit(32, lay.PhysColumn(0, 8))
 
-	srv, addr := startServer(t, st, Config{})
+	reg := obs.NewRegistry()
+	_, addr := startServer(t, st, Config{Metrics: reg})
 
 	// Raw frame first: no client-side ctx racing the wire deadline, so
 	// the response reflects the server's own batch-ctx abort.
@@ -95,7 +97,7 @@ func TestBatchDeadlineOverWire(t *testing.T) {
 	if n1 != lineBytes || !bytes.Equal(b[off+5:off+5+n1], bytes.Repeat([]byte{0x77}, lineBytes)) {
 		t.Fatalf("healthy batchmate data wrong (%d bytes)", n1)
 	}
-	if snap := srv.Metrics().Snapshot(); snap.Counter(metricDeadlineAborts) == 0 {
+	if snap := reg.Snapshot(); snap.Counter(metricDeadlineAborts) == 0 {
 		t.Fatal("batch deadline abort not counted in net_deadline_aborts_total")
 	}
 

@@ -393,16 +393,6 @@ func (c *Client) FlushCtx(ctx context.Context) error {
 	return err
 }
 
-// Stats fetches the server store's coherent cache counters.
-func (c *Client) Stats() (pcache.Stats, error) {
-	data, buf, err := c.call(context.Background(), opStats, nil)
-	if err != nil {
-		return pcache.Stats{}, err
-	}
-	defer bufpool.Put(buf)
-	return decodeStats(data)
-}
-
 // Epoch fetches the loss epoch of the set owning addr — the soak
 // oracle's primitive for telling accounted loss from silent corruption.
 // Servers without an epoch oracle answer ErrUnsupported.

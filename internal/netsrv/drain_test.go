@@ -293,7 +293,7 @@ func TestHammer(t *testing.T) {
 						_, err = cl.ReadCtx(ctx, a, lineBytes)
 						cancel()
 					default:
-						_, err = cl.Stats()
+						err = cl.FlushCtx(context.Background())
 					}
 					if !okErr(err) {
 						t.Errorf("hammer %d/%d op %d: %v", ci, g, i, err)

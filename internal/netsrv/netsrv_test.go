@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"twodcache/internal/fault"
+	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
 	"twodcache/internal/store"
@@ -112,8 +113,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("round trip gave op=%d id=%#x payload=%q", f.op, f.id, f.payload)
 	}
 
-	// Empty payload is legal (STATS request).
-	f, err = readFrame(bytes.NewReader(appendFrame(nil, opStats, 7)), new(frameHdr))
+	// An empty payload is legal to the codec; payload length is checked
+	// per opcode by the server.
+	f, err = readFrame(bytes.NewReader(appendFrame(nil, opFlush, 7)), new(frameHdr))
 	if err != nil || len(f.payload) != 0 {
 		t.Fatalf("empty frame: %v, payload %d bytes", err, len(f.payload))
 	}
@@ -126,24 +128,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		if _, err := readFrame(bytes.NewReader(bad), new(frameHdr)); err == nil {
 			t.Fatalf("length %d accepted", length)
 		}
-	}
-}
-
-// TestStatsCodec pins the stats encoding against field reordering.
-func TestStatsCodec(t *testing.T) {
-	want := pcache.Stats{
-		Accesses: 1, Hits: 2, Misses: 3, Writebacks: 4,
-		ErrorsRecovered: 5, Uncorrectable: 6, Bypassed: 7, DirtyLinesLost: 8,
-	}
-	got, err := decodeStats(encodeStats(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("decode(encode(%+v)) = %+v", want, got)
-	}
-	if _, err := decodeStats(make([]byte, statsLen-1)); err == nil {
-		t.Fatal("short stats payload accepted")
 	}
 }
 
@@ -282,17 +266,6 @@ func TestDifferentialLoopback(t *testing.T) {
 				}
 			}
 
-			// Remote stats must be live (exact values differ from the
-			// local store: the wire layer re-groups singles into batches,
-			// which is content-equivalent, not stats-equivalent).
-			st, err := cl.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Accesses == 0 {
-				t.Fatal("remote Stats() shows zero accesses after 600 ops")
-			}
-
 			// Final flush, then the backings must agree line for line.
 			if err := cl.Flush(); err != nil {
 				t.Fatal(err)
@@ -321,7 +294,8 @@ func TestPipelineBatching(t *testing.T) {
 	if err := write1(st, 0, want); err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := startServer(t, st, Config{})
+	reg := obs.NewRegistry()
+	_, addr := startServer(t, st, Config{Metrics: reg})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +330,7 @@ func TestPipelineBatching(t *testing.T) {
 		}
 	}
 
-	snap := srv.Metrics().Snapshot()
+	snap := reg.Snapshot()
 	if got := snap.Counter(metricBatchOps); got != n {
 		t.Fatalf("net_batch_ops_total = %d, want %d", got, n)
 	}
@@ -364,8 +338,9 @@ func TestPipelineBatching(t *testing.T) {
 		t.Fatalf("net_batches_total = %d: pipelined singles were not amortised", got)
 	}
 
-	// Malformed frame and unknown opcode answer stBadRequest without
-	// killing the connection.
+	// A malformed frame and unknown opcodes answer stBadRequest without
+	// killing the connection: each rejection is followed by a frame the
+	// same connection answers. Opcode 6 is the retired STATS.
 	if _, err := nc.Write(appendFrame(nil, opRead, 99, []byte{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
@@ -373,12 +348,14 @@ func TestPipelineBatching(t *testing.T) {
 	if err != nil || f.id != 99 || f.payload[0] != stBadRequest {
 		t.Fatalf("short READ: %v, frame %+v", err, f)
 	}
-	if _, err := nc.Write(appendFrame(nil, 200, 100, nil)); err != nil {
-		t.Fatal(err)
-	}
-	f, err = readFrame(nc, new(frameHdr))
-	if err != nil || f.id != 100 || f.payload[0] != stBadRequest {
-		t.Fatalf("unknown opcode: %v, frame %+v", err, f)
+	for _, op := range []uint8{6, 200} {
+		if _, err := nc.Write(appendFrame(nil, op, 100, nil)); err != nil {
+			t.Fatal(err)
+		}
+		f, err = readFrame(nc, new(frameHdr))
+		if err != nil || f.id != 100 || f.payload[0] != stBadRequest {
+			t.Fatalf("unknown opcode %d: %v, frame %+v", op, err, f)
+		}
 	}
 }
 
@@ -414,7 +391,8 @@ func TestDeadlineOverWire(t *testing.T) {
 	da.FlipBit(0, lay.PhysColumn(0, 0))
 	da.FlipBit(32, lay.PhysColumn(0, 8))
 
-	srv, addr := startServer(t, st, Config{})
+	reg := obs.NewRegistry()
+	_, addr := startServer(t, st, Config{Metrics: reg})
 
 	// Raw connection first: the frame's deadline field alone (no
 	// client-side ctx racing it) must come back as stRecoveryInProgress,
@@ -442,7 +420,7 @@ func TestDeadlineOverWire(t *testing.T) {
 	if !errors.Is(werr, resilience.ErrRecoveryInProgress) {
 		t.Fatalf("wire err = %v, want ErrRecoveryInProgress in chain", werr)
 	}
-	if snap := srv.Metrics().Snapshot(); snap.Counter(metricDeadlineAborts) == 0 {
+	if snap := reg.Snapshot(); snap.Counter(metricDeadlineAborts) == 0 {
 		t.Fatal("deadline abort not counted")
 	}
 
@@ -499,12 +477,14 @@ func newStoreServer(t *testing.T) (*Server, string) {
 // connection is closed immediately and counted as refused.
 func TestMaxConns(t *testing.T) {
 	st, _ := newStore(t, 1, resilience.Config{})
-	srv, addr := startServer(t, st, Config{MaxConns: 2})
+	reg := obs.NewRegistry()
+	_, addr := startServer(t, st, Config{MaxConns: 2, Metrics: reg})
+	ctx := context.Background()
 	c1, c2 := dial(t, addr), dial(t, addr)
-	if _, err := c1.Stats(); err != nil {
+	if err := c1.FlushCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Stats(); err != nil {
+	if err := c2.FlushCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
 	c3, err := Dial(addr)
@@ -514,11 +494,11 @@ func TestMaxConns(t *testing.T) {
 		return
 	}
 	defer c3.Close()
-	if _, err := c3.Stats(); err == nil {
+	if err := c3.FlushCtx(ctx); err == nil {
 		t.Fatal("third connection served beyond MaxConns=2")
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Metrics().Snapshot().Counter(metricConnsRefused) == 0 {
+	for reg.Snapshot().Counter(metricConnsRefused) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("refused connection not counted")
 		}

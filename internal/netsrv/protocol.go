@@ -21,7 +21,6 @@
 //	BATCH_READ  := u64 deadline | u32 count | count×(u64 addr, u32 n)
 //	BATCH_WRITE := u64 deadline | u32 count | count×(u64 addr, u32 len, data)
 //	FLUSH       := u64 deadline
-//	STATS       := (empty)
 //	EPOCH       := u64 addr
 //
 // Every data frame reaches the store as a batch: a single READ/WRITE is
@@ -44,10 +43,9 @@
 //
 // On stOK: READ carries the data; WRITE and FLUSH are empty;
 // BATCH_READ carries u32 count | count×(u8 status, u32 len, data);
-// BATCH_WRITE carries u32 count | count×u8 status; STATS carries the
-// eight pcache.Stats counters as u64s; EPOCH carries the u64 loss
-// epoch. On any other status the payload is a human-readable error
-// message (batch per-op failures carry status codes only).
+// BATCH_WRITE carries u32 count | count×u8 status; EPOCH carries the
+// u64 loss epoch. On any other status the payload is a human-readable
+// error message (batch per-op failures carry status codes only).
 //
 // Responses may arrive in any order; the request id is the correlation
 // key. Clients pipeline by keeping many ids in flight.
@@ -74,7 +72,7 @@ const (
 	opBatchRead
 	opBatchWrite
 	opFlush
-	opStats
+	_ // 6, the retired STATS, is held so EPOCH keeps its number
 	opEpoch
 )
 
@@ -106,14 +104,12 @@ const (
 
 // Frame geometry and guard rails.
 const (
-	frameHeader = 4               // the u32 length prefix
-	frameFixed  = 1 + 8           // opcode + request id, covered by length
-	maxFrame    = 4 << 20         // hard cap on one frame's length field
-	maxBatchOps = 1 << 16         // ops per batch frame
-	maxReadLen  = 1 << 20         // bytes per single read
-	readBufSize = 64 * 1024       // bufio sizes on both sides
-	statsFields = 8               // pcache.Stats counters on the wire
-	statsLen    = statsFields * 8 // encoded size
+	frameHeader = 4         // the u32 length prefix
+	frameFixed  = 1 + 8     // opcode + request id, covered by length
+	maxFrame    = 4 << 20   // hard cap on one frame's length field
+	maxBatchOps = 1 << 16   // ops per batch frame
+	maxReadLen  = 1 << 20   // bytes per single read
+	readBufSize = 64 * 1024 // bufio sizes on both sides
 )
 
 // Protocol-level sentinels surfaced by the client.
@@ -285,28 +281,4 @@ func dueAt(from time.Time, nanos uint64) time.Time {
 		nanos = math.MaxInt64
 	}
 	return from.Add(time.Duration(nanos))
-}
-
-// encodeStats flattens the eight pcache.Stats counters.
-func encodeStats(st pcache.Stats) []byte {
-	buf := make([]byte, 0, statsLen)
-	for _, v := range [statsFields]uint64{
-		st.Accesses, st.Hits, st.Misses, st.Writebacks,
-		st.ErrorsRecovered, st.Uncorrectable, st.Bypassed, st.DirtyLinesLost,
-	} {
-		buf = binary.BigEndian.AppendUint64(buf, v)
-	}
-	return buf
-}
-
-// decodeStats is the inverse of encodeStats.
-func decodeStats(b []byte) (pcache.Stats, error) {
-	if len(b) != statsLen {
-		return pcache.Stats{}, fmt.Errorf("netsrv: stats payload %d bytes, want %d", len(b), statsLen)
-	}
-	u := func(i int) uint64 { return binary.BigEndian.Uint64(b[i*8:]) }
-	return pcache.Stats{
-		Accesses: u(0), Hits: u(1), Misses: u(2), Writebacks: u(3),
-		ErrorsRecovered: u(4), Uncorrectable: u(5), Bypassed: u(6), DirtyLinesLost: u(7),
-	}, nil
 }

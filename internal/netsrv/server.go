@@ -49,8 +49,9 @@ type Config struct {
 	// immediately and counted in net_conns_refused_total. Zero means
 	// unlimited.
 	MaxConns int
-	// Metrics is the registry the server registers its net_* metrics
-	// into. Nil selects a fresh private registry.
+	// Metrics is the registry NewServer registers the server's net_*
+	// metrics into, once; serve it to read them. Nil selects a private
+	// registry that nothing reads.
 	Metrics *obs.Registry
 	// EpochOf, when non-nil, serves EPOCH frames: it must return the
 	// loss epoch of the set owning addr (the soak oracle's primitive).
@@ -74,7 +75,6 @@ type Server struct {
 	draining  bool
 	connWG    sync.WaitGroup
 
-	metrics        *obs.Registry
 	connsGauge     *obs.Gauge
 	connsTotal     *obs.Counter
 	connsRefused   *obs.Counter
@@ -105,7 +105,6 @@ func NewServer(cfg Config) (*Server, error) {
 		epochOf:   cfg.EpochOf,
 		listeners: map[net.Listener]struct{}{},
 		conns:     map[*conn]struct{}{},
-		metrics:   reg,
 	}
 	if s.batchSize <= 0 {
 		s.batchSize = 32
@@ -126,9 +125,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.deadlineAborts = reg.Counter(metricDeadlineAborts, "requests that failed at their deadline")
 	return s, nil
 }
-
-// Metrics returns the registry holding the server's net_* metrics.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // Serve accepts connections on l until l fails or Shutdown runs. It
 // returns nil after a graceful shutdown, the accept error otherwise.
@@ -503,12 +499,6 @@ func (c *conn) handle(f frame) (retained bool) {
 			return false
 		}
 		c.respond(f.op, f.id, stOK, nil, t0)
-
-	case opStats:
-		// Flush first so a pipelined client's own preceding ops are in
-		// the counters it reads back.
-		c.flushBatches()
-		c.respond(f.op, f.id, stOK, encodeStats(c.srv.st.Stats()), t0)
 
 	case opEpoch:
 		if len(p) != 8 {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"twodcache/internal/fault"
+	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
 	"twodcache/internal/store"
@@ -156,7 +157,8 @@ func TestDeadlineSinglesAmortised(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := gatedStore{Store: st, release: make(chan struct{})}
-	srv, addr := startServer(t, gate, Config{})
+	reg := obs.NewRegistry()
+	_, addr := startServer(t, gate, Config{Metrics: reg})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +189,7 @@ func TestDeadlineSinglesAmortised(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := srv.Metrics().Snapshot()
+	snap := reg.Snapshot()
 	if got := snap.Counter(metricBatchOps); got != n {
 		t.Fatalf("net_batch_ops_total = %d, want %d", got, n)
 	}

@@ -133,9 +133,6 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // --- event hooks --------------------------------------------------------
 
 // Sink receives structured resilience events. Implementations must be

@@ -126,7 +126,8 @@ func TestQuantileTable(t *testing.T) {
 // same coherent view Registry.Snapshot exports, available to holders of
 // the bare histogram.
 func TestHistogramSnapshotMethod(t *testing.T) {
-	h := MustHistogram(time.Millisecond, 10*time.Millisecond)
+	r := NewRegistry()
+	h := r.Histogram("lat", "test", time.Millisecond, 10*time.Millisecond)
 	h.Observe(500 * time.Microsecond)
 	h.Observe(5 * time.Millisecond)
 	h.Observe(time.Minute) // overflow
@@ -151,8 +152,6 @@ func TestHistogramSnapshotMethod(t *testing.T) {
 	}
 
 	// Registry.Snapshot must agree with the direct method.
-	r := NewRegistry()
-	r.AttachHistogram("lat", "test", h)
 	rs := r.Snapshot().Histogram("lat")
 	if rs.Count != s.Count || rs.Sum != s.Sum {
 		t.Fatalf("registry view (%d, %v) != direct view (%d, %v)",

@@ -119,14 +119,6 @@ func (r *Registry) Histogram(name, help string, bounds ...time.Duration) *Histog
 	return h
 }
 
-// AttachHistogram registers an existing histogram under name — the
-// bridge for subsystems that allocate their own histograms but want
-// them served by a registry they did not create (mirroring one
-// engine's instrumentation into a second registry).
-func (r *Registry) AttachHistogram(name, help string, h *Histogram) {
-	r.register(name, &metric{kind: kindHistogram, help: help, hist: h})
-}
-
 // ClampLE declares the invariant counter[lower] <= counter[upper]:
 // every snapshot clamps the lower value so the pair never reads
 // impossible (a success count exceeding its attempt count, hits

@@ -55,10 +55,11 @@ type Config struct {
 	SpareRows int
 	// Clock overrides the time source (tests). Nil selects time.Now.
 	Clock func() time.Time
-	// Metrics is the registry the engine (and its cache and scrubber)
-	// registers into. Nil selects a fresh private registry. Reusing one
-	// registry across two engines over the same cache panics on the
-	// duplicate metric names — one registry serves one engine.
+	// Metrics is the registry New registers the engine's, its
+	// scrubber's and its cache's metrics into, once; serve it to read
+	// them. Nil selects a private registry that only Report reads. One
+	// registry serves one engine: a second engine registering into it
+	// panics on the duplicate names.
 	Metrics *obs.Registry
 	// Sink receives structured recovery events (RecoveryStart/End,
 	// DegradeEpoch, ScrubPass, UncorrectableDetected); it is also
@@ -156,8 +157,9 @@ type Engine struct {
 	deadlineAborts     *obs.Counter
 	breakersOpen       *obs.Gauge
 
-	// Scrub counters live on the engine (pre-registered, zero without a
-	// scrubber) so attaching a scrubber never re-registers names.
+	// Scrub counters live on the engine (registered by New, zero
+	// without a scrubber) so attaching a scrubber never re-registers
+	// names.
 	scrubPasses   *obs.Counter
 	scrubBackoffs *obs.Counter
 	scrubVictims  *obs.Counter
@@ -166,7 +168,7 @@ type Engine struct {
 
 // New builds an engine over the cache, registering the engine's, the
 // scrubber's, and the cache's instrumentation into cfg.Metrics (or a
-// fresh registry) and installing cfg.Sink on the cache.
+// private registry) and installing cfg.Sink on the cache.
 func New(c *pcache.Cache, cfg Config) *Engine {
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 1
@@ -194,71 +196,46 @@ func New(c *pcache.Cache, cfg Config) *Engine {
 		remappedOnce: map[int]bool{},
 		flights:      map[int]*flight{},
 		stall:        cfg.RecoveryStall,
-
-		dues:          new(obs.Counter),
-		retries:       new(obs.Counter),
-		retryHits:     new(obs.Counter),
-		wordAttempts:  new(obs.Counter),
-		wordHits:      new(obs.Counter),
-		fullAttempts:  new(obs.Counter),
-		fullHits:      new(obs.Counter),
-		decommissions: new(obs.Counter),
-		remaps:        new(obs.Counter),
-		exhausted:     new(obs.Counter),
-		ladderLatency: obs.MustHistogram(),
-
-		coalesced:          new(obs.Counter),
-		sheds:              new(obs.Counter),
-		breakerTrips:       new(obs.Counter),
-		breakerTransitions: new(obs.Counter),
-		watchdogFires:      new(obs.Counter),
-		deadlineAborts:     new(obs.Counter),
-		breakersOpen:       new(obs.Gauge),
-
-		scrubPasses:   new(obs.Counter),
-		scrubBackoffs: new(obs.Counter),
-		scrubVictims:  new(obs.Counter),
-		scrubLatency:  obs.MustHistogram(),
 	}
 	e.breakers = e.newBankBreakers(c.NumBanks())
-	e.RegisterMetrics(reg)
+	e.registerMetrics(reg)
 	e.SetEventSink(sink)
 	return e
 }
 
-// RegisterMetrics wires the engine's instrumentation — and, through it,
-// the scrubber's and the cache's — into r. New registers into
-// cfg.Metrics automatically; call this only to mirror the engine into
-// an additional registry (a sharded store labels every shard's engine
-// into one shared registry through prefixed views). Registering the
-// same engine twice into one registry panics on the duplicate names.
-// Dependent counters register — and are therefore snapshotted — before
-// their upper bounds, and ClampLE invariants back them up.
-func (e *Engine) RegisterMetrics(r *obs.Registry) {
-	r.CounterFunc(metricDUEs, "detected-uncorrectable events entering the ladder", e.dues.Load)
-	r.CounterFunc(metricRetries, "rung-1 access re-issues", e.retries.Load)
-	r.CounterFunc(metricRetryHits, "accesses rescued by a bare retry", e.retryHits.Load)
-	r.CounterFunc(metricWordAttempts, "rung-2 targeted word recoveries attempted", e.wordAttempts.Load)
-	r.CounterFunc(metricWordHits, "accesses rescued by word recovery", e.wordHits.Load)
-	r.CounterFunc(metricFullAttempts, "rung-3 full 2D recoveries attempted", e.fullAttempts.Load)
-	r.CounterFunc(metricFullHits, "accesses rescued by full 2D recovery", e.fullHits.Load)
-	r.CounterFunc(metricDecommissions, "ways retired by graceful degradation", e.decommissions.Load)
-	r.CounterFunc(metricRemaps, "retired ways remapped to spare rows", e.remaps.Load)
-	r.CounterFunc(metricExhausted, "ladder runs that failed even after degradation", e.exhausted.Load)
-	r.AttachHistogram(metricLadderSeconds, "DUE-to-resolution ladder latency", e.ladderLatency)
+// registerMetrics creates the engine's instrumentation in r and then
+// registers the cache's. Snapshots read metrics in registration order
+// and the replay state hash digests their names in that order, so the
+// order is part of the engine's observable output. Only breaker trips
+// register before their bound; every other engine pair registers its
+// bound first (attempts before hits, DUEs before what they lead to),
+// so for those the ClampLE declarations, not the order, keep a
+// snapshot taken mid-ladder coherent.
+func (e *Engine) registerMetrics(r *obs.Registry) {
+	e.dues = r.Counter(metricDUEs, "detected-uncorrectable events entering the ladder")
+	e.retries = r.Counter(metricRetries, "rung-1 access re-issues")
+	e.retryHits = r.Counter(metricRetryHits, "accesses rescued by a bare retry")
+	e.wordAttempts = r.Counter(metricWordAttempts, "rung-2 targeted word recoveries attempted")
+	e.wordHits = r.Counter(metricWordHits, "accesses rescued by word recovery")
+	e.fullAttempts = r.Counter(metricFullAttempts, "rung-3 full 2D recoveries attempted")
+	e.fullHits = r.Counter(metricFullHits, "accesses rescued by full 2D recovery")
+	e.decommissions = r.Counter(metricDecommissions, "ways retired by graceful degradation")
+	e.remaps = r.Counter(metricRemaps, "retired ways remapped to spare rows")
+	e.exhausted = r.Counter(metricExhausted, "ladder runs that failed even after degradation")
+	e.ladderLatency = r.Histogram(metricLadderSeconds, "DUE-to-resolution ladder latency")
 
-	r.CounterFunc(metricCoalesced, "requests coalesced onto an in-flight bank repair", e.coalesced.Load)
-	r.CounterFunc(metricSheds, "repairs routed straight to degrade by an open breaker", e.sheds.Load)
-	r.CounterFunc(metricBreakerTrips, "breaker transitions into the open state", e.breakerTrips.Load)
-	r.CounterFunc(metricBreakerTransitions, "all breaker state transitions", e.breakerTransitions.Load)
-	r.CounterFunc(metricWatchdogFires, "stuck repairs force-escalated by the watchdog", e.watchdogFires.Load)
-	r.CounterFunc(metricDeadlineAborts, "ladder runs abandoned at the caller's deadline", e.deadlineAborts.Load)
-	r.GaugeFunc(metricBreakersOpen, "banks currently behind an open breaker", e.breakersOpen.Load)
+	e.coalesced = r.Counter(metricCoalesced, "requests coalesced onto an in-flight bank repair")
+	e.sheds = r.Counter(metricSheds, "repairs routed straight to degrade by an open breaker")
+	e.breakerTrips = r.Counter(metricBreakerTrips, "breaker transitions into the open state")
+	e.breakerTransitions = r.Counter(metricBreakerTransitions, "all breaker state transitions")
+	e.watchdogFires = r.Counter(metricWatchdogFires, "stuck repairs force-escalated by the watchdog")
+	e.deadlineAborts = r.Counter(metricDeadlineAborts, "ladder runs abandoned at the caller's deadline")
+	e.breakersOpen = r.Gauge(metricBreakersOpen, "banks currently behind an open breaker")
 
-	r.CounterFunc(metricScrubPasses, "completed scrub sweeps", e.scrubPasses.Load)
-	r.CounterFunc(metricScrubBackoffs, "sweeps deferred under high traffic", e.scrubBackoffs.Load)
-	r.CounterFunc(metricScrubVictims, "unrepairable ways retired by sweeps", e.scrubVictims.Load)
-	r.AttachHistogram(metricScrubSeconds, "whole-sweep scrub latency", e.scrubLatency)
+	e.scrubPasses = r.Counter(metricScrubPasses, "completed scrub sweeps")
+	e.scrubBackoffs = r.Counter(metricScrubBackoffs, "sweeps deferred under high traffic")
+	e.scrubVictims = r.Counter(metricScrubVictims, "unrepairable ways retired by sweeps")
+	e.scrubLatency = r.Histogram(metricScrubSeconds, "whole-sweep scrub latency")
 
 	// The success count of a rung can never exceed its attempts, remaps
 	// never exceed decommissions, and no rung outcome exceeds the DUEs
@@ -295,11 +272,6 @@ func (e *Engine) snk() obs.Sink { return *e.sink.Load() }
 // Cache returns the underlying protected cache (for fault injection,
 // statistics, and direct access).
 func (e *Engine) Cache() *pcache.Cache { return e.cache }
-
-// Metrics returns the registry serving the engine's, scrubber's, and
-// cache's instrumentation — snapshot it, publish it over expvar, or
-// mount its Prometheus handler.
-func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 // Stats returns the underlying cache's coherent counter snapshot.
 func (e *Engine) Stats() pcache.Stats { return e.cache.Stats() }

@@ -58,10 +58,7 @@ type Scrubber struct {
 	sleep    func(ctx context.Context, d time.Duration) bool
 	bankHook func(bank int)
 
-	// Start/Stop lifecycle for the background goroutine.
-	mu     sync.Mutex
-	cancel context.CancelFunc
-	done   chan struct{}
+	lifecycle
 }
 
 // NewScrubber builds the engine's background scrubber and attaches it
@@ -90,15 +87,6 @@ func realSleep(ctx context.Context, d time.Duration) bool {
 		return true
 	}
 }
-
-// Passes returns completed sweep count.
-func (s *Scrubber) Passes() uint64 { return s.engine.scrubPasses.Load() }
-
-// Backoffs returns how many times a sweep was deferred under load.
-func (s *Scrubber) Backoffs() uint64 { return s.engine.scrubBackoffs.Load() }
-
-// Victims returns how many unrepairable ways sweeps have retired.
-func (s *Scrubber) Victims() uint64 { return s.engine.scrubVictims.Load() }
 
 // Sweep runs one full scrubbing pass over every bank, degrading any
 // ways whose damage exceeds 2D coverage. It reports whether every bank
@@ -198,30 +186,42 @@ func (s *Scrubber) Run(ctx context.Context) error {
 // Prefer Start/Stop over `go s.Run(ctx)` at shutdown boundaries: Stop
 // joins the goroutine, so no sweep is still running (and no pass can
 // be half-counted) after it returns.
-func (s *Scrubber) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cancel != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	s.done = make(chan struct{})
-	done := s.done
-	go func() {
-		defer close(done)
-		_ = s.Run(ctx)
-	}()
-}
+func (s *Scrubber) Start() { s.start(func(ctx context.Context) { _ = s.Run(ctx) }) }
 
 // Stop cancels the background goroutine and waits for it to exit — any
 // in-progress sweep aborts at the next bank boundary and is not
 // counted as a completed pass.
-func (s *Scrubber) Stop() {
-	s.mu.Lock()
-	cancel, done := s.cancel, s.done
-	s.cancel, s.done = nil, nil
-	s.mu.Unlock()
+func (s *Scrubber) Stop() { s.stop() }
+
+// lifecycle runs one background goroutine for the Scrubber and the
+// Watchdog: start is idempotent until stop, and stop cancels the
+// goroutine's context and returns once the goroutine has exited.
+type lifecycle struct {
+	mu     sync.Mutex
+	cancel context.CancelFunc
+	done   chan struct{}
+}
+
+func (l *lifecycle) start(run func(ctx context.Context)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cancel != nil {
+		return
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	l.cancel, l.done = cancel, done
+	go func() {
+		defer close(done)
+		run(ctx)
+	}()
+}
+
+func (l *lifecycle) stop() {
+	l.mu.Lock()
+	cancel, done := l.cancel, l.done
+	l.cancel, l.done = nil, nil
+	l.mu.Unlock()
 	if cancel == nil {
 		return
 	}

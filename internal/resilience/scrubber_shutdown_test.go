@@ -63,7 +63,7 @@ func (s *scrubEventSink) count() int {
 }
 
 // TestScrubberCancelMidPass cancels a sweep between banks: the
-// interrupted pass must not count in Passes(), must not observe a
+// interrupted pass must not count in ScrubPasses, must not observe a
 // latency, and must not emit a ScrubPass event — partial coverage is
 // not coverage. Run under -race by tier-1.
 func TestScrubberCancelMidPass(t *testing.T) {
@@ -83,7 +83,7 @@ func TestScrubberCancelMidPass(t *testing.T) {
 		t.Fatal("cancelled sweep reported completed")
 	}
 	_ = clean
-	if got := s.Passes(); got != 0 {
+	if got := e.Report().ScrubPasses; got != 0 {
 		t.Fatalf("partial sweep counted as %d passes", got)
 	}
 	if sink.count() != 0 {
@@ -98,8 +98,8 @@ func TestScrubberCancelMidPass(t *testing.T) {
 	if _, completed := s.sweepCtx(context.Background()); !completed {
 		t.Fatal("clean-context sweep did not complete")
 	}
-	if s.Passes() != 1 || sink.count() != 1 {
-		t.Fatalf("completed sweep accounting: passes=%d events=%d", s.Passes(), sink.count())
+	if got := e.Report().ScrubPasses; got != 1 || sink.count() != 1 {
+		t.Fatalf("completed sweep accounting: passes=%d events=%d", got, sink.count())
 	}
 }
 

@@ -19,14 +19,11 @@ func TestSweepRepairsRecoverableDamage(t *testing.T) {
 	if !s.Sweep() {
 		t.Fatal("recoverable damage reported unclean")
 	}
-	if s.Passes() != 1 || s.Victims() != 0 {
-		t.Fatalf("passes=%d victims=%d", s.Passes(), s.Victims())
+	if r := e.Report(); r.ScrubPasses != 1 || r.ScrubVictims != 0 {
+		t.Fatalf("passes=%d victims=%d", r.ScrubPasses, r.ScrubVictims)
 	}
 	if got, err := read1(c, 0, 1); err != nil || got[0] != 0x42 {
 		t.Fatalf("data after sweep: %v %v", got, err)
-	}
-	if r := e.Report(); r.ScrubPasses != 1 {
-		t.Fatalf("report missed scrub activity: %+v", r)
 	}
 }
 
@@ -38,8 +35,8 @@ func TestSweepRetiresBeyondCoverageVictims(t *testing.T) {
 	if s.Sweep() {
 		t.Fatal("ambiguous damage reported clean")
 	}
-	if s.Victims() != 2 {
-		t.Fatalf("victims = %d, want the ambiguous pair", s.Victims())
+	if v := e.Report().ScrubVictims; v != 2 {
+		t.Fatalf("victims = %d, want the ambiguous pair", v)
 	}
 	if e.Report().DisabledWays != 2 {
 		t.Fatalf("victims not decommissioned: %+v", e.Report())
@@ -81,17 +78,18 @@ func TestRunBacksOffUnderLoadAndCatchesUp(t *testing.T) {
 	}
 	_ = s.Run(context.Background())
 
-	if s.Backoffs() == 0 {
+	r := e.Report()
+	if r.ScrubBackoffs == 0 {
 		t.Fatal("scrubber never backed off under sustained load")
 	}
-	if s.Passes() == 0 {
+	if r.ScrubPasses == 0 {
 		t.Fatal("MaxDelay did not force a catch-up sweep under sustained load")
 	}
 	// Deferral is bounded: per completed sweep at most
 	// ceil(MaxDelay/PollInterval) = 3 backoffs.
-	if s.Backoffs() > 3*(s.Passes()+1) {
+	if r.ScrubBackoffs > 3*(r.ScrubPasses+1) {
 		t.Fatalf("backoffs %d exceed the MaxDelay bound for %d passes",
-			s.Backoffs(), s.Passes())
+			r.ScrubBackoffs, r.ScrubPasses)
 	}
 }
 
@@ -111,11 +109,12 @@ func TestRunSweepsFreelyWhenIdle(t *testing.T) {
 		return sleeps < 10
 	}
 	_ = s.Run(context.Background())
-	if s.Backoffs() != 0 {
-		t.Fatalf("idle cache caused %d backoffs", s.Backoffs())
+	r := e.Report()
+	if r.ScrubBackoffs != 0 {
+		t.Fatalf("idle cache caused %d backoffs", r.ScrubBackoffs)
 	}
-	if s.Passes() < 9 {
-		t.Fatalf("idle cache swept only %d times in 10 intervals", s.Passes())
+	if r.ScrubPasses < 9 {
+		t.Fatalf("idle cache swept only %d times in 10 intervals", r.ScrubPasses)
 	}
 }
 

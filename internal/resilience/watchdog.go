@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
@@ -41,9 +40,7 @@ type Watchdog struct {
 	e   *Engine
 	cfg WatchdogConfig
 
-	mu     sync.Mutex
-	cancel context.CancelFunc
-	done   chan struct{}
+	lifecycle
 }
 
 // NewWatchdog builds a watchdog over the engine's in-flight repairs.
@@ -96,31 +93,7 @@ func (w *Watchdog) Run(ctx context.Context) {
 }
 
 // Start launches Run in a goroutine; idempotent until Stop.
-func (w *Watchdog) Start() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.cancel != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	w.cancel = cancel
-	w.done = make(chan struct{})
-	done := w.done
-	go func() {
-		defer close(done)
-		w.Run(ctx)
-	}()
-}
+func (w *Watchdog) Start() { w.start(w.Run) }
 
 // Stop cancels the scanner and waits for it to exit.
-func (w *Watchdog) Stop() {
-	w.mu.Lock()
-	cancel, done := w.cancel, w.done
-	w.cancel, w.done = nil, nil
-	w.mu.Unlock()
-	if cancel == nil {
-		return
-	}
-	cancel()
-	<-done
-}
+func (w *Watchdog) Stop() { w.stop() }

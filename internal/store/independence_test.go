@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"twodcache/internal/fault"
+	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
 )
@@ -19,10 +20,12 @@ func TestShardIndependence(t *testing.T) {
 	var stall fault.Stall
 	stall.Arm(time.Hour) // wedge any repair that reaches the full-2D rung
 	backing := pcache.NewMapBacking(64)
+	reg := obs.NewRegistry()
 	s, err := New(Config{
 		Shards: 2,
 		Cache:  pcache.Config{Sets: 32, Ways: 2, LineBytes: 64, Banks: 1},
 		Resilience: resilience.Config{
+			Metrics:       reg,
 			RecoveryStall: &stall,
 			Breaker: resilience.BreakerConfig{
 				FailureThreshold: 1,
@@ -88,7 +91,7 @@ func TestShardIndependence(t *testing.T) {
 	if st := s.Shard(1).BreakerState(0); st != "closed" {
 		t.Fatalf("shard 1 breaker = %s", st)
 	}
-	snap := s.Metrics().Snapshot()
+	snap := reg.Snapshot()
 	if n := snap.Counter("shard1_resilience_dues_total"); n != 0 {
 		t.Fatalf("shard1_resilience_dues_total = %d", n)
 	}

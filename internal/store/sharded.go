@@ -23,10 +23,12 @@ type Config struct {
 	// Cache is the PER-SHARD cache geometry: total capacity is
 	// Shards × Sets × Ways lines.
 	Cache pcache.Config
-	// Resilience is the per-shard engine template. Metrics, if set, is
-	// the root registry every shard registers into under a "shard<i>_"
-	// prefix (nil selects a fresh one); Sink is wrapped per shard so
-	// event coordinates are globalised before delivery.
+	// Resilience is the per-shard engine template. Metrics is the root
+	// registry New registers every shard into under a "shard<i>_"
+	// prefix, and the store_* aggregates beside them; serve it to read
+	// them. Nil selects a private registry that only each shard's
+	// Report reads. Sink is wrapped per shard so event coordinates are
+	// globalised before delivery.
 	Resilience resilience.Config
 	// Scrubber, when non-nil, gives every shard its own background
 	// scrubber with this configuration (Start/Stop run them).
@@ -55,7 +57,6 @@ type Sharded struct {
 	lineBytes uint64
 	shardBits uint
 	mask      uint64
-	metrics   *obs.Registry
 	sink      obs.Sink
 	setsPer   int
 	banksPer  int
@@ -90,7 +91,6 @@ func New(cfg Config, backing pcache.Backing) (*Sharded, error) {
 		lineBytes: uint64(cfg.Cache.LineBytes),
 		shardBits: uint(bitsFor(n)),
 		mask:      uint64(n - 1),
-		metrics:   root,
 		sink:      userSink,
 		setsPer:   cfg.Cache.Sets,
 	}
@@ -168,10 +168,6 @@ func (s *Sharded) ShardOf(addr uint64) int {
 // state) and fault injection in tests; production traffic should go
 // through the Sharded methods, which translate addresses.
 func (s *Sharded) Shard(i int) *resilience.Engine { return s.shards[i].engine }
-
-// Metrics returns the root registry: per-shard metrics live under
-// "shard<i>_" prefixes, cross-shard aggregates under "store_".
-func (s *Sharded) Metrics() *obs.Registry { return s.metrics }
 
 // Locate returns the engine owning addr and addr contracted into that
 // shard's local address space — for repair and inspection tooling that
@@ -379,17 +375,6 @@ func (s *Sharded) Stats() pcache.Stats {
 		out.DirtyLinesLost += st.DirtyLinesLost
 	}
 	return out
-}
-
-// RegisterMetrics mirrors every shard's instrumentation into r under
-// "shard<i>_" prefixes and registers the cross-shard aggregates. It
-// panics on duplicate names — call it at most once per registry (the
-// construction-time root registry is already populated).
-func (s *Sharded) RegisterMetrics(r *obs.Registry) {
-	for i, sh := range s.shards {
-		sh.engine.RegisterMetrics(r.WithPrefix(fmt.Sprintf("shard%d_", i)))
-	}
-	s.registerAggregates(r)
 }
 
 // registerAggregates registers cross-shard store_* rollups. Outcome

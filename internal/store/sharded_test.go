@@ -167,7 +167,12 @@ func TestShardedBatchPerOpErrors(t *testing.T) {
 }
 
 func TestShardedStatsAndAggregates(t *testing.T) {
-	s, _ := newSharded(t, 2)
+	reg := obs.NewRegistry()
+	s, err := New(Config{Shards: 2, Cache: testCfg, Resilience: resilience.Config{Metrics: reg}},
+		pcache.NewMapBacking(testCfg.LineBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 40; i++ {
 		if err := write1(s, uint64(i)*64, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -189,7 +194,7 @@ func TestShardedStatsAndAggregates(t *testing.T) {
 		t.Fatalf("shard sum %d != aggregate %d", got, st.Accesses)
 	}
 
-	snap := s.Metrics().Snapshot()
+	snap := reg.Snapshot()
 	if got := snap.Counter("store_accesses_total"); got != 80 {
 		t.Fatalf("store_accesses_total = %d, want 80", got)
 	}
@@ -205,21 +210,6 @@ func TestShardedStatsAndAggregates(t *testing.T) {
 	if perShard != 80 {
 		names := snap.Names()
 		t.Fatalf("per-shard accesses sum %d, want 80 (names: %v)", perShard, names[:min(len(names), 12)])
-	}
-}
-
-func TestShardedRegisterMetricsMirror(t *testing.T) {
-	s, _ := newSharded(t, 2)
-	if err := write1(s, 0, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	extra := obs.NewRegistry()
-	s.RegisterMetrics(extra)
-	if got := extra.Snapshot().Counter("store_accesses_total"); got != 1 {
-		t.Fatalf("mirror store_accesses_total = %d, want 1", got)
-	}
-	if got := extra.Snapshot().Counter("shard0_resilience_dues_total"); got != 0 {
-		t.Fatalf("mirror shard0 dues = %d", got)
 	}
 }
 

@@ -32,10 +32,10 @@ func (s *soupSink) RecoveryEnd(array string, set, way int, success bool, d time.
 // and parity-row flips at the array: recovery may legitimately fail
 // (the soup usually exceeds coverage), but it must never panic, and
 // when the soup happens to stay inside one coverage box a success must
-// restore the golden image. Every trial runs with observability hooks
-// installed — a registry over the array's counters and an event sink —
-// so recovery under soup also exercises the instrumented path, and the
-// sink's view must agree with the returned reports.
+// restore the golden image. Every trial runs with an event sink
+// installed, so recovery under soup also exercises the instrumented
+// path, and the sink's view and the array's counters must agree with
+// the returned reports.
 func TestRecoverNeverPanicsOnRandomSoup(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	sink := &soupSink{}
@@ -46,8 +46,6 @@ func TestRecoverNeverPanicsOnRandomSoup(t *testing.T) {
 			Horizontal:     ecc.MustEDC(64, 8),
 			VerticalGroups: 16,
 		})
-		reg := obs.NewRegistry()
-		a.RegisterMetrics(reg, "twod_soup")
 		a.SetEventSink(sink, "soup")
 		fillRandom(a, rng)
 		nData := rng.Intn(40)
@@ -59,9 +57,8 @@ func TestRecoverNeverPanicsOnRandomSoup(t *testing.T) {
 			a.FlipParityBit(rng.Intn(a.VerticalGroups()), rng.Intn(a.RowBits()))
 		}
 		rep := a.Recover() // must not panic
-		if s := reg.Snapshot(); s.Counter("twod_soup_recoveries_total") != 1 {
-			t.Fatalf("trial %d: registry saw %d recoveries, want 1",
-				trial, s.Counter("twod_soup_recoveries_total"))
+		if got := a.Stats().Recoveries; got != 1 {
+			t.Fatalf("trial %d: array counted %d recoveries, want 1", trial, got)
 		}
 		if rep.Success {
 			wantSuccesses++

@@ -1,7 +1,6 @@
 package twod
 
 import (
-	"sync/atomic"
 	"time"
 
 	"twodcache/internal/obs"
@@ -48,21 +47,4 @@ func (a *Array) Recover() RecoveryReport {
 	rep := a.recoverImpl()
 	h.s.RecoveryEnd(h.label, -1, -1, rep.Success, time.Since(start))
 	return rep
-}
-
-// RegisterMetrics exports the array's activity counters through the
-// registry under prefix_* names (prefix must be unique per registry,
-// e.g. "twod_data"). The counters remain the array's own atomics; the
-// registry reads them through CounterFuncs at snapshot time.
-func (a *Array) RegisterMetrics(r *obs.Registry, prefix string) {
-	load := func(p *uint64) func() uint64 {
-		return func() uint64 { return atomic.LoadUint64(p) }
-	}
-	r.CounterFunc(prefix+"_reads_total", "word read operations", load(&a.stats.Reads))
-	r.CounterFunc(prefix+"_writes_total", "word write operations", load(&a.stats.Writes))
-	r.CounterFunc(prefix+"_extra_reads_total", "read-before-write operations for vertical parity", load(&a.stats.ExtraReads))
-	r.CounterFunc(prefix+"_inline_corrections_total", "single-bit errors repaired in line by SECDED", load(&a.stats.InlineCorrections))
-	r.CounterFunc(prefix+"_recoveries_total", "2D recovery invocations", load(&a.stats.Recoveries))
-	r.CounterFunc(prefix+"_recovered_words_total", "words repaired by 2D recovery", load(&a.stats.RecoveredWords))
-	r.CounterFunc(prefix+"_uncorrectable_total", "recovery attempts that exceeded the 2D coverage", load(&a.stats.Uncorrectable))
 }
