@@ -242,11 +242,11 @@ func NewResilientCache(cfg ProtectedCacheConfig, backing CacheBacking, rcfg Resi
 
 // CacheStore is the storage-engine interface both a ResilientCache and
 // a ShardedCache satisfy: batch-amortised ReadBatch/WriteBatch (plus
-// deadline-bounded Ctx variants), Flush, and coherent Stats. Batches
-// are the only data path below the network clients, down to the
-// ProtectedCache — a single op is a batch of one. Program against it to
-// swap shard counts without touching call sites; metrics and event
-// wiring live on the concrete types.
+// deadline-bounded Ctx variants) and Flush. Batches are the only data
+// path below the network clients, down to the ProtectedCache — a
+// single op is a batch of one. Program against it to swap shard counts
+// without touching call sites; Stats, metrics and event wiring live on
+// the concrete types.
 type CacheStore = store.Store
 
 // ShardedCacheConfig assembles a sharded store: the shard count, the

@@ -217,9 +217,13 @@ type bank struct {
 	disabled []bool
 
 	// lineBuf is the bank's line-sized staging buffer (line read-outs,
-	// read-modify-writes, fills, writebacks, flushes); reusing it keeps
-	// the hit path allocation-free.
-	lineBuf []byte
+	// read-modify-writes, fills, writebacks, flushes); lineWords and
+	// lineSt carry a line's words and their statuses through the data
+	// array's row calls. Reusing them keeps the hit path
+	// allocation-free.
+	lineBuf   []byte
+	lineWords []uint64
+	lineSt    []twod.ReadStatus
 }
 
 // Cache is the protected cache: a banked array of 2D-coded data and
@@ -310,12 +314,14 @@ func New(cfg Config, backing Backing) (*Cache, error) {
 			return nil, err
 		}
 		c.banks[i] = &bank{
-			index:    i,
-			data:     data,
-			tags:     tags,
-			lru:      make([]uint64, spb*cfg.Ways),
-			disabled: make([]bool, spb*cfg.Ways),
-			lineBuf:  make([]byte, cfg.LineBytes),
+			index:     i,
+			data:      data,
+			tags:      tags,
+			lru:       make([]uint64, spb*cfg.Ways),
+			disabled:  make([]bool, spb*cfg.Ways),
+			lineBuf:   make([]byte, cfg.LineBytes),
+			lineWords: make([]uint64, c.words),
+			lineSt:    make([]twod.ReadStatus, c.words),
 		}
 	}
 	return c, nil
@@ -579,26 +585,29 @@ func (c *Cache) victimLocked(b *bank, ls int) (way int, ok bool, err error) {
 func (c *Cache) dataRow(ls, way int) int { return ls*c.cfg.Ways + way }
 
 // readLineLocked fetches a full line from the bank's data array into
-// dst (length LineBytes; typically the bank's lineBuf scratch).
+// dst (length LineBytes; typically the bank's lineBuf scratch) with one
+// row read, then notes each word's status in word order.
 func (c *Cache) readLineLocked(b *bank, ls, way int, dst []byte) error {
-	row := c.dataRow(ls, way)
 	set := b.globalSet(c.setsPerBank, ls)
-	for w := 0; w < c.words; w++ {
-		v, st := b.data.ReadUint64(row, w)
+	n := b.data.ReadRowUint64(c.dataRow(ls, way), b.lineWords, b.lineSt)
+	for w, st := range b.lineSt[:n] {
 		if err := c.noteSt(st, ArrayData, set, way); err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint64(dst[w*8:], v)
+		binary.LittleEndian.PutUint64(dst[w*8:], b.lineWords[w])
 	}
 	return nil
 }
 
-// writeLineLocked stores a full line into the bank's data array.
+// writeLineLocked stores a full line into the bank's data array with
+// one row write, then notes each word's status in word order.
 func (c *Cache) writeLineLocked(b *bank, ls, way int, data []byte) error {
-	row := c.dataRow(ls, way)
 	set := b.globalSet(c.setsPerBank, ls)
-	for w := 0; w < c.words; w++ {
-		st := b.data.WriteUint64(row, w, binary.LittleEndian.Uint64(data[w*8:]))
+	for w := range b.lineWords {
+		b.lineWords[w] = binary.LittleEndian.Uint64(data[w*8:])
+	}
+	n := b.data.WriteRowUint64(c.dataRow(ls, way), b.lineWords, b.lineSt)
+	for _, st := range b.lineSt[:n] {
 		if err := c.noteSt(st, ArrayData, set, way); err != nil {
 			return err
 		}

@@ -65,6 +65,47 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGeometriesRoundTrip stores random lines, half a line per write,
+// through caches whose arrays interleave at a degree for every kernel:
+// data rows of 1, 8 and 128 words (8, 64 and 1024 B lines) and tag rows
+// of 3, 4 and 128 ways. Twice as many lines as the cache holds make
+// every write after the first pass a fill plus a dirty eviction; every
+// line must read back, and reach the backing after Flush.
+func TestGeometriesRoundTrip(t *testing.T) {
+	for _, g := range []struct{ ways, lineBytes int }{{3, 64}, {4, 8}, {4, 1024}, {128, 64}} {
+		const sets = 4
+		back := NewMapBacking(g.lineBytes)
+		c := MustNew(Config{Sets: sets, Ways: g.ways, LineBytes: g.lineBytes, Banks: 1}, back)
+		rng := rand.New(rand.NewSource(int64(g.ways * g.lineBytes)))
+		want := make([][]byte, 2*sets*g.ways)
+		h := g.lineBytes / 2
+		for i := range want {
+			want[i] = make([]byte, g.lineBytes)
+			rng.Read(want[i])
+			addr := uint64(i * g.lineBytes)
+			if err := write1(c, addr, want[i][:h]); err != nil {
+				t.Fatalf("ways=%d line=%d: write line %d: %v", g.ways, g.lineBytes, i, err)
+			}
+			if err := write1(c, addr+uint64(h), want[i][h:]); err != nil {
+				t.Fatalf("ways=%d line=%d: write line %d: %v", g.ways, g.lineBytes, i, err)
+			}
+		}
+		for i := range want {
+			if got, err := read1(c, uint64(i*g.lineBytes), g.lineBytes); err != nil || !bytes.Equal(got, want[i]) {
+				t.Fatalf("ways=%d line=%d: line %d reads %x, %v; want %x", g.ways, g.lineBytes, i, got, err, want[i])
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatalf("ways=%d line=%d: Flush: %v", g.ways, g.lineBytes, err)
+		}
+		for i := range want {
+			if got := back.ReadLine(uint64(i * g.lineBytes)); !bytes.Equal(got, want[i]) {
+				t.Fatalf("ways=%d line=%d: backing line %d = %x, want %x", g.ways, g.lineBytes, i, got, want[i])
+			}
+		}
+	}
+}
+
 func TestSpanChecks(t *testing.T) {
 	c, _ := smallCache(t, false)
 	if _, err := read1(c, 60, 8); err == nil {

@@ -46,10 +46,6 @@ type Store interface {
 
 	Flush() error
 	FlushCtx(ctx context.Context) error
-
-	// Stats returns a coherent snapshot of the cache-level counters
-	// (for Sharded, summed across shards).
-	Stats() pcache.Stats
 }
 
 // Both the single engine and the sharded router satisfy Store.

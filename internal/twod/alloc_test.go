@@ -9,7 +9,8 @@ import (
 
 // TestHotPathAllocFree pins the per-access allocation count of the
 // word-kernel data path to zero: fetching a clean word (ReadUint64 and
-// TryReadUint64), writing one (WriteUint64), and the bare syndrome
+// TryReadUint64), writing one (WriteUint64), reading and writing a
+// clean row (ReadRowUint64, WriteRowUint64), and the bare syndrome
 // probe must not touch the heap. This is the contract the pcache hit
 // path is built on. Recovery holds it too where it runs routinely: a
 // clean Recover (every scrub pass) and a Recover that rebuilds one
@@ -59,6 +60,22 @@ func TestHotPathAllocFree(t *testing.T) {
 				}
 			}); got != 0 {
 				t.Errorf("WriteUint64 allocates %.1f/op", got)
+			}
+			vals, st := make([]uint64, 8), make([]ReadStatus, 8)
+			if got := testing.AllocsPerRun(200, func() {
+				if n := a.ReadRowUint64(3, vals, st); n != 8 || st[5] != ReadClean || vals[5] != x {
+					t.Fatalf("ReadRowUint64: n=%d, word 5 %#x %v; want 8, %#x clean", n, vals[5], st[5], x)
+				}
+			}); got != 0 {
+				t.Errorf("ReadRowUint64 (clean) allocates %.1f/op", got)
+			}
+			if got := testing.AllocsPerRun(200, func() {
+				vals[5] = x
+				if n := a.WriteRowUint64(3, vals, st); n != 8 || st[5] != ReadClean {
+					t.Fatalf("WriteRowUint64: n=%d, word 5 %v; want 8, clean", n, st[5])
+				}
+			}); got != 0 {
+				t.Errorf("WriteRowUint64 (clean) allocates %.1f/op", got)
 			}
 			if got := testing.AllocsPerRun(200, func() {
 				if a.syndromeAt(3, 5) != 0 {

@@ -121,7 +121,8 @@ func (s ReadStatus) String() string {
 // must cope exactly as hardware would.
 //
 // Words are read and written as uint64 (ReadUint64, WriteUint64,
-// TryReadUint64, ForceWriteUint64); Config.Validate rejects data words
+// TryReadUint64, ForceWriteUint64), or a whole row of d words at once
+// (ReadRowUint64, WriteRowUint64); Config.Validate rejects data words
 // wider than 64 bits.
 //
 // Concurrency contract: every entry point except Stats requires the
@@ -151,11 +152,14 @@ type Array struct {
 
 	// scr holds the exclusive-path scratch: one codeword buffer for the
 	// access in flight, one for the old word of the read-before-write
-	// delta, and one DataBits-wide staging buffer for encodes.
+	// delta, one DataBits-wide staging buffer for encodes, and the row
+	// methods' d codewords and interleaved row.
 	scr struct {
-		cw   []uint64
-		old  []uint64
-		data []uint64
+		cw    []uint64
+		old   []uint64
+		data  []uint64
+		words []uint64
+		row   []uint64
 	}
 	// rec is Recover's scratch, exclusive-path like scr: the scan's
 	// faulty words in row-major order and their distinct rows, the
@@ -204,6 +208,8 @@ func NewArray(cfg Config) (*Array, error) {
 	a.scr.cw = make([]uint64, cwWords)
 	a.scr.old = make([]uint64, cwWords)
 	a.scr.data = make([]uint64, 1)
+	a.scr.words = make([]uint64, cfg.WordsPerRow*cwWords)
+	a.scr.row = make([]uint64, bitvec.WordsFor(layout.RowBits()))
 	a.rec.faulty = make([]faultyWord, 0, cfg.WordsPerRow)
 	a.rec.rows = make([]int, 0, cfg.VerticalGroups)
 	a.rec.mismatch = bitvec.NewMatrix(cfg.VerticalGroups, layout.RowBits())
@@ -273,8 +279,8 @@ func (a *Array) extractInto(dst []uint64, r, w int) {
 	a.layout.gather(dst, a.data.RowWords(r), w)
 }
 
-// syndromeAt returns the horizontal syndrome of word (r, w) using the
-// exclusive-path scratch.
+// syndromeAt returns the horizontal syndrome of word (r, w), leaving
+// the word's codeword in a.scr.old.
 func (a *Array) syndromeAt(r, w int) uint64 {
 	a.extractInto(a.scr.old, r, w)
 	return a.cfg.Horizontal.SyndromeWords(bitvec.MakeCodeword(a.scr.old, a.layout.CodewordBits))
@@ -282,9 +288,9 @@ func (a *Array) syndromeAt(r, w int) uint64 {
 
 // storeWords writes codeword cw into word slot (r, w), updating the
 // vertical parity for every bit that changes (the delta-XOR of
-// Fig. 4(a) step 2). Exclusive path: uses a.scr.old.
+// Fig. 4(a) step 2). a.scr.old must hold the slot's stored codeword,
+// as syndromeAt leaves it; storeWords turns it into the delta.
 func (a *Array) storeWords(r, w int, cw []uint64) {
-	a.extractInto(a.scr.old, r, w)
 	for i := range a.scr.old {
 		a.scr.old[i] ^= cw[i] // now the delta
 	}
@@ -329,6 +335,8 @@ func (a *Array) writeStaged(r, w int) ReadStatus {
 	if a.syndromeAt(r, w) != 0 {
 		// Latent error under the write target: repair before computing
 		// the delta, otherwise the corruption would poison the parity.
+		// Recover may rewrite the row, so repairWord gathers the word
+		// into a.scr.old again for the stores below.
 		if !a.repairWord(r, w) {
 			// Unrepairable latent damage. Overwrite with the ordinary
 			// delta write against the word's raw stored content. The
@@ -399,6 +407,82 @@ func (a *Array) readIntoScratch(r, w int) ReadStatus {
 	}
 }
 
+// ReadRowUint64 reads the d words of row r into dst[:d], word w's
+// status into st[w], and returns how many words it read. It behaves
+// exactly as ReadUint64(r, 0), …, ReadUint64(r, d-1) would, stopping
+// after the first word that reads ReadUncorrectable. When every word
+// checks clean it de-interleaves the row once (gatherRow); a row with
+// any dirty word runs the per-word path for the whole row, recovery
+// included.
+func (a *Array) ReadRowUint64(r int, dst []uint64, st []ReadStatus) (n int) {
+	d := a.cfg.WordsPerRow
+	if !a.gatherRowClean(r) {
+		for w := range d {
+			dst[w], st[w] = a.ReadUint64(r, w)
+			if st[w] == ReadUncorrectable {
+				return w + 1
+			}
+		}
+		return d
+	}
+	atomic.AddUint64(&a.stats.Reads, uint64(d))
+	cw := len(a.scr.cw)
+	for w := range d {
+		dst[w] = a.scr.words[w*cw] & a.cfg.dataMask
+		st[w] = ReadClean
+	}
+	return d
+}
+
+// WriteRowUint64 stores the low DataBits bits of src[w] into word w of
+// row r for every w < d, word w's status into st[w], and returns how
+// many words it wrote. It behaves exactly as WriteUint64(r, 0, src[0]),
+// …, WriteUint64(r, d-1, src[d-1]) would, stopping after the first word
+// that reads ReadUncorrectable. When every old word checks clean it
+// encodes the d words, interleaves them into a new row and XORs old ⊕
+// new into the group's parity row in one pass; a row with any dirty
+// word runs the per-word path for the whole row.
+func (a *Array) WriteRowUint64(r int, src []uint64, st []ReadStatus) (n int) {
+	d := a.cfg.WordsPerRow
+	if !a.gatherRowClean(r) {
+		for w := range d {
+			st[w] = a.WriteUint64(r, w, src[w])
+			if st[w] == ReadUncorrectable {
+				return w + 1
+			}
+		}
+		return d
+	}
+	atomic.AddUint64(&a.stats.Writes, uint64(d))
+	atomic.AddUint64(&a.stats.ExtraReads, uint64(d)) // the read-before-writes
+	cw := len(a.scr.cw)
+	for w := range d {
+		a.scr.data[0] = src[w] & a.cfg.dataMask
+		a.encodeDataInto(a.scr.words[w*cw : (w+1)*cw])
+		st[w] = ReadClean
+	}
+	a.layout.interleave(a.scr.row, a.scr.words)
+	data, par := a.data.RowWords(r), a.vpar.RowWords(a.group(r))
+	for i, x := range a.scr.row {
+		par[i] ^= data[i] ^ x
+		data[i] = x
+	}
+	return d
+}
+
+// gatherRowClean de-interleaves row r into a.scr.words and reports
+// whether every word's horizontal code checks clean.
+func (a *Array) gatherRowClean(r int) bool {
+	a.layout.gatherRow(a.scr.words, a.data.RowWords(r))
+	cw := len(a.scr.cw)
+	for w := range a.cfg.WordsPerRow {
+		if a.cfg.Horizontal.SyndromeWords(bitvec.MakeCodeword(a.scr.words[w*cw:(w+1)*cw], a.layout.CodewordBits)) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // TryReadUint64 returns word (r, w) if its horizontal code checks
 // clean, WITHOUT mutating the array: no inline correction, no recovery.
 // The second result is false when the word needs repair. Fault
@@ -454,7 +538,7 @@ func (a *Array) FaultyWordList() [][2]int {
 }
 
 // repairWord runs 2D recovery and reports whether word (r, w) now
-// checks clean.
+// checks clean, leaving the word's codeword in a.scr.old.
 func (a *Array) repairWord(r, w int) bool {
 	a.Recover()
 	return a.syndromeAt(r, w) == 0

@@ -14,7 +14,13 @@ import (
 // and leaves the bits past CodewordBits zero; scatterXor flips exactly
 // word w's columns of the delta's set bits, in every row it is given,
 // and leaves the bits past RowBits zero; gathering a scattered delta
-// returns the delta, and every other word gathers zero.
+// returns the delta, and every other word gathers zero. The degrees
+// cover every kernel: the copy (d = 1), the constant-mask kernels
+// (2, 4, 8) and the bit loop, both for d that is not a power of two
+// (3) and for the powers of two past 8 (16 to 128, up to pcache's
+// 1024-byte lines and 128-way tags); 68-bit words leave the last row
+// word's chunk partial. gatherRow must agree with gather word by word,
+// and interleave must rebuild the row from it.
 func TestLayoutGatherScatterMatchesPhysColumn(t *testing.T) {
 	bit := func(ws []uint64, i int) bool { return ws[i>>6]>>uint(i&63)&1 != 0 }
 	rng := rand.New(rand.NewSource(17))
@@ -29,8 +35,8 @@ func TestLayoutGatherScatterMatchesPhysColumn(t *testing.T) {
 		}
 		return ws
 	}
-	for _, d := range []int{1, 2, 4, 8} {
-		for _, nb := range []int{72, 80} {
+	for _, d := range []int{1, 2, 3, 4, 8, 16, 32, 64, 128} {
+		for _, nb := range []int{68, 72, 80} {
 			l := Layout{Rows: 1, WordsPerRow: d, CodewordBits: nb}
 			rowWords, cwWords := bitvec.WordsFor(l.RowBits()), bitvec.WordsFor(nb)
 			for trial := 0; trial < 50; trial++ {
@@ -46,6 +52,26 @@ func TestLayoutGatherScatterMatchesPhysColumn(t *testing.T) {
 					if want := b < nb && bit(row, l.PhysColumn(w, b)); bit(got, b) != want {
 						t.Fatalf("d=%d nb=%d: gather word %d bit %d = %v, want %v", d, nb, w, b, !want, want)
 					}
+				}
+
+				all := make([]uint64, d*cwWords)
+				for i := range all {
+					all[i] = ^uint64(0) // gatherRow must clear the tails
+				}
+				l.gatherRow(all, row)
+				for k := 0; k < d; k++ {
+					l.gather(got, row, k)
+					if !slices.Equal(all[k*cwWords:(k+1)*cwWords], got) {
+						t.Fatalf("d=%d nb=%d: gatherRow word %d = %x, gather = %x", d, nb, k, all[k*cwWords:(k+1)*cwWords], got)
+					}
+				}
+				rebuilt := make([]uint64, rowWords)
+				for i := range rebuilt {
+					rebuilt[i] = ^uint64(0) // interleave must overwrite every word
+				}
+				l.interleave(rebuilt, all)
+				if !slices.Equal(rebuilt, row) {
+					t.Fatalf("d=%d nb=%d: interleave(gatherRow(row)) = %x, want %x", d, nb, rebuilt, row)
 				}
 
 				delta := random(cwWords, nb)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # bench.sh — the data-path benchmark suite, benchstat-compatible.
 #
-#   ./scripts/bench.sh                  # headline data-path benches, 5 runs
+#   ./scripts/bench.sh                  # every row of results/BENCH_kernels.md
+#                                       # plus the obs benches, 5 runs
 #   ./scripts/bench.sh -kernels         # per-code kernel micro-benches only
 #   ./scripts/bench.sh -obs             # observability overhead micro-benches
 #   ./scripts/bench.sh -shards          # shard-scaling + batch-vs-single,
@@ -38,7 +39,7 @@ host_facts() {
 }
 
 count=${COUNT:-5}
-pattern='BenchmarkArrayWrite$|BenchmarkArrayReadClean$|BenchmarkEDC8Syndrome$|BenchmarkSECDEDDecode$|BenchmarkPCacheParallelRead$|BenchmarkKernel|BenchmarkObs'
+pattern='BenchmarkArrayWrite$|BenchmarkArrayReadClean$|BenchmarkEDC8Syndrome$|BenchmarkSECDEDDecode$|BenchmarkPCacheParallelRead$|BenchmarkScrubberSweep$|BenchmarkProtectedCacheAccess$|BenchmarkRecovery32x32$|BenchmarkKernel|BenchmarkObs'
 pkgs='. ./internal/obs/'
 case "${1:-}" in
 -kernels)
