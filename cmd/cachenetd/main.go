@@ -200,10 +200,7 @@ func main() {
 					}
 					p := storm.NextEvent(a.Rows(), a.RowBits())
 					for _, fl := range p.Flips {
-						w, _ := a.Layout().Locate(fl.Col)
-						if _, ok := a.TryReadUint64(fl.Row, w); ok {
-							a.FlipBit(fl.Row, fl.Col)
-						}
+						fault.FlipIfClean(a, fl.Row, fl.Col)
 					}
 				})
 			}

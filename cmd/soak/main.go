@@ -297,10 +297,7 @@ func main() {
 						// even after the shrinker removes other events.
 						rec.Flip(bi, hitTags, fl.Row, fl.Col)
 					}
-					w, _ := a.Layout().Locate(fl.Col)
-					if _, ok := a.TryReadUint64(fl.Row, w); ok {
-						a.FlipBit(fl.Row, fl.Col)
-					}
+					fault.FlipIfClean(a, fl.Row, fl.Col)
 				}
 				stormCount.Add(1)
 			})

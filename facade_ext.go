@@ -139,7 +139,9 @@ type ProtectedCacheConfig = pcache.Config
 // detect and repair injected bit errors. ReadBatch and WriteBatch are
 // its data calls — a single access is a batch of one — and each checks
 // every word of every line it touches. A clean hit through a reused
-// op slice performs zero heap allocations end to end.
+// op slice performs zero heap allocations end to end. Its machine
+// checks are counted in Stats and its registered metrics; it emits no
+// events itself (each bank array from BankArrays takes an EventSink).
 type ProtectedCache = pcache.Cache
 
 // CacheBacking is the next memory level behind a ProtectedCache.
@@ -170,7 +172,9 @@ type CacheUncorrectableError = pcache.UncorrectableError
 // --- online resilience engine ------------------------------------------------
 
 // ResilienceConfig tunes the recovery escalation ladder (retry → word
-// recovery → full 2D recovery → decommission/remap).
+// recovery → full 2D recovery → decommission/remap). Every ladder,
+// breaker, watchdog and scrub outcome is a counter in its Metrics
+// registry; install an EventSink with ResilientCache.SetEventSink.
 type ResilienceConfig = resilience.Config
 
 // ResilientCache wraps a ProtectedCache with the online escalation
@@ -386,12 +390,15 @@ type MetricsSnapshot = obs.Snapshot
 // interpolated quantiles.
 type LatencyHistogram = obs.Histogram
 
-// EventSink receives structured resilience events (recovery start/end,
-// scrub passes, degrade epochs, uncorrectable detections). Install one
-// via ResilienceConfig.Sink.
+// EventSink receives the two timed events a metrics registry does not
+// carry: RecoveryEnd after every 2D recovery pass of a bank array
+// (install with the array's SetEventSink) and ScrubPass after every
+// completed scrub sweep (install with ResilientCache.SetEventSink or
+// ShardedCache.SetEventSink). Everything else is a registered counter.
 type EventSink = obs.Sink
 
-// NopEventSink is the do-nothing EventSink (the default).
+// NopEventSink is the do-nothing EventSink (the default); embed it to
+// override one method.
 type NopEventSink = obs.NopSink
 
 // NewMetricsRegistry builds an empty metrics registry.

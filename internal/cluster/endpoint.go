@@ -28,7 +28,7 @@ type endpoint struct {
 
 func newEndpoint(c *Client, idx int, addr string) *endpoint {
 	ep := &endpoint{c: c, idx: idx, addr: addr, missed: map[uint64]int{}}
-	ep.brk = resilience.NewHealthBreaker(c.cfg.Breaker, nil, func(from, to, reason string) {
+	ep.brk = resilience.NewHealthBreaker(c.cfg.Breaker, nil, func(from, to string) {
 		if to == "open" {
 			c.breakerTrips.Inc()
 		}

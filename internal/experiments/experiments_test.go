@@ -88,6 +88,7 @@ func TestFig2Shapes(t *testing.T) {
 }
 
 func TestFig3Coverage(t *testing.T) {
+	t.Parallel()
 	tab := Fig3(Quick())
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -127,6 +128,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig5Quick(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
@@ -145,6 +147,7 @@ func TestFig5Quick(t *testing.T) {
 }
 
 func TestFig6Quick(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
@@ -290,6 +293,7 @@ func TestFig1bChartRenders(t *testing.T) {
 }
 
 func TestNewAblationDrivers(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}

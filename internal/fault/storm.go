@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"twodcache/internal/twod"
 )
 
 // StormConfig parameterises a continuous Poisson fault storm — the
@@ -66,3 +68,19 @@ func (s *Storm) NextEvent(rows, cols int) Pattern {
 
 // Events returns how many events the storm has generated.
 func (s *Storm) Events() uint64 { return s.events }
+
+// FlipIfClean is the storm's clean-word gate: it flips physical cell
+// (row, col) of a only if the word holding that cell currently checks
+// clean, and reports whether it flipped. Striking only clean words
+// keeps every storm fault within the horizontal code's guaranteed
+// detection; the live storms and the replayer call this one gate, so a
+// replayed flip lands exactly where the live one did. The caller holds
+// the array's lock.
+func FlipIfClean(a *twod.Array, row, col int) bool {
+	w, _ := a.Layout().Locate(col)
+	if _, ok := a.TryReadUint64(row, w); !ok {
+		return false
+	}
+	a.FlipBit(row, col)
+	return true
+}

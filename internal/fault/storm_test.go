@@ -3,6 +3,9 @@ package fault
 import (
 	"testing"
 	"time"
+
+	"twodcache/internal/ecc"
+	"twodcache/internal/twod"
 )
 
 func TestStormDelaysAreExponential(t *testing.T) {
@@ -48,5 +51,30 @@ func TestStormDefaults(t *testing.T) {
 	}
 	if p := s.NextEvent(8, 64); p.Kind == "" {
 		t.Fatal("default storm produced kindless pattern")
+	}
+}
+
+// TestFlipIfClean pins the storm's clean-word gate: a flip into a word
+// that checks clean lands, and a second flip into the same (now dirty)
+// word is refused, so no storm event can push a word past the
+// horizontal code's guaranteed detection.
+func TestFlipIfClean(t *testing.T) {
+	a := twod.MustArray(twod.Config{
+		Rows: 8, WordsPerRow: 4,
+		Horizontal:     ecc.MustEDC(64, 8),
+		VerticalGroups: 4,
+	})
+	lay := a.Layout()
+	if !FlipIfClean(a, 2, lay.PhysColumn(1, 0)) {
+		t.Fatal("flip into a clean word refused")
+	}
+	if _, ok := a.TryReadUint64(2, 1); ok {
+		t.Fatal("flip did not land")
+	}
+	if FlipIfClean(a, 2, lay.PhysColumn(1, 9)) {
+		t.Fatal("second flip into a dirty word applied")
+	}
+	if !FlipIfClean(a, 2, lay.PhysColumn(0, 9)) {
+		t.Fatal("flip into a clean neighbour word refused")
 	}
 }

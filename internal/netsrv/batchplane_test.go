@@ -24,6 +24,7 @@ import (
 func TestBatchDeadlineOverWire(t *testing.T) {
 	var stall fault.Stall
 	stall.Arm(time.Hour)
+	defer stall.Disarm() // before startServer's cleanup flush, pass or fail
 	st, err := store.New(store.Config{
 		Cache:      pcache.Config{Sets: 32, Ways: 2, LineBytes: lineBytes, Banks: 1},
 		Resilience: resilience.Config{RecoveryStall: &stall},
@@ -125,8 +126,6 @@ func TestBatchDeadlineOverWire(t *testing.T) {
 			t.Fatalf("op 0 err = %v, want bounded-path sentinel", ops[0].Err)
 		}
 	}
-
-	stall.Disarm()
 }
 
 // TestOversizedBatchTrimsScratch pins the per-conn memory bound: a

@@ -366,6 +366,7 @@ func TestPipelineBatching(t *testing.T) {
 func TestDeadlineOverWire(t *testing.T) {
 	var stall fault.Stall
 	stall.Arm(time.Hour)
+	defer stall.Disarm() // before startServer's cleanup flush, pass or fail
 	// The persistent-DUE plant below needs rows 0 and 32 in one bank:
 	// 32 sets × 2 ways over a single bank.
 	st, err := store.New(store.Config{
@@ -434,10 +435,6 @@ func TestDeadlineOverWire(t *testing.T) {
 	if !errors.Is(rerr, context.DeadlineExceeded) && !errors.Is(rerr, resilience.ErrRecoveryInProgress) {
 		t.Fatalf("client err = %v, want deadline or recovery-in-progress", rerr)
 	}
-
-	// The planted fault is still there; a deadline-free read rides the
-	// unbounded path. Disarm the stall so cleanup's flush can finish.
-	stall.Disarm()
 }
 
 // TestEpochOracle pins the EPOCH opcode: with a hook it answers the

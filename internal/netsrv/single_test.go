@@ -70,6 +70,7 @@ func roundTrip(t *testing.T, nc net.Conn, op uint8, id uint64, payload []byte) (
 func TestSingleMatchesBatchOfOneOverWire(t *testing.T) {
 	var stall fault.Stall
 	stall.Arm(time.Hour)
+	defer stall.Disarm() // before startServer's cleanup flush, pass or fail
 	st, err := store.New(store.Config{
 		Cache:      pcache.Config{Sets: 32, Ways: 2, LineBytes: lineBytes, Banks: 1},
 		Resilience: resilience.Config{RecoveryStall: &stall},
@@ -117,7 +118,6 @@ func TestSingleMatchesBatchOfOneOverWire(t *testing.T) {
 	if !bytes.Equal(sData, healthy) || !bytes.Equal(bData, sData) {
 		t.Fatalf("healthy line bytes differ: single %x, batch-of-one %x", sData, bData)
 	}
-	stall.Disarm()
 }
 
 // gatedStore holds every bounded read batch until release closes, so a

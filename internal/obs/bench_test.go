@@ -48,7 +48,7 @@ func BenchmarkObsNopSinkEvent(b *testing.B) {
 	var s Sink = NopSink{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.UncorrectableDetected("data", i, 0)
+		s.RecoveryEnd("data", i, 0, true, time.Microsecond)
 	}
 }
 

@@ -135,43 +135,23 @@ func (h *Histogram) Count() uint64 {
 
 // --- event hooks --------------------------------------------------------
 
-// Sink receives structured resilience events. Implementations must be
-// safe for concurrent use and should return quickly: emitters call them
-// inline from recovery and scrub paths (never from the clean-hit fast
-// path, which emits no events at all). Install NopSink{} — or leave the
-// emitter's sink unset — for zero overhead.
+// Sink receives the two structured events the registry cannot carry:
+// the wall-clock length of each 2D recovery pass and of each completed
+// scrub sweep, for consumers that attribute time per pass. Every other
+// resilience fact is a registered counter. Implementations must be
+// safe for concurrent use and should return quickly: emitters call
+// them inline from recovery and scrub paths (never from the clean-hit
+// fast path). Install NopSink{} — or leave the emitter's sink unset —
+// for zero overhead.
 type Sink interface {
-	// RecoveryStart fires when a recovery escalation begins for the
-	// located uncorrectable fault. Emitters that do not know the cache
-	// coordinates (e.g. a raw array) pass set = way = -1.
-	RecoveryStart(array string, set, way int)
-	// RecoveryEnd fires when the escalation finishes, successfully or
-	// not, with the wall-clock duration of the attempt.
+	// RecoveryEnd fires when a recovery pass finishes, successfully or
+	// not, with its wall-clock duration. A 2D array's recovery is
+	// array-wide, so it passes set = way = -1.
 	RecoveryEnd(array string, set, way int, success bool, d time.Duration)
 	// ScrubPass fires after a completed scrub sweep over `banks` banks:
 	// clean reports whether every bank checked (or was repaired) clean,
 	// victims is how many ways the sweep handed to degradation.
 	ScrubPass(banks int, clean bool, victims int, d time.Duration)
-	// DegradeEpoch fires when a way is decommissioned (graceful
-	// degradation); lostDirty reports discarded unflushed data.
-	DegradeEpoch(set, way int, lostDirty bool)
-	// UncorrectableDetected fires when an access trips an error beyond
-	// the 2D coverage, before any recovery is attempted.
-	UncorrectableDetected(array string, set, way int)
-	// BreakerTransition fires when a per-bank circuit breaker changes
-	// state (closed/open/half-open); reason names the edge that was
-	// taken ("failure threshold", "probe failed", ...).
-	BreakerTransition(bank int, from, to, reason string)
-	// RepairCoalesced fires when a request joins an already-in-flight
-	// repair on its bank instead of starting its own (single-flight).
-	RepairCoalesced(array string, bank, set, way int)
-	// RequestShed fires when an open breaker routes a request straight
-	// to the degrade/bypass path, skipping the recovery rungs.
-	RequestShed(array string, bank, set, way int)
-	// WatchdogFire fires when the recovery watchdog force-escalates a
-	// stuck or over-budget in-flight repair; age is how long the repair
-	// had been running.
-	WatchdogFire(bank, set, way int, age time.Duration)
 }
 
 // NopSink is the no-op default Sink: every method is an empty inlinable
@@ -179,31 +159,10 @@ type Sink interface {
 // (already slow) event paths and nothing on the clean-hit path.
 type NopSink struct{}
 
-// RecoveryStart implements Sink.
-func (NopSink) RecoveryStart(string, int, int) {}
-
 // RecoveryEnd implements Sink.
 func (NopSink) RecoveryEnd(string, int, int, bool, time.Duration) {}
 
 // ScrubPass implements Sink.
 func (NopSink) ScrubPass(int, bool, int, time.Duration) {}
-
-// DegradeEpoch implements Sink.
-func (NopSink) DegradeEpoch(int, int, bool) {}
-
-// UncorrectableDetected implements Sink.
-func (NopSink) UncorrectableDetected(string, int, int) {}
-
-// BreakerTransition implements Sink.
-func (NopSink) BreakerTransition(int, string, string, string) {}
-
-// RepairCoalesced implements Sink.
-func (NopSink) RepairCoalesced(string, int, int, int) {}
-
-// RequestShed implements Sink.
-func (NopSink) RequestShed(string, int, int, int) {}
-
-// WatchdogFire implements Sink.
-func (NopSink) WatchdogFire(int, int, int, time.Duration) {}
 
 var _ Sink = NopSink{}

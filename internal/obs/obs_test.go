@@ -213,15 +213,8 @@ func TestHotPathAllocFree(t *testing.T) {
 		t.Errorf("Histogram.Observe allocates %.1f/op", a)
 	}
 	if a := testing.AllocsPerRun(200, func() {
-		sink.RecoveryStart("data", 1, 2)
 		sink.RecoveryEnd("data", 1, 2, true, time.Millisecond)
 		sink.ScrubPass(8, true, 0, time.Millisecond)
-		sink.DegradeEpoch(1, 2, false)
-		sink.UncorrectableDetected("tags", 3, 4)
-		sink.BreakerTransition(0, "closed", "open", "failure threshold")
-		sink.RepairCoalesced("data", 0, 1, 2)
-		sink.RequestShed("data", 0, 1, 2)
-		sink.WatchdogFire(0, 1, 2, time.Millisecond)
 	}); a != 0 {
 		t.Errorf("NopSink dispatch allocates %.1f/op", a)
 	}

@@ -30,10 +30,9 @@ func TestHitPathAllocFree(t *testing.T) {
 				SECDEDHorizontal: secded,
 			}, NewMapBacking(64))
 			// The zero-alloc contract must survive full instrumentation:
-			// a registered registry and an installed (no-op) event sink.
+			// a registered registry.
 			reg := obs.NewRegistry()
 			c.RegisterMetrics(reg)
-			c.SetEventSink(obs.NopSink{})
 			const addr = 0x1040
 			seed := make([]byte, 64)
 			for i := range seed {

@@ -41,12 +41,11 @@ func FuzzCacheVsBacking(f *testing.F) {
 		back := NewMapBacking(lineBytes)
 		c := MustNew(Config{Sets: sets, Ways: 2, LineBytes: lineBytes, Banks: 1}, back)
 
-		// Every fuzz execution runs with the observability hooks live so
-		// fuzz-found recovery interleavings also exercise the metrics and
-		// event paths; the registry must stay coherent throughout.
+		// Every fuzz execution runs with the metrics registered so
+		// fuzz-found recovery interleavings also exercise them; the
+		// registry must stay coherent throughout.
 		reg := obs.NewRegistry()
 		c.RegisterMetrics(reg)
-		c.SetEventSink(obs.NopSink{})
 
 		shadow := map[uint64]byte{} // by byte address
 		wep := map[uint64]uint64{}  // loss epoch at last shadow update

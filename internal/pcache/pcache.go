@@ -244,11 +244,6 @@ type Cache struct {
 	misses, writebacks       atomic.Uint64
 	recovered, uncorrectable atomic.Uint64
 	bypassed, dirtyLost      atomic.Uint64
-
-	// sink, when set, receives structured events from the slow paths
-	// (uncorrectable detections). Stored behind an atomic pointer so
-	// installation races no access and a nil sink costs one load.
-	sink atomic.Pointer[obs.Sink]
 }
 
 // tag word layout (64 bits): [0] valid, [1] dirty, [2..63] tag bits.
@@ -368,18 +363,6 @@ func (c *Cache) Stats() Stats {
 	}
 	st.Accesses, st.Hits, st.Misses = accesses, hits, misses
 	return st
-}
-
-// SetEventSink installs (or, with nil, removes) the structured event
-// sink. The cache emits UncorrectableDetected from its slow paths;
-// clean hits never touch the sink. Safe to call concurrently with
-// traffic.
-func (c *Cache) SetEventSink(s obs.Sink) {
-	if s == nil {
-		c.sink.Store(nil)
-		return
-	}
-	c.sink.Store(&s)
 }
 
 // Metric names registered by RegisterMetrics.
@@ -515,9 +498,6 @@ func (c *Cache) noteSt(st twod.ReadStatus, array string, set, way int) error {
 	}
 	if st == twod.ReadUncorrectable {
 		c.uncorrectable.Add(1)
-		if p := c.sink.Load(); p != nil {
-			(*p).UncorrectableDetected(array, set, way)
-		}
 		return &UncorrectableError{Array: array, Set: set, Way: way}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"twodcache/internal/fault"
 	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
@@ -138,14 +139,11 @@ func Run(tr Trace) (Result, error) {
 					return
 				}
 				// Gate exactly like the live storm: strike only words
-				// that currently check clean, so every fault stays
-				// within the horizontal code's guaranteed detection.
-				w, _ := a.Layout().Locate(e.Col)
-				if _, ok := a.TryReadUint64(e.Row, w); !ok {
+				// that currently check clean.
+				if !fault.FlipIfClean(a, e.Row, e.Col) {
 					res.FlipsSkipped++
 					return
 				}
-				a.FlipBit(e.Row, e.Col)
 				res.FlipsApplied++
 			})
 

@@ -6,8 +6,8 @@ package resilience
 // amortised locking and line movement; any op that surfaces a
 // detected-uncorrectable error is then re-driven through the ladder as
 // a batch of its own, so every attempt checks the whole line the first
-// pass checked — and each failed op gets its own RecoveryStart/End
-// bracket, DUE accounting, and ladder latency observation.
+// pass checked — and each failed op gets its own DUE accounting and
+// ladder latency observation.
 //
 // The Ctx variants bound only the expensive half of that split: the
 // amortised cache pass always runs to completion (it never blocks on

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"twodcache/internal/fault"
-	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 )
 
@@ -186,37 +185,17 @@ func TestCoalescedWaiterDeadline(t *testing.T) {
 	}
 }
 
-// recordingSink captures breaker transitions for assertion.
-type recordingSink struct {
-	obs.NopSink
-	mu          sync.Mutex
-	transitions []string
-}
-
-func (s *recordingSink) BreakerTransition(bank int, from, to, reason string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.transitions = append(s.transitions, from+">"+to+":"+reason)
-}
-
-func (s *recordingSink) log() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.transitions...)
-}
-
 // TestBreakerTransitionTable drives the per-bank breaker state machine
 // through every edge: closed×{success, failure-below-threshold,
 // threshold}, open×{admit-before-timeout, admit-after-timeout},
 // half-open×{second-probe-shed, probe-failure, probe-successes,
-// probe-release}.
+// probe-release}. Each step checks the state and the transitions
+// counter, so an extra or missing edge fails where it happens.
 func TestBreakerTransitionTable(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
-	sink := &recordingSink{}
 	e, _ := newEngine(t, bigCfg, Config{
 		Clock: clock,
-		Sink:  sink,
 		Breaker: BreakerConfig{
 			FailureThreshold: 3,
 			OpenTimeout:      10 * time.Millisecond,
@@ -225,10 +204,17 @@ func TestBreakerTransitionTable(t *testing.T) {
 	})
 	const bank = 0
 	b := e.breakers[bank]
-	expectState := func(want string) {
+	transitions := uint64(0)
+	expectState := func(want string, edge bool) {
 		t.Helper()
+		if edge {
+			transitions++
+		}
 		if got := e.BreakerState(bank); got != want {
-			t.Fatalf("breaker state = %s, want %s (transitions %v)", got, want, sink.log())
+			t.Fatalf("breaker state = %s, want %s", got, want)
+		}
+		if got := e.breakerTransitions.Load(); got != transitions {
+			t.Fatalf("transitions = %d, want %d (state %s)", got, transitions, want)
 		}
 	}
 
@@ -239,14 +225,14 @@ func TestBreakerTransitionTable(t *testing.T) {
 	b.Record(false, false)
 	b.Record(false, false)
 	b.Record(false, true) // streak broken
-	expectState("closed")
+	expectState("closed", false)
 
 	// threshold consecutive failures trip it open.
 	b.Record(false, false)
 	b.Record(false, false)
-	expectState("closed")
+	expectState("closed", false)
 	b.Record(false, false)
-	expectState("open")
+	expectState("open", true)
 	if g := e.breakersOpen.Load(); g != 1 {
 		t.Fatalf("open gauge = %d, want 1", g)
 	}
@@ -262,14 +248,14 @@ func TestBreakerTransitionTable(t *testing.T) {
 	if v := b.Admit(); v != BreakerProbe {
 		t.Fatalf("open admit after timeout = %v, want probe", v)
 	}
-	expectState("half-open")
+	expectState("half-open", true)
 	if v := b.Admit(); v != BreakerShed {
 		t.Fatalf("second probe admitted, want shed")
 	}
 
 	// probe failure reopens.
 	b.Record(true, false)
-	expectState("open")
+	expectState("open", true)
 
 	// probe abort (caller deadline) returns the slot without an outcome.
 	now = now.Add(10 * time.Millisecond)
@@ -280,36 +266,20 @@ func TestBreakerTransitionTable(t *testing.T) {
 	if v := b.Admit(); v != BreakerProbe {
 		t.Fatal("released probe slot not reusable")
 	}
-	expectState("half-open")
+	expectState("half-open", true)
 
 	// ProbeSuccesses consecutive good probes close the breaker.
 	b.Record(true, true)
-	expectState("half-open")
+	expectState("half-open", false)
 	if v := b.Admit(); v != BreakerProbe {
 		t.Fatal("no second probe admitted")
 	}
 	b.Record(true, true)
-	expectState("closed")
+	expectState("closed", true)
 	if g := e.breakersOpen.Load(); g != 0 {
 		t.Fatalf("open gauge = %d, want 0 after close", g)
 	}
 
-	want := []string{
-		"closed>open:failure threshold",
-		"open>half-open:open timeout elapsed",
-		"half-open>open:probe failed",
-		"open>half-open:open timeout elapsed",
-		"half-open>closed:probe successes",
-	}
-	got := sink.log()
-	if len(got) != len(want) {
-		t.Fatalf("transitions = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("transition %d = %q, want %q", i, got[i], want[i])
-		}
-	}
 	if tr := e.Report(); tr.BreakerTrips != 2 {
 		t.Fatalf("trips = %d, want 2", tr.BreakerTrips)
 	}

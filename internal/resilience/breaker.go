@@ -62,24 +62,23 @@ func (s breakerState) String() string {
 }
 
 // newBankBreakers builds the engine's per-bank breakers over the shared
-// HealthBreaker machine. The transition hook keeps the engine's gauge,
-// trip/transition counters, and event stream exactly as the in-line
-// implementation did: every entry into the open state is a trip.
+// HealthBreaker machine. The transition hook keeps the engine's gauge
+// and trip/transition counters: every entry into the open state is a
+// trip.
 func (e *Engine) newBankBreakers(n int) []*HealthBreaker {
+	onTransition := func(from, to string) {
+		if to == breakerOpen.String() {
+			e.breakersOpen.Add(1)
+			e.breakerTrips.Inc()
+		}
+		if from == breakerOpen.String() {
+			e.breakersOpen.Add(-1)
+		}
+		e.breakerTransitions.Inc()
+	}
 	bs := make([]*HealthBreaker, n)
 	for i := range bs {
-		bank := i
-		bs[i] = NewHealthBreaker(e.cfg.Breaker, e.clock, func(from, to, reason string) {
-			if to == breakerOpen.String() {
-				e.breakersOpen.Add(1)
-				e.breakerTrips.Inc()
-			}
-			if from == breakerOpen.String() {
-				e.breakersOpen.Add(-1)
-			}
-			e.breakerTransitions.Inc()
-			e.snk().BreakerTransition(bank, from, to, reason)
-		})
+		bs[i] = NewHealthBreaker(e.cfg.Breaker, e.clock, onTransition)
 	}
 	return bs
 }

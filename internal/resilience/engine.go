@@ -61,10 +61,6 @@ type Config struct {
 	// registry serves one engine: a second engine registering into it
 	// panics on the duplicate names.
 	Metrics *obs.Registry
-	// Sink receives structured recovery events (RecoveryStart/End,
-	// DegradeEpoch, ScrubPass, UncorrectableDetected); it is also
-	// installed on the cache. Nil selects the no-op sink.
-	Sink obs.Sink
 	// Breaker tunes the per-bank circuit breakers in front of the
 	// recovery rungs (see BreakerConfig). The zero value enables them
 	// with defaults; set Disabled to opt out.
@@ -113,8 +109,8 @@ type Engine struct {
 	metrics *obs.Registry
 
 	// sink holds the structured event sink behind an atomic pointer so
-	// SetEventSink can swap it while ladders, sweeps, and breakers are
-	// emitting. Always non-nil (NopSink by default); read via snk().
+	// SetEventSink can swap it while scrub sweeps are emitting. Always
+	// non-nil (NopSink by default); read via snk().
 	sink atomic.Pointer[obs.Sink]
 
 	// remap state: the accumulated faulty way-rows presented to the
@@ -168,7 +164,7 @@ type Engine struct {
 
 // New builds an engine over the cache, registering the engine's, the
 // scrubber's, and the cache's instrumentation into cfg.Metrics (or a
-// private registry) and installing cfg.Sink on the cache.
+// private registry).
 func New(c *pcache.Cache, cfg Config) *Engine {
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 1
@@ -183,10 +179,6 @@ func New(c *pcache.Cache, cfg Config) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	sink := cfg.Sink
-	if sink == nil {
-		sink = obs.NopSink{}
-	}
 	cfg.Breaker = cfg.Breaker.withDefaults()
 	e := &Engine{
 		cache:        c,
@@ -199,7 +191,7 @@ func New(c *pcache.Cache, cfg Config) *Engine {
 	}
 	e.breakers = e.newBankBreakers(c.NumBanks())
 	e.registerMetrics(reg)
-	e.SetEventSink(sink)
+	e.SetEventSink(nil)
 	return e
 }
 
@@ -254,16 +246,15 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 }
 
 // SetEventSink installs (or, with nil, removes — reverting to the
-// no-op sink) the structured event sink on the engine and its cache.
-// Safe to call concurrently with traffic and in-flight repairs; an
-// event being emitted as the sink swaps lands in exactly one of the
-// two sinks.
+// no-op sink) the structured event sink that receives the engine's
+// ScrubPass events. Safe to call concurrently with traffic and scrub
+// sweeps; an event being emitted as the sink swaps lands in exactly one
+// of the two sinks.
 func (e *Engine) SetEventSink(s obs.Sink) {
 	if s == nil {
 		s = obs.Sink(obs.NopSink{})
 	}
 	e.sink.Store(&s)
-	e.cache.SetEventSink(s)
 }
 
 // snk returns the current event sink (never nil).
@@ -300,8 +291,7 @@ func (e *Engine) FlushCtx(ctx context.Context) error {
 // ladderCtx escalates a located DUE rung by rung, re-issuing attempt()
 // after each rung until it succeeds, the degrade rung exhausts the
 // set's ways, or ctx runs out. err must be the failing attempt's
-// error. It brackets the run with RecoveryStart/End events and a
-// latency observation.
+// error. It observes the run's latency in resilience_ladder_seconds.
 func (e *Engine) ladderCtx(ctx context.Context, err error, attempt func() error) error {
 	var ue *pcache.UncorrectableError
 	if !errors.As(err, &ue) {
@@ -311,12 +301,9 @@ func (e *Engine) ladderCtx(ctx context.Context, err error, attempt func() error)
 		ctx = context.Background()
 	}
 	e.dues.Inc()
-	e.snk().RecoveryStart(ue.Array, ue.Set, ue.Way)
 	start := e.clock()
 	ferr := e.runLadder(ctx, start, &ue, attempt)
-	d := e.clock().Sub(start)
-	e.ladderLatency.Observe(d)
-	e.snk().RecoveryEnd(ue.Array, ue.Set, ue.Way, ferr == nil, d)
+	e.ladderLatency.Observe(e.clock().Sub(start))
 	return ferr
 }
 
@@ -354,7 +341,6 @@ func (e *Engine) runLadder(ctx context.Context, start time.Time, ue **pcache.Unc
 			// Coalesce: wait for the bank's repair under our deadline,
 			// then re-issue against the repaired arrays.
 			e.coalesced.Inc()
-			e.snk().RepairCoalesced((*ue).Array, bank, (*ue).Set, (*ue).Way)
 			select {
 			case <-fl.done:
 			case <-ctx.Done():
@@ -411,7 +397,6 @@ func (e *Engine) lead(ctx context.Context, fl *flight, ue **pcache.Uncorrectable
 		// Route straight to the degrade/bypass path — bounded work, and
 		// the access still completes against backing.
 		e.sheds.Inc()
-		e.snk().RequestShed(fl.array, fl.bank, fl.set, fl.way)
 		return true, e.degradeLoop(ctx, fl, ue, again)
 	}
 
@@ -558,7 +543,6 @@ func (e *Engine) degradeLoop(ctx context.Context, fl *flight, ue **pcache.Uncorr
 func (e *Engine) Degrade(set, way int) (lostDirty bool) {
 	lostDirty = e.cache.Decommission(set, way)
 	e.decommissions.Inc()
-	e.snk().DegradeEpoch(set, way, lostDirty)
 	e.tryRemap(set, way)
 	return lostDirty
 }

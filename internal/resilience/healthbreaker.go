@@ -30,12 +30,12 @@ const (
 // concurrent use.
 //
 // The optional onTransition hook fires under the breaker lock on every
-// state change, with the state names ("closed", "open", "half-open")
-// and the edge's reason; it must not call back into the breaker.
+// state change, with the state names ("closed", "open", "half-open");
+// it must not call back into the breaker.
 type HealthBreaker struct {
 	cfg          BreakerConfig
 	clock        func() time.Time
-	onTransition func(from, to, reason string)
+	onTransition func(from, to string)
 
 	mu       sync.Mutex
 	state    breakerState
@@ -49,7 +49,7 @@ type HealthBreaker struct {
 // nil onTransition disables the hook. cfg defaults are applied
 // (FailureThreshold 5, OpenTimeout 10ms, ProbeSuccesses 2); a Disabled
 // cfg yields a breaker that always answers BreakerRun.
-func NewHealthBreaker(cfg BreakerConfig, clock func() time.Time, onTransition func(from, to, reason string)) *HealthBreaker {
+func NewHealthBreaker(cfg BreakerConfig, clock func() time.Time, onTransition func(from, to string)) *HealthBreaker {
 	if clock == nil {
 		clock = time.Now
 	}
@@ -72,7 +72,7 @@ func (b *HealthBreaker) Admit() BreakerVerdict {
 		if b.clock().Sub(b.openedAt) < b.cfg.OpenTimeout {
 			return BreakerShed
 		}
-		b.transitionLocked(breakerHalfOpen, "open timeout elapsed")
+		b.transitionLocked(breakerHalfOpen)
 		b.probing = true
 		return BreakerProbe
 	default: // half-open
@@ -104,18 +104,18 @@ func (b *HealthBreaker) Record(probe, success bool) {
 		b.fails++
 		if b.fails >= b.cfg.FailureThreshold {
 			b.openedAt = b.clock()
-			b.transitionLocked(breakerOpen, "failure threshold")
+			b.transitionLocked(breakerOpen)
 		}
 	case breakerHalfOpen:
 		if success {
 			b.probeOK++
 			if b.probeOK >= b.cfg.ProbeSuccesses {
-				b.transitionLocked(breakerClosed, "probe successes")
+				b.transitionLocked(breakerClosed)
 			}
 			return
 		}
 		b.openedAt = b.clock()
-		b.transitionLocked(breakerOpen, "probe failed")
+		b.transitionLocked(breakerOpen)
 	case breakerOpen:
 		// A result landing after an independent re-open: stale, ignore.
 	}
@@ -145,7 +145,7 @@ func (b *HealthBreaker) State() string {
 
 // transitionLocked moves the breaker to state `to`, maintaining the
 // streak counters and firing the hook. Caller holds b.mu.
-func (b *HealthBreaker) transitionLocked(to breakerState, reason string) {
+func (b *HealthBreaker) transitionLocked(to breakerState) {
 	from := b.state
 	if from == to {
 		return
@@ -158,6 +158,6 @@ func (b *HealthBreaker) transitionLocked(to breakerState, reason string) {
 		b.probeOK = 0
 	}
 	if b.onTransition != nil {
-		b.onTransition(from.String(), to.String(), reason)
+		b.onTransition(from.String(), to.String())
 	}
 }

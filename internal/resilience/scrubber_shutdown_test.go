@@ -69,7 +69,8 @@ func (s *scrubEventSink) count() int {
 func TestScrubberCancelMidPass(t *testing.T) {
 	sink := &scrubEventSink{}
 	cfg := pcache.Config{Sets: 32, Ways: 2, LineBytes: 64, Banks: 4}
-	e, _ := newEngine(t, cfg, Config{Sink: sink})
+	e, _ := newEngine(t, cfg, Config{})
+	e.SetEventSink(sink)
 	s := e.NewScrubber(ScrubberConfig{})
 
 	ctx, cancel := context.WithCancel(context.Background())

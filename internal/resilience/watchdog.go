@@ -71,7 +71,6 @@ func (w *Watchdog) ScanOnce() int {
 	// finish the flight.
 	for _, fl := range victims {
 		e.watchdogFires.Inc()
-		e.snk().WatchdogFire(fl.bank, fl.set, fl.way, now.Sub(fl.start))
 		e.Degrade(fl.set, fl.way)
 		fl.cancel()
 	}

@@ -8,47 +8,23 @@ import (
 	"time"
 
 	"twodcache/internal/fault"
-	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
 )
 
-// startSink records RecoveryStart coordinates (already globalised by
-// shardSink) so tests can cross-check them against returned errors.
-type startSink struct {
-	obs.NopSink
-	arrays chan string
-	sets   chan int
-}
-
-func (r *startSink) RecoveryStart(array string, set, way int) {
-	select {
-	case r.arrays <- array:
-	default:
-	}
-	select {
-	case r.sets <- set:
-	default:
-	}
-}
-
 // TestShardedGlobalisesErrorCoordinates pins the router-boundary error
 // rewrite: a fault planted at a known GLOBAL set on shard 1 must
 // surface that same global set (and the shard's bank offset and array
-// label) in the returned typed error, agreeing with the event stream —
-// not the shard-local coordinates the engine works in.
+// label) in the returned typed error — not the shard-local coordinates
+// the engine works in.
 func TestShardedGlobalisesErrorCoordinates(t *testing.T) {
 	var stall fault.Stall
 	stall.Arm(time.Hour) // wedge the full-2D rung so the deadline fires
-	sink := &startSink{
-		arrays: make(chan string, 8),
-		sets:   make(chan int, 8),
-	}
 	backing := pcache.NewMapBacking(64)
 	s, err := New(Config{
 		Shards:     2,
 		Cache:      pcache.Config{Sets: 32, Ways: 2, LineBytes: 64, Banks: 1},
-		Resilience: resilience.Config{Sink: sink, RecoveryStall: &stall},
+		Resilience: resilience.Config{RecoveryStall: &stall},
 	}, backing)
 	if err != nil {
 		t.Fatal(err)
@@ -93,24 +69,6 @@ func TestShardedGlobalisesErrorCoordinates(t *testing.T) {
 	}
 	if rip.Array != "shard1/data" {
 		t.Fatalf("error array = %q, want shard1/data", rip.Array)
-	}
-
-	// The event stream must agree with the error on where the fault is.
-	select {
-	case set := <-sink.sets:
-		if set != rip.Set {
-			t.Fatalf("event set %d != error set %d", set, rip.Set)
-		}
-	default:
-		t.Fatal("no RecoveryStart event reached the sink")
-	}
-	select {
-	case a := <-sink.arrays:
-		if a != rip.Array {
-			t.Fatalf("event array %q != error array %q", a, rip.Array)
-		}
-	default:
-		t.Fatal("no RecoveryStart array label reached the sink")
 	}
 }
 

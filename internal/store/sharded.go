@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
@@ -27,8 +26,7 @@ type Config struct {
 	// registry New registers every shard into under a "shard<i>_"
 	// prefix, and the store_* aggregates beside them; serve it to read
 	// them. Nil selects a private registry that only each shard's
-	// Report reads. Sink is wrapped per shard so event coordinates are
-	// globalised before delivery.
+	// Report reads.
 	Resilience resilience.Config
 	// Scrubber, when non-nil, gives every shard its own background
 	// scrubber with this configuration (Start/Stop run them).
@@ -57,7 +55,6 @@ type Sharded struct {
 	lineBytes uint64
 	shardBits uint
 	mask      uint64
-	sink      obs.Sink
 	setsPer   int
 	banksPer  int
 }
@@ -83,15 +80,10 @@ func New(cfg Config, backing pcache.Backing) (*Sharded, error) {
 	if root == nil {
 		root = obs.NewRegistry()
 	}
-	userSink := cfg.Resilience.Sink
-	if userSink == nil {
-		userSink = obs.NopSink{}
-	}
 	s := &Sharded{
 		lineBytes: uint64(cfg.Cache.LineBytes),
 		shardBits: uint(bitsFor(n)),
 		mask:      uint64(n - 1),
-		sink:      userSink,
 		setsPer:   cfg.Cache.Sets,
 	}
 	for i := 0; i < n; i++ {
@@ -107,7 +99,6 @@ func New(cfg Config, backing pcache.Backing) (*Sharded, error) {
 		s.banksPer = cache.NumBanks()
 		ecfg := cfg.Resilience
 		ecfg.Metrics = root.WithPrefix(fmt.Sprintf("shard%d_", i))
-		ecfg.Sink = s.wrapSink(userSink, i)
 		sh := &shard{engine: resilience.New(cache, ecfg)}
 		if cfg.Scrubber != nil {
 			sh.scrubber = sh.engine.NewScrubber(*cfg.Scrubber)
@@ -185,13 +176,13 @@ func (s *Sharded) local(addr uint64) uint64 {
 }
 
 // globalErr rewrites shard-local coordinates inside typed errors into
-// the global namespace, exactly as shardSink does for events: array
-// names gain the "shard<i>/" label and set/bank indices are offset by
-// the shard's base (unknown coordinates, -1, pass through). Without
-// this, an error's text and the event stream would name two different
-// locations for the same fault. The rebuilt errors preserve the full
-// errors.Is/As chain: the same concrete types are returned, wrapping
-// the same sentinels and causes.
+// the global namespace: array names gain the "shard<i>/" label and
+// set/bank indices are offset by the shard's base (set S of shard i
+// becomes i×SetsPerShard+S; unknown coordinates, -1, pass through), so
+// a caller aggregating errors from every shard can attribute each one
+// unambiguously. The rebuilt errors preserve the full errors.Is/As
+// chain: the same concrete types are returned, wrapping the same
+// sentinels and causes.
 func (s *Sharded) globalErr(shard int, err error) error {
 	if err == nil {
 		return nil
@@ -413,25 +404,11 @@ func (s *Sharded) registerAggregates(r *obs.Registry) {
 	r.ClampLE("store_misses_total", "store_accesses_total")
 }
 
-// SetEventSink installs s on every shard, wrapped so coordinates are
-// globalised. Nil resets to the no-op sink.
+// SetEventSink installs sink on every shard's engine, which hands it
+// each completed scrub sweep. Nil resets to the no-op sink.
 func (s *Sharded) SetEventSink(sink obs.Sink) {
-	if sink == nil {
-		sink = obs.NopSink{}
-	}
-	s.sink = sink
-	for i, sh := range s.shards {
-		sh.engine.SetEventSink(s.wrapSink(sink, i))
-	}
-}
-
-// wrapSink labels one shard's events before they reach the user sink.
-func (s *Sharded) wrapSink(inner obs.Sink, shard int) obs.Sink {
-	return &shardSink{
-		inner:   inner,
-		label:   fmt.Sprintf("shard%d/", shard),
-		setOff:  shard * s.setsPer,
-		bankOff: shard * s.banksPer,
+	for _, sh := range s.shards {
+		sh.engine.SetEventSink(sink)
 	}
 }
 
@@ -460,76 +437,4 @@ func (b *shardBacking) ReadLine(addr uint64) []byte {
 // WriteLine implements pcache.Backing.
 func (b *shardBacking) WriteLine(addr uint64, data []byte) {
 	b.parent.WriteLine(b.global(addr), data)
-}
-
-// shardSink globalises one shard's event coordinates before handing
-// them to the shared user sink: array names gain a "shard<i>/" prefix
-// and set/bank indices are offset into a global namespace (set S of
-// shard i becomes i×SetsPerShard+S), so a consumer aggregating events
-// from every shard can attribute each one unambiguously. Way indices
-// and unknown coordinates (-1) pass through unchanged.
-type shardSink struct {
-	inner   obs.Sink
-	label   string
-	setOff  int
-	bankOff int
-}
-
-func (s *shardSink) set(v int) int {
-	if v < 0 {
-		return v
-	}
-	return v + s.setOff
-}
-
-func (s *shardSink) bank(v int) int {
-	if v < 0 {
-		return v
-	}
-	return v + s.bankOff
-}
-
-// RecoveryStart implements obs.Sink.
-func (s *shardSink) RecoveryStart(array string, set, way int) {
-	s.inner.RecoveryStart(s.label+array, s.set(set), way)
-}
-
-// RecoveryEnd implements obs.Sink.
-func (s *shardSink) RecoveryEnd(array string, set, way int, success bool, d time.Duration) {
-	s.inner.RecoveryEnd(s.label+array, s.set(set), way, success, d)
-}
-
-// ScrubPass implements obs.Sink.
-func (s *shardSink) ScrubPass(banks int, clean bool, victims int, d time.Duration) {
-	s.inner.ScrubPass(banks, clean, victims, d)
-}
-
-// DegradeEpoch implements obs.Sink.
-func (s *shardSink) DegradeEpoch(set, way int, lostDirty bool) {
-	s.inner.DegradeEpoch(s.set(set), way, lostDirty)
-}
-
-// UncorrectableDetected implements obs.Sink.
-func (s *shardSink) UncorrectableDetected(array string, set, way int) {
-	s.inner.UncorrectableDetected(s.label+array, s.set(set), way)
-}
-
-// BreakerTransition implements obs.Sink.
-func (s *shardSink) BreakerTransition(bank int, from, to, reason string) {
-	s.inner.BreakerTransition(s.bank(bank), from, to, reason)
-}
-
-// RepairCoalesced implements obs.Sink.
-func (s *shardSink) RepairCoalesced(array string, bank, set, way int) {
-	s.inner.RepairCoalesced(s.label+array, s.bank(bank), s.set(set), way)
-}
-
-// RequestShed implements obs.Sink.
-func (s *shardSink) RequestShed(array string, bank, set, way int) {
-	s.inner.RequestShed(s.label+array, s.bank(bank), s.set(set), way)
-}
-
-// WatchdogFire implements obs.Sink.
-func (s *shardSink) WatchdogFire(bank, set, way int, age time.Duration) {
-	s.inner.WatchdogFire(s.bank(bank), s.set(set), way, age)
 }

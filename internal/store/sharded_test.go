@@ -296,65 +296,6 @@ func TestShardedZeroShardsIsOne(t *testing.T) {
 	}
 }
 
-// recordingSink captures array labels and coordinates so the test can
-// check shard globalisation.
-type recordingSink struct {
-	obs.NopSink
-	arrays chan string
-	sets   chan int
-}
-
-func (r *recordingSink) UncorrectableDetected(array string, set, way int) {
-	select {
-	case r.arrays <- array:
-	default:
-	}
-	select {
-	case r.sets <- set:
-	default:
-	}
-}
-
-func TestShardSinkGlobalisesCoordinates(t *testing.T) {
-	sink := &recordingSink{arrays: make(chan string, 8), sets: make(chan int, 8)}
-	backing := pcache.NewMapBacking(64)
-	s, err := New(Config{
-		Shards:     2,
-		Cache:      pcache.Config{Sets: 32, Ways: 2, LineBytes: 64, Banks: 1},
-		Resilience: resilience.Config{Sink: sink},
-	}, backing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plant a beyond-coverage double fault on shard 1 and read through
-	// it; the sink must see the shard label and a globalised set index.
-	c := s.Shard(1).Cache()
-	if err := write1(c, 0, []byte{0x5A}); err != nil { // shard-local addr
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	da, _ := c.BankArrays(0)
-	lay := da.Layout()
-	da.FlipBit(0, lay.PhysColumn(0, 0))
-	da.FlipBit(32, lay.PhysColumn(0, 8))
-	if _, err := read1(s, 1*64, 1); err != nil { // global line 1 → shard 1
-		t.Fatal(err)
-	}
-	select {
-	case a := <-sink.arrays:
-		if a != "shard1/data" {
-			t.Fatalf("array label = %q, want shard1/data", a)
-		}
-	default:
-		t.Fatal("no UncorrectableDetected event reached the sink")
-	}
-	if set := <-sink.sets; set != 32 { // local set 0 + 1×32
-		t.Fatalf("globalised set = %d, want 32", set)
-	}
-}
-
 // ExampleSharded shows the sharded store serving a striped keyspace.
 func ExampleSharded() {
 	backing := pcache.NewMapBacking(64)

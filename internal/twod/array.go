@@ -172,8 +172,8 @@ type Array struct {
 		groupCount []int
 		touched    []bool
 	}
-	// sink, when set, receives recovery and uncorrectable events (see
-	// SetEventSink in obs.go). Atomic so installation races no access.
+	// sink, when set, receives recovery events (see SetEventSink in
+	// obs.go). Atomic so installation races no access.
 	sink atomic.Pointer[arraySink]
 }
 
@@ -361,7 +361,6 @@ func (a *Array) writeStaged(r, w int) ReadStatus {
 			a.residual[a.group(r)] = true
 			a.encodeDataInto(a.scr.cw)
 			a.storeWords(r, w, a.scr.cw)
-			a.emitUncorrectable(r, w)
 			return ReadUncorrectable
 		}
 		status = ReadRecovered
@@ -399,7 +398,6 @@ func (a *Array) readIntoScratch(r, w int) ReadStatus {
 	default:
 		if !a.repairWord(r, w) {
 			a.extractInto(a.scr.cw, r, w)
-			a.emitUncorrectable(r, w)
 			return ReadUncorrectable
 		}
 		a.extractInto(a.scr.cw, r, w)

@@ -14,12 +14,10 @@ type arraySink struct {
 }
 
 // SetEventSink installs (or, with nil, removes) a structured event sink
-// on the array. The array emits RecoveryStart/RecoveryEnd around each
-// Recover invocation (with set and way -1: recovery is array-wide) and
-// UncorrectableDetected with the (row, word) coordinates of a word read
-// or write that exceeded the 2D coverage. label names the array in
-// those events. Clean accesses never touch the sink, so the hot path
-// stays allocation-free with any sink installed.
+// on the array. The array emits RecoveryEnd after each Recover
+// invocation (with set and way -1: recovery is array-wide); label
+// names the array in those events. Accesses never touch the sink, so
+// the hot path stays allocation-free with any sink installed.
 func (a *Array) SetEventSink(s obs.Sink, label string) {
 	if s == nil {
 		a.sink.Store(nil)
@@ -28,21 +26,14 @@ func (a *Array) SetEventSink(s obs.Sink, label string) {
 	a.sink.Store(&arraySink{s: s, label: label})
 }
 
-func (a *Array) emitUncorrectable(r, w int) {
-	if h := a.sink.Load(); h != nil {
-		h.s.UncorrectableDetected(h.label, r, w)
-	}
-}
-
 // Recover runs the 2D recovery process over the whole array and repairs
 // what the coverage allows (Fig. 4(b); see recoverImpl for the steps),
-// emitting RecoveryStart/RecoveryEnd events when a sink is installed.
+// emitting a RecoveryEnd event when a sink is installed.
 func (a *Array) Recover() RecoveryReport {
 	h := a.sink.Load()
 	if h == nil {
 		return a.recoverImpl()
 	}
-	h.s.RecoveryStart(h.label, -1, -1)
 	start := time.Now()
 	rep := a.recoverImpl()
 	h.s.RecoveryEnd(h.label, -1, -1, rep.Success, time.Since(start))
