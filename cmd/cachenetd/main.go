@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -78,19 +77,14 @@ func main() {
 	st.Start()
 	defer st.Stop()
 
-	// The loss-epoch oracle behind the EPOCH opcode: route the address
-	// to its owning shard and read that set's epoch.
-	epochOf := func(a uint64) uint64 {
-		e, la := st.Locate(a)
-		return e.Cache().LossEpoch(int((la / uint64(*lineBytes)) % uint64(*sets)))
-	}
+	// The EPOCH opcode answers the store's loss-epoch oracle.
 	srv, err := twodcache.NewNetServer(twodcache.NetServerConfig{
 		Store:     st,
 		BatchSize: *batch,
 		RespQueue: *respQueue,
 		MaxConns:  *maxConns,
 		Metrics:   reg.WithPrefix("netsrv_"),
-		EpochOf:   epochOf,
+		EpochOf:   st.LossEpoch,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cachenetd:", err)
@@ -132,27 +126,16 @@ func main() {
 	fmt.Printf("cachenetd: listening on %s (%d shard(s), %d sets x %d ways x %dB lines)\n",
 		l.Addr(), *shards, *sets, *ways, *lineBytes)
 
-	// Metrics endpoint: an owned server on a private mux, started with a
-	// synchronous Listen so a bad -http address fails loudly at startup,
-	// and shut down as part of the drain.
-	var httpSrv *http.Server
+	// Metrics endpoint: an owned server, shut down as part of the drain.
+	stopHTTP := func() error { return nil }
 	if *httpAddr != "" {
-		reg.PublishExpvar("twodcache")
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", http.DefaultServeMux)
-		hl, err := net.Listen("tcp", *httpAddr)
+		bound, stop, err := reg.ServeMetrics(*httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cachenetd: http:", err)
 			os.Exit(2)
 		}
-		httpSrv = &http.Server{Handler: mux}
-		go func() {
-			if err := httpSrv.Serve(hl); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "cachenetd: http:", err)
-			}
-		}()
-		fmt.Printf("cachenetd: serving /debug/vars and /metrics on %s\n", hl.Addr())
+		stopHTTP = stop
+		fmt.Printf("cachenetd: serving /debug/vars and /metrics on %s\n", bound)
 	}
 
 	// Lifetime: a deadline (when asked), SIGINT, or SIGTERM ends the
@@ -179,32 +162,21 @@ func main() {
 		storm := fault.NewStorm(fault.StormConfig{Seed: *seed, MeanInterval: *faultInterval})
 		rng := rand.New(rand.NewSource(*seed + 7))
 		banksPer := st.Shard(0).Cache().NumBanks()
-		const tick = time.Millisecond
-		ticker := time.NewTicker(tick)
-		defer ticker.Stop()
-		pending := storm.NextDelay()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-			for pending -= tick; pending <= 0; pending += storm.NextDelay() {
-				gi := rng.Intn(st.NumShards() * banksPer)
-				c, bi := st.Shard(gi/banksPer).Cache(), gi%banksPer
-				hitTags := rng.Intn(4) == 0
-				c.WithBankLock(bi, func(data, tags *twod.Array) {
-					a := data
-					if hitTags {
-						a = tags
-					}
-					p := storm.NextEvent(a.Rows(), a.RowBits())
-					for _, fl := range p.Flips {
-						fault.FlipIfClean(a, fl.Row, fl.Col)
-					}
-				})
-			}
-		}
+		storm.Run(ctx, func() {
+			gi := rng.Intn(st.NumShards() * banksPer)
+			c, bi := st.Shard(gi/banksPer).Cache(), gi%banksPer
+			hitTags := rng.Intn(4) == 0
+			c.WithBankLock(bi, func(data, tags *twod.Array) {
+				a := data
+				if hitTags {
+					a = tags
+				}
+				p := storm.NextEvent(a.Rows(), a.RowBits())
+				for _, fl := range p.Flips {
+					fault.FlipIfClean(a, fl.Row, fl.Col)
+				}
+			})
+		})
 	}()
 
 	serveErr := make(chan error, 1)
@@ -234,10 +206,8 @@ func main() {
 		os.Exit(1)
 	}
 	<-stormDone
-	if httpSrv != nil {
-		hctx, hcancel := context.WithTimeout(context.Background(), time.Second)
-		httpSrv.Shutdown(hctx)
-		hcancel()
+	if err := stopHTTP(); err != nil {
+		fmt.Fprintln(os.Stderr, "cachenetd: http shutdown:", err)
 	}
 	if drainErr != nil {
 		fmt.Fprintln(os.Stderr, "cachenetd: drain:", drainErr)

@@ -3,12 +3,12 @@
 // default, the store cachenetd serves) while a continuous Poisson
 // fault storm upsets the protected arrays and each shard's
 // traffic-aware background scrubber sweeps them, for a bounded
-// duration. Every client checks its reads against a private shadow
-// model using the loss-epoch protocol: a mismatch is legitimate only
-// if the set's loss epoch advanced (a reported DUE led to a repair or
-// decommission) since the value was written — otherwise it is SILENT
-// corruption and the run fails. On success each shard's health report
-// is printed and the process exits 0.
+// duration. Every client checks its reads through its own
+// replay.Shadow, the loss-epoch oracle the replayer runs: a mismatch
+// is legitimate only if the set's loss epoch advanced (a reported DUE
+// led to a repair or decommission) since the value was written —
+// otherwise it is SILENT corruption and the run fails. On success each
+// shard's health report is printed and the process exits 0.
 //
 // The storm flips at most one bit per currently-clean word per event —
 // within the horizontal code's guaranteed detection — so every
@@ -24,8 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -98,7 +96,7 @@ func main() {
 		seed          = flag.Int64("seed", 1, "random seed")
 		statsEvery    = flag.Duration("stats-interval", 500*time.Millisecond, "period of the live stats line (0 disables)")
 		httpAddr      = flag.String("http", "", "serve expvar (/debug/vars) and Prometheus text (/metrics) on this address")
-		recordPath    = flag.String("record", "", "record the run's event trace to this file (order is exact with -banks 1, best-effort otherwise)")
+		recordPath    = flag.String("record", "", "record the run's event trace to this file (order is near-exact with -banks 1, best-effort otherwise; needs -shards 1 and no -p99-budget, -chaos-stall-recovery or -selftest-corrupt-backing)")
 		replayPath    = flag.String("replay", "", "deterministically replay a recorded or shrunk trace instead of running live (load/fault flags are ignored)")
 		selftestPoke  = flag.Bool("selftest-corrupt-backing", false, "harness self-validation: continuously corrupt the backing store behind the cache's back; the run MUST then FAIL with silent corruption (run with the storm slowed so no loss epoch moves)")
 		p99Budget     = flag.Duration("p99-budget", 0, "SLO mode: every read carries this deadline, and the run FAILS (exit 3) unless 99% of reads complete within it")
@@ -117,11 +115,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "soak: shards %d must be at least 1\n", *shards)
 		os.Exit(2)
 	}
-	if *shards > 1 && *recordPath != "" {
-		// Trace recording leans on a single engine's bank-lock commit
-		// order; N engines interleave independently, so a recorded
-		// multi-shard run could not replay deterministically.
-		fmt.Fprintln(os.Stderr, "soak: -record requires -shards 1")
+	// A recording must replay the run it recorded, so -record rejects
+	// what the replayer cannot reproduce: N engines interleaving
+	// independently, read deadlines (a live abort repairs a set the
+	// replay leaves alone), the wall-clock watchdog that -p99-budget and
+	// -chaos-stall-recovery start (its forced degradations are not
+	// recorded), and backing pokes (recorded as no event).
+	if *recordPath != "" && (*shards > 1 || *p99Budget > 0 || *chaosStall > 0 || *selftestPoke) {
+		fmt.Fprintln(os.Stderr, "soak: -record needs -shards 1 and no -p99-budget, -chaos-stall-recovery or -selftest-corrupt-backing: its replay would not reproduce the run")
 		os.Exit(2)
 	}
 
@@ -160,21 +161,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "soak:", err)
 		os.Exit(2)
 	}
-	var engines []*twodcache.ResilientCache
-	for i := 0; i < st.NumShards(); i++ {
-		engines = append(engines, st.Shard(i))
-	}
 	st.Start()
-	// The repair/loss-epoch oracle must talk to the shard that actually
-	// holds the line, in that shard's local address space.
-	repairAt := func(addr uint64) {
-		e, la := st.Locate(addr)
-		e.Cache().Repair(la)
-	}
-	epochOf := func(addr uint64) uint64 {
-		e, la := st.Locate(addr)
-		return e.Cache().LossEpoch(int((la / uint64(*lineBytes)) % uint64(*sets)))
-	}
 
 	// SLO mode records every read's end-to-end latency into a histogram
 	// whose bucket bounds include the budget itself, so the pass/fail
@@ -186,11 +173,14 @@ func main() {
 	}
 
 	// Optional trace recording for offline deterministic replay
-	// (-replay) and shrinking (cmd/tracehunt). Events are appended in
-	// completion order: with a single bank that matches the bank-lock
-	// commit order, so the replayed run walks the same state sequence;
-	// with several banks the recorded interleaving is best-effort.
-	// Geometry defaults (VerticalGroups, MaxRetries) mirror the engine's.
+	// (-replay) and shrinking (cmd/tracehunt): the replayer rebuilds this
+	// 1-shard store and drives it through the same Shadow. Events are
+	// appended as they reach the recorder. With a single bank that is
+	// close to the bank-lock commit order, but client ops and scrub
+	// sweeps are recorded before they take the lock, so a replay can
+	// drift a few accounted losses from the live run; with several banks
+	// the interleaving is best-effort. Geometry defaults (VerticalGroups,
+	// MaxRetries) mirror the engine's.
 	var rec *replay.Recorder
 	if *recordPath != "" {
 		rec = replay.NewRecorder(replay.Config{
@@ -200,30 +190,17 @@ func main() {
 	}
 
 	// Serve the registry over expvar (/debug/vars) and Prometheus text
-	// (/metrics) when asked. The registry snapshots on demand, so both
-	// endpoints always return coherent, clamped values. The server is
-	// owned — private mux, synchronous Listen so a bad address fails the
-	// run at startup instead of silently soaking without metrics, and an
-	// explicit Shutdown during the drain so no accept loop outlives the
-	// report.
-	var httpSrv *http.Server
+	// (/metrics) when asked, on an owned server that the drain shuts
+	// down, so no accept loop outlives the report.
+	stopHTTP := func() error { return nil }
 	if *httpAddr != "" {
-		reg.PublishExpvar("twodcache")
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/vars", http.DefaultServeMux)
-		hl, err := net.Listen("tcp", *httpAddr)
+		bound, stop, err := reg.ServeMetrics(*httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "soak: http:", err)
 			os.Exit(2)
 		}
-		httpSrv = &http.Server{Handler: mux}
-		go func() {
-			if err := httpSrv.Serve(hl); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "soak: http:", err)
-			}
-		}()
-		fmt.Printf("soak: serving /debug/vars and /metrics on %s\n", hl.Addr())
+		stopHTTP = stop
+		fmt.Printf("soak: serving /debug/vars and /metrics on %s\n", bound)
 	}
 
 	// The run ends at the deadline OR on SIGINT/SIGTERM: either way the
@@ -235,9 +212,6 @@ func main() {
 	defer stopSignals()
 
 	var (
-		silent     atomic.Uint64 // UNACCOUNTED mismatches: must stay zero
-		accounted  atomic.Uint64 // mismatches explained by a loss-epoch advance
-		reported   atomic.Uint64 // DUEs surfaced to clients even after the ladder
 		sloAborts  atomic.Uint64 // reads abandoned at their deadline (SLO mode)
 		clientOps  atomic.Uint64
 		wg         sync.WaitGroup
@@ -254,7 +228,7 @@ func main() {
 		if rec == nil {
 			return
 		}
-		scrub := engines[0].NewScrubber(twodcache.ScrubberConfig{})
+		scrub := st.Shard(0).NewScrubber(twodcache.ScrubberConfig{})
 		ticker := time.NewTicker(*scrubInterval)
 		defer ticker.Stop()
 		for {
@@ -263,7 +237,7 @@ func main() {
 				return
 			case <-ticker.C:
 			}
-			for i := 0; i < engines[0].Cache().NumBanks(); i++ {
+			for i := 0; i < st.Shard(0).Cache().NumBanks(); i++ {
 				rec.Scrub(i)
 				scrub.SweepBank(i)
 			}
@@ -279,10 +253,10 @@ func main() {
 		rng := rand.New(rand.NewSource(*seed + 7))
 		// Every shard is its own protection domain: aim each event at a
 		// uniformly chosen (shard, bank) pair so storms cover all of them.
-		banksPer := engines[0].Cache().NumBanks()
-		oneEvent := func() {
-			gi := rng.Intn(len(engines) * banksPer)
-			c, bi := engines[gi/banksPer].Cache(), gi%banksPer
+		banksPer := st.Shard(0).Cache().NumBanks()
+		storm.Run(ctx, func() {
+			gi := rng.Intn(st.NumShards() * banksPer)
+			c, bi := st.Shard(gi/banksPer).Cache(), gi%banksPer
 			hitTags := rng.Intn(4) == 0
 			c.WithBankLock(bi, func(data, tags *twod.Array) {
 				a := data
@@ -301,24 +275,7 @@ func main() {
 				}
 				stormCount.Add(1)
 			})
-		}
-		// Sub-millisecond inter-arrival times are far below Go timer
-		// granularity, so drive the Poisson process from a 1ms ticker
-		// and drain every arrival that fell due within the tick.
-		const tick = time.Millisecond
-		ticker := time.NewTicker(tick)
-		defer ticker.Stop()
-		pending := storm.NextDelay()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-			for pending -= tick; pending <= 0; pending += storm.NextDelay() {
-				oneEvent()
-			}
-		}
+		})
 	}()
 
 	// Live stats line, straight off coherent registry snapshots:
@@ -342,7 +299,7 @@ func main() {
 			s := reg.Snapshot()
 			var dues, scrubs, victims uint64
 			var disabled int64
-			for i := range engines {
+			for i := 0; i < st.NumShards(); i++ {
 				dues += s.Counter(fmt.Sprintf("shard%d_resilience_dues_total", i))
 				scrubs += s.Counter(fmt.Sprintf("shard%d_scrub_passes_total", i))
 				victims += s.Counter(fmt.Sprintf("shard%d_scrub_victims_total", i))
@@ -353,14 +310,13 @@ func main() {
 				s.Counter("store_accesses_total"),
 				s.Counter("store_hits_total"),
 				dues, scrubs, victims, disabled,
-				stormCount.Load(), len(engines))
+				stormCount.Load(), st.NumShards())
 		}
 	}()
 
-	// Clients: disjoint line ownership (line % clients == id), private
-	// shadow model, loss-epoch accounting. 4x the total sets: plenty of
-	// conflict misses.
-	lines := uint64(4 * *sets * len(engines))
+	// Clients: disjoint line ownership (line % clients == id), each with
+	// its own Shadow. 4x the total sets: plenty of conflict misses.
+	lines := uint64(4 * *sets * st.NumShards())
 
 	// Self-validation of the oracle and the exit path: corrupt the
 	// backing store behind the cache's back, which no reported DUE or
@@ -388,111 +344,47 @@ func main() {
 			}
 		}()
 	}
-	for id := 0; id < *clients; id++ {
+	shadows := make([]*replay.Shadow, *clients)
+	for id := range shadows {
+		sh := replay.NewShadow(st, rec, id)
+		shadows[id] = sh
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(*seed + int64(100+id)))
-			shadow := map[uint64]byte{}
-			wep := map[uint64]uint64{}
 			var owned []uint64
 			for l := uint64(id); l < lines; l += uint64(*clients) {
 				owned = append(owned, l)
 			}
-			// Every op is a batch of one — the store's only data path.
-			rop := []twodcache.BatchReadOp{{Dst: make([]byte, 1)}}
-			wop := []twodcache.BatchWriteOp{{Data: make([]byte, 1)}}
+			// The shadow counts a failed op as reported; only SLO mode
+			// reads the error, to count deadline aborts.
 			for ctx.Err() == nil {
 				clientOps.Add(1)
 				l := owned[rng.Intn(len(owned))]
 				addr := l*uint64(*lineBytes) + uint64(rng.Intn(*lineBytes))
 				if rng.Intn(5) < 2 { // 40% writes
-					val := byte(rng.Intn(256))
-					if rec != nil {
-						rec.Write(id, addr, val)
-					}
-					// Capture the epoch BEFORE the write: a degrade racing
-					// the write then shows an advance, never a stale record.
-					e0 := epochOf(addr)
-					wop[0].Addr, wop[0].Data[0] = addr, val
-					if st.WriteBatch(wop); wop[0].Err != nil {
-						reported.Add(1)
-						repairAt(addr)
-						delete(shadow, addr)
-						continue
-					}
-					shadow[addr] = val
-					wep[addr] = e0
+					sh.Write(addr, byte(rng.Intn(256)))
 					continue
 				}
-				want, tracked := shadow[addr]
-				if rec != nil {
-					rec.Read(id, addr)
-				}
-				rop[0].Addr = addr
-				if *p99Budget > 0 {
-					// SLO mode: the read carries its own deadline and gives
-					// up on an in-flight repair rather than riding it past
-					// budget. Deliberately parented on Background, not the
-					// run context, so shutdown does not masquerade as abort.
-					rctx, rcancel := context.WithTimeout(context.Background(), *p99Budget)
-					t0 := time.Now()
-					st.ReadBatchCtx(rctx, rop)
-					readLat.Observe(time.Since(t0))
-					rcancel()
-					if errors.Is(rop[0].Err, twodcache.ErrRecoveryInProgress) {
-						sloAborts.Add(1)
-					}
-				} else {
-					st.ReadBatch(rop)
-				}
-				if rop[0].Err != nil {
-					// The ladder itself gave up (or the deadline abandoned
-					// it) — still a *reported* event, never silent. Repair
-					// and drop the stale expectation.
-					reported.Add(1)
-					repairAt(addr)
-					delete(shadow, addr)
+				if *p99Budget <= 0 {
+					sh.Read(context.Background(), addr)
 					continue
 				}
-				got := rop[0].Dst[0]
-				if tracked && got != want {
-					if epochOf(addr) == wep[addr] {
-						silent.Add(1)
-						fmt.Fprintf(os.Stderr,
-							"soak: SILENT corruption at %#x: got %d want %d (loss epoch unmoved)\n",
-							addr, got, want)
-					} else {
-						accounted.Add(1)
-					}
-					// Either way the cache's view is now authoritative.
-					e0 := epochOf(addr)
-					shadow[addr] = got
-					wep[addr] = e0
+				// SLO mode: the read carries its own deadline and gives up
+				// on an in-flight repair rather than riding it past budget.
+				// Deliberately parented on Background, not the run context,
+				// so shutdown does not masquerade as abort.
+				rctx, rcancel := context.WithTimeout(context.Background(), *p99Budget)
+				t0 := time.Now()
+				err := sh.Read(rctx, addr)
+				readLat.Observe(time.Since(t0))
+				rcancel()
+				if errors.Is(err, twodcache.ErrRecoveryInProgress) {
+					sloAborts.Add(1)
 				}
 			}
-
-			// Final sweep: after the storm stops, every tracked byte must
-			// still be explained.
 			<-stormDone
-			for addr, want := range shadow {
-				rop[0].Addr = addr
-				if st.ReadBatch(rop); rop[0].Err != nil {
-					reported.Add(1)
-					repairAt(addr)
-					continue
-				}
-				if got := rop[0].Dst[0]; got != want {
-					if epochOf(addr) == wep[addr] {
-						silent.Add(1)
-						fmt.Fprintf(os.Stderr,
-							"soak: SILENT corruption at %#x on final sweep: got %d want %d\n",
-							addr, got, want)
-					} else {
-						accounted.Add(1)
-					}
-				}
-			}
+			sh.Sweep()
 		}(id)
 	}
 
@@ -503,12 +395,8 @@ func main() {
 	<-scrubDone
 	<-stormDone
 	<-statsDone
-	if httpSrv != nil {
-		hctx, hcancel := context.WithTimeout(context.Background(), time.Second)
-		if err := httpSrv.Shutdown(hctx); err != nil {
-			fmt.Fprintln(os.Stderr, "soak: http shutdown:", err)
-		}
-		hcancel()
+	if err := stopHTTP(); err != nil {
+		fmt.Fprintln(os.Stderr, "soak: http shutdown:", err)
 	}
 	if err := st.Flush(); err != nil {
 		fmt.Fprintln(os.Stderr, "soak: final flush:", err)
@@ -529,13 +417,20 @@ func main() {
 	fmt.Printf("soak: %v, %d clients, %d client ops, %d fault events\n",
 		*duration, *clients, clientOps.Load(), stormCount.Load())
 	var watchdogFires uint64
-	for i, e := range engines {
-		r := e.Report()
+	for i := 0; i < st.NumShards(); i++ {
+		r := st.Shard(i).Report()
 		watchdogFires += r.WatchdogFires
 		fmt.Printf("shard %d %s", i, r.String())
 	}
+	var accounted, reported, silent uint64
+	for _, sh := range shadows {
+		accounted, reported, silent = accounted+sh.Accounted, reported+sh.Reported, silent+sh.Silent
+		for _, d := range sh.SilentDetails {
+			fmt.Fprintln(os.Stderr, "soak: "+d)
+		}
+	}
 	fmt.Printf("  accounting:  %d accounted losses, %d ladder-exhausted DUEs, %d SILENT corruptions\n",
-		accounted.Load(), reported.Load(), silent.Load())
+		accounted, reported, silent)
 	if stall != nil {
 		fmt.Printf("  chaos:       full-2D stall armed at %v, engaged %d times, %d watchdog force-escalations\n",
 			*chaosStall, stall.Fired(), watchdogFires)
@@ -543,7 +438,7 @@ func main() {
 
 	// Corruption dominates every other verdict: a run that lies about
 	// data MUST exit 1 even if it also blew its latency budget.
-	if silent.Load() > 0 {
+	if silent > 0 {
 		fmt.Println("soak: FAIL — silent corruption detected")
 		os.Exit(1)
 	}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"time"
@@ -64,6 +65,28 @@ func (s *Storm) NextDelay() time.Duration {
 func (s *Storm) NextEvent(rows, cols int) Pattern {
 	s.events++
 	return SoftEvent(s.rng, rows, cols, s.dist)
+}
+
+// Run drives the storm in real time until ctx ends, calling event once
+// per arrival. Sub-millisecond inter-arrival times are far below Go
+// timer granularity, so a 1 ms ticker fires every arrival that fell
+// due within the tick. The draws are NextDelay, then per arrival event
+// (which samples its footprint with NextEvent) and the next NextDelay.
+func (s *Storm) Run(ctx context.Context, event func()) {
+	const tick = time.Millisecond
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	pending := s.NextDelay()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+		}
+		for pending -= tick; pending <= 0; pending += s.NextDelay() {
+			event()
+		}
+	}
 }
 
 // Events returns how many events the storm has generated.

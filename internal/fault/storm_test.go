@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -51,6 +53,40 @@ func TestStormDefaults(t *testing.T) {
 	}
 	if p := s.NextEvent(8, 64); p.Kind == "" {
 		t.Fatal("default storm produced kindless pattern")
+	}
+}
+
+// TestStormRun pins the real-time loop: events fire, each one drawn
+// in the order NextDelay, then per arrival the event and the next
+// NextDelay (checked against a twin storm drawing that order by hand),
+// and Run returns once its context ends.
+func TestStormRun(t *testing.T) {
+	cfg := StormConfig{Seed: 3, MeanInterval: 100 * time.Microsecond}
+	s, twin := NewStorm(cfg), NewStorm(cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const want = 50
+	n := 0 // touched only by Run's goroutine until done closes
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run(ctx, func() {
+			twin.NextDelay()
+			if got, exp := s.NextEvent(8, 64), twin.NextEvent(8, 64); !reflect.DeepEqual(got, exp) {
+				t.Errorf("event %d drew %+v, want %+v", n, got, exp)
+			}
+			if n++; n == want {
+				cancel()
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after its context ended")
+	}
+	if n < want {
+		t.Fatalf("%d events fired, want at least %d", n, want)
 	}
 }
 

@@ -441,19 +441,17 @@ func TestDeadlineOverWire(t *testing.T) {
 // store's loss epoch, without one it answers ErrUnsupported.
 func TestEpochOracle(t *testing.T) {
 	st, _ := newStore(t, 2, resilience.Config{})
-	epochOf := func(addr uint64) uint64 {
-		e, local := st.Locate(addr)
-		c := e.Cache()
-		return c.LossEpoch(int(local/lineBytes) % testCacheCfg.Sets)
-	}
-	_, addr := startServer(t, st, Config{EpochOf: epochOf})
+	// Repair line 3's set, so its epoch is not the 0 every set starts at.
+	e, local := st.Locate(3 * lineBytes)
+	e.Cache().Repair(local)
+	_, addr := startServer(t, st, Config{EpochOf: st.LossEpoch})
 	cl := dial(t, addr)
 	got, err := cl.Epoch(3 * lineBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := epochOf(3 * lineBytes); got != want {
-		t.Fatalf("Epoch = %d, want %d", got, want)
+	if got != 1 || got != st.LossEpoch(3*lineBytes) {
+		t.Fatalf("Epoch = %d, want 1, the store's %d", got, st.LossEpoch(3*lineBytes))
 	}
 
 	_, baddr := newStoreServer(t)

@@ -1,11 +1,15 @@
 package obs
 
 import (
+	"context"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // WritePrometheus renders the snapshot in the Prometheus text
@@ -117,4 +121,35 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.Snapshot().WritePrometheus(w)
 	})
+}
+
+// ServeMetrics serves the registry on an owned HTTP server at addr:
+// Prometheus text at /metrics and, published as "twodcache", expvar at
+// /debug/vars, on a private mux. It listens before it returns, so a bad
+// address fails the caller at startup instead of leaving a run without
+// metrics. It returns the bound address and a stop function for the
+// caller's drain: stop shuts the server down within a second and
+// reports why it could not, or why serving failed.
+func (r *Registry) ServeMetrics(addr string) (net.Addr, func() error, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.PublishExpvar("twodcache")
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", r.Handler())
+	mux.Handle("/debug/vars", expvar.Handler())
+	srv := &http.Server{Handler: mux}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	stop := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		err := srv.Shutdown(ctx)
+		if serr := <-served; serr != http.ErrServerClosed {
+			err = errors.Join(err, serr)
+		}
+		return err
+	}
+	return l.Addr(), stop, nil
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"io"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -173,6 +175,44 @@ func TestWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestServeMetrics drives the owned endpoint: both paths serve the
+// registry, the address stays held while it runs, and stop shuts it
+// down.
+func TestServeMetrics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("served_total", "").Add(7)
+	addr, stop, err := r.ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) (string, error) {
+		resp, err := http.Get("http://" + addr.String() + path)
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		return string(b), err
+	}
+	for path, want := range map[string]string{
+		"/metrics":    "served_total 7",
+		"/debug/vars": `"served_total":7`,
+	} {
+		if out, err := get(path); err != nil || !strings.Contains(out, want) {
+			t.Errorf("%s: %v, missing %q in:\n%s", path, err, want, out)
+		}
+	}
+	if _, _, err := r.ServeMetrics(addr.String()); err == nil {
+		t.Fatal("a second server bound the address the first one holds")
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := get("/metrics"); err == nil {
+		t.Fatal("the endpoint still answers after stop")
 	}
 }
 

@@ -5,10 +5,12 @@ import "sync"
 // Recorder collects a totally-ordered event trace from a concurrent
 // run: client goroutines, the fault storm, and the scrub loop all
 // append through one mutex, so the recorded order is the order in
-// which the events were committed. With a single bank (the hard-storm
-// configuration) that order is the bank-lock acquisition order, and a
-// single-threaded replay of the trace walks the same state sequence
-// the live run did.
+// which the events reached the recorder. With a single bank (the
+// hard-storm configuration) that is close to the bank-lock acquisition
+// order, but not equal to it: client ops and scrub sweeps are recorded
+// before they take the bank lock and storm flips under it, so a
+// single-threaded replay can order an op and a flip differently and
+// drift a few accounted losses from the live run (ROADMAP item 2).
 type Recorder struct {
 	mu sync.Mutex
 	tr Trace

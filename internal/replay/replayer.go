@@ -1,16 +1,17 @@
 package replay
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"twodcache/internal/fault"
 	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
+	"twodcache/internal/store"
 	"twodcache/internal/twod"
 )
 
@@ -18,17 +19,9 @@ import (
 // the flip-gating tallies, and a digest of the final machine state for
 // bit-determinism checks.
 type Result struct {
-	// Accounted counts read mismatches explained by a loss-epoch
-	// advance (a reported repair/decommission moved the data).
-	Accounted uint64
-	// Reported counts DUEs surfaced to the client even after the
-	// escalation ladder (plus failed final flushes).
-	Reported uint64
-	// Silent counts mismatches with the loss epoch unmoved — the
-	// outcome the 2D scheme must never produce.
-	Silent uint64
-	// SilentDetails describes each silent mismatch (bounded).
-	SilentDetails []string
+	// Tally is the shadow's taxonomy, with a failed final flush counted
+	// as reported and only the first 16 silent mismatches described.
+	Tally
 
 	// FlipsApplied/FlipsSkipped count OpFlip events that were applied
 	// vs gated off (covering word already dirty, or out of range).
@@ -48,81 +41,32 @@ type Result struct {
 const maxSilentDetails = 16
 
 // Run replays the trace single-threaded against a freshly built
-// protected cache + resilience engine and classifies every mismatch
-// with the loss-epoch protocol (the soak's oracle). Client ops run as
-// 1-op engine batches, exactly the calls the soak issues, so a replay
-// walks the recorded run's code path. It is fully deterministic: same
-// trace, same Result, bit for bit.
+// machine, the 1-shard store a recorded soak drives, and classifies
+// every mismatch through one Shadow, the soak clients' oracle. Client
+// ops run as the 1-op store batches the soak issues, so a replay walks
+// the recorded run's code path. It is fully deterministic: same trace,
+// same Result, bit for bit.
 func Run(tr Trace) (Result, error) {
 	var res Result
 	m, err := newMachine(tr.Cfg)
 	if err != nil {
 		return res, err
 	}
-	cache, backing, eng, scrubber := m.cache, m.backing, m.eng, m.scrubber
-	cfg := cache.Config()
-
-	lineBytes := uint64(cfg.LineBytes)
-	setOf := func(addr uint64) int {
-		return int((addr / lineBytes) % uint64(cfg.Sets))
-	}
-
-	// The oracle: one global shadow of the last value written per
-	// address. Sound because replay is totally ordered — a read must
-	// return the last write unless the set's loss epoch advanced.
-	shadow := map[uint64]byte{}
-	wep := map[uint64]uint64{}
-
-	onError := func(addr uint64) {
-		res.Reported++
-		cache.Repair(addr)
-		delete(shadow, addr)
-	}
-	classify := func(addr uint64, got, want byte, when string) {
-		if cache.LossEpoch(setOf(addr)) == wep[addr] {
-			res.Silent++
-			if len(res.SilentDetails) < maxSilentDetails {
-				res.SilentDetails = append(res.SilentDetails,
-					fmt.Sprintf("silent corruption at %#x%s: got %#x want %#x (loss epoch unmoved)", addr, when, got, want))
-			}
-		} else {
-			res.Accounted++
-		}
-	}
-
-	rop := []pcache.ReadOp{{Dst: make([]byte, 1)}}
-	wop := []pcache.WriteOp{{Data: make([]byte, 1)}}
+	// One shadow for every client: replay is totally ordered, so a read
+	// must return the last write unless the set's loss epoch advanced.
+	// The shadow counts a failed op as reported.
+	sh := NewShadow(m.st, nil, 0)
+	cache := m.st.Shard(0).Cache()
+	lineBytes := uint64(cache.Config().LineBytes)
 	for _, e := range tr.Events {
 		switch e.Op {
 		case OpWrite:
 			res.Ops++
-			set := setOf(e.Addr)
-			// Capture the epoch BEFORE the write, as the soak does: a
-			// degrade racing the write then shows an advance, never a
-			// stale record.
-			e0 := cache.LossEpoch(set)
-			wop[0].Addr, wop[0].Data[0] = e.Addr, e.Val
-			if eng.WriteBatch(wop); wop[0].Err != nil {
-				onError(e.Addr)
-				continue
-			}
-			shadow[e.Addr] = e.Val
-			wep[e.Addr] = e0
+			sh.Write(e.Addr, e.Val)
 
 		case OpRead:
 			res.Ops++
-			want, tracked := shadow[e.Addr]
-			rop[0].Addr = e.Addr
-			if eng.ReadBatch(rop); rop[0].Err != nil {
-				onError(e.Addr)
-				continue
-			}
-			if got := rop[0].Dst[0]; tracked && got != want {
-				classify(e.Addr, got, want, "")
-				// Either way the cache's view is now authoritative.
-				shadow[e.Addr] = got
-				wep[e.Addr] = cache.LossEpoch(setOf(e.Addr))
-			}
+			sh.Read(context.Background(), e.Addr)
 
 		case OpFlip:
 			if e.Bank >= cache.NumBanks() {
@@ -151,71 +95,47 @@ func Run(tr Trace) (Result, error) {
 			if e.Bank >= cache.NumBanks() {
 				continue
 			}
-			scrubber.SweepBank(e.Bank)
+			m.scrubber.SweepBank(e.Bank)
 
 		case OpPoke:
 			// Corrupt the backing store behind the cache's back —
 			// harness self-validation only (see OpPoke docs).
 			lineAddr := e.Addr &^ (lineBytes - 1)
-			line := backing.ReadLine(lineAddr)
+			line := m.backing.ReadLine(lineAddr)
 			line[e.Addr%lineBytes] = e.Val
-			backing.WriteLine(lineAddr, line)
+			m.backing.WriteLine(lineAddr, line)
 
 		default:
 			return res, fmt.Errorf("replay: unknown op %q", e.Op)
 		}
 	}
 
-	// Final sweep, like the soak's: every tracked byte must still be
-	// explained. Sorted for determinism (map iteration is randomised).
-	addrs := make([]uint64, 0, len(shadow))
-	for a := range shadow {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		rop[0].Addr = addr
-		if eng.ReadBatch(rop); rop[0].Err != nil {
-			res.Reported++
-			cache.Repair(addr)
-			continue
-		}
-		if got, want := rop[0].Dst[0], shadow[addr]; got != want {
-			classify(addr, got, want, " on final sweep")
-		}
-	}
-	if err := eng.Flush(); err != nil {
+	sh.Sweep()
+	res.Tally = sh.Tally
+	res.SilentDetails = res.SilentDetails[:min(len(res.SilentDetails), maxSilentDetails)]
+	if err := m.st.Flush(); err != nil {
 		res.Reported++
 	}
-
-	res.Report = eng.Report()
+	res.Report = m.st.Shard(0).Report()
 	res.StateHash = stateHash(cache, m.reg)
 	return res, nil
 }
 
-// machine is the replay target: a protected cache over a map backing,
-// driven by a resilience engine on a deterministic clock, plus the
-// scrubber that serves OpScrub events.
+// machine is the replay target: a 1-shard store over a map backing,
+// its engine on a deterministic clock, plus the scrubber that serves
+// OpScrub events and shard 0's view of the registry.
 type machine struct {
 	backing  *pcache.MapBacking
-	cache    *pcache.Cache
-	eng      *resilience.Engine
+	st       *store.Sharded
 	scrubber *resilience.Scrubber
 	reg      *obs.Registry
 }
 
-// newMachine builds a fresh machine for the trace geometry c.
+// newMachine builds a fresh machine for the trace geometry c: the
+// store a soak -record run drives, with the engine on a counting clock.
 func newMachine(c Config) (machine, error) {
-	cfg := pcache.Config{
-		Sets: c.Sets, Ways: c.Ways, LineBytes: c.LineBytes,
-		VerticalGroups: c.VerticalGroups, SECDEDHorizontal: c.SECDED,
-		Banks: c.Banks,
-	}
-	m := machine{backing: pcache.NewMapBacking(cfg.LineBytes), reg: obs.NewRegistry()}
-	var err error
-	if m.cache, err = pcache.New(cfg, m.backing); err != nil {
-		return m, err
-	}
+	m := machine{backing: pcache.NewMapBacking(c.LineBytes)}
+	root := obs.NewRegistry()
 	// Deterministic clock: one tick per reading. Latency histograms and
 	// MTTR then depend only on the event sequence, never on the host.
 	var tick int64
@@ -223,13 +143,25 @@ func newMachine(c Config) (machine, error) {
 		tick++
 		return time.Unix(0, tick*int64(time.Microsecond))
 	}
-	m.eng = resilience.New(m.cache, resilience.Config{
-		MaxRetries: c.MaxRetries,
-		SpareRows:  c.SpareRows,
-		Clock:      clock,
-		Metrics:    m.reg,
-	})
-	m.scrubber = m.eng.NewScrubber(resilience.ScrubberConfig{})
+	var err error
+	m.st, err = store.New(store.Config{
+		Cache: pcache.Config{
+			Sets: c.Sets, Ways: c.Ways, LineBytes: c.LineBytes,
+			VerticalGroups: c.VerticalGroups, SECDEDHorizontal: c.SECDED,
+			Banks: c.Banks,
+		},
+		Resilience: resilience.Config{
+			MaxRetries: c.MaxRetries,
+			SpareRows:  c.SpareRows,
+			Clock:      clock,
+			Metrics:    root,
+		},
+	}, m.backing)
+	if err != nil {
+		return m, err
+	}
+	m.reg = root.WithPrefix("shard0_")
+	m.scrubber = m.st.Shard(0).NewScrubber(resilience.ScrubberConfig{})
 	return m, nil
 }
 

@@ -168,6 +168,14 @@ func (s *Sharded) Locate(addr uint64) (*resilience.Engine, uint64) {
 	return s.shards[s.ShardOf(addr)].engine, s.local(addr)
 }
 
+// LossEpoch returns the loss epoch of the set holding addr's line on
+// the shard that owns it: the oracle a client samples before a write
+// and compares after a mismatching read (pcache.Cache.LossEpoch).
+func (s *Sharded) LossEpoch(addr uint64) uint64 {
+	e, la := s.Locate(addr)
+	return e.Cache().LossEpoch(int(la / s.lineBytes % uint64(s.setsPer)))
+}
+
 // local contracts a global address to the owning shard's address
 // space: the shard-selector bits are dropped from the line number.
 func (s *Sharded) local(addr uint64) uint64 {

@@ -81,6 +81,49 @@ func TestShardedRoutesByLine(t *testing.T) {
 	}
 }
 
+// TestShardedLossEpoch pins the router's epoch lookup: LossEpoch(addr)
+// is the epoch of the set Locate names, and a repair of one set moves
+// the epoch of exactly the addresses that set holds.
+func TestShardedLossEpoch(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d shards", n), func(t *testing.T) {
+			s, _ := newSharded(t, n)
+			sets := uint64(testCfg.Sets)
+			located := func(addr uint64) uint64 {
+				e, la := s.Locate(addr)
+				return e.Cache().LossEpoch(int(la / 64 % sets))
+			}
+			lines := 2 * uint64(n) * sets
+			before := make([]uint64, lines)
+			for l := range before {
+				addr := uint64(l)*64 + 9
+				if got, want := s.LossEpoch(addr), located(addr); got != want {
+					t.Fatalf("LossEpoch(line %d) = %d, Locate says %d", l, got, want)
+				}
+				before[l] = s.LossEpoch(addr)
+			}
+			// Line 5 is local line 5/n of shard 5%n, in local set
+			// (5/n) mod Sets; a line shares its set exactly when both agree.
+			const target = 5
+			e, la := s.Locate(target*64 + 3)
+			e.Cache().Repair(la)
+			for l := range before {
+				addr := uint64(l)*64 + 9
+				got := s.LossEpoch(addr)
+				if want := located(addr); got != want {
+					t.Fatalf("after repair: LossEpoch(line %d) = %d, Locate says %d", l, got, want)
+				}
+				sameSet := uint64(l)%uint64(n) == target%uint64(n) &&
+					uint64(l)/uint64(n)%sets == target/uint64(n)%sets
+				if moved := got != before[l]; moved != sameSet {
+					t.Fatalf("line %d: epoch %d -> %d after repairing line %d's set (same set: %v)",
+						l, before[l], got, target, sameSet)
+				}
+			}
+		})
+	}
+}
+
 func TestShardedBackingSeesGlobalAddresses(t *testing.T) {
 	s, backing := newSharded(t, 4)
 	want := map[uint64]byte{}

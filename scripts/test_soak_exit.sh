@@ -89,11 +89,17 @@ esac
 "$bin" -shards 4 -duration 2s -fault-interval 100us -stats-interval 0 >/dev/null 2>&1 \
     || fail "4-shard hard-storm run exited $?"
 
-# 10. Recording is a single-engine determinism contract: -record with
-#     -shards >1 must be rejected up front -> exit 2.
-"$bin" -shards 4 -record /dev/null -duration 1s >/dev/null 2>&1
-st=$?
-[ "$st" -eq 2 ] || fail "sharded -record exited $st (want 2)"
+# 10. A recording must replay the run it recorded, so -record rejects
+#     up front (exit 2) what the replayer cannot reproduce: -shards >1
+#     (N engines interleave independently), -p99-budget (read deadlines
+#     and the watchdog), -chaos-stall-recovery (the watchdog's forced
+#     degradations are not recorded) and -selftest-corrupt-backing
+#     (backing pokes are not recorded).
+for extra in "-shards 4" "-p99-budget 50ms" "-chaos-stall-recovery 1ms" "-selftest-corrupt-backing"; do
+    "$bin" $extra -record /dev/null -duration 1s >/dev/null 2>&1
+    st=$?
+    [ "$st" -eq 2 ] || fail "-record with $extra exited $st (want 2)"
+done
 
 # 11. -http is part of the run's lifecycle: a healthy run serving
 #     metrics still drains to exit 0 on SIGINT (the owned http server
@@ -223,5 +229,29 @@ grep -q "cacheload: PASS" "$tmp/bdload.out" \
 aborts=$(sed -n 's/.*accounting: *\([0-9][0-9]*\) reported DUE\/aborts.*/\1/p' "$tmp/bdload.out")
 [ -n "$aborts" ] && [ "$aborts" -gt 0 ] \
     || { cat "$tmp/bdload.out" >&2; fail "batch-deadline run reported no deadline aborts (got '${aborts:-}')"; }
+
+# 16. cachenetd's own storm under verified load: two shards storming
+#     every 200us, metrics served, and cacheload's loss-epoch check over
+#     the wire must PASS (exit 0). The drain on SIGINT exits 0 and its
+#     "drained clean" line must count recovered errors, or the storm
+#     never struck.
+"$netd" -addr 127.0.0.1:0 -shards 2 -fault-interval 200us -http 127.0.0.1:0 \
+    >"$tmp/storm.out" 2>&1 &
+stpid=$!
+d1=$(plain_addr "$tmp/storm.out") || { kill -INT "$stpid"; wait "$stpid"; fail "storming cachenetd never printed its address"; }
+"$load" -addr "$d1" -duration 2s -lines 512 >"$tmp/stormload.out" 2>&1
+st=$?
+kill -INT "$stpid"
+wait "$stpid"
+nst=$?
+[ "$st" -eq 0 ] || { cat "$tmp/stormload.out" >&2; fail "cacheload against a storming cachenetd exited $st (want 0)"; }
+grep -q "cacheload: PASS" "$tmp/stormload.out" \
+    || { cat "$tmp/stormload.out" >&2; fail "cacheload against a storming cachenetd printed no PASS banner"; }
+[ "$nst" -eq 0 ] || { cat "$tmp/storm.out" >&2; fail "storming cachenetd drain exited $nst (want 0)"; }
+grep -q "^cachenetd: serving /debug/vars and /metrics on " "$tmp/storm.out" \
+    || { cat "$tmp/storm.out" >&2; fail "storming cachenetd never served its metrics"; }
+recovered=$(sed -n 's/^cachenetd: drained clean .*, \([0-9][0-9]*\) recovered,.*/\1/p' "$tmp/storm.out")
+[ -n "$recovered" ] && [ "$recovered" -gt 0 ] \
+    || { cat "$tmp/storm.out" >&2; fail "storming cachenetd recovered no errors (got '${recovered:-}')"; }
 
 echo "test_soak_exit: OK"
