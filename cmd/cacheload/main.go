@@ -1,11 +1,11 @@
 // Cacheload is a closed-loop load generator for cachenetd. It opens N
 // connections with P pipelined worker goroutines each, drives a mixed
-// read/write workload (single ops or fixed-size batches) against a
-// remote store, and — unless verification is off — checks every read
-// against a private shadow model using the loss-epoch protocol over
-// the EPOCH opcode: a mismatch is legitimate only if the owning set's
-// loss epoch advanced since the value was written; otherwise it is
-// SILENT corruption and the run fails with exit 1.
+// read/write workload of fixed-size frames (one op each by default)
+// against a remote store, and — unless verification is off — checks
+// every read against a private shadow model using the loss-epoch
+// protocol over the EPOCH opcode: a mismatch is legitimate only if the
+// owning set's loss epoch advanced since the value was written;
+// otherwise it is SILENT corruption and the run fails with exit 1.
 //
 // Workers own disjoint line ranges, so the shadow needs no cross-worker
 // coordination and every mismatch is attributable. On completion (or
@@ -43,12 +43,10 @@ import (
 )
 
 // storeClient is the op surface shared by a NetClient and a
-// ClusterClient — the generator's worker loop drives either. The batch
-// calls carry the ctx deadline in the batch frame, so batch mode and
+// ClusterClient — the generator's worker loop drives either. Every
+// frame is a batch frame that carries the ctx deadline, so -batch and
 // -deadline compose.
 type storeClient interface {
-	ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error)
-	WriteCtx(ctx context.Context, addr uint64, data []byte) error
 	ReadBatchCtx(ctx context.Context, ops []twodcache.BatchReadOp) (failed int, err error)
 	WriteBatchCtx(ctx context.Context, ops []twodcache.BatchWriteOp) (failed int, err error)
 	Epoch(addr uint64) (uint64, error)
@@ -63,8 +61,8 @@ func main() {
 		lines     = flag.Int("lines", 4096, "distinct lines in the working set")
 		lineBytes = flag.Int("line", 64, "line size in bytes (must match the server)")
 		writeFrac = flag.Float64("write-frac", 0.3, "fraction of ops that are writes")
-		batch     = flag.Int("batch", 0, "ops per batch frame (0 = single-op frames)")
-		deadline  = flag.Duration("deadline", 0, "per-op deadline (0 = none); in batch mode it bounds each whole batch frame")
+		batch     = flag.Int("batch", 0, "ops per frame (0 and 1 both send one op per frame)")
+		deadline  = flag.Duration("deadline", 0, "per-frame deadline (0 = none); it bounds each whole frame")
 		verify    = flag.Bool("verify", true, "shadow-check reads via the loss-epoch protocol (needs the server's EPOCH oracle)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		endpoints = flag.String("endpoints", "", "comma-separated replica addresses: drive a replicated cluster client instead of -addr")
@@ -163,10 +161,10 @@ func main() {
 		epoch uint64
 	}
 
-	// readLat is the caller-observed latency of one read call — a single
-	// op, or a whole batch in -batch mode — with queueing, hedging,
-	// retries, and failover included: the number the hedged vs unhedged
-	// comparison in scripts/bench.sh is about.
+	// readLat is the caller-observed latency of one read call — one
+	// frame of -batch ops — with queueing, hedging, retries, and failover
+	// included: the number the hedged vs unhedged comparison in
+	// scripts/bench.sh is about.
 	readLat := clusterReg.Histogram("load_read_latency", "caller-observed read latency")
 
 	// fatalClientErr reports errors that mean the generator's transport
@@ -240,38 +238,23 @@ func main() {
 				}
 				return e, true
 			}
-			fill := func(buf []byte) {
-				rng.Read(buf)
-			}
-
 			// Per-worker reusable scratch: op slices, index/epoch shadows,
-			// and one line buffer per batch slot (write payloads and read
+			// and one line buffer per frame slot (write payloads and read
 			// destinations both) — nothing below allocates per iteration.
-			k := *batch
-			var (
-				wops   []twodcache.BatchWriteOp
-				rops   []twodcache.BatchReadOp
-				lis    []int
-				epochs []uint64
-				oks    []bool
-				bufs   [][]byte
-			)
-			if k > 0 {
-				wops = make([]twodcache.BatchWriteOp, k)
-				rops = make([]twodcache.BatchReadOp, k)
-				lis = make([]int, k)
-				epochs = make([]uint64, k)
-				oks = make([]bool, k)
-				bufs = make([][]byte, k)
-				for j := range bufs {
-					bufs[j] = make([]byte, *lineBytes)
-				}
+			k := max(*batch, 1)
+			wops := make([]twodcache.BatchWriteOp, k)
+			rops := make([]twodcache.BatchReadOp, k)
+			lis := make([]int, k)
+			epochs := make([]uint64, k)
+			oks := make([]bool, k)
+			bufs := make([][]byte, k)
+			for j := range bufs {
+				bufs[j] = make([]byte, *lineBytes)
 			}
-			wbuf := make([]byte, *lineBytes)
 
-			// batchAbort handles a call-level batch failure: a deadline
-			// (or closed-client race at drain) is a reported outcome for
-			// every op in the frame, not a generator fatality.
+			// batchAbort handles a call-level frame failure: a deadline is
+			// a reported outcome for every op in the frame, not a
+			// generator fatality.
 			batchAbort := func(err error, isWrite bool) bool {
 				if fatalClientErr(err) || !errors.Is(err, context.DeadlineExceeded) {
 					return false // transport down: end the worker
@@ -296,95 +279,57 @@ func main() {
 					opCtx, opCancel = context.WithTimeout(opCtx, *deadline)
 				}
 
-				if k > 0 {
-					// Batch mode: one frame, k ops, one amortised store
-					// call per replica; the deadline bounds the frame.
-					if rng.Float64() < *writeFrac {
-						for j := 0; j < k; j++ {
-							lis[j] = rng.Intn(linesPer)
-							epochs[j], oks[j] = preWrite(lis[j])
-							fill(bufs[j])
-							wops[j] = twodcache.BatchWriteOp{Addr: addrOf(lis[j]), Data: bufs[j]}
-						}
-						_, err := cl.WriteBatchCtx(opCtx, wops)
-						opCancel()
-						if err != nil {
-							if batchAbort(err, true) {
-								continue
-							}
-							return
-						}
-						for j := 0; j < k; j++ {
-							writes.Add(1)
-							ops.Add(1)
-							bytesIO.Add(uint64(*lineBytes))
-							if wops[j].Err != nil {
-								reported.Add(1)
-								shadow[lis[j]].valid = false
-								continue
-							}
-							if oks[j] {
-								noteWrite(lis[j], bufs[j], epochs[j])
-							}
-						}
-					} else {
-						for j := 0; j < k; j++ {
-							lis[j] = rng.Intn(linesPer)
-							rops[j] = twodcache.BatchReadOp{Addr: addrOf(lis[j]), Dst: bufs[j]}
-						}
-						t0 := time.Now()
-						_, err := cl.ReadBatchCtx(opCtx, rops)
-						readLat.Observe(time.Since(t0))
-						opCancel()
-						if err != nil {
-							if batchAbort(err, false) {
-								continue
-							}
-							return
-						}
-						for j := 0; j < k; j++ {
-							reads.Add(1)
-							ops.Add(1)
-							bytesIO.Add(uint64(*lineBytes))
-							verifyRead(lis[j], rops[j].Dst, rops[j].Err)
-						}
-					}
-					continue
-				}
-
-				// Single-op mode, optionally deadline-bounded.
-				li := rng.Intn(linesPer)
+				// One frame of k ops, one amortised store call per
+				// replica; the deadline bounds the frame.
 				if rng.Float64() < *writeFrac {
-					epoch, ok := preWrite(li)
-					fill(wbuf)
-					err := cl.WriteCtx(opCtx, addrOf(li), wbuf)
+					for j := 0; j < k; j++ {
+						lis[j] = rng.Intn(linesPer)
+						epochs[j], oks[j] = preWrite(lis[j])
+						rng.Read(bufs[j])
+						wops[j] = twodcache.BatchWriteOp{Addr: addrOf(lis[j]), Data: bufs[j]}
+					}
+					_, err := cl.WriteBatchCtx(opCtx, wops)
 					opCancel()
-					if fatalClientErr(err) {
+					if err != nil {
+						if batchAbort(err, true) {
+							continue
+						}
 						return
 					}
-					writes.Add(1)
-					ops.Add(1)
-					bytesIO.Add(uint64(*lineBytes))
-					if err != nil {
-						reported.Add(1)
-						shadow[li].valid = false
-						continue
-					}
-					if ok {
-						noteWrite(li, wbuf, epoch)
+					for j := 0; j < k; j++ {
+						writes.Add(1)
+						ops.Add(1)
+						bytesIO.Add(uint64(*lineBytes))
+						if wops[j].Err != nil {
+							reported.Add(1)
+							shadow[lis[j]].valid = false
+							continue
+						}
+						if oks[j] {
+							noteWrite(lis[j], bufs[j], epochs[j])
+						}
 					}
 				} else {
+					for j := 0; j < k; j++ {
+						lis[j] = rng.Intn(linesPer)
+						rops[j] = twodcache.BatchReadOp{Addr: addrOf(lis[j]), Dst: bufs[j]}
+					}
 					t0 := time.Now()
-					got, err := cl.ReadCtx(opCtx, addrOf(li), *lineBytes)
+					_, err := cl.ReadBatchCtx(opCtx, rops)
 					readLat.Observe(time.Since(t0))
 					opCancel()
-					if fatalClientErr(err) {
+					if err != nil {
+						if batchAbort(err, false) {
+							continue
+						}
 						return
 					}
-					reads.Add(1)
-					ops.Add(1)
-					bytesIO.Add(uint64(*lineBytes))
-					verifyRead(li, got, err)
+					for j := 0; j < k; j++ {
+						reads.Add(1)
+						ops.Add(1)
+						bytesIO.Add(uint64(*lineBytes))
+						verifyRead(lis[j], rops[j].Dst, rops[j].Err)
+					}
 				}
 			}
 		}(w)

@@ -297,8 +297,8 @@ type NetServer = netsrv.Server
 
 // NetClient is the pipelined protocol client — safe for concurrent
 // callers, over one connection. Its data calls take a context whose
-// deadline travels in the frame: ReadCtx, WriteCtx, ReadBatchCtx and
-// WriteBatchCtx, plus the allocation-free ReadInto; Flush/FlushCtx
+// deadline travels in the frame: ReadBatchCtx and WriteBatchCtx, and
+// ReadCtx and WriteCtx, which send a batch of one; Flush/FlushCtx
 // write back the server's dirty lines. Remote failures unwrap to the
 // same sentinels local calls return.
 type NetClient = netsrv.Client

@@ -68,10 +68,12 @@ var (
 
 // Conn is the per-endpoint transport the cluster drives — the subset of
 // netsrv.Client it needs, an interface so tests can substitute
-// in-process fakes. The batch forms carry per-op outcomes in each op's
-// Err field and return a transport-level error only when no op was
-// served; a ctx deadline travels in the batch frame and bounds the
-// whole batch server-side.
+// in-process fakes. The read and write planes send every op group, a
+// single op included, through the batch forms; read-repair uses
+// ReadCtx and WriteCtx. The batch forms carry per-op outcomes in each
+// op's Err field and return a transport-level error only when no op
+// was served (a cut context included); a ctx deadline travels in the
+// batch frame and bounds the whole batch server-side.
 type Conn interface {
 	ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error)
 	WriteCtx(ctx context.Context, addr uint64, data []byte) error

@@ -146,6 +146,13 @@ func TestClusterReplicationRoundTrip(t *testing.T) {
 			t.Fatalf("read %d returned wrong data", i)
 		}
 	}
+	// A length below 1 is refused before anything is allocated or sent,
+	// with the class a netsrv client gives it.
+	for _, n := range []int{0, -1} {
+		if got, err := c.ReadCtx(context.Background(), 0, n); !errors.Is(err, netsrv.ErrBadRequest) || got != nil {
+			t.Fatalf("ReadCtx of %d bytes: %d bytes, err = %v, want netsrv.ErrBadRequest", n, len(got), err)
+		}
+	}
 	// Every individual replica holds every line.
 	for ri, addr := range addrs {
 		nc, err := netsrv.Dial(addr)
@@ -310,10 +317,14 @@ func (f *fakeConn) WriteCtx(ctx context.Context, addr uint64, data []byte) error
 
 // ReadBatchCtx serves each op as one read call, so the same
 // programmable error/delay hooks drive batch tests, and copies straight
-// into the op's Dst.
+// into the op's Dst. A cut context ends the call with a call-level
+// error, as netsrv.Client's does: no op was served.
 func (f *fakeConn) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed int, err error) {
 	for i := range ops {
 		if ops[i].Err = f.readHook(ctx); ops[i].Err != nil {
+			if err := ctx.Err(); err != nil {
+				return len(ops), err
+			}
 			failed++
 			continue
 		}

@@ -2,27 +2,37 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
 	"twodcache/internal/bufpool"
+	"twodcache/internal/netsrv"
 	"twodcache/internal/pcache"
 )
 
 // ReadCtx reads n bytes at addr: the read plane with a batch of one,
-// held in the plane's own op array. The returned slice is the winning
-// attempt's own payload.
+// held in the plane's own op array. A length below 1 fails with
+// netsrv.ErrBadRequest before anything is allocated or sent. The
+// result is allocated before the call, as netsrv's ReadCtx allocates
+// its own, and is the one allocation a read makes.
 func (c *Client) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("%w: read length %d", netsrv.ErrBadRequest, n)
+	}
 	p := c.readPlane()
 	op := &p.one[0]
-	*op = pcache.ReadOp{Addr: addr}
-	_, err := p.read(ctx, p.one[:], n)
+	*op = pcache.ReadOp{Addr: addr, Dst: make([]byte, n)}
+	_, err := p.read(ctx, p.one[:])
 	if err == nil {
 		err = op.Err
 	}
-	dst := op.Dst // nil unless served
+	dst := op.Dst
 	p.release()
-	return dst, err
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // ReadBatchCtx reads every op through the read plane, so each op is
@@ -32,7 +42,7 @@ func (c *Client) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error
 // or expired ctx): no op was served.
 func (c *Client) ReadBatchCtx(ctx context.Context, ops []pcache.ReadOp) (failed int, err error) {
 	p := c.readPlane()
-	failed, err = p.read(ctx, ops, 0)
+	failed, err = p.read(ctx, ops)
 	p.release()
 	return failed, err
 }
@@ -56,17 +66,16 @@ type gate struct {
 }
 
 // readAttempt is one conn call carrying a group of ops to one endpoint.
-// It reads into buffers it owns, so attempts racing for one op never
-// share the caller's Dst: only the winner's bytes land there. Its plane
-// reuses it once it has reported back.
+// It reads into a pooled arena it owns, so attempts racing for one op
+// never share the caller's Dst: only the winner's bytes land there. Its
+// plane reuses it once it has reported back.
 type readAttempt struct {
 	ep           *endpoint
 	conn         Conn
 	probe, hedge bool
 	idx          []int           // caller op indices
 	ops          []pcache.ReadOp // per-op outcomes; Dst cut from buf
-	n            int             // bytes a READ frame reads
-	buf          []byte          // a BATCH_READ's pooled arena; nil for a READ
+	buf          []byte          // the pooled arena
 	err          error           // call-level outcome
 	latency      time.Duration
 	ctx          *attemptCtx
@@ -105,7 +114,6 @@ type readPlane struct {
 	c       *Client
 	ops     []pcache.ReadOp
 	one     [1]pcache.ReadOp // ReadCtx's op
-	n       int              // bytes an op with a nil Dst reads
 	st      []readOp
 	gates   []gate
 	first   int  // the round's round-robin start
@@ -157,15 +165,14 @@ var hedgeTimers = sync.Pool{New: func() any {
 // fresh endpoint; an op that fails on one replica moves to its next one
 // at once. The first success wins. Ops still failing retryably go round
 // again after a jittered backoff while retries and deadline headroom
-// remain. An op with a nil Dst reads n bytes and takes the winning
-// payload as its Dst.
-func (p *readPlane) read(ctx context.Context, ops []pcache.ReadOp, n int) (failed int, err error) {
+// remain.
+func (p *readPlane) read(ctx context.Context, ops []pcache.ReadOp) (failed int, err error) {
 	c := p.c
 	if err := c.callErr(ctx); err != nil || len(ops) == 0 {
 		return len(ops), err
 	}
 	c.reads.Add(uint64(len(ops)))
-	p.ops, p.n = ops, n
+	p.ops = ops
 	p.st, p.gates = resize(p.st, len(ops)), resize(p.gates, len(c.eps))
 	for attempt := 0; ; attempt++ {
 		if err = p.round(ctx, attempt); err != nil {
@@ -285,11 +292,7 @@ func (p *readPlane) settle(ctx context.Context, a *readAttempt) error {
 			s.err, s.want, failover = err, true, true
 			continue
 		}
-		if dst := p.ops[i].Dst; dst == nil {
-			p.ops[i].Dst = a.ops[si].Dst
-		} else {
-			copy(dst, a.ops[si].Dst)
-		}
+		copy(p.ops[i].Dst, a.ops[si].Dst)
 		s.done, s.err, served = true, nil, true
 		p.open--
 		if s.hedged && a.hedge {
@@ -298,9 +301,7 @@ func (p *readPlane) settle(ctx context.Context, a *readAttempt) error {
 			c.hedgeWasted.Inc()
 		}
 	}
-	if a.buf != nil {
-		bufpool.Put(a.buf)
-	}
+	bufpool.Put(a.buf)
 	if served {
 		c.readLat.Observe(a.latency)
 	}
@@ -356,10 +357,8 @@ func (p *readPlane) launch(hedge bool) {
 }
 
 // start sends endpoint k one attempt carrying every op the launch in
-// progress picked it for. ReadCtx's op travels alone as a READ frame, so
-// netsrv keeps re-batching pipelined singles, and its payload becomes
-// the caller's result; batch ops travel as one BATCH_READ into the
-// attempt's pooled arena.
+// progress picked it for, as one ReadBatchCtx into the attempt's pooled
+// arena.
 func (p *readPlane) start(k int, hedge bool) {
 	c, g := p.c, &p.gates[k]
 	var a *readAttempt
@@ -381,17 +380,12 @@ func (p *readPlane) start(k int, hedge bool) {
 	if hedge {
 		c.hedges.Add(uint64(len(a.idx)))
 	}
-	if i := a.idx[0]; len(a.idx) == 1 && p.ops[i].Dst == nil {
-		a.n = p.n
-		a.ops = append(a.ops, pcache.ReadOp{Addr: p.ops[i].Addr})
-	} else {
-		a.buf = bufpool.Get(size)
-		off := 0
-		for _, i := range a.idx {
-			end := off + len(p.ops[i].Dst)
-			a.ops = append(a.ops, pcache.ReadOp{Addr: p.ops[i].Addr, Dst: a.buf[off:end:end]})
-			off = end
-		}
+	a.buf = bufpool.Get(size)
+	off := 0
+	for _, i := range a.idx {
+		end := off + len(p.ops[i].Dst)
+		a.ops = append(a.ops, pcache.ReadOp{Addr: p.ops[i].Addr, Dst: a.buf[off:end:end]})
+		off = end
 	}
 	a.ctx, a.results = p.actx, p.results
 	p.sent++
@@ -403,11 +397,7 @@ func (p *readPlane) start(k int, hedge bool) {
 // the plane may reuse it at once.
 func (a *readAttempt) run() {
 	t0 := time.Now()
-	if a.buf == nil {
-		a.ops[0].Dst, a.err = a.conn.ReadCtx(a.ctx, a.ops[0].Addr, a.n)
-	} else {
-		_, a.err = a.conn.ReadBatchCtx(a.ctx, a.ops)
-	}
+	_, a.err = a.conn.ReadBatchCtx(a.ctx, a.ops)
 	a.latency = time.Since(t0)
 	a.ep.settle(a.ctx, a.conn, a.probe, a.err)
 	a.results <- a

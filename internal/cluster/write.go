@@ -264,14 +264,10 @@ func (p *writePlane) round(ctx context.Context, ops []pcache.WriteOp) {
 	}
 }
 
-// send sends the attempt — a group of one as a WRITE frame, a larger
-// group as one BATCH_WRITE — and settles its breaker bookkeeping.
+// send sends the attempt as one WriteBatchCtx and settles its breaker
+// bookkeeping.
 func (a *writeAttempt) send() {
-	if len(a.ops) == 1 {
-		a.err = a.conn.WriteCtx(a.ctx, a.ops[0].Addr, a.ops[0].Data)
-	} else {
-		_, a.err = a.conn.WriteBatchCtx(a.ctx, a.ops)
-	}
+	_, a.err = a.conn.WriteBatchCtx(a.ctx, a.ops)
 	a.ep.settle(a.ctx, a.conn, a.probe, a.err)
 }
 

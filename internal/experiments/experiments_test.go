@@ -292,94 +292,115 @@ func TestFig1bChartRenders(t *testing.T) {
 	}
 }
 
+// TestNewAblationDrivers runs each simulation-backed ablation as a
+// parallel subtest, so under -race the eight share the CPUs instead of
+// running one after another.
 func TestNewAblationDrivers(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
 	opt := Quick()
-
-	wt := AblationWriteThrough(opt)
-	if len(wt.Rows) != 4 {
-		t.Fatalf("abl-wt rows = %d", len(wt.Rows))
-	}
-	// Write-through must carry far more L2 write traffic than 2D
-	// write-back on the same system.
-	for i := 0; i < len(wt.Rows); i += 2 {
-		wb, _ := strconv.ParseFloat(wt.Rows[i][3], 64)
-		wtr, _ := strconv.ParseFloat(wt.Rows[i+1][3], 64)
-		if wtr < wb*3 {
-			t.Fatalf("write-through traffic %v not >> write-back %v", wtr, wb)
-		}
-	}
-
-	sc := AblationScrubInterval(opt)
-	if len(sc.Rows) != 5 {
-		t.Fatalf("abl-scrub rows = %d", len(sc.Rows))
-	}
-	firstI, _ := strconv.ParseFloat(sc.Rows[0][2], 64)
-	lastI, _ := strconv.ParseFloat(sc.Rows[len(sc.Rows)-1][2], 64)
-	if lastI < firstI {
-		t.Fatalf("longer scrub interval safer: %v vs %v", lastI, firstI)
-	}
-
-	bisr := AblationBISRYield(opt)
-	if len(bisr.Rows) != 6 {
-		t.Fatalf("abl-bisr rows = %d", len(bisr.Rows))
-	}
-
-	errT := AblationRecoveryRate(opt)
-	if len(errT.Rows) != 4 {
-		t.Fatalf("abl-err rows = %d", len(errT.Rows))
-	}
-	if errT.Rows[0][1] != "0" {
-		t.Fatalf("no-injection row has recoveries: %v", errT.Rows[0])
-	}
-
-	vc := AblationVerticalCode(opt)
-	if len(vc.Rows) != 2 {
-		t.Fatalf("abl-vcode rows = %d", len(vc.Rows))
-	}
-	// Parity handles clusters; vertical SECDED handles scattered.
-	if vc.Rows[0][3] != "100.0%" || vc.Rows[1][5] != "100.0%" {
-		t.Fatalf("vcode coverage: %v", vc.Rows)
-	}
-	if vc.Rows[1][3] == "100.0%" {
-		t.Fatalf("vertical SECDED should not cover 32x32 clusters: %v", vc.Rows[1])
-	}
-
-	repl := AblationReplicationCache(opt)
-	if len(repl.Rows) != 4 {
-		t.Fatalf("abl-repl rows = %d", len(repl.Rows))
-	}
-	small, _ := strconv.ParseFloat(repl.Rows[1][2], 64)
-	big, _ := strconv.ParseFloat(repl.Rows[3][2], 64)
-	if small <= big {
-		t.Fatalf("small replication buffer should spill more: %v vs %v", small, big)
-	}
-
-	hi := AblationHorizontalInterleave(opt)
-	if len(hi.Rows) != 3 {
-		t.Fatalf("abl-hintv rows = %d", len(hi.Rows))
-	}
-	for _, r := range hi.Rows {
-		if r[3] != "100.0%" {
-			t.Fatalf("equal-width combo lost coverage: %v", r)
-		}
-	}
-
-	mc := AblationMiscorrection(opt)
-	if len(mc.Rows) != 5 {
-		t.Fatalf("abl-miscorrect rows = %d", len(mc.Rows))
-	}
-	// Nothing silently corrupts at w=1; SECDED does at w=3.
-	for _, r := range mc.Rows {
-		if r[1] != "0.0%" {
-			t.Fatalf("w=1 silent corruption in %v", r)
-		}
-	}
-	if mc.Rows[1][3] == "0.0%" {
-		t.Fatalf("SECDED at w=3 should miscorrect: %v", mc.Rows[1])
+	for _, tc := range []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		{"abl-wt", func(t *testing.T) {
+			wt := AblationWriteThrough(opt)
+			if len(wt.Rows) != 4 {
+				t.Fatalf("abl-wt rows = %d", len(wt.Rows))
+			}
+			// Write-through must carry far more L2 write traffic than 2D
+			// write-back on the same system.
+			for i := 0; i < len(wt.Rows); i += 2 {
+				wb, _ := strconv.ParseFloat(wt.Rows[i][3], 64)
+				wtr, _ := strconv.ParseFloat(wt.Rows[i+1][3], 64)
+				if wtr < wb*3 {
+					t.Fatalf("write-through traffic %v not >> write-back %v", wtr, wb)
+				}
+			}
+		}},
+		{"abl-scrub", func(t *testing.T) {
+			sc := AblationScrubInterval(opt)
+			if len(sc.Rows) != 5 {
+				t.Fatalf("abl-scrub rows = %d", len(sc.Rows))
+			}
+			firstI, _ := strconv.ParseFloat(sc.Rows[0][2], 64)
+			lastI, _ := strconv.ParseFloat(sc.Rows[len(sc.Rows)-1][2], 64)
+			if lastI < firstI {
+				t.Fatalf("longer scrub interval safer: %v vs %v", lastI, firstI)
+			}
+		}},
+		{"abl-bisr", func(t *testing.T) {
+			bisr := AblationBISRYield(opt)
+			if len(bisr.Rows) != 6 {
+				t.Fatalf("abl-bisr rows = %d", len(bisr.Rows))
+			}
+		}},
+		{"abl-err", func(t *testing.T) {
+			errT := AblationRecoveryRate(opt)
+			if len(errT.Rows) != 4 {
+				t.Fatalf("abl-err rows = %d", len(errT.Rows))
+			}
+			if errT.Rows[0][1] != "0" {
+				t.Fatalf("no-injection row has recoveries: %v", errT.Rows[0])
+			}
+		}},
+		{"abl-vcode", func(t *testing.T) {
+			vc := AblationVerticalCode(opt)
+			if len(vc.Rows) != 2 {
+				t.Fatalf("abl-vcode rows = %d", len(vc.Rows))
+			}
+			// Parity handles clusters; vertical SECDED handles scattered.
+			if vc.Rows[0][3] != "100.0%" || vc.Rows[1][5] != "100.0%" {
+				t.Fatalf("vcode coverage: %v", vc.Rows)
+			}
+			if vc.Rows[1][3] == "100.0%" {
+				t.Fatalf("vertical SECDED should not cover 32x32 clusters: %v", vc.Rows[1])
+			}
+		}},
+		{"abl-repl", func(t *testing.T) {
+			repl := AblationReplicationCache(opt)
+			if len(repl.Rows) != 4 {
+				t.Fatalf("abl-repl rows = %d", len(repl.Rows))
+			}
+			small, _ := strconv.ParseFloat(repl.Rows[1][2], 64)
+			big, _ := strconv.ParseFloat(repl.Rows[3][2], 64)
+			if small <= big {
+				t.Fatalf("small replication buffer should spill more: %v vs %v", small, big)
+			}
+		}},
+		{"abl-hintv", func(t *testing.T) {
+			hi := AblationHorizontalInterleave(opt)
+			if len(hi.Rows) != 3 {
+				t.Fatalf("abl-hintv rows = %d", len(hi.Rows))
+			}
+			for _, r := range hi.Rows {
+				if r[3] != "100.0%" {
+					t.Fatalf("equal-width combo lost coverage: %v", r)
+				}
+			}
+		}},
+		{"abl-miscorrect", func(t *testing.T) {
+			mc := AblationMiscorrection(opt)
+			if len(mc.Rows) != 5 {
+				t.Fatalf("abl-miscorrect rows = %d", len(mc.Rows))
+			}
+			// Nothing silently corrupts at w=1; SECDED does at w=3.
+			for _, r := range mc.Rows {
+				if r[1] != "0.0%" {
+					t.Fatalf("w=1 silent corruption in %v", r)
+				}
+			}
+			if mc.Rows[1][3] == "0.0%" {
+				t.Fatalf("SECDED at w=3 should miscorrect: %v", mc.Rows[1])
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			tc.check(t)
+		})
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // sides of the loopback round trip — the client encoding the request
 // and the server parsing, serving, and answering it. A round trip
 // allocates only what its caller keeps: ReadCtx's returned slice,
-// nothing else. AllocsPerRun's integer average absorbs the odd pool
+// nothing else; a 1-op ReadBatchCtx into a reused Dst, the frame
+// ReadCtx sends, allocates nothing. AllocsPerRun's integer average absorbs the odd pool
 // refill.
 //
 // Skipped under -race: the race runtime allocates per sync operation
@@ -40,16 +41,16 @@ func TestLoopbackAllocsSingle(t *testing.T) {
 	if err := cl.WriteCtx(context.Background(), 0, data); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, lineBytes)
+	op := []pcache.ReadOp{{Addr: 0, Dst: make([]byte, lineBytes)}}
 
 	pinAllocs(t, "single ReadCtx round trip", 1, func() {
 		if _, err := cl.ReadCtx(context.Background(), 0, lineBytes); err != nil {
 			t.Fatal(err)
 		}
 	})
-	pinAllocs(t, "single ReadInto round trip", 0, func() {
-		if err := cl.ReadInto(0, dst); err != nil {
-			t.Fatal(err)
+	pinAllocs(t, "1-op ReadBatchCtx round trip", 0, func() {
+		if failed, err := cl.ReadBatchCtx(context.Background(), op); failed != 0 || err != nil {
+			t.Fatalf("failed=%d err=%v", failed, err)
 		}
 	})
 	pinAllocs(t, "single write round trip", 0, func() {

@@ -50,8 +50,9 @@ func benchClient(b *testing.B) *Client {
 	return c
 }
 
-// BenchmarkNetSingleRead: one deadline-free READ frame per op (the
-// server still re-groups the pipeline onto the batch path).
+// BenchmarkNetSingleRead: one deadline-free 1-op BATCH_READ frame per
+// op, the frame ReadCtx sends, read into a reused Dst so every
+// allocation reported is protocol overhead.
 func BenchmarkNetSingleRead(b *testing.B) {
 	c := benchClient(b)
 	seed := make([]byte, lineBytes)
@@ -61,17 +62,18 @@ func BenchmarkNetSingleRead(b *testing.B) {
 	if err := c.WriteCtx(context.Background(), 0, seed); err != nil {
 		b.Fatal(err)
 	}
-	dst := make([]byte, lineBytes)
+	op := []pcache.ReadOp{{Addr: 0, Dst: make([]byte, lineBytes)}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.ReadInto(0, dst); err != nil {
-			b.Fatal(err)
+		if failed, err := c.ReadBatchCtx(context.Background(), op); err != nil || failed != 0 {
+			b.Fatalf("failed=%d err=%v", failed, err)
 		}
 	}
 }
 
-// BenchmarkNetSingleWrite: one deadline-free WRITE frame per op.
+// BenchmarkNetSingleWrite: one deadline-free WriteCtx, a 1-op
+// BATCH_WRITE frame, per op.
 func BenchmarkNetSingleWrite(b *testing.B) {
 	c := benchClient(b)
 	data := make([]byte, lineBytes)

@@ -218,61 +218,32 @@ func wireDeadline(ctx context.Context) (uint64, error) {
 	return uint64(rel), nil
 }
 
-// ReadCtx returns n bytes at addr, bounded by ctx: the deadline travels
-// in the frame, and the server runs the read as part of a ReadBatchCtx
-// under it; a deadline-free read rides the server's batch accumulation.
-// The returned slice is the one allocation a read makes.
+// ReadCtx returns n bytes at addr, bounded by ctx: a BATCH_READ of one
+// op, which the server adds to its pending batch like any other frame.
+// A length below 1 or above the protocol's 1 MiB per-op limit fails
+// with ErrBadRequest before anything is allocated or sent. The returned slice is the one
+// allocation a read makes.
 func (c *Client) ReadCtx(ctx context.Context, addr uint64, n int) ([]byte, error) {
-	data, buf, err := c.read(ctx, addr, n)
-	if err != nil {
+	if n < 1 || n > maxReadLen {
+		return nil, fmt.Errorf("%w: read length %d", ErrBadRequest, n)
+	}
+	op := [1]pcache.ReadOp{{Addr: addr, Dst: make([]byte, n)}}
+	if _, err := c.ReadBatchCtx(ctx, op[:]); err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	bufpool.Put(buf)
-	return out, nil
-}
-
-// ReadInto reads len(dst) bytes at addr into dst, without allocating.
-func (c *Client) ReadInto(addr uint64, dst []byte) error {
-	data, buf, err := c.read(context.Background(), addr, len(dst))
-	if err != nil {
-		return err
+	if op[0].Err != nil {
+		return nil, op[0].Err
 	}
-	copy(dst, data)
-	bufpool.Put(buf)
-	return nil
+	return op[0].Dst, nil
 }
 
-// read sends one READ frame; data and buf are call's.
-func (c *Client) read(ctx context.Context, addr uint64, n int) (data, buf []byte, err error) {
-	wd, err := wireDeadline(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := bufpool.Get(20)[:0]
-	p = be64Append(p, wd)
-	p = be64Append(p, addr)
-	p = be32Append(p, uint32(n))
-	data, buf, err = c.call(ctx, opRead, p)
-	bufpool.Put(p)
-	return data, buf, err
-}
-
-// WriteCtx stores data at addr, bounded by ctx.
+// WriteCtx stores data at addr, bounded by ctx: a BATCH_WRITE of one op.
 func (c *Client) WriteCtx(ctx context.Context, addr uint64, data []byte) error {
-	wd, err := wireDeadline(ctx)
-	if err != nil {
+	op := [1]pcache.WriteOp{{Addr: addr, Data: data}}
+	if _, err := c.WriteBatchCtx(ctx, op[:]); err != nil {
 		return err
 	}
-	p := bufpool.Get(16 + len(data))[:0]
-	p = be64Append(p, wd)
-	p = be64Append(p, addr)
-	p = append(p, data...)
-	_, buf, err := c.call(ctx, opWrite, p)
-	bufpool.Put(p)
-	bufpool.Put(buf)
-	return err
+	return op[0].Err
 }
 
 // ReadBatchCtx sends every op in one BATCH_READ frame — one round

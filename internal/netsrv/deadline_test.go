@@ -117,8 +117,10 @@ func TestWireDeadlineExpired(t *testing.T) {
 
 // TestClientExpiredCtxNoRoundTrip pins the satellite end to end: every
 // Ctx entry point refuses an expired context before any frame reaches
-// the wire. The peer side of the pipe watches for bytes; seeing any
-// means the client burned the round trip the fix is supposed to save.
+// the wire, and ReadCtx refuses a length no server would serve the same
+// way, as ErrBadRequest and without panicking on a negative one. The
+// peer side of the pipe watches for bytes; seeing any means the client
+// burned the round trip the fix is supposed to save.
 func TestClientExpiredCtxNoRoundTrip(t *testing.T) {
 	cl, sv := net.Pipe()
 	c := NewClient(cl)
@@ -143,6 +145,11 @@ func TestClientExpiredCtxNoRoundTrip(t *testing.T) {
 	} {
 		if err := call(); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s with expired ctx: err = %v, want DeadlineExceeded", name, err)
+		}
+	}
+	for _, n := range []int{0, -1, maxReadLen + 1} {
+		if got, err := c.ReadCtx(context.Background(), 0, n); !errors.Is(err, ErrBadRequest) || got != nil {
+			t.Fatalf("ReadCtx of %d bytes: %d bytes, err = %v, want ErrBadRequest", n, len(got), err)
 		}
 	}
 

@@ -103,13 +103,13 @@ func dial(t *testing.T, addr string) *Client {
 // TestFrameRoundTrip pins the codec: appendFrame and readFrame are
 // inverses, and out-of-range lengths are rejected before allocation.
 func TestFrameRoundTrip(t *testing.T) {
-	payload := []byte("twelve bytes")
-	buf := appendFrame(nil, opWrite, 0xdeadbeef, payload[:6], payload[6:])
+	payload := writePayload(0, 3*lineBytes, []byte("twelve bytes"))
+	buf := appendFrame(nil, opBatchWrite, 0xdeadbeef, payload[:6], payload[6:])
 	f, err := readFrame(bytes.NewReader(buf), new(frameHdr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.op != opWrite || f.id != 0xdeadbeef || !bytes.Equal(f.payload, payload) {
+	if f.op != opBatchWrite || f.id != 0xdeadbeef || !bytes.Equal(f.payload, payload) {
 		t.Fatalf("round trip gave op=%d id=%#x payload=%q", f.op, f.id, f.payload)
 	}
 
@@ -284,10 +284,11 @@ func TestDifferentialLoopback(t *testing.T) {
 }
 
 // TestPipelineBatching pins the wire layer's whole reason to exist:
-// pipelined single ops are re-grouped into store batch calls. A raw
-// connection fires 50 READ frames before draining any response; the
-// server must answer all 50 correctly while issuing far fewer store
-// batch calls than ops.
+// the ops of pipelined frames are re-grouped into store batch calls. A
+// raw connection fires 50 1-op BATCH_READ frames before draining any
+// response; the server must answer all 50 correctly while issuing far
+// fewer store batch calls than ops. Frames of several ops share the
+// pending batch the same way, each still answered on its own.
 func TestPipelineBatching(t *testing.T) {
 	st, _ := newStore(t, 1, resilience.Config{})
 	want := bytes.Repeat([]byte{0xAB}, lineBytes)
@@ -301,14 +302,13 @@ func TestPipelineBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 
 	const n = 50
 	var buf []byte
 	for id := uint64(1); id <= n; id++ {
-		p := be64Append(nil, 0) // no deadline: eligible for accumulation
-		p = be64Append(p, 0)
-		p = be32Append(p, lineBytes)
-		buf = appendFrame(buf, opRead, id, p)
+		// No deadline: eligible for accumulation.
+		buf = appendFrame(buf, opBatchRead, id, readPayload(0, lineBytes, 0))
 	}
 	// One write syscall on loopback: the server's reader sees the whole
 	// pipeline buffered and accumulates before flushing.
@@ -321,12 +321,12 @@ func TestPipelineBatching(t *testing.T) {
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		if f.op != opRead || seen[f.id] || f.id < 1 || f.id > n {
+		if f.op != opBatchRead || seen[f.id] || f.id < 1 || f.id > n {
 			t.Fatalf("response %d: op=%d id=%d", i, f.op, f.id)
 		}
 		seen[f.id] = true
-		if f.payload[0] != stOK || !bytes.Equal(f.payload[1:], want) {
-			t.Fatalf("response id %d: status %d, %d bytes", f.id, f.payload[0], len(f.payload)-1)
+		if sts, data := readResults(t, f.payload); len(sts) != 1 || sts[0] != stOK || !bytes.Equal(data[0], want) {
+			t.Fatalf("response id %d: statuses %v", f.id, sts)
 		}
 	}
 
@@ -335,24 +335,78 @@ func TestPipelineBatching(t *testing.T) {
 		t.Fatalf("net_batch_ops_total = %d, want %d", got, n)
 	}
 	if got := snap.Counter(metricBatches); got >= n {
-		t.Fatalf("net_batches_total = %d: pipelined singles were not amortised", got)
+		t.Fatalf("net_batches_total = %d: pipelined frames were not amortised", got)
 	}
 
-	// A malformed frame and unknown opcodes answer stBadRequest without
-	// killing the connection: each rejection is followed by a frame the
-	// same connection answers. Opcode 6 is the retired STATS.
-	if _, err := nc.Write(appendFrame(nil, opRead, 99, []byte{1, 2, 3})); err != nil {
-		t.Fatal(err)
-	}
-	f, err := readFrame(nc, new(frameHdr))
-	if err != nil || f.id != 99 || f.payload[0] != stBadRequest {
-		t.Fatalf("short READ: %v, frame %+v", err, f)
-	}
-	for _, op := range []uint8{6, 200} {
-		if _, err := nc.Write(appendFrame(nil, op, 100, nil)); err != nil {
+	// Frames of 1, 3 and 8 ops in one socket write, with a malformed
+	// BATCH_READ (count 2, one op) in the middle: each well-formed frame
+	// gets its own response with its own bytes, the malformed one alone
+	// answers stBadRequest, and the well-formed ones share store calls.
+	lines := make([][]byte, 8)
+	for i := range lines {
+		lines[i] = bytes.Repeat([]byte{byte(0x10 + i)}, lineBytes)
+		if err := write1(st, uint64(1+i)*lineBytes, lines[i]); err != nil {
 			t.Fatal(err)
 		}
-		f, err = readFrame(nc, new(frameHdr))
+	}
+	frames := map[uint64][]int{101: {3}, 102: {5, 0, 6}, 104: {7, 6, 5, 4, 3, 2, 1, 0}}
+	buf = buf[:0]
+	for _, id := range []uint64{101, 102, 103, 104} {
+		if id == 103 {
+			bad := readPayload(0, lineBytes, lineBytes)
+			bePut32(bad[8:], 2)
+			buf = appendFrame(buf, opBatchRead, id, bad)
+			continue
+		}
+		var addrs []uint64
+		for _, li := range frames[id] {
+			addrs = append(addrs, uint64(1+li)*lineBytes)
+		}
+		buf = appendFrame(buf, opBatchRead, id, readPayload(0, lineBytes, addrs...))
+	}
+	before := reg.Snapshot().Counter(metricBatches)
+	if _, err := nc.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		f, err := readFrame(nc, new(frameHdr))
+		if err != nil {
+			t.Fatalf("mixed response %d: %v", i, err)
+		}
+		lis, ok := frames[f.id]
+		if f.op != opBatchRead || (!ok && f.id != 103) {
+			t.Fatalf("mixed response %d: op=%d id=%d", i, f.op, f.id)
+		}
+		delete(frames, f.id)
+		if !ok {
+			if f.payload[0] != stBadRequest {
+				t.Fatalf("malformed frame: status %d, want stBadRequest", f.payload[0])
+			}
+			continue
+		}
+		sts, data := readResults(t, f.payload)
+		if len(sts) != len(lis) {
+			t.Fatalf("id %d: %d results, want %d", f.id, len(sts), len(lis))
+		}
+		for j, li := range lis {
+			if sts[j] != stOK || !bytes.Equal(data[j], lines[li]) {
+				t.Fatalf("id %d op %d: status %d, bytes %x, want line %d", f.id, j, sts[j], data[j][:4], 1+li)
+			}
+		}
+	}
+	if got := reg.Snapshot().Counter(metricBatches) - before; got >= 3 {
+		t.Fatalf("3 pipelined batch frames took %d store calls: they were not amortised", got)
+	}
+
+	// Unknown opcodes answer stBadRequest without killing the
+	// connection: each rejection is followed by a frame the same
+	// connection answers. 1 and 2 are the retired single READ and WRITE,
+	// 6 the retired STATS.
+	for _, op := range []uint8{1, 2, 6, 200} {
+		if _, err := nc.Write(appendFrame(nil, op, 100, readPayload(0, lineBytes, 0))); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readFrame(nc, new(frameHdr))
 		if err != nil || f.id != 100 || f.payload[0] != stBadRequest {
 			t.Fatalf("unknown opcode %d: %v, frame %+v", op, err, f)
 		}
@@ -379,12 +433,17 @@ func TestDeadlineOverWire(t *testing.T) {
 
 	// Persistent beyond-coverage DUE: two dirty lines whose data rows
 	// share a vertical group and an EDC8 parity column, so neither
-	// in-line recovery nor a backing refetch can satisfy the read.
+	// in-line recovery nor a backing refetch can satisfy the read. Line
+	// 1 stays healthy in the same stalled bank.
 	c := st.Shard(0).Cache()
 	if err := write1(c, 0, []byte{0x5A}); err != nil {
 		t.Fatal(err)
 	}
 	if err := write1(c, 16*lineBytes, []byte{0xA5}); err != nil {
+		t.Fatal(err)
+	}
+	healthy := bytes.Repeat([]byte{0x77}, lineBytes)
+	if err := write1(c, lineBytes, healthy); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := c.BankArrays(0)
@@ -397,27 +456,37 @@ func TestDeadlineOverWire(t *testing.T) {
 
 	// Raw connection first: the frame's deadline field alone (no
 	// client-side ctx racing it) must come back as stRecoveryInProgress,
-	// which statusErr maps onto the canonical sentinel.
+	// which statusErr maps onto the canonical sentinel, while the
+	// healthy line answers stOK with its bytes under the same deadline.
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	p := be64Append(nil, uint64(30*time.Millisecond))
-	p = be64Append(p, 0)
-	p = be32Append(p, 1)
-	if _, err := nc.Write(appendFrame(nil, opRead, 1, p)); err != nil {
-		t.Fatal(err)
-	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := readFrame(nc, new(frameHdr))
-	if err != nil {
-		t.Fatal(err)
+	deadline := uint64(30 * time.Millisecond)
+	for id, tc := range []struct {
+		addr   uint64
+		n      int
+		status uint8
+		want   []byte
+	}{
+		{0, 1, stRecoveryInProgress, nil},
+		{lineBytes, lineBytes, stOK, healthy},
+	} {
+		if _, err := nc.Write(appendFrame(nil, opBatchRead, uint64(id), readPayload(deadline, tc.n, tc.addr))); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readFrame(nc, new(frameHdr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sts, data := readResults(t, f.payload)
+		if f.id != uint64(id) || len(sts) != 1 || sts[0] != tc.status || !bytes.Equal(data[0], tc.want) {
+			t.Fatalf("line %#x: id %d, statuses %v, bytes %x; want status %d and %x", tc.addr, f.id, sts, data, tc.status, tc.want)
+		}
 	}
-	if f.payload[0] != stRecoveryInProgress {
-		t.Fatalf("status = %d, want stRecoveryInProgress", f.payload[0])
-	}
-	werr := statusErr(f.payload[0], string(f.payload[1:]))
+	werr := statusErr(stRecoveryInProgress, "")
 	if !errors.Is(werr, resilience.ErrRecoveryInProgress) {
 		t.Fatalf("wire err = %v, want ErrRecoveryInProgress in chain", werr)
 	}

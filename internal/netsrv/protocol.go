@@ -16,36 +16,37 @@
 //
 // Requests (deadline is relative nanoseconds, 0 = none):
 //
-//	READ        := u64 deadline | u64 addr | u32 n
-//	WRITE       := u64 deadline | u64 addr | data...
 //	BATCH_READ  := u64 deadline | u32 count | count×(u64 addr, u32 n)
 //	BATCH_WRITE := u64 deadline | u32 count | count×(u64 addr, u32 len, data)
 //	FLUSH       := u64 deadline
 //	EPOCH       := u64 addr
 //
-// Every data frame reaches the store as a batch: a single READ/WRITE is
-// a batch of one, joined with the connection's other pipelined singles.
-// A nonzero deadline is measured from the op's arrival and bounds the
-// store call end to end: the server maps it to a context on the store's
-// ReadBatchCtx/WriteBatchCtx path, so per-op recovery work is
-// deadline-bounded, and ops the deadline kills answer stDeadline (or
-// stRecoveryInProgress) — as the response status of a single,
-// individually inside an stOK batch response. Joined singles run under
-// the earliest of their deadlines; a single joins only while that still
-// leaves it at least half of its own budget, so a single may give up
-// early, never late. An op whose deadline has already expired when its batch
-// runs is not served: it reports stDeadline, single or batch — an
-// expired deadline is a deadline outcome, never silent success.
+// Every data frame is a batch frame; a single op travels as a batch of
+// one. The server validates each frame as a whole, then adds its ops to
+// the connection's one pending batch, joined with the frames pipelined
+// behind it, and answers each frame with its own response once the
+// batch has run as one store call. A nonzero deadline is measured from
+// the frame's arrival and bounds the store call end to end: the server
+// maps it to a context on the store's ReadBatchCtx/WriteBatchCtx path,
+// so per-op recovery work is deadline-bounded, and ops the deadline
+// kills answer stDeadline (or stRecoveryInProgress) individually inside
+// an stOK batch response. Joined frames run under the earliest of their
+// deadlines; a frame joins only while that still leaves it at least
+// half of its own budget, so a frame may give up early, never late. An
+// op whose deadline has already expired when its batch runs is not
+// served: it reports stDeadline — an expired deadline is a deadline
+// outcome, never silent success.
 //
 // Responses echo the opcode and request id, then carry a status byte:
 //
 //	response := u8 status | payload
 //
-// On stOK: READ carries the data; WRITE and FLUSH are empty;
-// BATCH_READ carries u32 count | count×(u8 status, u32 len, data);
-// BATCH_WRITE carries u32 count | count×u8 status; EPOCH carries the
-// u64 loss epoch. On any other status the payload is a human-readable
-// error message (batch per-op failures carry status codes only).
+// On stOK: BATCH_READ carries u32 count | count×(u8 status, u32 len,
+// data); BATCH_WRITE carries u32 count | count×u8 status; FLUSH is
+// empty; EPOCH carries the u64 loss epoch. Per-op failures carry status
+// codes only. Any other status refuses the whole frame (malformed,
+// unknown or retired opcode, failed FLUSH), and its payload is a
+// human-readable error message.
 //
 // Responses may arrive in any order; the request id is the correlation
 // key. Clients pipeline by keeping many ids in flight.
@@ -65,14 +66,15 @@ import (
 	"twodcache/internal/resilience"
 )
 
-// Opcodes. Responses echo the request's opcode.
+// Opcodes. Responses echo the request's opcode. 1 and 2, the retired
+// single READ and WRITE, and 6, the retired STATS, are held so the
+// others keep their numbers; like any unknown opcode they answer
+// stBadRequest.
 const (
-	opRead uint8 = iota + 1
-	opWrite
-	opBatchRead
+	opBatchRead uint8 = iota + 3
 	opBatchWrite
 	opFlush
-	_ // 6, the retired STATS, is held so EPOCH keeps its number
+	_ // 6, the retired STATS
 	opEpoch
 )
 
@@ -90,8 +92,8 @@ const (
 	stDeadline
 	// stCanceled: the serving context was cancelled — context.Canceled.
 	stCanceled
-	// stBadRequest: the frame was well-formed but unserviceable (span
-	// crossing a line boundary, zero-length read, oversized batch).
+	// stBadRequest: the frame was malformed or unserviceable (bad
+	// geometry, zero-length read, oversized batch, unknown opcode).
 	stBadRequest
 	// stDraining: the server is shutting down and refused the request.
 	stDraining
@@ -108,7 +110,7 @@ const (
 	frameFixed  = 1 + 8     // opcode + request id, covered by length
 	maxFrame    = 4 << 20   // hard cap on one frame's length field
 	maxBatchOps = 1 << 16   // ops per batch frame
-	maxReadLen  = 1 << 20   // bytes per single read
+	maxReadLen  = 1 << 20   // bytes per read op
 	readBufSize = 64 * 1024 // bufio sizes on both sides
 )
 

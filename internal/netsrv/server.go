@@ -35,10 +35,12 @@ type Config struct {
 	// Store is the storage engine served over the wire — one resilience
 	// engine or a sharded router, unchanged. Required.
 	Store store.Store
-	// BatchSize is the in-flight accumulation threshold: a connection's
-	// pipelined single READs/WRITEs are gathered into one store batch
-	// call when this many are pending, or sooner when the pipe goes
-	// idle. Zero selects 32; 1 disables batching.
+	// BatchSize is the in-flight accumulation threshold: the ops of a
+	// connection's pipelined BATCH_READ/BATCH_WRITE frames are gathered
+	// into one store batch call once this many are pending, or sooner
+	// when the pipe goes idle. A frame's ops are never split, so a frame
+	// of BatchSize ops or more runs alone. Zero selects 32; 1 gives every
+	// frame a store call of its own.
 	BatchSize int
 	// RespQueue bounds each connection's response queue (frames). A
 	// client that stops draining responses stalls its own reader once
@@ -244,7 +246,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // conn is one client connection: a reader goroutine that parses frames
-// and accumulates single ops into store batches, and a writer goroutine
+// and accumulates their ops into store batches, and a writer goroutine
 // draining the bounded response queue.
 //
 // Buffer ownership on this path is explicit: request-frame payloads
@@ -265,29 +267,35 @@ type conn struct {
 
 	// One homogeneous pending batch at a time, under one deadline:
 	// mixing kinds would reorder a connection's read-after-write to the
-	// same line, so a kind switch flushes first, and so does an op that
-	// cannot share the pending batch's deadline (see join). ids and t0s
-	// hold each pending op's request id and arrival time; due is the
-	// batch's deadline, the earliest among its ops (zero: none), and
-	// half the latest of its ops' half-budget points. reads
-	// doubles as the BATCH_READ op scratch (the pending batch is always
-	// flushed first), writes as the BATCH_WRITE scratch; all are trimmed
-	// back to batchSize after an oversized batch so one huge batch does
-	// not pin its high-water memory for the connection's lifetime.
+	// same line, so a kind switch flushes first, and so does a frame
+	// that cannot share the pending batch's deadline (see join). frames
+	// holds one record per pending frame, in arrival order, whose ops
+	// sit consecutively in reads or writes; due is the batch's deadline,
+	// the earliest among its frames (zero: none), and half the latest of
+	// their half-budget points. All three slices are trimmed back to
+	// batchSize after an oversized batch so one huge frame does not pin
+	// its high-water memory for the connection's lifetime.
 	reads     []pcache.ReadOp
 	writes    []pcache.WriteOp
-	ids       []uint64
-	t0s       []time.Time
+	frames    []pendingFrame
 	due, half time.Time
 
-	// retained holds request-frame payloads pinned by pending single
-	// writes (each op's Data aliases its frame); they go back to the
-	// pool once the write batch executes.
+	// retained holds the BATCH_WRITE payloads pending write ops alias
+	// (each op's Data points into its frame); they go back to the pool
+	// once the write batch executes.
 	retained [][]byte
 	// arenas back read destinations: Dsts are carved from pooled
 	// chunks, and the chunks are Put once the responses holding copies
 	// of the data have been built.
 	arenas [][]byte
+}
+
+// pendingFrame is one frame whose ops wait in the pending batch: its
+// request id, its arrival time and its op count.
+type pendingFrame struct {
+	id uint64
+	t0 time.Time
+	n  int
 }
 
 // arenaChunk is the default read-destination arena size — large enough
@@ -323,8 +331,8 @@ func (c *conn) releaseArenas() {
 	c.arenas = c.arenas[:0]
 }
 
-// releaseRetained returns the request frames pinned by pending single
-// writes. Call only after the batch holding their aliases executed.
+// releaseRetained returns the request frames pinned by pending write
+// ops. Call only after the batch holding their aliases executed.
 func (c *conn) releaseRetained() {
 	for i, b := range c.retained {
 		bufpool.Put(b)
@@ -358,7 +366,7 @@ func (c *conn) serve() {
 		// The pipe is idle (no buffered frames): flush what has
 		// accumulated before blocking on the next frame, so a paused
 		// pipeline never strands its tail.
-		if len(c.ids) > 0 && c.br.Buffered() == 0 {
+		if len(c.frames) > 0 && c.br.Buffered() == 0 {
 			c.flushBatches()
 		}
 		f, err := readFrame(c.br, &c.hdr)
@@ -371,12 +379,12 @@ func (c *conn) serve() {
 		c.srv.requests.Inc()
 		c.srv.bytesIn.Add(uint64(frameHeader + frameFixed + len(f.payload)))
 		if !c.handle(f) {
-			// The handler is done with the frame; a pending single
-			// write instead retains it (Data aliases the payload) and
+			// The handler is done with the frame; a BATCH_WRITE
+			// instead retains it (Data aliases the payload) and
 			// flushBatches returns it after the batch executes.
 			bufpool.Put(f.payload)
 		}
-		if len(c.ids) >= c.srv.batchSize {
+		if len(c.reads)+len(c.writes) >= c.srv.batchSize {
 			c.flushBatches()
 		}
 	}
@@ -436,53 +444,44 @@ func (c *conn) enqueue(b []byte, t0 time.Time) {
 	c.srv.reqSeconds.Observe(time.Since(t0))
 }
 
-// respondErr sends a non-OK response whose payload is the error text.
-func (c *conn) respondErr(op uint8, id uint64, err error, t0 time.Time) {
-	c.respond(op, id, statusOf(err), []byte(err.Error()), t0)
-}
-
-// handle dispatches one request frame. Single READ/WRITE frames join
-// the pending batch (see join); everything else flushes the pending
-// batch first (to keep per-connection ordering) and executes in place.
-// It reports whether the frame's payload is retained beyond this call
-// (a pending single write aliases it); if not, the caller returns the
-// payload to the pool.
+// handle dispatches one request frame. A well-formed BATCH_READ or
+// BATCH_WRITE frame adds its ops to the pending batch (see join);
+// FLUSH and EPOCH flush the pending batch first (to keep per-connection
+// ordering) and execute in place; a malformed frame or an unknown
+// opcode is refused at once. It reports whether the frame's payload is
+// retained beyond this call (pending write ops alias it); if not, the
+// caller returns the payload to the pool.
 func (c *conn) handle(f frame) (retained bool) {
 	t0 := time.Now()
 	p := f.payload
 	switch f.op {
-	case opRead:
-		if len(p) != 8+8+4 {
-			c.respond(f.op, f.id, stBadRequest, []byte("bad READ frame"), t0)
-			return false
-		}
-		n := int(be32(p[16:]))
-		if n <= 0 || n > maxReadLen {
-			c.respond(f.op, f.id, stBadRequest, []byte(fmt.Sprintf("read length %d", n)), t0)
-			return false
-		}
-		c.join(f, be64(p[0:]), t0)
-		c.reads = append(c.reads, pcache.ReadOp{Addr: be64(p[8:]), Dst: c.carve(n)})
-
-	case opWrite:
-		if len(p) < 8+8 {
-			c.respond(f.op, f.id, stBadRequest, []byte("bad WRITE frame"), t0)
-			return false
-		}
-		c.join(f, be64(p[0:]), t0)
-		// Data aliases the frame's pooled payload buffer — retained (and
-		// returned to the pool) by the batch flush.
-		c.writes = append(c.writes, pcache.WriteOp{Addr: be64(p[8:]), Data: p[16:]})
-		c.retained = append(c.retained, p)
-		return true
-
 	case opBatchRead:
-		c.flushBatches()
-		c.handleBatchRead(f, t0)
+		count, bad := readCount(p)
+		if bad != "" {
+			c.respond(f.op, f.id, stBadRequest, []byte(bad), t0)
+			return false
+		}
+		c.join(f, count, t0)
+		for q := p[12:]; len(q) > 0; q = q[12:] {
+			c.reads = append(c.reads, pcache.ReadOp{Addr: be64(q), Dst: c.carve(int(be32(q[8:])))})
+		}
 
 	case opBatchWrite:
-		c.flushBatches()
-		c.handleBatchWrite(f, t0)
+		count, bad := writeCount(p)
+		if bad != "" {
+			c.respond(f.op, f.id, stBadRequest, []byte(bad), t0)
+			return false
+		}
+		c.join(f, count, t0)
+		// Data aliases the frame's pooled payload, retained (and
+		// returned to the pool) by the batch flush.
+		for q := p[12:]; len(q) > 0; {
+			n := int(be32(q[8:]))
+			c.writes = append(c.writes, pcache.WriteOp{Addr: be64(q), Data: q[12 : 12+n]})
+			q = q[12+n:]
+		}
+		c.retained = append(c.retained, p)
+		return true
 
 	case opFlush:
 		if len(p) != 8 {
@@ -495,7 +494,7 @@ func (c *conn) handle(f frame) (retained bool) {
 		cancel()
 		if err != nil {
 			c.countAbort(err)
-			c.respondErr(f.op, f.id, err, t0)
+			c.respond(f.op, f.id, statusOf(err), []byte(err.Error()), t0)
 			return false
 		}
 		c.respond(f.op, f.id, stOK, nil, t0)
@@ -522,48 +521,134 @@ func (c *conn) handle(f frame) (retained bool) {
 	return false
 }
 
-// handleBatchRead serves one BATCH_READ frame as exactly one store call
-// through readStore — the step pending single reads take too, so the
-// deadline contract is theirs — and answers per-op outcomes in a
-// single response frame.
-func (c *conn) handleBatchRead(f frame, t0 time.Time) {
-	p := f.payload
+// readCount validates a BATCH_READ payload as a whole and returns its
+// op count, or why the frame is refused.
+func readCount(p []byte) (count int, bad string) {
 	if len(p) < 8+4 {
-		c.respond(f.op, f.id, stBadRequest, []byte("bad BATCH_READ frame"), t0)
-		return
+		return 0, "bad BATCH_READ frame"
 	}
-	deadline := be64(p[0:])
-	count := int(be32(p[8:]))
+	count = int(be32(p[8:]))
 	if count <= 0 || count > maxBatchOps || len(p) != 12+count*12 {
-		c.respond(f.op, f.id, stBadRequest, []byte("bad BATCH_READ geometry"), t0)
-		return
+		return 0, "bad BATCH_READ geometry"
 	}
-	ops := c.reads[:0]
 	total := 0
-	for i := 0; i < count; i++ {
-		addr := be64(p[12+i*12:])
-		n := int(be32(p[12+i*12+8:]))
+	for q := p[12:]; len(q) > 0; q = q[12:] {
+		n := int(be32(q[8:]))
 		if n <= 0 || n > maxReadLen || total+n > maxFrame/2 {
-			c.reads = trimOps(ops, c.srv.batchSize)
-			c.releaseArenas()
-			c.respond(f.op, f.id, stBadRequest, []byte("bad BATCH_READ op size"), t0)
-			return
+			return 0, "bad BATCH_READ op size"
 		}
 		total += n
-		ops = append(ops, pcache.ReadOp{Addr: addr, Dst: c.carve(n)})
 	}
-	c.readStore(ops, dueAt(t0, deadline))
+	return count, ""
+}
+
+// writeCount validates a BATCH_WRITE payload as a whole and returns its
+// op count, or why the frame is refused.
+func writeCount(p []byte) (count int, bad string) {
+	if len(p) < 8+4 {
+		return 0, "bad BATCH_WRITE frame"
+	}
+	count = int(be32(p[8:]))
+	if count <= 0 || count > maxBatchOps {
+		return 0, "bad BATCH_WRITE geometry"
+	}
+	q := p[12:]
+	for i := 0; i < count; i++ {
+		if len(q) < 12 {
+			return 0, "truncated BATCH_WRITE"
+		}
+		n := int(be32(q[8:]))
+		if n < 0 || n > len(q)-12 {
+			return 0, "truncated BATCH_WRITE op"
+		}
+		q = q[12+n:]
+	}
+	if len(q) != 0 {
+		return 0, "trailing BATCH_WRITE bytes"
+	}
+	return count, ""
+}
+
+// join readies the pending batch for frame f, which arrived at t0
+// carrying n ops. The pending batch runs under the earliest deadline
+// among its frames, so no op gets more budget than it asked for; f
+// joins only if that deadline still leaves every frame, f included, at
+// least half of its own budget. A pending batch of the other kind, or
+// one f cannot join, executes first; deadline-free frames share only
+// deadline-free batches. The caller then appends f's ops to reads or
+// writes.
+func (c *conn) join(f frame, n int, t0 time.Time) {
+	deadline := be64(f.payload)
+	due, half := dueAt(t0, deadline), t0.Add(time.Duration(deadline/2))
+	if len(c.frames) > 0 && ((f.op == opBatchRead) != (len(c.reads) > 0) || !c.shares(due, half)) {
+		c.flushBatches()
+	}
+	if len(c.frames) == 0 || due.Before(c.due) {
+		c.due = due
+	}
+	if len(c.frames) == 0 || half.After(c.half) {
+		c.half = half
+	}
+	c.frames = append(c.frames, pendingFrame{id: f.id, t0: t0, n: n})
+}
+
+// shares reports whether a frame with deadline due and half-budget
+// point half can join the pending batch: the batch's deadline, taken
+// down to due if that is earlier, must fall no earlier than any frame's
+// half-budget point.
+func (c *conn) shares(due, half time.Time) bool {
+	if due.IsZero() || c.due.IsZero() {
+		return due.IsZero() && c.due.IsZero()
+	}
+	return !due.Before(c.half) && !c.due.Before(half)
+}
+
+// flushBatches executes the pending batch as one store call and answers
+// every pending frame with its own batch response. After the flush the
+// pooled buffers backing the batch go home: read Dst arenas once the
+// responses carry copies of the data, retained write frames once the
+// store has consumed them; the scratch slices trim back to batchSize so
+// an oversized burst does not pin its high-water memory.
+func (c *conn) flushBatches() {
+	if len(c.frames) == 0 {
+		return
+	}
+	max := c.srv.batchSize
+	if len(c.reads) > 0 {
+		c.readStore(c.reads, c.due)
+		ops := c.reads
+		for _, pf := range c.frames {
+			c.respondReads(pf, ops[:pf.n])
+			ops = ops[pf.n:]
+		}
+		c.reads = trimOps(c.reads, max)
+		c.releaseArenas()
+	} else {
+		c.writeStore(c.writes, c.due)
+		ops := c.writes
+		for _, pf := range c.frames {
+			c.respondWrites(pf, ops[:pf.n])
+			ops = ops[pf.n:]
+		}
+		c.writes = trimOps(c.writes, max)
+		c.releaseRetained()
+	}
+	c.frames = trimOps(c.frames, max)
+}
+
+// respondReads answers one BATCH_READ frame with its ops' outcomes.
+func (c *conn) respondReads(pf pendingFrame, ops []pcache.ReadOp) {
 	okTotal := 0
 	for i := range ops {
 		if ops[i].Err == nil {
 			okTotal += len(ops[i].Dst)
 		}
 	}
-	b := bufpool.Get(frameHeader + frameFixed + 1 + 4 + count*5 + okTotal)[:frameHeader]
-	b = append(b, f.op)
-	b = be64Append(b, f.id)
+	b := bufpool.Get(frameHeader + frameFixed + 1 + 4 + len(ops)*5 + okTotal)[:frameHeader]
+	b = append(b, opBatchRead)
+	b = be64Append(b, pf.id)
 	b = append(b, stOK)
-	b = be32Append(b, uint32(count))
+	b = be32Append(b, uint32(len(ops)))
 	for i := range ops {
 		st := statusOf(ops[i].Err)
 		b = append(b, st)
@@ -575,140 +660,26 @@ func (c *conn) handleBatchRead(f frame, t0 time.Time) {
 		}
 	}
 	bePut32(b, uint32(len(b)-frameHeader))
-	c.reads = trimOps(ops, c.srv.batchSize)
-	c.releaseArenas()
-	c.enqueue(b, t0)
+	c.enqueue(b, pf.t0)
 }
 
-// handleBatchWrite serves one BATCH_WRITE frame as exactly one store
-// call through writeStore and answers per-op status codes.
-func (c *conn) handleBatchWrite(f frame, t0 time.Time) {
-	p := f.payload
-	if len(p) < 8+4 {
-		c.respond(f.op, f.id, stBadRequest, []byte("bad BATCH_WRITE frame"), t0)
-		return
-	}
-	deadline := be64(p[0:])
-	count := int(be32(p[8:]))
-	if count <= 0 || count > maxBatchOps {
-		c.respond(f.op, f.id, stBadRequest, []byte("bad BATCH_WRITE geometry"), t0)
-		return
-	}
-	ops := c.writes[:0]
-	off := 12
-	bad := func(msg string) {
-		c.writes = trimOps(ops, c.srv.batchSize)
-		c.respond(f.op, f.id, stBadRequest, []byte(msg), t0)
-	}
-	for i := 0; i < count; i++ {
-		if off+12 > len(p) {
-			bad("truncated BATCH_WRITE")
-			return
-		}
-		addr := be64(p[off:])
-		n := int(be32(p[off+8:]))
-		off += 12
-		if n < 0 || off+n > len(p) {
-			bad("truncated BATCH_WRITE op")
-			return
-		}
-		ops = append(ops, pcache.WriteOp{Addr: addr, Data: p[off : off+n]})
-		off += n
-	}
-	if off != len(p) {
-		bad("trailing BATCH_WRITE bytes")
-		return
-	}
-	c.writeStore(ops, dueAt(t0, deadline))
-	b := bufpool.Get(frameHeader + frameFixed + 1 + 4 + count)
-	bePut32(b, uint32(frameFixed+1+4+count))
-	b[4] = f.op
-	bePut64(b[5:], f.id)
+// respondWrites answers one BATCH_WRITE frame with its ops' statuses.
+func (c *conn) respondWrites(pf pendingFrame, ops []pcache.WriteOp) {
+	b := bufpool.Get(frameHeader + frameFixed + 1 + 4 + len(ops))
+	bePut32(b, uint32(frameFixed+1+4+len(ops)))
+	b[4] = opBatchWrite
+	bePut64(b[5:], pf.id)
 	b[13] = stOK
-	bePut32(b[14:], uint32(count))
+	bePut32(b[14:], uint32(len(ops)))
 	for i := range ops {
 		b[18+i] = statusOf(ops[i].Err)
 	}
-	c.writes = trimOps(ops, c.srv.batchSize)
-	c.enqueue(b, t0)
+	c.enqueue(b, pf.t0)
 }
 
-// join readies the pending batch for single op f, which arrived at t0
-// with the given deadline field. The pending batch runs under the
-// earliest deadline among its ops, so no op gets more budget than it
-// asked for; f joins only if that deadline still leaves every op, f
-// included, at least half of its own budget. A pending batch of the
-// other kind, or one f cannot join, executes first; deadline-free ops
-// share only deadline-free batches. The caller then appends the op
-// itself to reads or writes.
-func (c *conn) join(f frame, deadline uint64, t0 time.Time) {
-	due, half := dueAt(t0, deadline), t0.Add(time.Duration(deadline/2))
-	if len(c.ids) > 0 && ((f.op == opRead) != (len(c.reads) > 0) || !c.shares(due, half)) {
-		c.flushBatches()
-	}
-	if len(c.ids) == 0 || due.Before(c.due) {
-		c.due = due
-	}
-	if len(c.ids) == 0 || half.After(c.half) {
-		c.half = half
-	}
-	c.ids = append(c.ids, f.id)
-	c.t0s = append(c.t0s, t0)
-}
-
-// shares reports whether an op with deadline due and half-budget point
-// half can join the pending batch: the batch's deadline, taken down to
-// due if that is earlier, must fall no earlier than any op's half-budget
-// point.
-func (c *conn) shares(due, half time.Time) bool {
-	if due.IsZero() || c.due.IsZero() {
-		return due.IsZero() && c.due.IsZero()
-	}
-	return !due.Before(c.half) && !c.due.Before(half)
-}
-
-// flushBatches executes the pending batch as one store call and
-// responds to every op in it. After the flush the pooled buffers
-// backing the batch go home: read Dst arenas once the responses carry
-// copies of the data, retained write frames once the store has consumed
-// them; the scratch slices trim back to batchSize so an oversized burst
-// does not pin its high-water memory.
-func (c *conn) flushBatches() {
-	if len(c.ids) == 0 {
-		return
-	}
-	max := c.srv.batchSize
-	if len(c.reads) > 0 {
-		c.readStore(c.reads, c.due)
-		for i := range c.reads {
-			if op := &c.reads[i]; op.Err != nil {
-				c.respondErr(opRead, c.ids[i], op.Err, c.t0s[i])
-			} else {
-				c.respond(opRead, c.ids[i], stOK, op.Dst, c.t0s[i])
-			}
-		}
-		c.reads = trimOps(c.reads, max)
-		c.releaseArenas()
-	} else {
-		c.writeStore(c.writes, c.due)
-		for i := range c.writes {
-			if err := c.writes[i].Err; err != nil {
-				c.respondErr(opWrite, c.ids[i], err, c.t0s[i])
-			} else {
-				c.respond(opWrite, c.ids[i], stOK, nil, c.t0s[i])
-			}
-		}
-		c.writes = trimOps(c.writes, max)
-		c.releaseRetained()
-	}
-	c.ids = trimOps(c.ids, max)
-	c.t0s = trimOps(c.t0s, max)
-}
-
-// readStore is the one place read ops reach the store, for pending
-// singles and BATCH_READ frames alike: deadline-free batches (zero due)
-// take the plain ReadBatch, and bounded ones run through ReadBatchCtx
-// under due. An op whose deadline expired before the batch ran answers
+// readStore is the one place read ops reach the store: deadline-free
+// batches (zero due) take the plain ReadBatch, and bounded ones run
+// through ReadBatchCtx under due. An op whose deadline expired before the batch ran answers
 // stDeadline. Ops the deadline kills are counted in
 // net_deadline_aborts_total.
 func (c *conn) readStore(ops []pcache.ReadOp, due time.Time) {

@@ -9,115 +9,56 @@ import (
 	"testing"
 	"time"
 
-	"twodcache/internal/fault"
 	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
 	"twodcache/internal/store"
 )
 
-// A single READ/WRITE frame is a batch of one on the server: these
-// tests pin that it answers exactly what the equivalent 1-op batch
-// frame answers, that deadline-carrying singles are still amortised,
-// and that joining batches by deadline never reorders a connection's
-// read-after-write.
+// A single op travels as a 1-op batch frame: these tests pin that
+// deadline-carrying frames are still amortised, and that joining
+// batches by deadline never reorders a connection's read-after-write.
 
-func readPayload(deadline, addr uint64, n int) []byte {
+// readPayload builds a BATCH_READ payload reading n bytes at each addr.
+func readPayload(deadline uint64, n int, addrs ...uint64) []byte {
 	p := be64Append(nil, deadline)
-	p = be64Append(p, addr)
-	return be32Append(p, uint32(n))
+	p = be32Append(p, uint32(len(addrs)))
+	for _, a := range addrs {
+		p = be64Append(p, a)
+		p = be32Append(p, uint32(n))
+	}
+	return p
 }
 
+// writePayload builds a 1-op BATCH_WRITE payload, the frame WriteCtx
+// sends.
 func writePayload(deadline, addr uint64, data []byte) []byte {
-	p := be64Append(nil, deadline)
-	p = be64Append(p, addr)
-	return append(p, data...)
-}
-
-func batchRead1Payload(deadline, addr uint64, n int) []byte {
 	p := be64Append(nil, deadline)
 	p = be32Append(p, 1)
 	p = be64Append(p, addr)
-	return be32Append(p, uint32(n))
+	p = be32Append(p, uint32(len(data)))
+	return append(p, data...)
 }
 
-// roundTrip sends one frame on a raw connection and returns the
-// response's status and payload. A batch response is unwrapped to its
-// single op's status and data, so both frame kinds compare directly.
-func roundTrip(t *testing.T, nc net.Conn, op uint8, id uint64, payload []byte) (uint8, []byte) {
+// readResults decodes an stOK BATCH_READ response payload into each
+// op's status and bytes.
+func readResults(t *testing.T, p []byte) ([]uint8, [][]byte) {
 	t.Helper()
-	if _, err := nc.Write(appendFrame(nil, op, id, payload)); err != nil {
-		t.Fatal(err)
+	if len(p) < 5 || p[0] != stOK {
+		t.Fatalf("BATCH_READ response: outer status %d, %d bytes", p[0], len(p))
 	}
-	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := readFrame(nc, new(frameHdr))
-	if err != nil {
-		t.Fatal(err)
+	count := int(be32(p[1:]))
+	sts, data := make([]uint8, count), make([][]byte, count)
+	b := p[5:]
+	for i := range count {
+		n := int(be32(b[1:]))
+		sts[i], data[i] = b[0], b[5:5+n]
+		b = b[5+n:]
 	}
-	if f.op != op || f.id != id {
-		t.Fatalf("response op=%d id=%d, want op=%d id=%d", f.op, f.id, op, id)
+	if len(b) != 0 {
+		t.Fatalf("BATCH_READ response: %d trailing bytes", len(b))
 	}
-	if op != opBatchRead {
-		return f.payload[0], f.payload[1:]
-	}
-	if f.payload[0] != stOK || be32(f.payload[1:]) != 1 {
-		t.Fatalf("batch outer status %d count %d", f.payload[0], be32(f.payload[1:]))
-	}
-	b := f.payload[5:]
-	return b[0], b[5 : 5+int(be32(b[1:]))]
-}
-
-func TestSingleMatchesBatchOfOneOverWire(t *testing.T) {
-	var stall fault.Stall
-	stall.Arm(time.Hour)
-	defer stall.Disarm() // before startServer's cleanup flush, pass or fail
-	st, err := store.New(store.Config{
-		Cache:      pcache.Config{Sets: 32, Ways: 2, LineBytes: lineBytes, Banks: 1},
-		Resilience: resilience.Config{RecoveryStall: &stall},
-	}, pcache.NewMapBacking(lineBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The TestDeadlineOverWire plant: a persistent beyond-coverage DUE
-	// on line 0, plus a healthy line 1.
-	c := st.Shard(0).Cache()
-	if err := write1(c, 0, []byte{0x5A}); err != nil {
-		t.Fatal(err)
-	}
-	if err := write1(c, 16*lineBytes, []byte{0xA5}); err != nil {
-		t.Fatal(err)
-	}
-	healthy := bytes.Repeat([]byte{0x77}, lineBytes)
-	if err := write1(c, lineBytes, healthy); err != nil {
-		t.Fatal(err)
-	}
-	da, _ := c.BankArrays(0)
-	lay := da.Layout()
-	da.FlipBit(0, lay.PhysColumn(0, 0))
-	da.FlipBit(32, lay.PhysColumn(0, 8))
-
-	_, addr := startServer(t, st, Config{})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-
-	deadline := uint64(30 * time.Millisecond)
-	sSt, _ := roundTrip(t, nc, opRead, 1, readPayload(deadline, 0, 1))
-	bSt, _ := roundTrip(t, nc, opBatchRead, 2, batchRead1Payload(deadline, 0, 1))
-	if sSt != stRecoveryInProgress || bSt != stRecoveryInProgress {
-		t.Fatalf("wedged line: single status %d, batch-of-one status %d, want both stRecoveryInProgress", sSt, bSt)
-	}
-
-	sSt, sData := roundTrip(t, nc, opRead, 3, readPayload(deadline, lineBytes, lineBytes))
-	bSt, bData := roundTrip(t, nc, opBatchRead, 4, batchRead1Payload(deadline, lineBytes, lineBytes))
-	if sSt != stOK || bSt != stOK {
-		t.Fatalf("healthy line: single status %d, batch-of-one status %d, want stOK", sSt, bSt)
-	}
-	if !bytes.Equal(sData, healthy) || !bytes.Equal(bData, sData) {
-		t.Fatalf("healthy line bytes differ: single %x, batch-of-one %x", sData, bData)
-	}
+	return sts, data
 }
 
 // gatedStore holds every bounded read batch until release closes, so a
@@ -143,10 +84,10 @@ func (c *countingConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// TestDeadlineSinglesAmortised pins that READ frames carrying a
-// deadline join the pending batch like deadline-free ones, for the
-// traffic the client really sends: 50 concurrent ReadCtx calls, each
-// under its own context, so no two frames carry the same deadline
+// TestDeadlineSinglesAmortised pins that 1-op BATCH_READ frames
+// carrying a deadline join the pending batch like deadline-free ones,
+// for the traffic the client really sends: 50 concurrent ReadCtx calls,
+// each under its own context, so no two frames carry the same deadline
 // field. While the first read is held in the store the rest pile up,
 // then ride fewer than 50 store calls, and every one is answered
 // correctly.
@@ -199,9 +140,9 @@ func TestDeadlineSinglesAmortised(t *testing.T) {
 }
 
 // TestDeadlineSwitchKeepsReadAfterWrite pins ordering across deadline
-// boundaries: a pipelined WRITE then READ of the same line, each under
-// a different deadline field (zero included), reads the value just
-// written.
+// boundaries: a pipelined 1-op BATCH_WRITE then BATCH_READ of the same
+// line, each under a different deadline field (zero included), reads
+// the value just written.
 func TestDeadlineSwitchKeepsReadAfterWrite(t *testing.T) {
 	st, _ := newStore(t, 2, resilience.Config{})
 	_, addr := startServer(t, st, Config{})
@@ -218,8 +159,8 @@ func TestDeadlineSwitchKeepsReadAfterWrite(t *testing.T) {
 		a := uint64(r%3) * lineBytes
 		data := bytes.Repeat([]byte{byte(r + 1)}, lineBytes)
 		wd, rd := deadlines[r%3], deadlines[(r+1)%3]
-		buf = appendFrame(buf, opWrite, uint64(2*r+1), writePayload(wd, a, data))
-		buf = appendFrame(buf, opRead, uint64(2*r+2), readPayload(rd, a, lineBytes))
+		buf = appendFrame(buf, opBatchWrite, uint64(2*r+1), writePayload(wd, a, data))
+		buf = appendFrame(buf, opBatchRead, uint64(2*r+2), readPayload(rd, lineBytes, a))
 	}
 	if _, err := nc.Write(buf); err != nil {
 		t.Fatal(err)
@@ -230,15 +171,16 @@ func TestDeadlineSwitchKeepsReadAfterWrite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		if f.payload[0] != stOK {
-			t.Fatalf("id %d: status %d", f.id, f.payload[0])
-		}
-		if f.op != opRead {
+		if f.op != opBatchRead {
+			if f.payload[0] != stOK || f.payload[5] != stOK {
+				t.Fatalf("id %d: write status %d/%d", f.id, f.payload[0], f.payload[5])
+			}
 			continue
 		}
+		sts, data := readResults(t, f.payload)
 		r := int(f.id/2) - 1
-		if want := bytes.Repeat([]byte{byte(r + 1)}, lineBytes); !bytes.Equal(f.payload[1:], want) {
-			t.Fatalf("round %d: read %x, want the value just written", r, f.payload[1:5])
+		if want := bytes.Repeat([]byte{byte(r + 1)}, lineBytes); sts[0] != stOK || !bytes.Equal(data[0], want) {
+			t.Fatalf("round %d: status %d, read %x, want the value just written", r, sts[0], data[0])
 		}
 	}
 }

@@ -180,8 +180,11 @@ case "${1:-}" in
         echo '  payloads pooled, but each frame header (both ends) and each'
         echo '  client response still heap-allocated'
         echo '- now = minimum across runs (steady state, pools warm)'
-        echo '- single READ is `ReadInto`, which copies into the caller'"'"'s'
-        echo '  buffer; `ReadCtx` adds the one slice it returns'
+        echo '- a single op is a 1-op BATCH_READ/BATCH_WRITE frame; the single'
+        echo '  READ row reads it with `ReadBatchCtx` into a reused `Dst`, so'
+        echo '  it counts protocol overhead only, and `ReadCtx` adds the one'
+        echo '  slice it returns; the two baselines measured the retired'
+        echo '  single READ and WRITE frames'
         echo
         echo '| round trip | pre-pooling (allocs/op) | pooled payloads (allocs/op) | now (allocs/op) |'
         echo '|---|---|---|---|'

@@ -8,9 +8,13 @@
 # pcache locking, the resilience engine/scrubber, atomic twod stats,
 # the obs registry) and the kernel layer they are built on (bitvec word
 # views, ecc codes); -full extends it to the whole module. The
-# cluster's plane tests then run four more times under -race: planes,
+# cluster's plane tests then run five more times under -race: planes,
 # their attempts and results channels are recycled between calls, and
-# one pass can miss a bug in state a straggler still holds.
+# one pass can miss a bug in state a straggler still holds. netsrv's
+# pending-batch tests run five more times for the same reason: every
+# data frame joins a connection's one pending batch, whose frame
+# records, read arenas and retained write payloads are reused from one
+# flush to the next.
 #
 # The bench module (bench/, its own go.mod) is vetted and tested too:
 # it builds on the façade's CacheStore and ClusterConn, so narrowing an
@@ -77,5 +81,7 @@ else
     go test -race -timeout 120s ./internal/bitvec/ ./internal/ecc/ ./internal/twod/ ./internal/pcache/ ./internal/resilience/ ./internal/obs/ ./internal/store/ ./internal/netsrv/ ./internal/fault/ ./internal/cluster/ ./internal/bufpool/
     echo "== go test -race -count=5 (cluster planes: recycled plane state)"
     go test -race -count=5 -timeout 120s -run 'Straggler|PathEquivalence|HedgedRead|AmbiguityParity|FreshnessPartition' ./internal/cluster/
+    echo "== go test -race -count=5 (netsrv pending batch: reused frame state)"
+    go test -race -count=5 -timeout 120s -run 'PipelineBatching|DeadlineSwitch|DeadlineSinglesAmortised|OversizedBatch|BatchDeadline' ./internal/netsrv/
 fi
 echo "check: OK"
