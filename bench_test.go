@@ -307,22 +307,6 @@ func BenchmarkSelfRepair(b *testing.B) {
 	}
 }
 
-func BenchmarkTraceRecordReplay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if _, err := RecordTrace(&buf, "OLTP", 0, 0, 1, 10000); err != nil {
-			b.Fatal(err)
-		}
-		src, err := ReplayTrace(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 10000; j++ {
-			src.Next()
-		}
-	}
-}
-
 func BenchmarkRepairAllocation(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := RepairConfig{Rows: 512, Cols: 1152, SpareRows: 8, SpareCols: 8, WordBits: 72, ECCSingleBit: true}

@@ -21,6 +21,12 @@
 // the run exits 1. -selftest-skew-writes N arms the cluster's injected
 // replication bug (every Nth write silently skips one replica) to prove
 // the verifier would catch real divergence.
+//
+// Exit codes: 0 for a clean run, 1 for silent corruption (it takes
+// precedence), and 2 when the generator could not drive its load: bad
+// flags, a failed dial or EPOCH probe, or a call-level error other than
+// a deadline that stopped a worker (a lost connection, a frame the
+// server refused), printed on stderr with the worker's number.
 package main
 
 import (
@@ -146,6 +152,8 @@ func main() {
 		silent    atomic.Uint64 // unaccounted mismatches: must stay zero
 		bytesIO   atomic.Uint64
 		wg        sync.WaitGroup
+		stopOnce  sync.Once
+		stopErr   error // the first call-level error that ended a worker
 	)
 
 	// shadowLine is one verified line: the value acked by the server and
@@ -254,10 +262,12 @@ func main() {
 
 			// batchAbort handles a call-level frame failure: a deadline is
 			// a reported outcome for every op in the frame, not a
-			// generator fatality.
+			// generator fatality. Any other error ends the worker, and
+			// the first one fails the run.
 			batchAbort := func(err error, isWrite bool) bool {
 				if fatalClientErr(err) || !errors.Is(err, context.DeadlineExceeded) {
-					return false // transport down: end the worker
+					stopOnce.Do(func() { stopErr = fmt.Errorf("worker %d: %w", w, err) })
+					return false
 				}
 				for j := 0; j < k; j++ {
 					if isWrite {
@@ -371,9 +381,15 @@ func main() {
 			fmt.Printf("  endpoint %s\n", s)
 		}
 	}
+	if stopErr != nil {
+		fmt.Fprintln(os.Stderr, "cacheload: stopped early:", stopErr)
+	}
 	if silent.Load() > 0 {
 		fmt.Println("cacheload: FAIL — silent corruption detected")
 		os.Exit(1)
+	}
+	if stopErr != nil {
+		os.Exit(2)
 	}
 	if *verify {
 		fmt.Println("cacheload: PASS — every mismatch accounted for by a loss-epoch advance")

@@ -24,7 +24,6 @@ import (
 
 	"twodcache"
 	"twodcache/internal/fault"
-	"twodcache/internal/twod"
 )
 
 func main() {
@@ -150,9 +149,8 @@ func main() {
 	defer stopSignals()
 
 	// Optional continuous Poisson fault storm, one event at a time
-	// against a uniformly chosen (shard, bank), clean-word gated under
-	// the bank lock — the soak harness's torture regime, here so remote
-	// clients can be the ones doing the verifying.
+	// through store.Sharded.Strike — the soak harness's torture regime,
+	// here so remote clients can be the ones doing the verifying.
 	stormDone := make(chan struct{})
 	go func() {
 		defer close(stormDone)
@@ -161,22 +159,7 @@ func main() {
 		}
 		storm := fault.NewStorm(fault.StormConfig{Seed: *seed, MeanInterval: *faultInterval})
 		rng := rand.New(rand.NewSource(*seed + 7))
-		banksPer := st.Shard(0).Cache().NumBanks()
-		storm.Run(ctx, func() {
-			gi := rng.Intn(st.NumShards() * banksPer)
-			c, bi := st.Shard(gi/banksPer).Cache(), gi%banksPer
-			hitTags := rng.Intn(4) == 0
-			c.WithBankLock(bi, func(data, tags *twod.Array) {
-				a := data
-				if hitTags {
-					a = tags
-				}
-				p := storm.NextEvent(a.Rows(), a.RowBits())
-				for _, fl := range p.Flips {
-					fault.FlipIfClean(a, fl.Row, fl.Col)
-				}
-			})
-		})
+		storm.Run(ctx, func() { st.Strike(storm, rng, nil) })
 	}()
 
 	serveErr := make(chan error, 1)

@@ -35,7 +35,6 @@ import (
 	"twodcache"
 	"twodcache/internal/fault"
 	"twodcache/internal/replay"
-	"twodcache/internal/twod"
 )
 
 // replayMain deterministically re-executes a recorded (or shrunk)
@@ -244,37 +243,23 @@ func main() {
 		}
 	}()
 
-	// Continuous Poisson fault storm. Each event lands under the bank
-	// lock so it races traffic at event granularity, never mid-word,
-	// and only strikes currently-clean words (see package comment).
+	// Continuous Poisson fault storm. Each event strikes a uniformly
+	// chosen (shard, bank) under its bank lock and only currently-clean
+	// words (see package comment and store.Sharded.Strike).
 	go func() {
 		defer close(stormDone)
 		storm := fault.NewStorm(fault.StormConfig{Seed: *seed, MeanInterval: *faultInterval})
 		rng := rand.New(rand.NewSource(*seed + 7))
-		// Every shard is its own protection domain: aim each event at a
-		// uniformly chosen (shard, bank) pair so storms cover all of them.
-		banksPer := st.Shard(0).Cache().NumBanks()
+		// A recording keeps every attempted flip; replay re-applies the
+		// same clean-word gate, so gating stays sound even after the
+		// shrinker removes other events.
+		var onFlip func(bank int, tags bool, row, col int)
+		if rec != nil {
+			onFlip = rec.Flip
+		}
 		storm.Run(ctx, func() {
-			gi := rng.Intn(st.NumShards() * banksPer)
-			c, bi := st.Shard(gi/banksPer).Cache(), gi%banksPer
-			hitTags := rng.Intn(4) == 0
-			c.WithBankLock(bi, func(data, tags *twod.Array) {
-				a := data
-				if hitTags {
-					a = tags
-				}
-				p := storm.NextEvent(a.Rows(), a.RowBits())
-				for _, fl := range p.Flips {
-					if rec != nil {
-						// Record the attempt; replay re-applies the same
-						// clean-word gate below, so gating stays sound
-						// even after the shrinker removes other events.
-						rec.Flip(bi, hitTags, fl.Row, fl.Col)
-					}
-					fault.FlipIfClean(a, fl.Row, fl.Col)
-				}
-				stormCount.Add(1)
-			})
+			st.Strike(storm, rng, onFlip)
+			stormCount.Add(1)
 		})
 	}()
 

@@ -1,11 +1,11 @@
 package twodcache
 
-// Façade over the manufacturing-test, repair, scrubbing, and trace
-// subsystems.
+// Façade over manufacturing test and repair, scrubbing, and the
+// protected cache with the serving stack built on it: resilience
+// engine, sharded store, network server, cluster client, chaos proxy
+// and observability.
 
 import (
-	"io"
-
 	"twodcache/internal/bist"
 	"twodcache/internal/cluster"
 	"twodcache/internal/fault"
@@ -16,8 +16,6 @@ import (
 	"twodcache/internal/resilience"
 	"twodcache/internal/scrub"
 	"twodcache/internal/store"
-	"twodcache/internal/trace"
-	"twodcache/internal/workload"
 )
 
 // --- BIST / march testing -----------------------------------------------
@@ -99,34 +97,6 @@ type ScrubModel = scrub.Model
 // DefaultScrubModel returns the paper-configuration bank under a modern
 // multi-bit upset mix.
 func DefaultScrubModel() ScrubModel { return scrub.DefaultModel() }
-
-// --- trace record / replay --------------------------------------------------
-
-// TraceSummary reports aggregate statistics of a recorded trace.
-type TraceSummary = trace.Summary
-
-// RecordTrace captures n instructions of the named workload (core,
-// thread, seed select the stream) into w in the compact binary format.
-func RecordTrace(w io.Writer, workloadName string, core, thread int, seed int64, n int) (uint64, error) {
-	prof, err := workload.ByName(workloadName)
-	if err != nil {
-		return 0, err
-	}
-	src, err := workload.NewStream(prof, core, thread, seed)
-	if err != nil {
-		return 0, err
-	}
-	return trace.Record(w, src, n)
-}
-
-// ReplayTrace loads a recorded trace as a looping workload source that
-// can drive the simulated cores.
-func ReplayTrace(r io.Reader) (workload.Source, error) {
-	return trace.NewReplayer(r)
-}
-
-// SummarizeTrace scans a recorded trace and reports its statistics.
-func SummarizeTrace(r io.Reader) (TraceSummary, error) { return trace.Summarize(r) }
 
 // --- protected functional cache ---------------------------------------------
 

@@ -1,7 +1,6 @@
 package twodcache
 
 import (
-	"bytes"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -64,38 +63,6 @@ func TestPublicScrubModel(t *testing.T) {
 	}
 	if m.EventRatePerHour() <= 0 {
 		t.Fatal("zero event rate")
-	}
-}
-
-func TestPublicTraceRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	n, err := RecordTrace(&buf, "Moldyn", 0, 0, 3, 5000)
-	if err != nil || n != 5000 {
-		t.Fatalf("record: %d, %v", n, err)
-	}
-	data := buf.Bytes()
-	sum, err := SummarizeTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Instructions != 5000 {
-		t.Fatalf("summary %+v", sum)
-	}
-	src, err := ReplayTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := 0
-	for i := 0; i < 5000; i++ {
-		if src.Next().IsMem {
-			mem++
-		}
-	}
-	if mem == 0 {
-		t.Fatal("replay produced no memory ops")
-	}
-	if _, err := RecordTrace(&buf, "nope", 0, 0, 1, 1); err == nil {
-		t.Fatal("unknown workload accepted")
 	}
 }
 

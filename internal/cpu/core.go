@@ -63,7 +63,7 @@ type FatCore struct {
 	window int
 	sqCap  int
 
-	trace   workload.Source
+	trace   *workload.Stream
 	rob     []robEntry
 	sq      []uint64
 	pending *workload.Instr // fetched but not yet dispatched (stall)
@@ -75,7 +75,7 @@ type FatCore struct {
 
 // NewFatCore builds the fat core: width-wide, with the given reorder
 // window and store-queue capacity, consuming the given trace.
-func NewFatCore(width, window, sqCap int, trace workload.Source) (*FatCore, error) {
+func NewFatCore(width, window, sqCap int, trace *workload.Stream) (*FatCore, error) {
 	if width <= 0 || window <= 0 || sqCap <= 0 {
 		return nil, fmt.Errorf("cpu: invalid fat core parameters %d/%d/%d", width, window, sqCap)
 	}
@@ -155,7 +155,7 @@ var _ Core = (*FatCore)(nil)
 
 // threadCtx is one hardware context of the lean core.
 type threadCtx struct {
-	trace        workload.Source
+	trace        *workload.Stream
 	blockedToken uint64
 	blocked      bool
 	pending      *workload.Instr
@@ -180,7 +180,7 @@ type LeanCore struct {
 }
 
 // NewLeanCore builds the lean core over one trace per hardware thread.
-func NewLeanCore(width, sqCap int, traces []workload.Source) (*LeanCore, error) {
+func NewLeanCore(width, sqCap int, traces []*workload.Stream) (*LeanCore, error) {
 	if width <= 0 || sqCap <= 0 || len(traces) == 0 {
 		return nil, fmt.Errorf("cpu: invalid lean core parameters")
 	}

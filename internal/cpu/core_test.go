@@ -151,7 +151,7 @@ func TestLeanCoreParams(t *testing.T) {
 	if _, err := NewLeanCore(2, 64, nil); err == nil {
 		t.Fatal("no threads accepted")
 	}
-	if _, err := NewLeanCore(2, 64, []workload.Source{nil}); err == nil {
+	if _, err := NewLeanCore(2, 64, []*workload.Stream{nil}); err == nil {
 		t.Fatal("nil thread accepted")
 	}
 }
@@ -159,7 +159,7 @@ func TestLeanCoreParams(t *testing.T) {
 func TestLeanCoreMultithreadingHidesLatency(t *testing.T) {
 	p, _ := workload.ByName("OLTP")
 	run := func(nthreads int) float64 {
-		var traces []workload.Source
+		var traces []*workload.Stream
 		for th := 0; th < nthreads; th++ {
 			traces = append(traces, workload.MustStream(p, 0, th, 7))
 		}
@@ -186,7 +186,7 @@ func TestLeanCoreMultithreadingHidesLatency(t *testing.T) {
 
 func TestLeanCoreBlocksOnLoads(t *testing.T) {
 	p, _ := workload.ByName("Sparse")
-	core, _ := NewLeanCore(2, 64, []workload.Source{workload.MustStream(p, 0, 0, 3)})
+	core, _ := NewLeanCore(2, 64, []*workload.Stream{workload.MustStream(p, 0, 0, 3)})
 	mem := newFakeMem(50, 2)
 	const cycles = 10000
 	for i := 0; i < cycles; i++ {
@@ -262,7 +262,7 @@ func TestFatCoreSurvivesChaos(t *testing.T) {
 
 func TestLeanCoreSurvivesChaos(t *testing.T) {
 	p, _ := workload.ByName("Web")
-	var traces []workload.Source
+	var traces []*workload.Stream
 	for th := 0; th < 4; th++ {
 		traces = append(traces, workload.MustStream(p, 0, th, 5))
 	}

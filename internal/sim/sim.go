@@ -170,16 +170,11 @@ func New(cfg SystemConfig, prot Protection, prof workload.Profile, seed int64) (
 			s.traces = append(s.traces, tr)
 			core, err = cpu.NewFatCore(cfg.Width, cfg.Window, cfg.SQSize, tr)
 		} else {
-			var trs []workload.Source
-			var first *workload.Stream
+			var trs []*workload.Stream
 			for th := 0; th < cfg.ThreadsPerCore; th++ {
-				st := workload.MustStream(prof, c, th, seed)
-				if th == 0 {
-					first = st
-				}
-				trs = append(trs, st)
+				trs = append(trs, workload.MustStream(prof, c, th, seed))
 			}
-			s.traces = append(s.traces, first)
+			s.traces = append(s.traces, trs[0])
 			core, err = cpu.NewLeanCore(cfg.Width, cfg.SQSize, trs)
 		}
 		if err != nil {

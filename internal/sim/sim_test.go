@@ -88,6 +88,10 @@ func TestBaselineRunsAndCommits(t *testing.T) {
 	}
 }
 
+// TestMatchedPairDeterminism checks that a seed reproduces its run, and
+// pins a fat-CMP and a lean-CMP run to the Results the simulator gave
+// at a fixed seed, so a change to the cores or what they consume cannot
+// move the CMP numbers unseen (the golden test skips the CMP figures).
 func TestMatchedPairDeterminism(t *testing.T) {
 	cfg := FatConfig()
 	a, err := RunOne(cfg, Baseline(), prof(t, "Web"), 5, testWarmup, testMeasure)
@@ -98,8 +102,27 @@ func TestMatchedPairDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Committed != b.Committed || a.L1 != b.L1 || a.L2 != b.L2 {
+	if a != b {
 		t.Fatal("same seed produced different results")
+	}
+	wantFat := Result{System: "fat", Workload: "Web", Protection: "baseline", Cycles: 20000, Committed: 32116,
+		L1:     AccessStats{ReadData: 7904, ReadInst: 0, Write: 2693, FillEvict: 2251, ExtraRead: 10},
+		L2:     AccessStats{ReadData: 1047, ReadInst: 1438, Write: 285, FillEvict: 2102, ExtraRead: 0},
+		L1ToL1: 10, SQFullStalls: 0, PortRejects: 18442, Recoveries: 0}
+	if a != wantFat {
+		t.Errorf("fat run moved:\n got %+v\nwant %+v", a, wantFat)
+	}
+	lean, err := RunOne(LeanConfig(), Protection{L1TwoD: true, L2TwoD: true, PortStealing: true},
+		prof(t, "OLTP"), 5, testWarmup, testMeasure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLean := Result{System: "lean", Workload: "OLTP", Protection: "L1(PS)+L2", Cycles: 20000, Committed: 71941,
+		L1:     AccessStats{ReadData: 17583, ReadInst: 0, Write: 8356, FillEvict: 5986, ExtraRead: 14381},
+		L2:     AccessStats{ReadData: 3951, ReadInst: 2365, Write: 1033, FillEvict: 4877, ExtraRead: 5869},
+		L1ToL1: 41, SQFullStalls: 0, PortRejects: 27273, Recoveries: 0}
+	if lean != wantLean {
+		t.Errorf("lean run moved:\n got %+v\nwant %+v", lean, wantLean)
 	}
 }
 

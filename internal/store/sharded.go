@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 
+	"twodcache/internal/fault"
 	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
+	"twodcache/internal/twod"
 )
 
 // Config assembles a sharded store.
@@ -174,6 +177,35 @@ func (s *Sharded) Locate(addr uint64) (*resilience.Engine, uint64) {
 func (s *Sharded) LossEpoch(addr uint64) uint64 {
 	e, la := s.Locate(addr)
 	return e.Cache().LossEpoch(int(la / s.lineBytes % uint64(s.setsPer)))
+}
+
+// Strike delivers one event of storm, the fault regime soak and
+// cachenetd share (LossEpoch is its oracle). It draws a uniform
+// (shard, bank) from rng, then the tag array one time in four (the data
+// array otherwise), then the storm's footprint for that array, and
+// flips each cell through fault.FlipIfClean under the bank lock, so an
+// event races traffic whole, never mid-word. Keep the draw order: a
+// seed must keep giving the same storm. onFlip, when not nil, sees
+// every attempted flip before the clean-word gate, with the bank's
+// index in its shard.
+func (s *Sharded) Strike(storm *fault.Storm, rng *rand.Rand, onFlip func(bank int, tags bool, row, col int)) {
+	banksPer := s.shards[0].engine.Cache().NumBanks()
+	gi := rng.Intn(len(s.shards) * banksPer)
+	c, bi := s.shards[gi/banksPer].engine.Cache(), gi%banksPer
+	hitTags := rng.Intn(4) == 0
+	c.WithBankLock(bi, func(data, tags *twod.Array) {
+		a := data
+		if hitTags {
+			a = tags
+		}
+		p := storm.NextEvent(a.Rows(), a.RowBits())
+		for _, fl := range p.Flips {
+			if onFlip != nil {
+				onFlip(bi, hitTags, fl.Row, fl.Col)
+			}
+			fault.FlipIfClean(a, fl.Row, fl.Col)
+		}
+	})
 }
 
 // local contracts a global address to the owning shard's address

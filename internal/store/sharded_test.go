@@ -5,12 +5,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"twodcache/internal/fault"
 	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
 	"twodcache/internal/resilience"
+	"twodcache/internal/twod"
 )
 
 var testCfg = pcache.Config{Sets: 16, Ways: 2, LineBytes: 64, Banks: 4}
@@ -336,6 +339,70 @@ func TestShardedZeroShardsIsOne(t *testing.T) {
 	got, err := read1(s, 0, 1)
 	if err != nil || got[0] != 9 {
 		t.Fatalf("%x, %v", got, err)
+	}
+}
+
+// TestStrikeTwinStormsAgree checks that a strike depends only on its
+// storm and rng: two stores struck by twin storms and twin rngs attempt
+// the same flips and end with the same data, tag and parity planes, and
+// those planes differ from an unstruck store's.
+func TestStrikeTwinStormsAgree(t *testing.T) {
+	type flip struct {
+		bank     int
+		tags     bool
+		row, col int
+	}
+	strike := func(events int) (*Sharded, []flip) {
+		s, _ := newSharded(t, 2)
+		for line := uint64(0); line < 64; line++ {
+			if err := write1(s, line*64, []byte{byte(line), ^byte(line)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		storm := fault.NewStorm(fault.StormConfig{Seed: 5, MeanInterval: time.Millisecond})
+		rng := rand.New(rand.NewSource(12))
+		var flips []flip
+		for i := 0; i < events; i++ {
+			s.Strike(storm, rng, func(bank int, tags bool, row, col int) {
+				flips = append(flips, flip{bank, tags, row, col})
+			})
+		}
+		return s, flips
+	}
+	a, fa := strike(300)
+	b, fb := strike(300)
+	clean, _ := strike(0)
+	if !slices.Equal(fa, fb) {
+		t.Fatalf("twin storms attempted different flips: %d vs %d", len(fa), len(fb))
+	}
+	if !slices.ContainsFunc(fa, func(f flip) bool { return f.tags }) {
+		t.Fatalf("%d attempted flips, none on a tag array", len(fa))
+	}
+	same := func(x, y *twod.Array) bool {
+		if !x.SnapshotData().Equal(y.SnapshotData()) {
+			return false
+		}
+		for g := 0; g < x.VerticalGroups(); g++ {
+			if !slices.Equal(x.ParityRowWords(g), y.ParityRowWords(g)) {
+				return false
+			}
+		}
+		return true
+	}
+	struck := false
+	for sh := 0; sh < a.NumShards(); sh++ {
+		for bi := 0; bi < testCfg.Banks; bi++ {
+			da, ta := a.Shard(sh).Cache().BankArrays(bi)
+			db, tb := b.Shard(sh).Cache().BankArrays(bi)
+			dc, tc := clean.Shard(sh).Cache().BankArrays(bi)
+			if !same(da, db) || !same(ta, tb) {
+				t.Fatalf("shard %d bank %d: twin stores' planes differ", sh, bi)
+			}
+			struck = struck || !same(da, dc) || !same(ta, tc)
+		}
+	}
+	if !struck {
+		t.Fatal("no strike changed a plane")
 	}
 }
 

@@ -23,13 +23,6 @@ type Instr struct {
 	Addr uint64
 }
 
-// Source supplies committed instructions to a simulated core: either a
-// synthetic Stream or a recorded trace replayer.
-type Source interface {
-	// Next produces the next committed instruction.
-	Next() Instr
-}
-
 // Profile parameterises one workload's memory behaviour.
 type Profile struct {
 	// Name is the workload label used in the paper's figures.

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the tier-1 verify loop, `make check`-equivalent.
 #
-#   ./scripts/check.sh          # fmt + vet + build + test + race on hardened packages
+#   ./scripts/check.sh          # fmt + vet + build + export list + test + race on hardened packages
 #   ./scripts/check.sh -full    # additionally race-test every package
 #
 # The race pass covers the packages with concurrent hot paths (banked
@@ -36,6 +36,11 @@
 # scrubber Stop that never joins) fails the build in two minutes with a
 # goroutine dump instead of idling under go test's default 10m.
 #
+# scripts/unused_exports.sh lists the exported funcs and methods that
+# only tests use (~5 s); its output must match the committed
+# scripts/unused_exports.txt, so a new test-only export, or one that
+# gains a caller, changes that file in the same commit.
+#
 # staticcheck runs when the binary is on PATH and is skipped with a
 # warning otherwise, so the gate tightens automatically on machines
 # that have it without breaking minimal containers.
@@ -59,6 +64,14 @@ else
 fi
 echo "== go build ./..."
 go build ./...
+echo "== test-only exports (scripts/unused_exports.sh vs scripts/unused_exports.txt)"
+if ! ue_diff=$(sh scripts/unused_exports.sh | diff -u scripts/unused_exports.txt -); then
+    echo "unused_exports: the exports only tests use differ from scripts/unused_exports.txt:" >&2
+    echo "$ue_diff" >&2
+    echo "delete the name, give it a non-test caller, or regenerate the file with" >&2
+    echo "  sh scripts/unused_exports.sh > scripts/unused_exports.txt" >&2
+    exit 1
+fi
 echo "== go test ./..."
 go test -timeout 120s ./...
 echo "== bench module: go vet + go test"

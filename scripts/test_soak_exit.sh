@@ -1,11 +1,13 @@
 #!/bin/sh
-# test_soak_exit.sh — the exit-code contract of cmd/soak.
+# test_soak_exit.sh — the exit-code contract of cmd/soak, and of
+# cachenetd and cacheload driven together (cases 13-17).
 #
 # A soak run that detects silent corruption MUST exit non-zero, in
 # every mode: a live run, a live run interrupted by SIGINT mid-failure
 # (the drain still reports and fails), and a deterministic -replay of a
 # trace that goes silent. Healthy runs and expect-silent
-# self-validation traces exit 0. CI treats a zero exit from a corrupted
+# self-validation traces exit 0. A cacheload run that could not drive
+# its load exits 2, never PASS. CI treats a zero exit from a corrupted
 # run as the worst possible outcome — this script pins the contract.
 set -u
 cd "$(dirname "$0")/.."
@@ -253,5 +255,25 @@ grep -q "^cachenetd: serving /debug/vars and /metrics on " "$tmp/storm.out" \
 recovered=$(sed -n 's/^cachenetd: drained clean .*, \([0-9][0-9]*\) recovered,.*/\1/p' "$tmp/storm.out")
 [ -n "$recovered" ] && [ "$recovered" -gt 0 ] \
     || { cat "$tmp/storm.out" >&2; fail "storming cachenetd recovered no errors (got '${recovered:-}')"; }
+
+# 17. A worker that a call-level error stops fails the run. A 40000-op
+#     read frame asks for 2.56 MB, over the server's 2 MiB per-frame read
+#     limit, so the server refuses it and every worker stops at its first
+#     read. cacheload must exit 2 (it did not drive its load), name the
+#     refused request on stderr and print no PASS banner.
+"$netd" -addr 127.0.0.1:0 >"$tmp/big.out" 2>&1 &
+bgpid=$!
+e1=$(plain_addr "$tmp/big.out") || { kill -INT "$bgpid"; wait "$bgpid"; fail "oversized-frame cachenetd never printed its address"; }
+"$load" -addr "$e1" -batch 40000 -write-frac 0 -duration 1s >"$tmp/bigload.out" 2>"$tmp/bigload.err"
+st=$?
+kill -INT "$bgpid"
+wait "$bgpid"
+[ "$st" -eq 2 ] || { cat "$tmp/bigload.out" "$tmp/bigload.err" >&2; fail "oversized-frame cacheload exited $st (want 2)"; }
+grep -q "bad BATCH_READ op size" "$tmp/bigload.err" \
+    || { cat "$tmp/bigload.err" >&2; fail "oversized-frame cacheload did not name the refused request on stderr"; }
+if grep -q "cacheload: PASS" "$tmp/bigload.out"; then
+    cat "$tmp/bigload.out" >&2
+    fail "oversized-frame cacheload printed a PASS banner"
+fi
 
 echo "test_soak_exit: OK"

@@ -3,13 +3,14 @@
 #
 #   ./scripts/unused_exports.sh
 #
-# Prints, one per line as `file:line: [Recv.]Name`, every exported
-# function or method declared in a non-test .go file of the root module
-# (bench/, a module of its own, is not listed) that nothing outside
-# tests uses. Names are resolved by type, not by spelling: the module's
-# non-test files are type-checked with go/types (the standard library
-# from source, the module's packages from source in dependency order),
-# and a func or method counts as used when
+# Prints, one per line as `dir [Recv.]Name` (dir relative to the module
+# root, sorted by dir, then name), every exported function or method
+# declared in a non-test .go file of the root module (bench/, a module
+# of its own, is not listed) that nothing outside tests uses. Names are
+# resolved by type, not by spelling: the module's non-test files are
+# type-checked with go/types (the standard library from source, the
+# module's packages from source in dependency order), and a func or
+# method counts as used when
 #
 #   - a non-test identifier or selector resolves to it;
 #   - its receiver implements an interface type the module mentions
@@ -23,9 +24,12 @@
 #     not type-checked).
 #
 # A listed name is used only by tests, or not at all: a candidate for
-# deletion, not a verdict. Report only: a listed name does not fail it
-# (it exits non-zero only when a file does not parse or type-check), and
-# check.sh does not run it. It needs only the Go toolchain.
+# deletion, not a verdict. The script itself exits non-zero only when a
+# file does not parse or type-check. scripts/unused_exports.txt holds
+# its committed output, and check.sh fails on any difference from it,
+# so a test-only export cannot land unseen: delete the name, give it a
+# caller, or update the file in the same change. It needs only the Go
+# toolchain.
 set -eu
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -201,11 +205,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	type decl struct {
-		file  string
-		line  int
-		label string
-	}
+	type decl struct{ dir, label string }
 	var unused []decl
 	for _, f := range files {
 		for _, d := range f.Decls {
@@ -229,22 +229,21 @@ func main() {
 					label = id.Name + "." + label
 				}
 			}
-			pos := fset.Position(fd.Name.Pos())
-			rel, err := filepath.Rel(root, pos.Filename)
+			rel, err := filepath.Rel(root, filepath.Dir(fset.Position(fd.Name.Pos()).Filename))
 			if err != nil {
 				fail(err)
 			}
-			unused = append(unused, decl{rel, pos.Line, label})
+			unused = append(unused, decl{filepath.ToSlash(rel), label})
 		}
 	}
 	sort.Slice(unused, func(i, j int) bool {
-		if unused[i].file != unused[j].file {
-			return unused[i].file < unused[j].file
+		if unused[i].dir != unused[j].dir {
+			return unused[i].dir < unused[j].dir
 		}
-		return unused[i].line < unused[j].line
+		return unused[i].label < unused[j].label
 	})
 	for _, d := range unused {
-		fmt.Printf("%s:%d: %s\n", d.file, d.line, d.label)
+		fmt.Printf("%s %s\n", d.dir, d.label)
 	}
 }
 EOF
