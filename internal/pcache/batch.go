@@ -156,28 +156,30 @@ func (c *Cache) readBankRun(b *bank, ops []ReadOp, run []int) (failed int) {
 // the rest hit the line it brought in. ok is false when every way of
 // the set is decommissioned: all k ops are then counted as bypassed
 // misses and the caller serves them from backing. The caller has
-// already counted the k accesses.
-func (c *Cache) groupWayLocked(b *bank, ls int, line uint64, k uint64) (way int, ok bool, err error) {
+// already counted the k accesses. A write group passes its ops and
+// their wholeLineTail; installed reports that a miss installed that
+// tail's merge as the dirty line, so the group's writes are done.
+func (c *Cache) groupWayLocked(b *bank, ls int, line uint64, k uint64, ops []WriteOp, whole []int) (way int, installed, ok bool, err error) {
 	way, err = c.lookupLocked(b, ls, c.tagOf(line))
 	if err != nil {
-		return 0, false, err
+		return 0, false, false, err
 	}
 	if way >= 0 {
 		b.hits.Add(k)
-		return way, true, nil
+		return way, false, true, nil
 	}
 	c.misses.Add(1)
-	way, ok, err = c.fillLocked(b, ls, line)
+	way, ok, err = c.fillLocked(b, ls, line, ops, whole)
 	switch {
 	case err != nil:
-		return 0, false, err
+		return 0, false, false, err
 	case !ok:
 		c.misses.Add(k - 1)
 		c.bypassed.Add(k)
-		return 0, false, nil
+		return 0, false, false, nil
 	}
 	b.hits.Add(k - 1)
-	return way, true, nil
+	return way, whole != nil, true, nil
 }
 
 // readLineGroupLocked serves every op of one line with a single tag
@@ -192,13 +194,12 @@ func (c *Cache) readLineGroupLocked(b *bank, line uint64, ops []ReadOp, group []
 		}
 		return len(group)
 	}
-	way, ok, err := c.groupWayLocked(b, ls, line, uint64(len(group)))
+	way, _, ok, err := c.groupWayLocked(b, ls, line, uint64(len(group)), nil, nil)
 	if err != nil {
 		return fail(err)
 	}
-	src := b.lineBuf
 	if !ok {
-		src = c.backing.ReadLine(line << c.lineShift)
+		ReadLineInto(c.backing, line<<c.lineShift, b.lineBuf)
 	} else {
 		b.touch(ls, way, c.cfg.Ways)
 		if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
@@ -207,7 +208,7 @@ func (c *Cache) readLineGroupLocked(b *bank, line uint64, ops []ReadOp, group []
 	}
 	for _, i := range group {
 		off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
-		copy(ops[i].Dst, src[off:off+len(ops[i].Dst)])
+		copy(ops[i].Dst, b.lineBuf[off:off+len(ops[i].Dst)])
 	}
 	return 0
 }
@@ -264,8 +265,11 @@ func (c *Cache) writeBankRun(b *bank, ops []WriteOp, run []int) (failed int) {
 // writeLineGroupLocked applies every op of one line, in group order,
 // with one read-modify-write of the protected line and one dirty-tag
 // store; a decommissioned set takes one read-modify-write through to
-// backing instead. Failures land on every op of the group. A single
-// write is a group of one.
+// backing instead. A group that holds a whole-line op and misses
+// fetches nothing: the fill installs its wholeLineTail directly, with
+// no read-out, and a bypass patches the ops over the staging buffer's
+// stale bytes, which the whole-line op overwrites. Failures land on
+// every op of the group. A single write is a group of one.
 func (c *Cache) writeLineGroupLocked(b *bank, line uint64, ops []WriteOp, group []int) int {
 	ls := c.setOf(line) % c.setsPerBank
 	fail := func(err error) int {
@@ -274,27 +278,27 @@ func (c *Cache) writeLineGroupLocked(b *bank, line uint64, ops []WriteOp, group 
 		}
 		return len(group)
 	}
-	way, ok, err := c.groupWayLocked(b, ls, line, uint64(len(group)))
+	whole := c.wholeLineTail(ops, group)
+	way, installed, ok, err := c.groupWayLocked(b, ls, line, uint64(len(group)), ops, whole)
 	if err != nil {
 		return fail(err)
 	}
 	if !ok {
-		buf := c.backing.ReadLine(line << c.lineShift)
-		for _, i := range group {
-			off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
-			copy(buf[off:], ops[i].Data)
+		if whole == nil {
+			ReadLineInto(c.backing, line<<c.lineShift, b.lineBuf)
 		}
-		c.backing.WriteLine(line<<c.lineShift, buf)
+		c.patch(b.lineBuf, ops, group)
+		c.backing.WriteLine(line<<c.lineShift, b.lineBuf)
 		return 0
 	}
 	b.touch(ls, way, c.cfg.Ways)
+	if installed {
+		return 0
+	}
 	if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
 		return fail(err)
 	}
-	for _, i := range group {
-		off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
-		copy(b.lineBuf[off:], ops[i].Data)
-	}
+	c.patch(b.lineBuf, ops, group)
 	if err := c.writeLineLocked(b, ls, way, b.lineBuf); err != nil {
 		return fail(err)
 	}
@@ -302,4 +306,18 @@ func (c *Cache) writeLineGroupLocked(b *bank, line uint64, ops []WriteOp, group 
 		return fail(err)
 	}
 	return 0
+}
+
+// wholeLineTail returns group from its last whole-line op on, or nil
+// when no op of the group writes the whole line. A span check has
+// passed, so an op LineBytes long starts at offset 0. The tail alone
+// decides the line's bytes: its first op overwrites everything the ops
+// before it, and the line's old contents, left.
+func (c *Cache) wholeLineTail(ops []WriteOp, group []int) []int {
+	for j := len(group) - 1; j >= 0; j-- {
+		if len(ops[group[j]].Data) == c.cfg.LineBytes {
+			return group[j:]
+		}
+	}
+	return nil
 }

@@ -4,36 +4,50 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestBatchMatchesSerial drives the same randomized op sequence
 // through a batched cache and a serial twin issuing every op as a batch
 // of its own, and demands identical bytes, identical per-op outcomes,
-// identical traffic accounting, and identical final backing contents.
+// identical traffic accounting, and identical final backing contents,
+// all of them matching a flat byte model of the written span. A quarter of the writes are aligned whole-line writes, and every
+// write batch ends with partial writes before and after a whole-line
+// write to one line, which must apply in batch order whether the line
+// is resident or not.
 func TestBatchMatchesSerial(t *testing.T) {
 	cfg := Config{Sets: 16, Ways: 2, LineBytes: 64, Banks: 4}
 	bb, sb := NewMapBacking(64), NewMapBacking(64)
 	batched, serial := MustNew(cfg, bb), MustNew(cfg, sb)
 	rng := rand.New(rand.NewSource(7))
 	span := uint64(cfg.Sets * cfg.Ways * cfg.LineBytes * 2)
+	model := make([]byte, span)
 
 	for round := 0; round < 50; round++ {
 		k := 1 + rng.Intn(24)
 		if rng.Intn(2) == 0 {
-			wops := make([]WriteOp, k)
-			sops := make([]WriteOp, k)
-			for i := range wops {
-				addr := rng.Uint64() % span
-				n := 1 + rng.Intn(16)
+			var wops []WriteOp
+			write := func(addr uint64, n int) {
 				if off := int(addr) % cfg.LineBytes; off+n > cfg.LineBytes {
 					n = cfg.LineBytes - off
 				}
 				data := make([]byte, n)
 				rng.Read(data)
-				wops[i] = WriteOp{Addr: addr, Data: data}
-				sops[i] = WriteOp{Addr: addr, Data: data}
+				wops = append(wops, WriteOp{Addr: addr, Data: data})
 			}
+			for range k {
+				if rng.Intn(4) == 0 {
+					write(rng.Uint64()%span&^uint64(cfg.LineBytes-1), cfg.LineBytes)
+				} else {
+					write(rng.Uint64()%span, 1+rng.Intn(16))
+				}
+			}
+			base := rng.Uint64() % span &^ uint64(cfg.LineBytes-1)
+			write(base+uint64(rng.Intn(cfg.LineBytes)), 1+rng.Intn(16))
+			write(base, cfg.LineBytes)
+			write(base+uint64(rng.Intn(cfg.LineBytes)), 1+rng.Intn(16))
+			sops := slices.Clone(wops)
 			if failed := batched.WriteBatch(wops); failed != 0 {
 				t.Fatalf("round %d: WriteBatch failed %d ops", round, failed)
 			}
@@ -41,6 +55,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 				if err := write1(serial, sops[i].Addr, sops[i].Data); err != nil {
 					t.Fatalf("round %d: serial write: %v", round, err)
 				}
+				copy(model[sops[i].Addr:], sops[i].Data)
 			}
 		} else {
 			rops := make([]ReadOp, k)
@@ -63,6 +78,9 @@ func TestBatchMatchesSerial(t *testing.T) {
 				if !bytes.Equal(rops[i].Dst, want) {
 					t.Fatalf("round %d op %d: batch read %x, serial %x at %#x",
 						round, i, rops[i].Dst, want, rops[i].Addr)
+				}
+				if m := model[rops[i].Addr:][:len(want)]; !bytes.Equal(want, m) {
+					t.Fatalf("round %d op %d: read %x, model %x at %#x", round, i, want, m, rops[i].Addr)
 				}
 			}
 		}
@@ -92,6 +110,9 @@ func TestBatchMatchesSerial(t *testing.T) {
 		b2 := sb.ReadLine(line * uint64(cfg.LineBytes))
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("backing diverged at line %d: %x vs %x", line, b1, b2)
+		}
+		if m := model[line*uint64(cfg.LineBytes):][:cfg.LineBytes]; !bytes.Equal(b1, m) {
+			t.Fatalf("backing line %d holds %x, model %x", line, b1, m)
 		}
 	}
 }

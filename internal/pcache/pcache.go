@@ -84,6 +84,18 @@ func (c Config) effectiveBanks() int {
 
 // Backing is the next level of the hierarchy: line-granular load/store.
 // Implementations must be safe for concurrent use (MapBacking is).
+//
+// The cache fetches every line through ReadLineInto, so a Backing may
+// also have the optional method
+//
+//	ReadLineInto(addr uint64, dst []byte)
+//
+// which must leave in dst (LineBytes long, a cache-owned scratch
+// buffer) exactly the bytes ReadLine would return, zeroes included for
+// a line never written, and must not retain dst. A decorator that
+// embeds a Backing and overrides ReadLine hides the method: the
+// embedded interface promotes only ReadLine and WriteLine, so its fills
+// still run through its own ReadLine.
 type Backing interface {
 	// ReadLine returns LineBytes bytes at the line-aligned address.
 	ReadLine(addr uint64) []byte
@@ -91,6 +103,22 @@ type Backing interface {
 	// slice is a cache-owned scratch buffer reused across calls:
 	// implementations must copy it, never retain it.
 	WriteLine(addr uint64, data []byte)
+}
+
+// lineIntoReader is Backing's optional in-place fetch.
+type lineIntoReader interface {
+	ReadLineInto(addr uint64, dst []byte)
+}
+
+// ReadLineInto fills dst with the line at addr: through b's own
+// ReadLineInto when it has one, which need not allocate, and by copying
+// ReadLine's result otherwise.
+func ReadLineInto(b Backing, addr uint64, dst []byte) {
+	if r, ok := b.(lineIntoReader); ok {
+		r.ReadLineInto(addr, dst)
+		return
+	}
+	copy(dst, b.ReadLine(addr))
 }
 
 // MapBacking is a simple in-memory Backing, safe for concurrent use.
@@ -105,19 +133,27 @@ func NewMapBacking(lineBytes int) *MapBacking {
 	return &MapBacking{lineBytes: lineBytes, m: map[uint64][]byte{}}
 }
 
-// ReadLine returns the stored line (zeroes if never written).
+// ReadLine returns a copy of the stored line (zeroes if never written).
 func (b *MapBacking) ReadLine(addr uint64) []byte {
 	out := make([]byte, b.lineBytes)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if d, ok := b.m[addr]; ok {
-		copy(out, d)
-	}
+	b.ReadLineInto(addr, out)
 	return out
 }
 
-// WriteLine stores a line, overwriting a stored one in place: ReadLine
-// hands out copies, so nothing aliases it, and a writeback allocates
+// ReadLineInto copies the stored line into dst, or zeroes dst if the
+// line was never written.
+func (b *MapBacking) ReadLineInto(addr uint64, dst []byte) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if d, ok := b.m[addr]; ok {
+		copy(dst, d)
+	} else {
+		clear(dst)
+	}
+}
+
+// WriteLine stores a line, overwriting a stored one in place: reads
+// hand out copies, so nothing aliases it, and a writeback allocates
 // only the first time it reaches an address.
 func (b *MapBacking) WriteLine(addr uint64, data []byte) {
 	b.mu.Lock()
@@ -217,10 +253,10 @@ type bank struct {
 	disabled []bool
 
 	// lineBuf is the bank's line-sized staging buffer (line read-outs,
-	// read-modify-writes, fills, writebacks, flushes); lineWords and
-	// lineSt carry a line's words and their statuses through the data
-	// array's row calls. Reusing them keeps the hit path
-	// allocation-free.
+	// read-modify-writes, writebacks, flushes, and the fetches of fills
+	// and bypasses); lineWords and lineSt carry a line's words and their
+	// statuses through the data array's row calls. Reusing them keeps
+	// hits and misses allocation-free.
 	lineBuf   []byte
 	lineWords []uint64
 	lineSt    []twod.ReadStatus
@@ -596,8 +632,14 @@ func (c *Cache) writeLineLocked(b *bank, ls, way int, data []byte) error {
 }
 
 // fillLocked brings the line into the set, evicting as needed; ok is
-// false when every way is decommissioned (caller must bypass).
-func (c *Cache) fillLocked(b *bank, ls int, line uint64) (way int, ok bool, err error) {
+// false when every way is decommissioned (caller must bypass). It
+// installs the backing's line, fetched into lineBuf, as a clean line.
+// A write group that holds a whole-line op passes its ops from the last
+// one on as whole: they overwrite every byte a fetch would bring in, so
+// the fill fetches nothing and installs their merge as a dirty line.
+// The install still reads the victim's row, for the vertical parity
+// delta.
+func (c *Cache) fillLocked(b *bank, ls int, line uint64, ops []WriteOp, whole []int) (way int, ok bool, err error) {
 	way, ok, err = c.victimLocked(b, ls)
 	if err != nil || !ok {
 		return 0, ok, err
@@ -632,13 +674,29 @@ func (c *Cache) fillLocked(b *bank, ls int, line uint64) (way int, ok bool, err 
 			return 0, true, err
 		}
 	}
-	if err := c.writeLineLocked(b, ls, way, c.backing.ReadLine(line<<c.lineShift)); err != nil {
+	tag := tagValidBit | c.tagOf(line)<<tagShift
+	if whole == nil {
+		ReadLineInto(c.backing, line<<c.lineShift, b.lineBuf)
+	} else {
+		c.patch(b.lineBuf, ops, whole)
+		tag |= tagDirtyBit
+	}
+	if err := c.writeLineLocked(b, ls, way, b.lineBuf); err != nil {
 		return 0, true, err
 	}
-	if err := c.writeTagLocked(b, ls, way, tagValidBit|c.tagOf(line)<<tagShift); err != nil {
+	if err := c.writeTagLocked(b, ls, way, tag); err != nil {
 		return 0, true, err
 	}
 	return way, true, nil
+}
+
+// patch copies each op's data into the line image dst at the op's line
+// offset, in group order.
+func (c *Cache) patch(dst []byte, ops []WriteOp, group []int) {
+	for _, i := range group {
+		off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
+		copy(dst[off:], ops[i].Data)
+	}
 }
 
 // touch stamps the way as most recently used.

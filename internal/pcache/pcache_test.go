@@ -282,6 +282,122 @@ func TestMapBacking(t *testing.T) {
 	if b.ReadLine(0)[5] != 7 {
 		t.Fatal("backing aliased caller slice")
 	}
+	// A fill's dst is the bank's staging buffer, which still holds the
+	// last line it carried: a never-written line must come back as
+	// zeroes, not as that line.
+	dst := bytes.Repeat([]byte{0xAA}, 64)
+	b.ReadLineInto(0x40, dst)
+	if !bytes.Equal(dst, make([]byte, 64)) {
+		t.Fatalf("ReadLineInto of a never-written line left %x", dst)
+	}
+	b.ReadLineInto(0, dst)
+	if dst[5] != 7 || dst[4] != 0 {
+		t.Fatalf("ReadLineInto of a stored line = %x", dst)
+	}
+}
+
+// decoratedBacking wraps a Backing the way a tracing decorator does: it
+// embeds the interface and overrides both methods, which hides the
+// wrapped backing's ReadLineInto. It counts the calls that reach it.
+type decoratedBacking struct {
+	Backing
+	reads, writes int
+}
+
+func (d *decoratedBacking) ReadLine(addr uint64) []byte {
+	d.reads++
+	return d.Backing.ReadLine(addr)
+}
+
+func (d *decoratedBacking) WriteLine(addr uint64, data []byte) {
+	d.writes++
+	d.Backing.WriteLine(addr, data)
+}
+
+// TestDecoratedBackingSeesEveryFetch holds the cache to one ReadLine
+// through a decorator per fetched line — a read miss, a partial-write
+// miss and a bypassed set alike — and to none for a whole-line write,
+// which overwrites every byte a fetch would bring in. The data that
+// crosses the decorator must be right too.
+func TestDecoratedBackingSeesEveryFetch(t *testing.T) {
+	mem := NewMapBacking(64)
+	d := &decoratedBacking{Backing: mem}
+	c := MustNew(Config{Sets: 16, Ways: 2, LineBytes: 64, Banks: 1}, d)
+	stored := bytes.Repeat([]byte{0x5A}, 64)
+	for line := uint64(0); line < 64; line++ {
+		mem.WriteLine(line*64, stored)
+	}
+	whole := make([]byte, 64)
+	for i := range whole {
+		whole[i] = byte(i)
+	}
+	step := func(name string, wantReads int, fn func() error) {
+		t.Helper()
+		before := d.reads
+		if err := fn(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := d.reads - before; got != wantReads {
+			t.Fatalf("%s: %d ReadLine calls through the decorator, want %d", name, got, wantReads)
+		}
+	}
+	expect := func(addr uint64, want []byte) {
+		t.Helper()
+		got, err := read1(c, addr, len(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%#x reads %x, want %x", addr, got, want)
+		}
+	}
+
+	step("read miss", 1, func() error { _, err := read1(c, 0x040, 8); return err })
+	step("partial-write miss", 1, func() error { return write1(c, 0x080, []byte{1, 2}) })
+	step("whole-line write miss", 0, func() error { return write1(c, 0x0C0, whole) })
+	step("whole-line write hit", 0, func() error { return write1(c, 0x040, whole) })
+	// Partial writes before and after a whole-line write to a line that
+	// misses: batch order holds, and nothing is fetched.
+	step("partial, whole, partial miss", 0, func() error {
+		ops := []WriteOp{
+			{Addr: 0x108, Data: []byte{0xEE, 0xEE}},
+			{Addr: 0x100, Data: whole},
+			{Addr: 0x110, Data: []byte{0xDD}},
+		}
+		if c.WriteBatch(ops) != 0 {
+			return ops[0].Err
+		}
+		return nil
+	})
+	want := append([]byte(nil), whole...)
+	want[0x10] = 0xDD
+	step("hits", 0, func() error {
+		expect(0x0C0, whole)
+		expect(0x100, want)
+		expect(0x080, append([]byte{1, 2}, stored[2:]...))
+		return nil
+	})
+
+	// A fully decommissioned set bypasses the cache: reads and partial
+	// writes fetch the line, a whole-line write does not.
+	c.Decommission(8, 0)
+	c.Decommission(8, 1)
+	step("bypassed read", 1, func() error { _, err := read1(c, 0x200, 8); return err })
+	step("bypassed partial write", 1, func() error { return write1(c, 0x208, []byte{9}) })
+	step("bypassed whole-line write", 0, func() error { return write1(c, 0x600, whole) })
+	expect(0x200, append(append(append([]byte(nil), stored[:8]...), 9), stored[9:]...))
+	expect(0x600, whole)
+
+	// The whole-line miss installed dirty lines: a flush writes them
+	// back through the decorator.
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for addr, w := range map[uint64][]byte{0x0C0: whole, 0x100: want} {
+		if got := mem.ReadLine(addr); !bytes.Equal(got, w) {
+			t.Fatalf("backing holds %x at %#x after flush, want %x", got, addr, w)
+		}
+	}
 }
 
 func TestUncorrectableSurfacesAndRepairs(t *testing.T) {

@@ -12,7 +12,11 @@ import (
 // its own backing) must produce identical read results and, after a
 // final flush, byte-identical backings — the shard address contraction
 // and batch routing are pure plumbing, invisible to callers. No faults
-// are injected, so both runs are deterministic.
+// are injected, so both runs are deterministic. Writes come in short
+// spans and aligned whole lines, alone and mixed in batches; a
+// whole-line write that misses installs its line without a fetch, so
+// the two stores' fills of one line may differ in kind, never in
+// bytes.
 //
 // Stats are compared only where sharding guarantees equality: access
 // counts (one per op on each store). Hit/miss splits legitimately
@@ -26,6 +30,11 @@ func FuzzShardedVsUnsharded(f *testing.F) {
 		seq = append(seq, byte(i%4), byte(i*7), byte(i*3), byte(i))
 	}
 	f.Add(seq)
+	f.Add([]byte{
+		0x04, 3, 0, 9, 0x00, 3, 8, 2, 0x05, 3, 0, 1, 0x02, 3, 2, 5,
+		0x05, 3, 0, 2, 0x02, 3, 4, 6, 0x01, 3, 1, 7, 0x03, 0, 0, 0,
+		0x04, 7, 0, 1, 0x04, 71, 0, 2, 0x01, 7, 0, 7,
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const lines = 64
@@ -43,15 +52,25 @@ func FuzzShardedVsUnsharded(f *testing.F) {
 		s1, b1 := mkStore(1)
 		s4, b4 := mkStore(4)
 
-		var pending []uint64 // addresses queued for a batch round
+		// pending queues a batch round's writes: two bytes at addr, or a
+		// whole line when whole.
+		type pendingOp struct {
+			addr  uint64
+			whole bool
+		}
+		var pending []pendingOp
 		runBatch := func() {
 			if len(pending) == 0 {
 				return
 			}
 			for _, s := range []*Sharded{s1, s4} {
 				wops := make([]pcache.WriteOp, len(pending))
-				for i, a := range pending {
-					wops[i] = pcache.WriteOp{Addr: a, Data: []byte{byte(a), byte(i)}}
+				for i, p := range pending {
+					data := []byte{byte(p.addr), byte(i)}
+					if p.whole {
+						data = bytes.Repeat(data, 32)
+					}
+					wops[i] = pcache.WriteOp{Addr: p.addr, Data: data}
 				}
 				if failed := s.WriteBatch(wops); failed != 0 {
 					t.Fatalf("%d-shard WriteBatch failed %d ops", s.NumShards(), failed)
@@ -59,16 +78,16 @@ func FuzzShardedVsUnsharded(f *testing.F) {
 			}
 			r1 := make([]pcache.ReadOp, len(pending))
 			r4 := make([]pcache.ReadOp, len(pending))
-			for i, a := range pending {
-				r1[i] = pcache.ReadOp{Addr: a, Dst: make([]byte, 2)}
-				r4[i] = pcache.ReadOp{Addr: a, Dst: make([]byte, 2)}
+			for i, p := range pending {
+				r1[i] = pcache.ReadOp{Addr: p.addr, Dst: make([]byte, 2)}
+				r4[i] = pcache.ReadOp{Addr: p.addr, Dst: make([]byte, 2)}
 			}
 			if f1, f4 := s1.ReadBatch(r1), s4.ReadBatch(r4); f1 != 0 || f4 != 0 {
 				t.Fatalf("ReadBatch failed: 1-shard %d, 4-shard %d", f1, f4)
 			}
 			for i := range pending {
 				if !bytes.Equal(r1[i].Dst, r4[i].Dst) {
-					t.Fatalf("batch read diverged at %#x: %x vs %x", pending[i], r1[i].Dst, r4[i].Dst)
+					t.Fatalf("batch read diverged at %#x: %x vs %x", pending[i].addr, r1[i].Dst, r4[i].Dst)
 				}
 			}
 			pending = pending[:0]
@@ -81,8 +100,11 @@ func FuzzShardedVsUnsharded(f *testing.F) {
 			off := uint64(b%8) * 8
 			addr := line*64 + off
 			n := int(c%8) + 1
-			switch op % 4 {
-			case 0: // write
+			switch op % 6 {
+			case 0, 4: // write n bytes, or (4) the whole line
+				if op%6 == 4 {
+					addr, n = line*64, 64
+				}
 				buf := bytes.Repeat([]byte{c}, n)
 				e1 := write1(s1, addr, buf)
 				e4 := write1(s4, addr, buf)
@@ -98,8 +120,12 @@ func FuzzShardedVsUnsharded(f *testing.F) {
 				if e1 == nil && !bytes.Equal(g1, g4) {
 					t.Fatalf("read %#x diverged: %x vs %x", addr, g1, g4)
 				}
-			case 2: // queue a batch op
-				pending = append(pending, addr)
+			case 2, 5: // queue a batch op, or (5) a whole-line one
+				p := pendingOp{addr: addr}
+				if op%6 == 5 {
+					p = pendingOp{addr: line * 64, whole: true}
+				}
+				pending = append(pending, p)
 				if len(pending) == 6 {
 					runBatch()
 				}

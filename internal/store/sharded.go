@@ -474,6 +474,12 @@ func (b *shardBacking) ReadLine(addr uint64) []byte {
 	return b.parent.ReadLine(b.global(addr))
 }
 
+// ReadLineInto is pcache.Backing's optional in-place fetch, forwarded
+// to the parent's (or, when the parent has none, to its ReadLine).
+func (b *shardBacking) ReadLineInto(addr uint64, dst []byte) {
+	pcache.ReadLineInto(b.parent, b.global(addr), dst)
+}
+
 // WriteLine implements pcache.Backing.
 func (b *shardBacking) WriteLine(addr uint64, data []byte) {
 	b.parent.WriteLine(b.global(addr), data)
