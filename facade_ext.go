@@ -109,12 +109,18 @@ type ProtectedCacheConfig = pcache.Config
 // detect and repair injected bit errors. ReadBatch and WriteBatch are
 // its data calls — a single access is a batch of one — and each checks
 // every word of every line it touches. A clean hit through a reused
-// op slice performs zero heap allocations end to end. Its machine
-// checks are counted in Stats and its registered metrics; it emits no
-// events itself (each bank array from BankArrays takes an EventSink).
+// op slice performs zero heap allocations end to end, and so does a
+// miss over a backing that fetches in place (see CacheBacking). Its
+// machine checks are counted in Stats and its registered metrics; it
+// emits no events itself (each bank array from BankArrays takes an
+// EventSink).
 type ProtectedCache = pcache.Cache
 
-// CacheBacking is the next memory level behind a ProtectedCache.
+// CacheBacking is the next memory level behind a ProtectedCache. A
+// backing may also have ReadLineInto(addr uint64, dst []byte), which
+// fills dst with the bytes ReadLine would return; the cache then
+// fetches every line into its own staging buffer without allocating.
+// NewMemoryBacking's backing has it.
 type CacheBacking = pcache.Backing
 
 // NewMemoryBacking returns a simple in-memory backing store.
