@@ -36,7 +36,7 @@ func main() {
 		lineBytes     = flag.Int("line", 64, "line size in bytes")
 		secded        = flag.Bool("secded", false, "SECDED horizontal code instead of EDC8")
 		spares        = flag.Int("spares", 8, "spare-row budget per shard")
-		batch         = flag.Int("batch", 32, "per-connection accumulation threshold for pipelined single ops")
+		batch         = flag.Int("batch", 32, "per-connection accumulation threshold: how many ops of pipelined batch frames one store call gathers")
 		respQueue     = flag.Int("resp-queue", 128, "per-connection response queue bound (frames)")
 		maxConns      = flag.Int("max-conns", 0, "concurrent connection cap (0 = unlimited)")
 		scrubInterval = flag.Duration("scrub-interval", 2*time.Millisecond, "pause between background scrub sweeps")

@@ -99,8 +99,8 @@ func main() {
 		replayPath    = flag.String("replay", "", "deterministically replay a recorded or shrunk trace instead of running live (load/fault flags are ignored)")
 		selftestPoke  = flag.Bool("selftest-corrupt-backing", false, "harness self-validation: continuously corrupt the backing store behind the cache's back; the run MUST then FAIL with silent corruption (run with the storm slowed so no loss epoch moves)")
 		p99Budget     = flag.Duration("p99-budget", 0, "SLO mode: every read carries this deadline, and the run FAILS (exit 3) unless 99% of reads complete within it")
-		repairBudget  = flag.Duration("repair-budget", 50*time.Millisecond, "recovery watchdog force-escalates repairs older than this (watchdog runs in SLO/chaos modes)")
-		chaosStall    = flag.Duration("chaos-stall-recovery", 0, "chaos: wedge every full-2D recovery rung for this long — the watchdog must force-escalate instead of hanging")
+		repairBudget  = flag.Duration("repair-budget", 50*time.Millisecond, "force-escalate a repair still running this long after its DUE (set in SLO/chaos modes only)")
+		chaosStall    = flag.Duration("chaos-stall-recovery", 0, "chaos: wedge every full-2D recovery rung for this long — -repair-budget must force-escalate instead of hanging")
 	)
 	flag.Parse()
 	if *replayPath != "" {
@@ -117,8 +117,8 @@ func main() {
 	// A recording must replay the run it recorded, so -record rejects
 	// what the replayer cannot reproduce: N engines interleaving
 	// independently, read deadlines (a live abort repairs a set the
-	// replay leaves alone), the wall-clock watchdog that -p99-budget and
-	// -chaos-stall-recovery start (its forced degradations are not
+	// replay leaves alone), the wall-clock repair budget that -p99-budget
+	// and -chaos-stall-recovery set (its forced degradations are not
 	// recorded), and backing pokes (recorded as no event).
 	if *recordPath != "" && (*shards > 1 || *p99Budget > 0 || *chaosStall > 0 || *selftestPoke) {
 		fmt.Fprintln(os.Stderr, "soak: -record needs -shards 1 and no -p99-budget, -chaos-stall-recovery or -selftest-corrupt-backing: its replay would not reproduce the run")
@@ -127,7 +127,7 @@ func main() {
 
 	// Chaos mode: arm a stall point inside the full-2D rung. Every
 	// recovery that reaches it wedges for the armed duration, and only
-	// the watchdog's force-escalation keeps the run from hanging.
+	// the repair budget's force-escalation keeps the run from hanging.
 	var stall *fault.Stall
 	if *chaosStall > 0 {
 		stall = new(fault.Stall)
@@ -143,17 +143,17 @@ func main() {
 	rcfg := twodcache.ResilienceConfig{
 		SpareRows: *spares, Metrics: reg, RecoveryStall: stall,
 	}
+	if *p99Budget > 0 || *chaosStall > 0 {
+		rcfg.RepairBudget = *repairBudget
+	}
 
 	// The store under test is the sharded router cachenetd serves (one
-	// shard by default). Its scrubbers and watchdogs run through
-	// Start/Stop; a recorded run leaves the scrubbers out and sweeps
-	// shard 0 bank by bank below, so every sweep lands in the trace.
+	// shard by default). Its scrubbers run through Start/Stop; a
+	// recorded run leaves them out and sweeps shard 0 bank by bank
+	// below, so every sweep lands in the trace.
 	scfg := twodcache.ShardedCacheConfig{Shards: *shards, Cache: ccfg, Resilience: rcfg}
 	if *recordPath == "" {
 		scfg.Scrubber = &twodcache.ScrubberConfig{Interval: *scrubInterval, HighRate: *highRate}
-	}
-	if *p99Budget > 0 || *chaosStall > 0 {
-		scfg.Watchdog = &twodcache.RecoveryWatchdogConfig{Budget: *repairBudget}
 	}
 	st, err := twodcache.NewShardedCache(scfg, backing)
 	if err != nil {
@@ -417,7 +417,7 @@ func main() {
 	fmt.Printf("  accounting:  %d accounted losses, %d ladder-exhausted DUEs, %d SILENT corruptions\n",
 		accounted, reported, silent)
 	if stall != nil {
-		fmt.Printf("  chaos:       full-2D stall armed at %v, engaged %d times, %d watchdog force-escalations\n",
+		fmt.Printf("  chaos:       full-2D stall armed at %v, engaged %d times, %d force-escalations\n",
 			*chaosStall, stall.Fired(), watchdogFires)
 	}
 

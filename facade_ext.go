@@ -149,7 +149,7 @@ type CacheUncorrectableError = pcache.UncorrectableError
 
 // ResilienceConfig tunes the recovery escalation ladder (retry → word
 // recovery → full 2D recovery → decommission/remap). Every ladder,
-// breaker, watchdog and scrub outcome is a counter in its Metrics
+// breaker, repair-budget and scrub outcome is a counter in its Metrics
 // registry; install an EventSink with ResilientCache.SetEventSink.
 type ResilienceConfig = resilience.Config
 
@@ -180,15 +180,6 @@ type CacheScrubber = resilience.Scrubber
 // repairs). Set via ResilienceConfig.Breaker.
 type RecoveryBreakerConfig = resilience.BreakerConfig
 
-// RecoveryWatchdogConfig tunes the stuck-repair watchdog (repair
-// budget, scan cadence).
-type RecoveryWatchdogConfig = resilience.WatchdogConfig
-
-// RecoveryWatchdog force-escalates in-flight repairs that outlive their
-// budget; build one with ResilientCache.NewWatchdog and run it with
-// Start/Stop.
-type RecoveryWatchdog = resilience.Watchdog
-
 // ErrRecoveryInProgress matches (via errors.Is) the errors a bounded
 // request gets when it abandoned an in-flight repair at its deadline
 // instead of riding it to the end: per op from ReadBatchCtx and
@@ -204,7 +195,7 @@ type RecoveryInProgressError = resilience.RecoveryInProgressError
 
 // RecoveryStall is a chaos-injectable stall point; arm one and pass it
 // via ResilienceConfig.RecoveryStall to wedge the full-2D rung and
-// prove the watchdog unsticks it.
+// prove ResilienceConfig.RepairBudget unsticks it.
 type RecoveryStall = fault.Stall
 
 // NewResilientCache builds a protected cache over the backing store
@@ -231,15 +222,15 @@ type CacheStore = store.Store
 
 // ShardedCacheConfig assembles a sharded store: the shard count, the
 // PER-SHARD cache geometry, the per-shard resilience template, and
-// optional per-shard scrubbers and watchdogs (run with Start/Stop).
+// optional per-shard scrubbers (run with Start/Stop).
 type ShardedCacheConfig = store.Config
 
 // ShardedCache stripes line addresses across N fully independent
-// ResilientCache instances: separate bank locks, breakers, scrubbers,
-// and watchdogs per shard, so a storm or open breaker on one shard is
-// invisible to the others. Per-shard metrics appear under "shard<i>_"
-// prefixes in the root registry, cross-shard aggregates under
-// "store_".
+// ResilientCache instances: separate bank locks, breakers, scrubbers
+// and repair budgets per shard, so a storm or open breaker on one
+// shard is invisible to the others. Per-shard metrics appear under
+// "shard<i>_" prefixes in the root registry, cross-shard aggregates
+// under "store_".
 type ShardedCache = store.Sharded
 
 // BatchReadOp is one read of a batch: a line-local span and, after the
@@ -260,9 +251,9 @@ func NewShardedCache(cfg ShardedCacheConfig, backing CacheBacking) (*ShardedCach
 // --- network serving layer ----------------------------------------------------
 
 // NetServerConfig assembles a NetServer: the CacheStore to serve, the
-// pipelined-single accumulation threshold, per-connection response
-// queue bound, connection cap, metrics registry, and the optional loss
-// epoch oracle behind the EPOCH opcode.
+// accumulation threshold for the ops of pipelined batch frames, the
+// per-connection response queue bound, connection cap, metrics
+// registry, and the optional loss epoch oracle behind the EPOCH opcode.
 type NetServerConfig = netsrv.Config
 
 // NetServer serves a CacheStore over TCP with the pipelined

@@ -14,8 +14,8 @@ import (
 // duration. Unarmed — or nil — a Stall costs one atomic load and never
 // blocks, so production paths can call Hit unconditionally.
 //
-// Hit honours context cancellation: a recovery watchdog that
-// force-escalates a stuck repair cancels the repair's context, which
+// Hit honours context cancellation: a repair budget that runs out
+// force-escalates the stuck repair and cancels its context, which
 // releases the stall immediately instead of waiting the armed duration
 // out. That is exactly the mechanism cmd/soak's chaos mode exercises.
 type Stall struct {

@@ -23,8 +23,8 @@ const lineBytes = 64
 var testCacheCfg = pcache.Config{Sets: 16, Ways: 2, LineBytes: lineBytes, Banks: 4}
 
 // newStore builds an N-shard store over a fresh MapBacking. Scrubbers
-// and watchdogs stay stopped: tests that need background goroutines
-// start them explicitly.
+// stay stopped: tests that need background goroutines start them
+// explicitly.
 func newStore(t *testing.T, shards int, rcfg resilience.Config) (*store.Sharded, *pcache.MapBacking) {
 	t.Helper()
 	backing := pcache.NewMapBacking(lineBytes)

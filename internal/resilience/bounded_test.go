@@ -150,16 +150,16 @@ func TestCoalescedWaiterDeadline(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{RecoveryStall: &stall})
 	plantPersistentDUE(t, e)
 
-	leaderIn := make(chan struct{})
+	leaderIn := make(chan *flight, 1)
 	var once sync.Once
-	e.testHookLeadStart = func(*flight) { once.Do(func() { close(leaderIn) }) }
+	e.testHookLeadStart = func(fl *flight) { once.Do(func() { leaderIn <- fl }) }
 
 	leaderErr := make(chan error, 1)
 	go func() {
 		_, err := read1(e, 0, 1) // unbounded: rides the repair to the end
 		leaderErr <- err
 	}()
-	<-leaderIn
+	fl := <-leaderIn
 
 	// A bounded waiter coalesces behind the wedged repair and must give
 	// up at its own deadline with the repair's progress attached.
@@ -174,12 +174,11 @@ func TestCoalescedWaiterDeadline(t *testing.T) {
 	}
 
 	// Release the repair: the unbounded leader completes normally.
+	// Disarming affects only future hits, and the leader is wedged in
+	// the stall's timer, so force the flight as an expired repair
+	// budget would.
 	stall.Disarm()
-	// The leader is wedged in the stall's timer, not the hook; cancel
-	// its stall by forcing a watchdog-style release is not needed —
-	// disarm only affects future hits, so unstick it via the watchdog.
-	w := e.NewWatchdog(WatchdogConfig{Budget: time.Nanosecond, Poll: time.Millisecond})
-	w.ScanOnce()
+	e.force(fl)
 	if err := <-leaderErr; err != nil {
 		t.Fatalf("leader err = %v", err)
 	}
@@ -210,7 +209,7 @@ func TestBreakerTransitionTable(t *testing.T) {
 		if edge {
 			transitions++
 		}
-		if got := e.BreakerState(bank); got != want {
+		if got := e.breakers[bank].State(); got != want {
 			t.Fatalf("breaker state = %s, want %s", got, want)
 		}
 		if got := e.breakerTransitions.Load(); got != transitions {
@@ -294,7 +293,7 @@ func TestBreakerDisabled(t *testing.T) {
 		}
 		b.Record(false, false)
 	}
-	if e.BreakerState(0) != "closed" || e.breakerTrips.Load() != 0 {
+	if e.breakers[0].State() != "closed" || e.breakerTrips.Load() != 0 {
 		t.Fatal("disabled breaker kept state")
 	}
 }
@@ -317,8 +316,8 @@ func TestBreakerShedsToDegrade(t *testing.T) {
 			t.Fatal("unsatisfiable ladder returned nil")
 		}
 	}
-	if e.BreakerState(0) != "open" {
-		t.Fatalf("breaker = %s after %d failed repairs", e.BreakerState(0), 2)
+	if st := e.breakers[0].State(); st != "open" {
+		t.Fatalf("breaker = %s after %d failed repairs", st, 2)
 	}
 	r := e.Report()
 	fullBefore, shedsBefore := r.FullAttempts, r.BreakerSheds
@@ -341,15 +340,11 @@ func TestBreakerShedsToDegrade(t *testing.T) {
 func TestWatchdogForcesStalledRepair(t *testing.T) {
 	var stall fault.Stall
 	stall.Arm(time.Hour)
-	e, _ := newEngine(t, bigCfg, Config{RecoveryStall: &stall})
+	e, _ := newEngine(t, bigCfg, Config{RecoveryStall: &stall, RepairBudget: 20 * time.Millisecond})
 	plantPersistentDUE(t, e)
 
-	w := e.NewWatchdog(WatchdogConfig{Budget: 20 * time.Millisecond, Poll: 5 * time.Millisecond})
-	w.Start()
-	defer w.Stop()
-
-	// Unbounded read against a wedged full-2D rung: without the
-	// watchdog this hangs for the armed hour; with it, the repair is
+	// Unbounded read against a wedged full-2D rung: without a repair
+	// budget this hangs for the armed hour; with one, the repair is
 	// force-escalated to decommission and the read completes from
 	// backing (the dirty line is lost — as accounted data loss, not a
 	// hang).
@@ -362,7 +357,7 @@ func TestWatchdogForcesStalledRepair(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("watchdog did not unstick the stalled repair")
+		t.Fatal("repair budget did not unstick the stalled repair")
 	}
 	if err != nil {
 		t.Fatalf("read after force-escalation: %v", err)
@@ -381,18 +376,37 @@ func TestWatchdogForcesStalledRepair(t *testing.T) {
 	inFlight := len(e.flights)
 	e.flightMu.Unlock()
 	if inFlight != 0 {
-		t.Fatalf("%d flights leaked after watchdog fire", inFlight)
+		t.Fatalf("%d flights leaked after force-escalation", inFlight)
 	}
 }
 
-func TestWatchdogStartStopIdempotent(t *testing.T) {
-	e, _ := newEngine(t, bigCfg, Config{})
-	w := e.NewWatchdog(WatchdogConfig{Budget: time.Millisecond, Poll: time.Millisecond})
-	w.Start()
-	w.Start() // no second goroutine
-	w.Stop()
-	w.Stop() // no panic
-	if n := w.ScanOnce(); n != 0 {
-		t.Fatalf("idle scan forced %d flights", n)
+// TestRepairBudgetSparesFinishedRepair pins that a budget belongs to
+// one in-flight repair: a DUE the ladder resolves well inside its
+// budget must never be forced later, so no fire is counted and no way
+// is decommissioned after the budget has run out.
+func TestRepairBudgetSparesFinishedRepair(t *testing.T) {
+	const budget = 20 * time.Millisecond
+	e, _ := newEngine(t, bigCfg, Config{RepairBudget: budget})
+	// Rung 1 rescues the access at once (see TestRungRetry).
+	if err := e.ladderCtx(context.Background(), due(0, 0), func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Report()
+	if before.DUEs != 1 || before.RetrySuccesses != 1 {
+		t.Fatalf("ladder did not resolve the DUE at rung 1: %+v", before)
+	}
+	time.Sleep(3 * budget)
+	r := e.Report()
+	if r.WatchdogFires != 0 {
+		t.Fatalf("watchdog fires = %d after the repair finished", r.WatchdogFires)
+	}
+	if r.Decommissions != before.Decommissions {
+		t.Fatalf("decommissions %d -> %d after the repair finished", before.Decommissions, r.Decommissions)
+	}
+	e.flightMu.Lock()
+	inFlight := len(e.flights)
+	e.flightMu.Unlock()
+	if inFlight != 0 {
+		t.Fatalf("%d flights left after the repair finished", inFlight)
 	}
 }

@@ -17,7 +17,8 @@ type BreakerConfig struct {
 	// ladder, as before this layer existed.
 	Disabled bool
 	// FailureThreshold is how many consecutive failed repairs (rungs
-	// exhausted, watchdog force-escalation) trip a closed breaker open.
+	// exhausted, or forced at the repair budget) trip a closed breaker
+	// open.
 	// Zero or negative selects 5.
 	FailureThreshold int
 	// OpenTimeout is how long an open breaker sheds before allowing a
@@ -81,13 +82,4 @@ func (e *Engine) newBankBreakers(n int) []*HealthBreaker {
 		bs[i] = NewHealthBreaker(e.cfg.Breaker, e.clock, onTransition)
 	}
 	return bs
-}
-
-// BreakerState reports bank's breaker state ("closed", "open",
-// "half-open") for reports and tests.
-func (e *Engine) BreakerState(bank int) string {
-	if bank < 0 || bank >= len(e.breakers) {
-		return breakerClosed.String()
-	}
-	return e.breakers[bank].State()
 }

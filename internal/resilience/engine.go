@@ -65,10 +65,15 @@ type Config struct {
 	// recovery rungs (see BreakerConfig). The zero value enables them
 	// with defaults; set Disabled to opt out.
 	Breaker BreakerConfig
+	// RepairBudget bounds one in-flight repair: a repair still running
+	// this long after its DUE entered the ladder (engine clock) is
+	// force-escalated — its way is decommissioned and its rungs are
+	// cancelled. Zero leaves repairs unbounded.
+	RepairBudget time.Duration
 	// RecoveryStall, when non-nil, is a chaos stall point hit (under
 	// the repair context) at the entry of the full-2D rung — the rung
 	// that models the paper's whole-bank recovery sweep. Tests and
-	// cmd/soak arm it to prove the watchdog unsticks wedged repairs.
+	// cmd/soak arm it to prove RepairBudget unsticks wedged repairs.
 	RecoveryStall *fault.Stall
 }
 
@@ -220,7 +225,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 	e.sheds = r.Counter(metricSheds, "repairs routed straight to degrade by an open breaker")
 	e.breakerTrips = r.Counter(metricBreakerTrips, "breaker transitions into the open state")
 	e.breakerTransitions = r.Counter(metricBreakerTransitions, "all breaker state transitions")
-	e.watchdogFires = r.Counter(metricWatchdogFires, "stuck repairs force-escalated by the watchdog")
+	e.watchdogFires = r.Counter(metricWatchdogFires, "stuck repairs force-escalated at their repair budget")
 	e.deadlineAborts = r.Counter(metricDeadlineAborts, "ladder runs abandoned at the caller's deadline")
 	e.breakersOpen = r.Gauge(metricBreakersOpen, "banks currently behind an open breaker")
 
@@ -371,14 +376,14 @@ type rungOutcome int
 const (
 	outcomeRescued     rungOutcome = iota // a rung rescued the access
 	outcomeFailed                         // rungs exhausted, access still faults
-	outcomeForced                         // watchdog force-escalated the repair
+	outcomeForced                         // the repair budget ran out: force took over
 	outcomeCallerAbort                    // the leader's caller ran out of budget
 )
 
 // lead runs one repair as its leader: breaker admission, the recovery
-// rungs, then the degrade backstop. done=false means the watchdog took
-// the repair over and the (re-issued) access still faults — the caller
-// should start a fresh round.
+// rungs, then the degrade backstop. done=false means the repair budget
+// ran out, force took the repair over, and the (re-issued) access still
+// faults — the caller should start a fresh round.
 func (e *Engine) lead(ctx context.Context, fl *flight, ue **pcache.UncorrectableError, again func() (bool, error)) (done bool, err error) {
 	// The caller's cancellation propagates into the flight context so a
 	// rung blocked in a stall releases at the deadline, not after it.
@@ -418,8 +423,8 @@ func (e *Engine) lead(ctx context.Context, fl *flight, ue **pcache.Uncorrectable
 		e.deadlineAborts.Inc()
 		return true, e.progressErr(fl, ctx.Err())
 	case outcomeForced:
-		// The watchdog already degraded the flight's way; re-issue and
-		// let a fresh round handle any remaining damage.
+		// force already degraded the flight's way; re-issue and let a
+		// fresh round handle any remaining damage.
 		br.Record(probe, false)
 		ok, herr := again()
 		if herr != nil {
@@ -442,8 +447,8 @@ func (e *Engine) runRungs(fl *flight, ue **pcache.UncorrectableError, again func
 	if e.testHookLeadStart != nil {
 		e.testHookLeadStart(fl)
 	}
-	// interrupted classifies a cancelled flight context: the watchdog
-	// marks forced before cancelling, the caller's deadline does not.
+	// interrupted classifies a cancelled flight context: force marks
+	// forced before cancelling, the caller's deadline does not.
 	interrupted := func() (rungOutcome, bool) {
 		if fl.ctx.Err() == nil {
 			return outcomeRescued, false
@@ -613,9 +618,9 @@ type Report struct {
 	MTTR time.Duration
 
 	// Bounded-latency activity: requests coalesced onto in-flight
-	// repairs, breaker trips and sheds, stuck repairs the watchdog
-	// forced over, ladder runs abandoned at a caller's deadline, and
-	// how many banks sit behind an open breaker right now.
+	// repairs, breaker trips and sheds, stuck repairs forced over at
+	// their RepairBudget, ladder runs abandoned at a caller's deadline,
+	// and how many banks sit behind an open breaker right now.
 	CoalescedWaits uint64
 	BreakerTrips   uint64
 	BreakerSheds   uint64

@@ -35,13 +35,17 @@ func rungName(r int32) string {
 // request that trips an uncorrectable on the same bank while it runs
 // coalesces onto it, waiting on done under its own deadline. The
 // flight's context is cancelled when the repair resolves, when the
-// leader's caller cancels, or when the watchdog force-escalates —
+// leader's caller cancels, or when the repair budget runs out —
 // whichever comes first — so a stalled rung always has a release path.
 type flight struct {
 	bank     int
 	array    string
 	set, way int
 	start    time.Time
+
+	// budget, armed when Config.RepairBudget is set, forces the flight
+	// if it outlives the budget; finishFlight stops it.
+	budget *time.Timer
 
 	// rung is the deepest ladder rung the repair has entered, for
 	// progress reporting to abandoning waiters.
@@ -53,7 +57,7 @@ type flight struct {
 
 	// ctx/cancel bound the repair's blocking points (fault.Stall, and
 	// any future long rung). forced records that the cancellation came
-	// from the watchdog rather than the leader's caller.
+	// from the repair budget rather than the leader's caller.
 	ctx    context.Context
 	cancel context.CancelFunc
 	forced atomic.Bool
@@ -72,8 +76,8 @@ func (fl *flight) resolve() {
 // joinFlight returns the bank's in-flight repair, creating one anchored
 // at ue's location if none is running. leader reports whether the
 // caller now owns the repair (and must finishFlight it). start is the
-// moment the DUE entered the ladder — the repair's birth time for
-// watchdog age accounting.
+// moment the DUE entered the ladder: a new flight's repair budget is
+// what is left of Config.RepairBudget at that age.
 func (e *Engine) joinFlight(bank int, ue *pcache.UncorrectableError, start time.Time) (fl *flight, leader bool) {
 	e.flightMu.Lock()
 	defer e.flightMu.Unlock()
@@ -91,6 +95,9 @@ func (e *Engine) joinFlight(bank int, ue *pcache.UncorrectableError, start time.
 		ctx:    ctx,
 		cancel: cancel,
 	}
+	if e.cfg.RepairBudget > 0 {
+		fl.budget = time.AfterFunc(e.cfg.RepairBudget-e.clock().Sub(start), func() { e.force(fl) })
+	}
 	e.flights[bank] = fl
 	return fl, true
 }
@@ -98,12 +105,38 @@ func (e *Engine) joinFlight(bank int, ue *pcache.UncorrectableError, start time.
 // finishFlight retires the flight from the bank slot and resolves it,
 // releasing every coalesced waiter. Idempotent.
 func (e *Engine) finishFlight(fl *flight) {
+	if fl.budget != nil {
+		fl.budget.Stop()
+	}
 	e.flightMu.Lock()
 	if cur, ok := e.flights[fl.bank]; ok && cur == fl {
 		delete(e.flights, fl.bank)
 	}
 	e.flightMu.Unlock()
 	fl.resolve()
+}
+
+// force is the repair budget running out: a flight that is still its
+// bank's current flight is force-escalated, exactly once — its way is
+// decommissioned (the terminal ladder rung, always fast) and its
+// context cancelled, releasing a leader wedged in a stalled rung and
+// every waiter coalesced behind it. Recovery thereby has the property
+// the ladder gives correction: it terminates, even when a rung does
+// not. A timer that fires as the flight finishes finds it retired and
+// does nothing.
+func (e *Engine) force(fl *flight) {
+	e.flightMu.Lock()
+	current := e.flights[fl.bank] == fl && fl.forced.CompareAndSwap(false, true)
+	e.flightMu.Unlock()
+	if !current {
+		return
+	}
+	// Escalation runs outside flightMu: Degrade takes bank and engine
+	// locks, and the leader it wakes may immediately need flightMu to
+	// finish the flight.
+	e.watchdogFires.Inc()
+	e.Degrade(fl.set, fl.way)
+	fl.cancel()
 }
 
 // progressErr builds the typed abandonment error for fl, stamped with

@@ -58,7 +58,10 @@ type Scrubber struct {
 	sleep    func(ctx context.Context, d time.Duration) bool
 	bankHook func(bank int)
 
-	lifecycle
+	// Start/Stop state: the running goroutine's cancel and exit signal.
+	mu     sync.Mutex
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
 // NewScrubber builds the engine's background scrubber and attaches it
@@ -186,42 +189,29 @@ func (s *Scrubber) Run(ctx context.Context) error {
 // Prefer Start/Stop over `go s.Run(ctx)` at shutdown boundaries: Stop
 // joins the goroutine, so no sweep is still running (and no pass can
 // be half-counted) after it returns.
-func (s *Scrubber) Start() { s.start(func(ctx context.Context) { _ = s.Run(ctx) }) }
-
-// Stop cancels the background goroutine and waits for it to exit — any
-// in-progress sweep aborts at the next bank boundary and is not
-// counted as a completed pass.
-func (s *Scrubber) Stop() { s.stop() }
-
-// lifecycle runs one background goroutine for the Scrubber and the
-// Watchdog: start is idempotent until stop, and stop cancels the
-// goroutine's context and returns once the goroutine has exited.
-type lifecycle struct {
-	mu     sync.Mutex
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-func (l *lifecycle) start(run func(ctx context.Context)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cancel != nil {
+func (s *Scrubber) Start() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cancel != nil {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	l.cancel, l.done = cancel, done
+	s.cancel, s.done = cancel, done
 	go func() {
 		defer close(done)
-		run(ctx)
+		_ = s.Run(ctx)
 	}()
 }
 
-func (l *lifecycle) stop() {
-	l.mu.Lock()
-	cancel, done := l.cancel, l.done
-	l.cancel, l.done = nil, nil
-	l.mu.Unlock()
+// Stop cancels the background goroutine and waits for it to exit — any
+// in-progress sweep aborts at the next bank boundary and is not
+// counted as a completed pass.
+func (s *Scrubber) Stop() {
+	s.mu.Lock()
+	cancel, done := s.cancel, s.done
+	s.cancel, s.done = nil, nil
+	s.mu.Unlock()
 	if cancel == nil {
 		return
 	}

@@ -12,10 +12,10 @@ import (
 )
 
 // TestShardIndependence is the core claim of sharding: a shard whose
-// repairs are wedged — stalled full-2D rung, watchdog force-escalation,
-// breaker tripped open — must leave every other shard completely
-// untouched: no DUEs, no watchdog fires, closed breakers, zero ladder
-// entries on their metrics.
+// repairs are wedged — stalled full-2D rung, forced at its repair
+// budget, breaker tripped open — must leave every other shard
+// completely untouched: no DUEs, no watchdog fires, closed breakers,
+// zero ladder entries on their metrics.
 func TestShardIndependence(t *testing.T) {
 	var stall fault.Stall
 	stall.Arm(time.Hour) // wedge any repair that reaches the full-2D rung
@@ -26,13 +26,13 @@ func TestShardIndependence(t *testing.T) {
 		Cache:  pcache.Config{Sets: 32, Ways: 2, LineBytes: 64, Banks: 1},
 		Resilience: resilience.Config{
 			Metrics:       reg,
+			RepairBudget:  10 * time.Millisecond,
 			RecoveryStall: &stall,
 			Breaker: resilience.BreakerConfig{
 				FailureThreshold: 1,
 				OpenTimeout:      time.Hour, // stay open for the assertions
 			},
 		},
-		Watchdog: &resilience.WatchdogConfig{Budget: 10 * time.Millisecond, Poll: 2 * time.Millisecond},
 	}, backing)
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +62,16 @@ func TestShardIndependence(t *testing.T) {
 	}
 
 	// Drive shard 0 into the wedge: the repair leader stalls in the
-	// full-2D rung, the watchdog force-escalates it, and the breaker
-	// (threshold 1) trips open. Global line 0 → shard 0 local line 0.
+	// full-2D rung, its repair budget force-escalates it, and the
+	// breaker (threshold 1) trips open. Global line 0 → shard 0 local
+	// line 0.
 	if _, err := read1(s, 0, 1); err != nil {
 		t.Fatalf("read through force-escalated repair: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Shard(0).BreakerState(0) != "open" {
+	for reg.Snapshot().Gauge("shard0_resilience_breakers_open") != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("shard 0 breaker = %s, never opened", s.Shard(0).BreakerState(0))
+			t.Fatal("shard 0 breaker never opened")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -88,10 +89,10 @@ func TestShardIndependence(t *testing.T) {
 	if r1.DUEs != 0 || r1.WatchdogFires != 0 || r1.BreakerTrips != 0 || r1.Decommissions != 0 {
 		t.Fatalf("shard 1 contaminated by shard 0's outage: %+v", r1)
 	}
-	if st := s.Shard(1).BreakerState(0); st != "closed" {
-		t.Fatalf("shard 1 breaker = %s", st)
-	}
 	snap := reg.Snapshot()
+	if n := snap.Gauge("shard1_resilience_breakers_open"); n != 0 {
+		t.Fatalf("shard1_resilience_breakers_open = %d", n)
+	}
 	if n := snap.Counter("shard1_resilience_dues_total"); n != 0 {
 		t.Fatalf("shard1_resilience_dues_total = %d", n)
 	}

@@ -34,25 +34,20 @@ type Config struct {
 	// Scrubber, when non-nil, gives every shard its own background
 	// scrubber with this configuration (Start/Stop run them).
 	Scrubber *resilience.ScrubberConfig
-	// Watchdog, when non-nil, gives every shard its own recovery
-	// watchdog with this configuration (Start/Stop run them).
-	Watchdog *resilience.WatchdogConfig
 }
 
 // shard is one fully independent protection domain: its own cache,
 // engine (bank locks, breakers, single-flight table), and optional
-// scrubber and watchdog. Nothing here is shared with other shards.
+// scrubber. Nothing here is shared with other shards.
 type shard struct {
 	engine   *resilience.Engine
 	scrubber *resilience.Scrubber
-	watchdog *resilience.Watchdog
 }
 
 // Sharded stripes line addresses across N independent resilience
 // engines. A storm, an open breaker, or a wedged repair on one shard
 // is invisible to the others: they share no locks, no breaker state,
-// and no scrub or watchdog schedule. All methods are safe for
-// concurrent use.
+// and no scrub schedule. All methods are safe for concurrent use.
 type Sharded struct {
 	shards    []*shard
 	lineBytes uint64
@@ -106,9 +101,6 @@ func New(cfg Config, backing pcache.Backing) (*Sharded, error) {
 		if cfg.Scrubber != nil {
 			sh.scrubber = sh.engine.NewScrubber(*cfg.Scrubber)
 		}
-		if cfg.Watchdog != nil {
-			sh.watchdog = sh.engine.NewWatchdog(*cfg.Watchdog)
-		}
 		s.shards = append(s.shards, sh)
 	}
 	s.registerAggregates(root)
@@ -125,25 +117,19 @@ func bitsFor(n int) int {
 	return b
 }
 
-// Start launches every shard's scrubber and watchdog goroutines (those
-// configured at construction). Pair with Stop.
+// Start launches every shard's scrubber goroutine (when configured at
+// construction). Pair with Stop.
 func (s *Sharded) Start() {
 	for _, sh := range s.shards {
 		if sh.scrubber != nil {
 			sh.scrubber.Start()
 		}
-		if sh.watchdog != nil {
-			sh.watchdog.Start()
-		}
 	}
 }
 
-// Stop halts every shard's background goroutines and waits for them.
+// Stop halts every shard's scrubber and waits for it.
 func (s *Sharded) Stop() {
 	for _, sh := range s.shards {
-		if sh.watchdog != nil {
-			sh.watchdog.Stop()
-		}
 		if sh.scrubber != nil {
 			sh.scrubber.Stop()
 		}

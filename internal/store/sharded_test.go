@@ -281,7 +281,6 @@ func TestShardedStartStop(t *testing.T) {
 		Shards:   4,
 		Cache:    testCfg,
 		Scrubber: &resilience.ScrubberConfig{Interval: time.Millisecond},
-		Watchdog: &resilience.WatchdogConfig{Budget: 10 * time.Millisecond},
 	}, backing)
 	if err != nil {
 		t.Fatal(err)

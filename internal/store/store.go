@@ -5,8 +5,8 @@
 //
 // The single-engine implementation is resilience.Engine. Sharding
 // exists because every structure in one engine — bank locks, breaker
-// arrays, the scrubber's sweep, the watchdog's scan, the single-flight
-// repair table — is scoped to that engine: a storm that wedges one
+// arrays, the scrubber's sweep, the single-flight repair table and its
+// repair budgets — is scoped to that engine: a storm that wedges one
 // engine's bank, or a breaker that opens on it, stalls everything
 // behind that engine. With N shards each owning a full stack, the
 // blast radius of a storm is 1/N of the address space, and the other

@@ -14,7 +14,9 @@
 # pending-batch tests run five more times for the same reason: every
 # data frame joins a connection's one pending batch, whose frame
 # records, read arenas and retained write payloads are reused from one
-# flush to the next.
+# flush to the next. So do the resilience engine's single-flight
+# tests: a repair budget's timer goroutine races the repair leader and
+# its coalesced waiters for the flight.
 #
 # The bench module (bench/, its own go.mod) is vetted and tested too:
 # it builds on the façade's CacheStore and ClusterConn, so narrowing an
@@ -32,9 +34,9 @@
 # does not recover a 32x32 cluster or any word reads back wrong.
 #
 # Every go test invocation carries -timeout 120s — the deadlock gate: a
-# wedged repair (stuck single-flight leader, watchdog that never fires,
-# scrubber Stop that never joins) fails the build in two minutes with a
-# goroutine dump instead of idling under go test's default 10m.
+# wedged repair (stuck single-flight leader, repair budget that never
+# fires, scrubber Stop that never joins) fails the build in two minutes
+# with a goroutine dump instead of idling under go test's default 10m.
 #
 # scripts/unused_exports.sh lists the exported funcs and methods that
 # only tests use (~5 s); its output must match the committed
@@ -96,5 +98,7 @@ else
     go test -race -count=5 -timeout 120s -run 'Straggler|PathEquivalence|HedgedRead|AmbiguityParity|FreshnessPartition' ./internal/cluster/
     echo "== go test -race -count=5 (netsrv pending batch: reused frame state)"
     go test -race -count=5 -timeout 120s -run 'PipelineBatching|DeadlineSwitch|DeadlineSinglesAmortised|OversizedBatch|BatchDeadline' ./internal/netsrv/
+    echo "== go test -race -count=5 (single-flight repairs: budget timer vs leader and waiters)"
+    go test -race -count=5 -timeout 120s -run 'ReadCtxDeadlineAbortDuringStall|SingleFlightRungAccounting|CoalescedWaiterDeadline|WatchdogForcesStalledRepair|RepairBudgetSparesFinishedRepair' ./internal/resilience/
 fi
 echo "check: OK"

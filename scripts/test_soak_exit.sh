@@ -94,8 +94,8 @@ esac
 # 10. A recording must replay the run it recorded, so -record rejects
 #     up front (exit 2) what the replayer cannot reproduce: -shards >1
 #     (N engines interleave independently), -p99-budget (read deadlines
-#     and the watchdog), -chaos-stall-recovery (the watchdog's forced
-#     degradations are not recorded) and -selftest-corrupt-backing
+#     and the repair budget), -chaos-stall-recovery (the repair budget's
+#     forced degradations are not recorded) and -selftest-corrupt-backing
 #     (backing pokes are not recorded).
 for extra in "-shards 4" "-p99-budget 50ms" "-chaos-stall-recovery 1ms" "-selftest-corrupt-backing"; do
     "$bin" $extra -record /dev/null -duration 1s >/dev/null 2>&1
@@ -275,5 +275,25 @@ if grep -q "cacheload: PASS" "$tmp/bigload.out"; then
     cat "$tmp/bigload.out" >&2
     fail "oversized-frame cacheload printed a PASS banner"
 fi
+
+# 18. Chaos drill: every full-2D rung that a repair reaches wedges for
+#     30s, and only the repair budget (-repair-budget, set in chaos
+#     mode) releases it. The 1-bank hard storm drives repairs into that
+#     rung, so the run must exit 0 well inside one stall, and its chaos
+#     line must report the stall engaged at least once, each engagement
+#     force-escalated.
+t0=$(date +%s)
+"$bin" -duration 2s -banks 1 -fault-interval 60us -scrub-interval 10ms \
+    -chaos-stall-recovery 30s -stats-interval 0 -seed 1 >"$tmp/chaos.out" 2>&1
+st=$?
+took=$(( $(date +%s) - t0 ))
+[ "$st" -eq 0 ] || { cat "$tmp/chaos.out" >&2; fail "chaos stall drill exited $st (want 0)"; }
+[ "$took" -lt 15 ] || { cat "$tmp/chaos.out" >&2; fail "chaos stall drill took ${took}s: a stalled repair waited out its stall"; }
+engaged=$(sed -n 's/^  chaos: .* engaged \([0-9][0-9]*\) times, [0-9][0-9]* force-escalations$/\1/p' "$tmp/chaos.out")
+forced=$(sed -n 's/^  chaos: .* engaged [0-9][0-9]* times, \([0-9][0-9]*\) force-escalations$/\1/p' "$tmp/chaos.out")
+[ -n "$engaged" ] && [ "$engaged" -ge 1 ] \
+    || { cat "$tmp/chaos.out" >&2; fail "chaos stall never engaged (got '${engaged:-}')"; }
+[ -n "$forced" ] && [ "$forced" -ge "$engaged" ] \
+    || { cat "$tmp/chaos.out" >&2; fail "chaos stall engaged $engaged times, force-escalated ${forced:-?}"; }
 
 echo "test_soak_exit: OK"
