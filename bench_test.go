@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"twodcache/internal/bist"
 	"twodcache/internal/bitvec"
 	"twodcache/internal/ecc"
 	"twodcache/internal/experiments"
@@ -284,23 +285,23 @@ func BenchmarkCoverageCampaign(b *testing.B) {
 func BenchmarkMarchCMinus64x576(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		arr := MustBenchFaultyArray(64, 576)
+		arr := bist.MustFaultyArray(64, 576)
 		b.StartTimer()
-		if !RunMarch(arr, MarchCMinus()).Passed() {
+		if !bist.Run(arr, bist.MarchCMinus()).Passed() {
 			b.Fatal("clean array failed")
 		}
 	}
 }
 
 func BenchmarkSelfRepair(b *testing.B) {
-	cfg := RepairConfig{Rows: 64, Cols: 576, SpareRows: 2, WordBits: 72, ECCSingleBit: true}
+	cfg := redundancy.Config{Rows: 64, Cols: 576, SpareRows: 2, WordBits: 72, ECCSingleBit: true}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		arr := MustBenchFaultyArray(64, 576)
-		_ = arr.Inject(CellFault{Row: 7, Col: 70, Kind: StuckAt1})
-		_ = arr.Inject(CellFault{Row: 30, Col: 300, Kind: StuckAt0})
+		arr := bist.MustFaultyArray(64, 576)
+		_ = arr.Inject(bist.CellFault{Row: 7, Col: 70, Kind: bist.StuckAt1})
+		_ = arr.Inject(bist.CellFault{Row: 30, Col: 300, Kind: bist.StuckAt0})
 		b.StartTimer()
-		out, err := SelfRepair(arr, cfg, MarchCMinus())
+		out, err := bist.SelfRepair(arr, cfg, bist.MarchCMinus())
 		if err != nil || !out.Repaired {
 			b.Fatalf("repair failed: %v %+v", err, out)
 		}
@@ -309,27 +310,17 @@ func BenchmarkSelfRepair(b *testing.B) {
 
 func BenchmarkRepairAllocation(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	cfg := RepairConfig{Rows: 512, Cols: 1152, SpareRows: 8, SpareCols: 8, WordBits: 72, ECCSingleBit: true}
+	cfg := redundancy.Config{Rows: 512, Cols: 1152, SpareRows: 8, SpareCols: 8, WordBits: 72, ECCSingleBit: true}
 	var faults []redundancy.Fault
 	for i := 0; i < 60; i++ {
 		faults = append(faults, redundancy.Fault{Row: rng.Intn(512), Col: rng.Intn(1152)})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AllocateRepairs(cfg, faults); err != nil {
+		if _, err := redundancy.Allocate(cfg, faults); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// MustBenchFaultyArray builds a defect-injectable array or fails the
-// benchmark setup.
-func MustBenchFaultyArray(rows, cols int) *FaultyArray {
-	a, err := NewFaultyArray(rows, cols)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // prefillLines writes one byte to each of the first n lines in a

@@ -2,20 +2,21 @@
 // connections with P pipelined worker goroutines each, drives a mixed
 // read/write workload of fixed-size frames (one op each by default)
 // against a remote store, and — unless verification is off — checks
-// every read against a private shadow model using the loss-epoch
-// protocol over the EPOCH opcode: a mismatch is legitimate only if the
-// owning set's loss epoch advanced since the value was written;
-// otherwise it is SILENT corruption and the run fails with exit 1.
+// every read with a replay.Verifier, the loss-epoch rule soak and the
+// replayer use, reading epochs over the EPOCH opcode: a mismatch is
+// legitimate only if the owning set's loss epoch advanced since the
+// value was written; otherwise it is SILENT corruption and the run
+// fails with exit 1.
 //
-// Workers own disjoint line ranges, so the shadow needs no cross-worker
-// coordination and every mismatch is attributable. On completion (or
-// SIGINT/SIGTERM) the run reports throughput, read-latency percentiles,
-// and the corruption taxonomy, mirroring cmd/soak's accounting over the
-// wire.
+// Workers own disjoint line ranges, each with its own Verifier, so
+// verification needs no cross-worker coordination and every mismatch
+// is attributable. On completion (or SIGINT/SIGTERM) the run reports
+// throughput, read-latency percentiles, and the corruption taxonomy,
+// mirroring cmd/soak's accounting over the wire.
 //
 // With -endpoints a,b,c the generator drives a replicated ClusterClient
 // instead of one connection: hedged reads, failover retries, write
-// fan-out with read-repair. The shadow protocol is unchanged — the
+// fan-out with read-repair. The verification rule is unchanged — the
 // cluster epoch is the max over reachable replicas — so killing and
 // restarting a replica mid-run must produce zero silent corruption, or
 // the run exits 1. -selftest-skew-writes N arms the cluster's injected
@@ -30,7 +31,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"twodcache"
+	"twodcache/internal/replay"
 )
 
 // storeClient is the op surface shared by a NetClient and a
@@ -144,30 +145,20 @@ func main() {
 	defer stopSignals()
 
 	var (
-		ops       atomic.Uint64 // completed ops (each batch op counts)
-		reads     atomic.Uint64
-		writes    atomic.Uint64
-		reported  atomic.Uint64 // ops that surfaced a DUE/bounded abort
-		accounted atomic.Uint64 // mismatches explained by a loss-epoch advance
-		silent    atomic.Uint64 // unaccounted mismatches: must stay zero
-		bytesIO   atomic.Uint64
-		wg        sync.WaitGroup
-		stopOnce  sync.Once
-		stopErr   error // the first call-level error that ended a worker
+		ops      atomic.Uint64 // completed ops (each batch op counts)
+		reads    atomic.Uint64
+		writes   atomic.Uint64
+		bytesIO  atomic.Uint64
+		wg       sync.WaitGroup
+		stopOnce sync.Once
+		stopErr  error // the first call-level error that ended a worker
+		// verifiers[w] is worker w's oracle. Its Tally counts the ops
+		// that surfaced a DUE or bounded abort (reported), the mismatches
+		// a loss-epoch advance explains (accounted) and the rest
+		// (silent: must stay zero). A key's value buffer is reused across
+		// writes, so the steady-state generator allocates nothing per op.
+		verifiers = make([]*replay.Verifier, workers)
 	)
-
-	// shadowLine is one verified line: the value acked by the server and
-	// the owning set's loss epoch sampled BEFORE the write was issued.
-	// Sampling before is conservative in the right direction: an epoch
-	// advance during the write window can only turn a real corruption
-	// into "accounted", never the reverse. data is a stable per-line
-	// buffer (written by copy, never re-allocated), so the steady-state
-	// generator allocates nothing per op.
-	type shadowLine struct {
-		data  []byte
-		valid bool
-		epoch uint64
-	}
 
 	// readLat is the caller-observed latency of one read call — one
 	// frame of -batch ops — with queueing, hedging, retries, and failover
@@ -191,68 +182,22 @@ func main() {
 	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
 	for w := 0; w < workers; w++ {
+		cl := clientFor(w)
+		v := replay.NewVerifier(cl.Epoch)
+		verifiers[w] = v
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl := clientFor(w)
 			rng := rand.New(rand.NewSource(*seed + int64(w)))
 			base := uint64(w*linesPer) * uint64(*lineBytes)
 			addrOf := func(i int) uint64 { return base + uint64(i)*uint64(*lineBytes) }
-			shadow := make([]shadowLine, linesPer)
 
-			// verifyRead classifies one read outcome against the shadow.
-			verifyRead := func(li int, got []byte, err error) {
-				if err != nil {
-					reported.Add(1)
-					shadow[li].valid = false // contents now unknown
-					return
-				}
-				if !*verify || !shadow[li].valid {
-					return
-				}
-				if bytes.Equal(got, shadow[li].data) {
-					return
-				}
-				now, eerr := cl.Epoch(addrOf(li))
-				if eerr == nil && now > shadow[li].epoch {
-					accounted.Add(1)
-					shadow[li].valid = false
-					return
-				}
-				silent.Add(1)
-				fmt.Fprintf(os.Stderr, "cacheload: SILENT corruption at %#x (epoch %d -> %d, %v)\n",
-					addrOf(li), shadow[li].epoch, now, eerr)
-			}
-			// noteWrite installs an acked write into the shadow by copy,
-			// so the caller's buffer is free for reuse next iteration.
-			noteWrite := func(li int, d []byte, epoch uint64) {
-				if shadow[li].data == nil {
-					shadow[li].data = make([]byte, len(d))
-				}
-				copy(shadow[li].data, d)
-				shadow[li].valid = true
-				shadow[li].epoch = epoch
-			}
-			// preWrite samples the epoch a write's shadow entry will
-			// carry; on epoch failure verification of that line pauses.
-			preWrite := func(li int) (uint64, bool) {
-				if !*verify {
-					return 0, true
-				}
-				e, err := cl.Epoch(addrOf(li))
-				if err != nil {
-					shadow[li].valid = false
-					return 0, false
-				}
-				return e, true
-			}
-			// Per-worker reusable scratch: op slices, index/epoch shadows,
+			// Per-worker reusable scratch: op slices, pre-write epochs,
 			// and one line buffer per frame slot (write payloads and read
 			// destinations both) — nothing below allocates per iteration.
 			k := max(*batch, 1)
 			wops := make([]twodcache.BatchWriteOp, k)
 			rops := make([]twodcache.BatchReadOp, k)
-			lis := make([]int, k)
 			epochs := make([]uint64, k)
 			oks := make([]bool, k)
 			bufs := make([][]byte, k)
@@ -270,14 +215,15 @@ func main() {
 					return false
 				}
 				for j := 0; j < k; j++ {
+					addr := rops[j].Addr
 					if isWrite {
 						writes.Add(1)
+						addr = wops[j].Addr
 					} else {
 						reads.Add(1)
 					}
 					ops.Add(1)
-					reported.Add(1)
-					shadow[lis[j]].valid = false
+					v.Failed(addr)
 				}
 				return true
 			}
@@ -293,10 +239,12 @@ func main() {
 				// replica; the deadline bounds the frame.
 				if rng.Float64() < *writeFrac {
 					for j := 0; j < k; j++ {
-						lis[j] = rng.Intn(linesPer)
-						epochs[j], oks[j] = preWrite(lis[j])
+						addr := addrOf(rng.Intn(linesPer))
+						if *verify {
+							epochs[j], oks[j] = v.Sample(addr)
+						}
 						rng.Read(bufs[j])
-						wops[j] = twodcache.BatchWriteOp{Addr: addrOf(lis[j]), Data: bufs[j]}
+						wops[j] = twodcache.BatchWriteOp{Addr: addr, Data: bufs[j]}
 					}
 					_, err := cl.WriteBatchCtx(opCtx, wops)
 					opCancel()
@@ -311,18 +259,14 @@ func main() {
 						ops.Add(1)
 						bytesIO.Add(uint64(*lineBytes))
 						if wops[j].Err != nil {
-							reported.Add(1)
-							shadow[lis[j]].valid = false
-							continue
-						}
-						if oks[j] {
-							noteWrite(lis[j], bufs[j], epochs[j])
+							v.Failed(wops[j].Addr)
+						} else if oks[j] {
+							v.Wrote(wops[j].Addr, bufs[j], epochs[j])
 						}
 					}
 				} else {
 					for j := 0; j < k; j++ {
-						lis[j] = rng.Intn(linesPer)
-						rops[j] = twodcache.BatchReadOp{Addr: addrOf(lis[j]), Dst: bufs[j]}
+						rops[j] = twodcache.BatchReadOp{Addr: addrOf(rng.Intn(linesPer)), Dst: bufs[j]}
 					}
 					t0 := time.Now()
 					_, err := cl.ReadBatchCtx(opCtx, rops)
@@ -338,7 +282,11 @@ func main() {
 						reads.Add(1)
 						ops.Add(1)
 						bytesIO.Add(uint64(*lineBytes))
-						verifyRead(lis[j], rops[j].Dst, rops[j].Err)
+						if rops[j].Err != nil {
+							v.Failed(rops[j].Addr)
+						} else {
+							v.Check(rops[j].Addr, rops[j].Dst, "")
+						}
 					}
 				}
 			}
@@ -355,8 +303,17 @@ func main() {
 		float64(total)/elapsed.Seconds(),
 		float64(bytesIO.Load())/(1<<20)/elapsed.Seconds(),
 		reads.Load(), writes.Load())
+	var tally replay.Tally
+	for _, v := range verifiers {
+		tally.Accounted += v.Accounted
+		tally.Reported += v.Reported
+		tally.Silent += v.Silent
+		for _, d := range v.SilentDetails {
+			fmt.Fprintln(os.Stderr, "cacheload: "+d)
+		}
+	}
 	fmt.Printf("  accounting: %d reported DUE/aborts, %d accounted losses, %d SILENT corruptions\n",
-		reported.Load(), accounted.Load(), silent.Load())
+		tally.Reported, tally.Accounted, tally.Silent)
 	if total > 0 {
 		// Whole-process deltas: the generator's own overhead rides along,
 		// so this is an upper bound on the client stack's allocation rate.
@@ -384,7 +341,7 @@ func main() {
 	if stopErr != nil {
 		fmt.Fprintln(os.Stderr, "cacheload: stopped early:", stopErr)
 	}
-	if silent.Load() > 0 {
+	if tally.Silent > 0 {
 		fmt.Println("cacheload: FAIL — silent corruption detected")
 		os.Exit(1)
 	}

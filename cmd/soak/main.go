@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -211,7 +210,6 @@ func main() {
 	defer stopSignals()
 
 	var (
-		sloAborts  atomic.Uint64 // reads abandoned at their deadline (SLO mode)
 		clientOps  atomic.Uint64
 		wg         sync.WaitGroup
 		scrubDone  = make(chan struct{})
@@ -341,8 +339,8 @@ func main() {
 			for l := uint64(id); l < lines; l += uint64(*clients) {
 				owned = append(owned, l)
 			}
-			// The shadow counts a failed op as reported; only SLO mode
-			// reads the error, to count deadline aborts.
+			// The shadow counts a failed op as reported; the engine
+			// counts SLO mode's deadline aborts.
 			for ctx.Err() == nil {
 				clientOps.Add(1)
 				l := owned[rng.Intn(len(owned))]
@@ -361,12 +359,9 @@ func main() {
 				// so shutdown does not masquerade as abort.
 				rctx, rcancel := context.WithTimeout(context.Background(), *p99Budget)
 				t0 := time.Now()
-				err := sh.Read(rctx, addr)
+				sh.Read(rctx, addr)
 				readLat.Observe(time.Since(t0))
 				rcancel()
-				if errors.Is(err, twodcache.ErrRecoveryInProgress) {
-					sloAborts.Add(1)
-				}
 			}
 			<-stormDone
 			sh.Sweep()
@@ -401,10 +396,11 @@ func main() {
 	}
 	fmt.Printf("soak: %v, %d clients, %d client ops, %d fault events\n",
 		*duration, *clients, clientOps.Load(), stormCount.Load())
-	var watchdogFires uint64
+	var watchdogFires, deadlineAborts uint64
 	for i := 0; i < st.NumShards(); i++ {
 		r := st.Shard(i).Report()
 		watchdogFires += r.WatchdogFires
+		deadlineAborts += r.DeadlineAborts
 		fmt.Printf("shard %d %s", i, r.String())
 	}
 	var accounted, reported, silent uint64
@@ -435,7 +431,7 @@ func main() {
 			mark = "<=" // cannot happen: the budget is a bucket bound
 		}
 		fmt.Printf("soak: slo: %d/%d reads (p99%s%v) within budget %v, %d deadline aborts\n",
-			within, h.Count, mark, h.Quantile(0.99).Round(time.Microsecond), *p99Budget, sloAborts.Load())
+			within, h.Count, mark, h.Quantile(0.99).Round(time.Microsecond), *p99Budget, deadlineAborts)
 		if h.Count > 0 && float64(within) < 0.99*float64(h.Count) {
 			fmt.Println("soak: FAIL — p99 read latency over budget")
 			os.Exit(3)

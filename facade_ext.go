@@ -1,102 +1,18 @@
 package twodcache
 
-// Façade over manufacturing test and repair, scrubbing, and the
-// protected cache with the serving stack built on it: resilience
-// engine, sharded store, network server, cluster client, chaos proxy
-// and observability.
+// Façade over the protected cache and the serving stack built on it:
+// resilience engine, sharded store, network server, cluster client,
+// chaos proxy and observability.
 
 import (
-	"twodcache/internal/bist"
 	"twodcache/internal/cluster"
 	"twodcache/internal/fault"
 	"twodcache/internal/netsrv"
 	"twodcache/internal/obs"
 	"twodcache/internal/pcache"
-	"twodcache/internal/redundancy"
 	"twodcache/internal/resilience"
-	"twodcache/internal/scrub"
 	"twodcache/internal/store"
 )
-
-// --- BIST / march testing -----------------------------------------------
-
-// TestMemory is the bit-addressable array interface the march engine
-// drives.
-type TestMemory = bist.Memory
-
-// MarchAlgorithm is a named march test.
-type MarchAlgorithm = bist.Algorithm
-
-// MarchResult summarises one march run.
-type MarchResult = bist.Result
-
-// FaultyArray is a bit array with injectable manufacturing defects
-// (stuck-at and transition faults).
-type FaultyArray = bist.FaultyArray
-
-// CellFault is one injected defect.
-type CellFault = bist.CellFault
-
-// Manufacturing defect kinds.
-const (
-	StuckAt0       = bist.StuckAt0
-	StuckAt1       = bist.StuckAt1
-	TransitionUp   = bist.TransitionUp
-	TransitionDown = bist.TransitionDown
-)
-
-// NewFaultyArray builds a defect-injectable array for BIST studies.
-func NewFaultyArray(rows, cols int) (*FaultyArray, error) {
-	return bist.NewFaultyArray(rows, cols)
-}
-
-// MarchCMinus returns the 10N March C- test (stuck-at + transition +
-// unlinked coupling coverage) — the complexity class the paper equates
-// 2D recovery latency to (§4).
-func MarchCMinus() MarchAlgorithm { return bist.MarchCMinus() }
-
-// MarchX returns the 6N March X test.
-func MarchX() MarchAlgorithm { return bist.MarchX() }
-
-// MATSPlus returns the 5N MATS+ test.
-func MATSPlus() MarchAlgorithm { return bist.MATSPlus() }
-
-// RunMarch executes a march test over a memory.
-func RunMarch(mem TestMemory, alg MarchAlgorithm) MarchResult { return bist.Run(mem, alg) }
-
-// --- redundancy / BISR ----------------------------------------------------
-
-// RepairConfig describes spare rows/columns and optional in-line ECC.
-type RepairConfig = redundancy.Config
-
-// RepairPlan is a spare allocation.
-type RepairPlan = redundancy.Plan
-
-// RepairOutcome is the result of a full BISR pass.
-type RepairOutcome = bist.RepairOutcome
-
-// AllocateRepairs plans spare usage for a set of defective cells using
-// must-repair reduction plus greedy cover, optionally absorbing
-// single-bit faults into ECC (the paper's §5.2 synergy).
-func AllocateRepairs(cfg RepairConfig, faults []redundancy.Fault) (RepairPlan, error) {
-	return redundancy.Allocate(cfg, faults)
-}
-
-// SelfRepair runs the full BISR flow: march test, allocation,
-// re-verification through the repaired address map.
-func SelfRepair(arr *FaultyArray, cfg RepairConfig, alg MarchAlgorithm) (RepairOutcome, error) {
-	return bist.SelfRepair(arr, cfg, alg)
-}
-
-// --- scrubbing -------------------------------------------------------------
-
-// ScrubModel parameterises the scrub-interval accumulation study
-// (§2.1).
-type ScrubModel = scrub.Model
-
-// DefaultScrubModel returns the paper-configuration bank under a modern
-// multi-bit upset mix.
-func DefaultScrubModel() ScrubModel { return scrub.DefaultModel() }
 
 // --- protected functional cache ---------------------------------------------
 
@@ -165,8 +81,9 @@ type ResilientCache = resilience.Engine
 // decommissioning.
 type HealthReport = resilience.Report
 
-// ScrubberConfig tunes the background scrubber (sweep interval,
-// traffic-awareness threshold, catch-up bound).
+// ScrubberConfig tunes the background scrubber: its sweep interval and
+// traffic-awareness threshold. A sweep deferred under load runs anyway
+// after 10 intervals.
 type ScrubberConfig = resilience.ScrubberConfig
 
 // CacheScrubber is the traffic-aware background sweeper; start it with

@@ -5,66 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"twodcache/internal/redundancy"
 )
-
-func TestPublicBISTFlow(t *testing.T) {
-	arr, err := NewFaultyArray(64, 576)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := arr.Inject(CellFault{Row: 10, Col: 100, Kind: StuckAt1}); err != nil {
-		t.Fatal(err)
-	}
-	res := RunMarch(arr, MarchCMinus())
-	if res.Passed() || len(res.FailingCells()) != 1 {
-		t.Fatalf("march result: %d fails", len(res.Fails))
-	}
-	// MATS+ and March X run too.
-	for _, alg := range []MarchAlgorithm{MATSPlus(), MarchX()} {
-		a2, _ := NewFaultyArray(8, 8)
-		if !RunMarch(a2, alg).Passed() {
-			t.Fatalf("%s failed clean array", alg.Name)
-		}
-	}
-}
-
-func TestPublicSelfRepair(t *testing.T) {
-	arr, _ := NewFaultyArray(64, 576)
-	_ = arr.Inject(CellFault{Row: 3, Col: 9, Kind: StuckAt0})
-	out, err := SelfRepair(arr, RepairConfig{
-		Rows: 64, Cols: 576, SpareRows: 1, WordBits: 72,
-	}, MarchCMinus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Repaired {
-		t.Fatalf("outcome %+v", out)
-	}
-}
-
-func TestPublicAllocateRepairs(t *testing.T) {
-	plan, err := AllocateRepairs(RepairConfig{
-		Rows: 16, Cols: 144, SpareRows: 1, WordBits: 72,
-	}, []redundancy.Fault{{Row: 2, Col: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Repairable {
-		t.Fatalf("plan %+v", plan)
-	}
-}
-
-func TestPublicScrubModel(t *testing.T) {
-	m := DefaultScrubModel()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if m.EventRatePerHour() <= 0 {
-		t.Fatal("zero event rate")
-	}
-}
 
 func TestPublicErrorInjectionProtection(t *testing.T) {
 	wl, _ := Workload("OLTP")

@@ -45,17 +45,16 @@ func (r Result) String() string {
 	}
 }
 
-// Code is a shortened binary BCH code over GF(2^m) carrying k data bits
-// and correcting up to t bit errors per codeword. With Extended set, an
-// overall parity bit is appended, raising the design distance from 2t+1
-// to 2t+2 so that t+1 errors are detected rather than miscorrected.
+// Code is an extended shortened binary BCH code over GF(2^m) carrying k
+// data bits and correcting up to t bit errors per codeword. An overall
+// parity bit is appended, raising the design distance from 2t+1 to
+// 2t+2 so that t+1 errors are detected rather than miscorrected.
 type Code struct {
-	field    *gf2.Field
-	k        int // data bits
-	r        int // BCH parity bits (degree of generator)
-	t        int // designed correction capability
-	extended bool
-	gen      gf2.Poly
+	field *gf2.Field
+	k     int // data bits
+	r     int // BCH parity bits (degree of generator)
+	t     int // designed correction capability
+	gen   gf2.Poly
 }
 
 // New constructs a BCH code for k data bits correcting t errors, with an
@@ -63,16 +62,6 @@ type Code struct {
 // xECyED convention). It selects the smallest field GF(2^m) whose
 // natural code length 2^m-1 accommodates k + deg(g) bits.
 func New(k, t int) (*Code, error) {
-	return newCode(k, t, true)
-}
-
-// NewPlain constructs the code without the extended overall parity bit
-// (design distance 2t+1).
-func NewPlain(k, t int) (*Code, error) {
-	return newCode(k, t, false)
-}
-
-func newCode(k, t int, extended bool) (*Code, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("bch: k=%d must be positive", k)
 	}
@@ -94,7 +83,7 @@ func newCode(k, t int, extended bool) (*Code, error) {
 		if (1<<uint(m))-1 < k+r {
 			continue
 		}
-		return &Code{field: f, k: k, r: r, t: t, extended: extended, gen: gen}, nil
+		return &Code{field: f, k: k, r: r, t: t, gen: gen}, nil
 	}
 	return nil, fmt.Errorf("bch: no field up to GF(2^16) fits k=%d t=%d", k, t)
 }
@@ -115,14 +104,9 @@ func (c *Code) K() int { return c.k }
 // T returns the designed correction capability in bits.
 func (c *Code) T() int { return c.t }
 
-// ParityBits returns the number of check bits (including the overall
-// parity bit when the code is extended).
-func (c *Code) ParityBits() int {
-	if c.extended {
-		return c.r + 1
-	}
-	return c.r
-}
+// ParityBits returns the number of check bits, the overall parity bit
+// included.
+func (c *Code) ParityBits() int { return c.r + 1 }
 
 // N returns the total codeword length in bits.
 func (c *Code) N() int { return c.k + c.ParityBits() }
@@ -135,8 +119,8 @@ func (c *Code) Generator() gf2.Poly { return c.gen }
 func (c *Code) bchLen() int { return c.k + c.r }
 
 // Encode produces the systematic codeword for data (length K bits):
-// bits [0,r) hold the BCH remainder, bits [r, r+k) the data, and with
-// Extended codes bit r+k holds overall even parity.
+// bits [0,r) hold the BCH remainder, bits [r, r+k) the data, and bit
+// r+k holds overall even parity.
 func (c *Code) Encode(data bitvec.Codeword) bitvec.Codeword {
 	if data.Len() != c.k {
 		panic(fmt.Sprintf("bch: Encode data length %d != k %d", data.Len(), c.k))
@@ -154,27 +138,15 @@ func (c *Code) Encode(data bitvec.Codeword) bitvec.Codeword {
 		}
 	}
 	cw.CopyBits(c.r, data, 0, c.k)
-	if c.extended {
-		// Overall even parity across the BCH portion.
-		p := 0
-		for i := 0; i < c.bchLen(); i++ {
-			if cw.Bit(i) {
-				p ^= 1
-			}
+	// Overall even parity across the BCH portion.
+	p := 0
+	for i := 0; i < c.bchLen(); i++ {
+		if cw.Bit(i) {
+			p ^= 1
 		}
-		cw.SetBit(c.bchLen(), p == 1)
 	}
+	cw.SetBit(c.bchLen(), p == 1)
 	return cw
-}
-
-// Data returns a copy of a codeword's data bits.
-func (c *Code) Data(cw bitvec.Codeword) bitvec.Codeword {
-	if cw.Len() != c.N() {
-		panic(fmt.Sprintf("bch: codeword length %d != n %d", cw.Len(), c.N()))
-	}
-	data := bitvec.New(c.k)
-	data.CopyBits(0, cw, c.r, c.k)
-	return data
 }
 
 // syndromes returns S_1..S_2t for the BCH portion of cw and whether any
@@ -202,23 +174,20 @@ func (c *Code) syndromes(cw bitvec.Codeword) ([]uint16, bool) {
 // Decode checks and, if possible, corrects cw in place. It returns the
 // decode outcome and the number of bits corrected. When the error weight
 // exceeds the code's capability the decoder reports Detected where the
-// design distance guarantees it (≤ t+1 errors for extended codes);
+// design distance guarantees it (≤ t+1 errors);
 // beyond that, like any bounded-distance decoder, it may miscorrect.
 func (c *Code) Decode(cw bitvec.Codeword) (Result, int) {
 	if cw.Len() != c.N() {
 		panic(fmt.Sprintf("bch: codeword length %d != n %d", cw.Len(), c.N()))
 	}
 	synd, anyErr := c.syndromes(cw)
-	parityErr := false
-	if c.extended {
-		p := 0
-		for i := 0; i <= c.bchLen(); i++ {
-			if cw.Bit(i) {
-				p ^= 1
-			}
+	p := 0
+	for i := 0; i <= c.bchLen(); i++ {
+		if cw.Bit(i) {
+			p ^= 1
 		}
-		parityErr = p == 1
 	}
+	parityErr := p == 1
 	if !anyErr {
 		if parityErr {
 			// Error confined to the overall parity bit itself.
@@ -237,23 +206,16 @@ func (c *Code) Decode(cw bitvec.Codeword) (Result, int) {
 		// Locator does not split over the field: error weight exceeds t.
 		return Detected, 0
 	}
+	// Parity consistency: an even/odd mismatch between the claimed
+	// correction weight and the overall parity means either the
+	// extended parity bit itself is also flipped (correctable while the
+	// total weight stays <= t) or there are t+1 errors.
 	parityBitFix := false
-	if c.extended {
-		// Parity consistency: an even/odd mismatch between the claimed
-		// correction weight and the overall parity means either the
-		// extended parity bit itself is also flipped (correctable while
-		// the total weight stays <= t) or there are t+1 errors.
-		correctionParity := len(locs) % 2
-		observed := 0
-		if parityErr {
-			observed = 1
+	if (len(locs)%2 == 1) != parityErr {
+		if len(locs) >= c.t {
+			return Detected, 0
 		}
-		if correctionParity != observed {
-			if len(locs) >= c.t {
-				return Detected, 0
-			}
-			parityBitFix = true
-		}
+		parityBitFix = true
 	}
 	for _, pos := range locs {
 		cw.Flip(pos)

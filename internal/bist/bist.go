@@ -1,7 +1,6 @@
 // Package bist implements the built-in self-test and self-repair
 // machinery the paper's recovery process plugs into (§4, refs
-// [8,18,24]): march-test algorithms (MATS+, March X, March C-) over an
-// abstract memory, fault classification, and a BISR flow that feeds
+// [8,18,24]): the March C- test over an abstract memory, fault classification, and a BISR flow that feeds
 // detected faults into the redundancy allocator and re-verifies the
 // repaired array.
 package bist
@@ -63,33 +62,6 @@ type Element struct {
 type Algorithm struct {
 	Name     string
 	Elements []Element
-}
-
-// MATSPlus returns MATS+ : {⇑(w0); ⇑(r0,w1); ⇓(r1,w0)} — detects all
-// stuck-at faults with 5N operations.
-func MATSPlus() Algorithm {
-	return Algorithm{
-		Name: "MATS+",
-		Elements: []Element{
-			{Up, []Op{W(false)}},
-			{Up, []Op{R(false), W(true)}},
-			{Down, []Op{R(true), W(false)}},
-		},
-	}
-}
-
-// MarchX returns March X: {⇑(w0); ⇑(r0,w1); ⇓(r1,w0); ⇑(r0)} — adds
-// transition-fault coverage (6N).
-func MarchX() Algorithm {
-	return Algorithm{
-		Name: "March X",
-		Elements: []Element{
-			{Up, []Op{W(false)}},
-			{Up, []Op{R(false), W(true)}},
-			{Down, []Op{R(true), W(false)}},
-			{Up, []Op{R(false)}},
-		},
-	}
 }
 
 // MarchCMinus returns March C-:

@@ -8,29 +8,15 @@ import (
 )
 
 func TestCleanArrayPassesAllAlgorithms(t *testing.T) {
-	for _, alg := range []Algorithm{MATSPlus(), MarchX(), MarchCMinus()} {
-		a := MustFaultyArray(16, 32)
-		res := Run(a, alg)
-		if !res.Passed() {
-			t.Fatalf("%s failed on a clean array: %d fails", alg.Name, len(res.Fails))
-		}
+	if res := Run(MustFaultyArray(16, 32), MarchCMinus()); !res.Passed() {
+		t.Fatalf("March C- failed on a clean array: %d fails", len(res.Fails))
 	}
 }
 
 func TestOperationCounts(t *testing.T) {
-	// MATS+ is 5N, March X 6N, March C- 10N.
-	n := 16 * 32
-	for _, tc := range []struct {
-		alg  Algorithm
-		perN int
-	}{
-		{MATSPlus(), 5}, {MarchX(), 6}, {MarchCMinus(), 10},
-	} {
-		a := MustFaultyArray(16, 32)
-		res := Run(a, tc.alg)
-		if res.Operations != tc.perN*n {
-			t.Fatalf("%s: %d ops, want %d", tc.alg.Name, res.Operations, tc.perN*n)
-		}
+	// March C- is 10N.
+	if got, want := Run(MustFaultyArray(16, 32), MarchCMinus()).Operations, 10*16*32; got != want {
+		t.Fatalf("March C-: %d ops, want %d", got, want)
 	}
 }
 
@@ -40,29 +26,20 @@ func TestDetectsStuckAtFaults(t *testing.T) {
 		if err := a.Inject(CellFault{Row: 5, Col: 17, Kind: kind}); err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range []Algorithm{MATSPlus(), MarchX(), MarchCMinus()} {
-			b := MustFaultyArray(16, 32)
-			_ = b.Inject(CellFault{Row: 5, Col: 17, Kind: kind})
-			res := Run(b, alg)
-			cells := res.FailingCells()
-			if len(cells) != 1 || cells[0] != [2]int{5, 17} {
-				t.Fatalf("%s/%v: detected %v", alg.Name, kind, cells)
-			}
+		cells := Run(a, MarchCMinus()).FailingCells()
+		if len(cells) != 1 || cells[0] != [2]int{5, 17} {
+			t.Fatalf("%v: detected %v", kind, cells)
 		}
 	}
 }
 
 func TestDetectsTransitionFaults(t *testing.T) {
-	// MATS+ misses some transition faults; March X and C- catch both
-	// polarities.
+	// March C- catches both polarities.
 	for _, kind := range []FaultKind{TransitionUp, TransitionDown} {
-		for _, alg := range []Algorithm{MarchX(), MarchCMinus()} {
-			a := MustFaultyArray(8, 8)
-			_ = a.Inject(CellFault{Row: 3, Col: 4, Kind: kind})
-			res := Run(a, alg)
-			if res.Passed() {
-				t.Fatalf("%s missed a %v fault", alg.Name, kind)
-			}
+		a := MustFaultyArray(8, 8)
+		_ = a.Inject(CellFault{Row: 3, Col: 4, Kind: kind})
+		if Run(a, MarchCMinus()).Passed() {
+			t.Fatalf("March C- missed a %v fault", kind)
 		}
 	}
 }
@@ -72,8 +49,8 @@ func TestFaultInjectionBounds(t *testing.T) {
 	if err := a.Inject(CellFault{Row: 4, Col: 0}); err == nil {
 		t.Fatal("out-of-bounds fault accepted")
 	}
-	if a.FaultCount() != 0 {
-		t.Fatal("count after rejected injection")
+	if !Run(a, MarchCMinus()).Passed() {
+		t.Fatal("a rejected injection left a fault")
 	}
 	if _, err := NewFaultyArray(0, 4); err == nil {
 		t.Fatal("zero rows accepted")

@@ -117,7 +117,4 @@ func (a *FaultyArray) WriteBit(row, col int, v bool) {
 	a.data.Set(row, col, v)
 }
 
-// FaultCount returns the number of injected defects.
-func (a *FaultyArray) FaultCount() int { return len(a.faults) }
-
 var _ Memory = (*FaultyArray)(nil)

@@ -27,9 +27,6 @@ func NewMatrix(rows, cols int) *Matrix {
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // Bit reports whether the bit at (r, c) is set.
 func (m *Matrix) Bit(r, c int) bool {
 	i, mask := m.at(r, c)
@@ -98,9 +95,6 @@ func (m *Matrix) PopCount() int {
 	}
 	return n
 }
-
-// Zero clears every bit.
-func (m *Matrix) Zero() { clear(m.words) }
 
 // Diff returns the set of (row, col) positions at which m and other differ.
 func (m *Matrix) Diff(other *Matrix) [][2]int {

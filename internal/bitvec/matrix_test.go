@@ -7,8 +7,8 @@ import (
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(4, 10)
-	if m.Rows() != 4 || m.Cols() != 10 {
-		t.Fatalf("dims = %dx%d", m.Rows(), m.Cols())
+	if m.Rows() != 4 || m.cols != 10 {
+		t.Fatalf("dims = %dx%d", m.Rows(), m.cols)
 	}
 	m.Set(2, 7, true)
 	if !m.Bit(2, 7) {
@@ -133,16 +133,5 @@ func TestMatrixDiff(t *testing.T) {
 	}
 	if len(a.Diff(a)) != 0 {
 		t.Fatal("self diff nonempty")
-	}
-}
-
-func TestMatrixZero(t *testing.T) {
-	m := NewMatrix(5, 5)
-	for i := 0; i < 5; i++ {
-		m.Set(i, 4-i, true)
-	}
-	m.Zero()
-	if m.PopCount() != 0 {
-		t.Fatal("Zero left bits set")
 	}
 }

@@ -114,12 +114,6 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // LineAddr truncates a byte address to its line address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.setShift }
 

@@ -48,7 +48,7 @@ func TestMissThenHit(t *testing.T) {
 	if !c.Lookup(addr+63-(addr%64), false) {
 		t.Fatal("same-line offset missed")
 	}
-	st := c.Stats()
+	st := c.stats
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -89,8 +89,8 @@ func TestDirtyEvictionReportsWriteback(t *testing.T) {
 	if c.LineAddr(ev.Addr) != c.LineAddr(a) {
 		t.Fatalf("evicted %#x, want %#x", ev.Addr, a)
 	}
-	if c.Stats().DirtyEvictions != 1 {
-		t.Fatalf("stats %+v", c.Stats())
+	if c.stats.DirtyEvictions != 1 {
+		t.Fatalf("stats %+v", c.stats)
 	}
 }
 
@@ -182,8 +182,8 @@ func TestPorts(t *testing.T) {
 	if !p.Take(0) {
 		t.Fatal("slot not reset on new cycle")
 	}
-	if p.Claimed() != 4 {
-		t.Fatalf("claimed = %d", p.Claimed())
+	if p.claimed != 4 {
+		t.Fatalf("claimed = %d", p.claimed)
 	}
 }
 
@@ -209,7 +209,7 @@ func TestMSHRFile(t *testing.T) {
 	if len(ws) != 2 || ws[0] != 1 || ws[1] != 3 {
 		t.Fatalf("waiters = %v", ws)
 	}
-	if m.Outstanding() != 1 {
-		t.Fatalf("outstanding = %d", m.Outstanding())
+	if len(m.pending) != 1 {
+		t.Fatalf("outstanding = %d", len(m.pending))
 	}
 }

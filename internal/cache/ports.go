@@ -40,9 +40,6 @@ func (p *Ports) Take(bank int) bool {
 // Idle reports whether the bank still has a free slot this cycle.
 func (p *Ports) Idle(bank int) bool { return p.used[bank] < p.perBank }
 
-// Claimed returns the lifetime number of slots handed out.
-func (p *Ports) Claimed() uint64 { return p.claimed }
-
 // MSHRFile bounds outstanding misses and merges requests to the same
 // line.
 type MSHRFile struct {
@@ -57,9 +54,6 @@ func NewMSHRFile(capacity int) *MSHRFile {
 
 // Full reports whether a new (non-mergeable) miss can be accepted.
 func (m *MSHRFile) Full() bool { return len(m.pending) >= m.cap }
-
-// Outstanding returns the number of allocated MSHRs.
-func (m *MSHRFile) Outstanding() int { return len(m.pending) }
 
 // Lookup reports whether a miss to the line is already outstanding.
 func (m *MSHRFile) Lookup(lineAddr uint64) bool {

@@ -119,51 +119,12 @@ func ColumnStuckAt(rng *rand.Rand, col, rows int) Pattern {
 	return p
 }
 
-// SingleBit returns a one-cell upset.
-func SingleBit(row, col int) Pattern {
-	return Pattern{Kind: "single-bit", Flips: []Flip{{row, col}}}
-}
-
-// RandomBits returns n independent uniformly random upsets.
-func RandomBits(rng *rand.Rand, rows, cols, n int) Pattern {
-	p := Pattern{Kind: fmt.Sprintf("random-%d", n)}
-	for i := 0; i < n; i++ {
-		p.Flips = append(p.Flips, Flip{rng.Intn(rows), rng.Intn(cols)})
-	}
-	return p
-}
-
 // --- soft-error process -----------------------------------------------
 
 // FITRate converts a per-Mb FIT figure (failures per 10^9 device-hours
 // per megabit) and a capacity in bits into expected upsets per hour.
 func FITRate(fitPerMb float64, bits int) float64 {
 	return fitPerMb * (float64(bits) / 1e6) / 1e9
-}
-
-// PoissonEvents samples the number of error events in the given number
-// of hours under rate lambda events/hour (Knuth's method for small
-// means, normal approximation for large).
-func PoissonEvents(rng *rand.Rand, lambdaPerHour, hours float64) int {
-	mean := lambdaPerHour * hours
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 50 {
-		// Normal approximation.
-		n := int(math.Round(rng.NormFloat64()*math.Sqrt(mean) + mean))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for p > l {
-		k++
-		p *= rng.Float64()
-	}
-	return k - 1
 }
 
 // EventSize describes the footprint of a single upset event.
@@ -234,21 +195,4 @@ func SoftEvent(rng *rand.Rand, rows, cols int, dist EventSizeDist) Pattern {
 	r0 := rng.Intn(rows - h + 1)
 	c0 := rng.Intn(cols - w + 1)
 	return SparseCluster(rng, r0, c0, h, w, 0.8)
-}
-
-// HardErrors returns stuck cells from a faulty-bit hard error rate
-// (probability each cell is defective), as the paper's yield studies
-// use (HER 0.0005%-0.005%). The returned flips model cells whose stuck
-// value disagrees with the intended contents (half of defects).
-func HardErrors(rng *rand.Rand, rows, cols int, her float64) Pattern {
-	p := Pattern{Kind: "hard-errors"}
-	// Expected number of defects; sample per-cell only for small arrays.
-	n := PoissonEvents(rng, her*float64(rows*cols), 1)
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 0 { // stuck value happens to match: invisible
-			continue
-		}
-		p.Flips = append(p.Flips, Flip{rng.Intn(rows), rng.Intn(cols)})
-	}
-	return p
 }

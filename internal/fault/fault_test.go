@@ -43,7 +43,8 @@ func TestRowFailureAndSingleBit(t *testing.T) {
 			t.Fatal("row failure escaped its row")
 		}
 	}
-	s := SingleBit(1, 2)
+	// A 1x1 solid cluster is the single-bit upset.
+	s := SolidCluster(1, 2, 1, 1)
 	if len(s.Flips) != 1 || s.Flips[0] != (Flip{1, 2}) {
 		t.Fatalf("single bit = %+v", s)
 	}
@@ -75,24 +76,6 @@ func TestFITRate(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, mean := range []float64{0.5, 5, 200} {
-		n := 2000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += PoissonEvents(rng, mean, 1)
-		}
-		got := float64(sum) / float64(n)
-		if math.Abs(got-mean) > mean*0.15+0.1 {
-			t.Fatalf("poisson mean %v: sampled %v", mean, got)
-		}
-	}
-	if PoissonEvents(rng, 0, 100) != 0 {
-		t.Fatal("zero rate must give zero events")
-	}
-}
-
 func TestEventSizeDist(t *testing.T) {
 	d := ModernDist()
 	if err := d.Validate(); err != nil {
@@ -121,30 +104,5 @@ func TestSoftEventInsideArray(t *testing.T) {
 				t.Fatalf("flip out of bounds: %+v", f)
 			}
 		}
-	}
-}
-
-func TestHardErrorsDensity(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	rows, cols := 1024, 1024
-	her := 0.001 // 0.1% of cells defective
-	total := 0
-	const trials = 20
-	for i := 0; i < trials; i++ {
-		total += len(HardErrors(rng, rows, cols, her).Flips)
-	}
-	// Half of the defects are visible (stuck value != stored value).
-	want := her * float64(rows*cols) / 2
-	got := float64(total) / trials
-	if got < want*0.8 || got > want*1.2 {
-		t.Fatalf("hard error count = %v, want ~%v", got, want)
-	}
-}
-
-func TestRandomBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := RandomBits(rng, 10, 10, 25)
-	if len(p.Flips) != 25 {
-		t.Fatalf("flips = %d", len(p.Flips))
 	}
 }

@@ -89,9 +89,6 @@ func (s *Storm) Run(ctx context.Context, event func()) {
 	}
 }
 
-// Events returns how many events the storm has generated.
-func (s *Storm) Events() uint64 { return s.events }
-
 // FlipIfClean is the storm's clean-word gate: it flips physical cell
 // (row, col) of a only if the word holding that cell currently checks
 // clean, and reports whether it flipped. Striking only clean words

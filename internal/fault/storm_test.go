@@ -41,8 +41,8 @@ func TestStormEventsInBounds(t *testing.T) {
 			}
 		}
 	}
-	if s.Events() != 500 {
-		t.Fatalf("event count %d", s.Events())
+	if s.events != 500 {
+		t.Fatalf("event count %d", s.events)
 	}
 }
 

@@ -46,15 +46,6 @@ func NewField(m int) (*Field, error) {
 	return NewFieldPoly(m, p)
 }
 
-// MustField is NewField that panics on error; for use with known-good m.
-func MustField(m int) *Field {
-	f, err := NewField(m)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // NewFieldPoly constructs GF(2^m) from an explicit primitive polynomial
 // (bit i of poly is the coefficient of x^i; bit m must be set).
 func NewFieldPoly(m int, poly uint32) (*Field, error) {
@@ -90,9 +81,6 @@ func NewFieldPoly(m int, poly uint32) (*Field, error) {
 	return f, nil
 }
 
-// Size returns 2^m, the number of field elements.
-func (f *Field) Size() int { return f.size }
-
 // N returns 2^m - 1, the multiplicative group order (natural BCH length).
 func (f *Field) N() int { return f.size - 1 }
 
@@ -122,14 +110,6 @@ func (f *Field) Div(a, b uint16) uint16 {
 	return f.exp[d]
 }
 
-// Inv returns the multiplicative inverse of a. It panics if a == 0.
-func (f *Field) Inv(a uint16) uint16 {
-	if a == 0 {
-		panic("gf2: inverse of zero")
-	}
-	return f.exp[f.N()-f.log[a]]
-}
-
 // Exp returns alpha^i for any integer i (reduced mod 2^m-1).
 func (f *Field) Exp(i int) uint16 {
 	n := f.N()
@@ -138,31 +118,4 @@ func (f *Field) Exp(i int) uint16 {
 		i += n
 	}
 	return f.exp[i]
-}
-
-// Log returns the discrete log of a (the i with alpha^i == a).
-// It panics if a == 0.
-func (f *Field) Log(a uint16) int {
-	if a == 0 {
-		panic("gf2: log of zero")
-	}
-	return f.log[a]
-}
-
-// Pow returns a^k for k >= 0.
-func (f *Field) Pow(a uint16, k int) uint16 {
-	if a == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if k == 0 {
-		return 1
-	}
-	e := (f.log[a] * k) % f.N()
-	if e < 0 {
-		e += f.N()
-	}
-	return f.exp[e]
 }

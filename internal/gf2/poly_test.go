@@ -113,7 +113,7 @@ func TestGcdLcm(t *testing.T) {
 
 func TestMinimalPolyGF16(t *testing.T) {
 	// Classic table for GF(2^4) with p(x)=x^4+x+1 (Lin & Costello Table 2.9):
-	f := MustField(4)
+	f := mustField(t, 4)
 	cases := map[int]uint64{
 		1: 0b10011, // x^4+x+1
 		3: 0b11111, // x^4+x^3+x^2+x+1
@@ -131,7 +131,7 @@ func TestMinimalPolyGF16(t *testing.T) {
 
 func TestMinimalPolyHasRoot(t *testing.T) {
 	// alpha^i must be a root of its own minimal polynomial.
-	f := MustField(8)
+	f := mustField(t, 8)
 	for i := 1; i < 20; i++ {
 		p := MinimalPoly(f, i)
 		root := f.Exp(i)

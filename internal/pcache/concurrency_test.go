@@ -72,7 +72,7 @@ func TestConcurrentTrafficWithInjectionAndScrub(t *testing.T) {
 					a = tags
 				}
 				r := rng.Intn(a.Rows())
-				wpr := a.Config().WordsPerRow
+				wpr := a.Layout().WordsPerRow
 				w := rng.Intn(wpr)
 				if _, ok := a.TryReadUint64(r, w); ok {
 					bit := rng.Intn(a.RowBits() / wpr)

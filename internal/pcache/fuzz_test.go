@@ -150,7 +150,7 @@ func FuzzCacheVsBacking(f *testing.F) {
 					a = tags
 				}
 				r := int(b2) % a.Rows()
-				wpr := a.Config().WordsPerRow
+				wpr := a.Layout().WordsPerRow
 				w := int(b3) % wpr
 				if _, ok := a.TryReadUint64(r, w); ok {
 					bit := int(b4) % (a.RowBits() / wpr)

@@ -764,15 +764,15 @@ func (c *Cache) Repair(addr uint64) {
 	// content is destroyed, so no observer can ever see reverted data
 	// alongside a stale epoch.
 	c.lossEpochs[set].Add(1)
-	c.wipeSetLocked(b, ls)
+	c.wipeWaysLocked(b, ls, 0, c.cfg.Ways)
 }
 
-// wipeSetLocked force-clears every way of the local set, then flushes
-// any parity residues the raw-delta force-writes left behind in groups
-// that now check clean (groups still holding detected damage keep
-// their mismatch information — see twod.FlushResidualParity).
-func (c *Cache) wipeSetLocked(b *bank, ls int) {
-	for way := 0; way < c.cfg.Ways; way++ {
+// wipeWaysLocked force-clears ways [lo, hi) of the local set, then
+// flushes any parity residues the raw-delta force-writes left behind in
+// groups that now check clean (groups still holding detected damage
+// keep their mismatch information — see twod.FlushResidualParity).
+func (c *Cache) wipeWaysLocked(b *bank, ls, lo, hi int) {
+	for way := lo; way < hi; way++ {
 		row := c.dataRow(ls, way)
 		for w := 0; w < c.words; w++ {
 			b.data.ForceWriteUint64(row, w, 0)
@@ -813,13 +813,7 @@ func (c *Cache) Decommission(set, way int) (lostDirty bool) {
 	// Bump-before-expose: advance the epoch before the way's content is
 	// destroyed (see Repair).
 	c.lossEpochs[set].Add(1)
-	row := c.dataRow(ls, way)
-	for w := 0; w < c.words; w++ {
-		b.data.ForceWriteUint64(row, w, 0)
-	}
-	b.tags.ForceWriteUint64(ls, way, 0)
-	b.data.FlushResidualParity()
-	b.tags.FlushResidualParity()
+	c.wipeWaysLocked(b, ls, way, way+1)
 	if !b.disabled[idx] {
 		b.disabled[idx] = true
 		c.disabledWays.Add(1)
@@ -871,8 +865,7 @@ func (c *Cache) RecoverSetArrays(set int) bool {
 	b, _ := c.bankOf(set)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	okData := b.data.Recover().Success
-	okTags := b.tags.Recover().Success
+	okData, okTags := b.recoverLocked()
 	return okData && okTags
 }
 
@@ -884,8 +877,7 @@ func (c *Cache) ScrubBank(i int) (ok bool, victims []WayRef) {
 	b := c.banks[i]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	okData := b.data.Recover().Success
-	okTags := b.tags.Recover().Success
+	okData, okTags := b.recoverLocked()
 	if okData && okTags {
 		return true, nil
 	}
@@ -907,6 +899,12 @@ func (c *Cache) ScrubBank(i int) (ok bool, victims []WayRef) {
 		}
 	}
 	return false, victims
+}
+
+// recoverLocked runs the full 2D recovery process over the data array,
+// then the tag array, reporting whether each checks clean after.
+func (b *bank) recoverLocked() (okData, okTags bool) {
+	return b.data.Recover().Success, b.tags.Recover().Success
 }
 
 // Scrub proactively runs 2D recovery over every bank (a full scrubbing

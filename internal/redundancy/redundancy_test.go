@@ -219,18 +219,11 @@ func TestRemapper(t *testing.T) {
 	if prow < c.Rows {
 		t.Fatalf("row 7 not redirected: (%d,%d)", prow, pcol)
 	}
-	if !rm.Redirected(7, 0) {
-		t.Fatal("Redirected(7,0) false")
-	}
-	if rm.Redirected(8, 0) {
-		t.Fatal("healthy cell redirected")
-	}
 	prow, pcol = rm.Translate(8, 99)
 	if prow != 8 || pcol != 99 {
 		t.Fatal("healthy cell translated")
 	}
-	r, cc := rm.SparesUsed()
-	if r != 1 || cc != 0 {
+	if r, cc := len(rm.rowMap), len(rm.colMap); r != 1 || cc != 0 {
 		t.Fatalf("spares used = %d,%d", r, cc)
 	}
 }

@@ -52,15 +52,3 @@ func (r *Remapper) Translate(row, col int) (prow, pcol int) {
 	}
 	return prow, pcol
 }
-
-// Redirected reports whether the logical cell is served by a spare.
-func (r *Remapper) Redirected(row, col int) bool {
-	_, rr := r.rowMap[row]
-	_, cc := r.colMap[col]
-	return rr || cc
-}
-
-// SparesUsed returns the consumed spare counts.
-func (r *Remapper) SparesUsed() (rows, cols int) {
-	return len(r.rowMap), len(r.colMap)
-}

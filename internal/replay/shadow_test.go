@@ -10,7 +10,8 @@ import (
 // TestShadowClassifies pins the oracle's three outcomes on a 1-shard
 // store: a mismatch after a decommission is accounted, a mismatch the
 // store cannot explain is silent, and a failed op is reported, repairs
-// its set and stops being tracked.
+// its set and stops being tracked. TestVerifierRule pins the rule
+// itself.
 func TestShadowClassifies(t *testing.T) {
 	cfg := Config{
 		Sets: 4, Ways: 2, LineBytes: 64, Banks: 1,
@@ -54,8 +55,8 @@ func TestShadowClassifies(t *testing.T) {
 			t.Fatal(err)
 		}
 		taxonomy(t, sh, 1, 0, 0)
-		// The read adopted the store's byte, so byte 0 matches from now
-		// on; the sweep finds byte 1's loss.
+		// The verdict forgot byte 0 until its next write, so the second
+		// read is not judged; the sweep finds byte 1's loss.
 		if err := sh.Read(bg, 0); err != nil {
 			t.Fatal(err)
 		}

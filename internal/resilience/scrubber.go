@@ -14,27 +14,11 @@ type ScrubberConfig struct {
 	// the scrubber backs off instead of sweeping. Zero disables
 	// traffic-awareness (the scrubber always sweeps on schedule).
 	HighRate float64
-	// PollInterval is how often a backed-off scrubber re-checks the
-	// load (default Interval/5, min 1ms).
-	PollInterval time.Duration
-	// MaxDelay bounds how long a sweep may be deferred under sustained
-	// load before it runs anyway — the catch-up guarantee (default
-	// 10×Interval).
-	MaxDelay time.Duration
 }
 
 func (c ScrubberConfig) withDefaults() ScrubberConfig {
 	if c.Interval <= 0 {
 		c.Interval = 50 * time.Millisecond
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = c.Interval / 5
-		if c.PollInterval < time.Millisecond {
-			c.PollInterval = time.Millisecond
-		}
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 10 * c.Interval
 	}
 	return c
 }
@@ -151,9 +135,12 @@ func (s *Scrubber) SweepBank(i int) (clean bool, retired int) {
 
 // Run sweeps until ctx is cancelled, returning ctx.Err(). Between
 // sweeps it sleeps Interval; when the observed access rate exceeds
-// HighRate it defers the sweep in PollInterval steps, up to MaxDelay,
-// then sweeps regardless (catch-up).
+// HighRate it defers the sweep, re-checking the rate every Interval/5
+// (at least 1ms), for up to 10×Interval, then sweeps regardless: the
+// catch-up guarantee.
 func (s *Scrubber) Run(ctx context.Context) error {
+	poll := max(s.cfg.Interval/5, time.Millisecond)
+	maxDelay := 10 * s.cfg.Interval
 	lastAcc := s.accessFn()
 	lastT := s.clock()
 	for {
@@ -170,14 +157,14 @@ func (s *Scrubber) Run(ctx context.Context) error {
 			}
 			rate := float64(acc-lastAcc) / dt
 			lastAcc, lastT = acc, now
-			if rate <= s.cfg.HighRate || deferred >= s.cfg.MaxDelay {
+			if rate <= s.cfg.HighRate || deferred >= maxDelay {
 				break
 			}
 			s.engine.scrubBackoffs.Inc()
-			if !s.sleep(ctx, s.cfg.PollInterval) {
+			if !s.sleep(ctx, poll) {
 				return ctx.Err()
 			}
-			deferred += s.cfg.PollInterval
+			deferred += poll
 		}
 		if _, completed := s.sweepCtx(ctx); !completed {
 			return ctx.Err()

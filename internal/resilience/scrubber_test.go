@@ -56,15 +56,13 @@ func TestSweepRetiresBeyondCoverageVictims(t *testing.T) {
 
 // TestRunBacksOffUnderLoadAndCatchesUp scripts the clock, sleeps, and
 // access counter: under a sustained high access rate the scrubber must
-// defer sweeps (backoffs), but never past MaxDelay — the catch-up
-// guarantee.
+// defer sweeps (backoffs), re-checking every Interval/5, but never past
+// 10×Interval — the catch-up guarantee.
 func TestRunBacksOffUnderLoadAndCatchesUp(t *testing.T) {
 	e, _ := newEngine(t, bigCfg, Config{})
 	s := e.NewScrubber(ScrubberConfig{
-		Interval:     10 * time.Millisecond,
-		PollInterval: 10 * time.Millisecond,
-		HighRate:     100, // accesses/sec
-		MaxDelay:     30 * time.Millisecond,
+		Interval: 10 * time.Millisecond,
+		HighRate: 100, // accesses/sec
 	})
 	now := time.Unix(0, 0)
 	s.clock = func() time.Time { return now }
@@ -74,7 +72,7 @@ func TestRunBacksOffUnderLoadAndCatchesUp(t *testing.T) {
 	s.sleep = func(ctx context.Context, d time.Duration) bool {
 		now = now.Add(d)
 		sleeps++
-		return sleeps < 40
+		return sleeps < 200
 	}
 	_ = s.Run(context.Background())
 
@@ -83,12 +81,12 @@ func TestRunBacksOffUnderLoadAndCatchesUp(t *testing.T) {
 		t.Fatal("scrubber never backed off under sustained load")
 	}
 	if r.ScrubPasses == 0 {
-		t.Fatal("MaxDelay did not force a catch-up sweep under sustained load")
+		t.Fatal("the deferral bound did not force a catch-up sweep under sustained load")
 	}
 	// Deferral is bounded: per completed sweep at most
-	// ceil(MaxDelay/PollInterval) = 3 backoffs.
-	if r.ScrubBackoffs > 3*(r.ScrubPasses+1) {
-		t.Fatalf("backoffs %d exceed the MaxDelay bound for %d passes",
+	// (10×Interval)/(Interval/5) = 50 backoffs.
+	if r.ScrubBackoffs > 50*(r.ScrubPasses+1) {
+		t.Fatalf("backoffs %d exceed the deferral bound for %d passes",
 			r.ScrubBackoffs, r.ScrubPasses)
 	}
 }

@@ -25,11 +25,6 @@ type AccessStats struct {
 	ExtraRead uint64
 }
 
-// Total sums all classes.
-func (a AccessStats) Total() uint64 {
-	return a.ReadData + a.ReadInst + a.Write + a.FillEvict + a.ExtraRead
-}
-
 // Result summarises one simulation run.
 type Result struct {
 	// System and Workload identify the run.
@@ -753,17 +748,4 @@ func (s *Sim) Run(warmup, measure uint64) Result {
 	s.res.PortRejects = rejects
 	s.res.Recoveries = s.recoveries
 	return s.res
-}
-
-// PendingLoads reports outstanding load-completion tokens — an
-// observability hook for leak detection in tests.
-func (s *Sim) PendingLoads() int { return len(s.loadDone) }
-
-// QueuedL2Ops reports the total operations waiting at L2 banks.
-func (s *Sim) QueuedL2Ops() int {
-	n := 0
-	for _, q := range s.l2Q {
-		n += len(q)
-	}
-	return n
 }

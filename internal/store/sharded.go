@@ -354,15 +354,7 @@ func (s *Sharded) WriteBatchCtx(ctx context.Context, ops []pcache.WriteOp) (fail
 
 // Flush writes back every shard's dirty lines. All shards are flushed
 // even if some fail; the error joins every shard failure.
-func (s *Sharded) Flush() error {
-	var errs []error
-	for i, sh := range s.shards {
-		if err := sh.engine.Flush(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, s.globalErr(i, err)))
-		}
-	}
-	return errors.Join(errs...)
-}
+func (s *Sharded) Flush() error { return s.FlushCtx(context.Background()) }
 
 // FlushCtx is Flush bounded by a context deadline.
 func (s *Sharded) FlushCtx(ctx context.Context) error {

@@ -227,9 +227,6 @@ func MustArray(cfg Config) *Array {
 	return a
 }
 
-// Config returns the array's configuration.
-func (a *Array) Config() Config { return a.cfg.Config }
-
 // Layout returns the physical geometry.
 func (a *Array) Layout() Layout { return a.layout }
 
@@ -244,17 +241,6 @@ func (a *Array) Stats() Stats {
 		RecoveredWords:    atomic.LoadUint64(&a.stats.RecoveredWords),
 		Uncorrectable:     atomic.LoadUint64(&a.stats.Uncorrectable),
 	}
-}
-
-// ResetStats zeroes the activity counters.
-func (a *Array) ResetStats() {
-	atomic.StoreUint64(&a.stats.Reads, 0)
-	atomic.StoreUint64(&a.stats.Writes, 0)
-	atomic.StoreUint64(&a.stats.ExtraReads, 0)
-	atomic.StoreUint64(&a.stats.InlineCorrections, 0)
-	atomic.StoreUint64(&a.stats.Recoveries, 0)
-	atomic.StoreUint64(&a.stats.RecoveredWords, 0)
-	atomic.StoreUint64(&a.stats.Uncorrectable, 0)
 }
 
 // Words returns the number of addressable words.

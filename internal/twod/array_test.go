@@ -193,19 +193,14 @@ func TestStatsSnapshot(t *testing.T) {
 	if st.Reads != 1 || st.Writes != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	a.ResetStats()
-	if a.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero")
-	}
 }
 
 func fillRandom(a *Array, rng *rand.Rand) {
 	for r := 0; r < a.Rows(); r++ {
-		for w := 0; w < a.Config().WordsPerRow; w++ {
+		for w := 0; w < a.cfg.WordsPerRow; w++ {
 			a.WriteUint64(r, w, randUint64(rng))
 		}
 	}
-	a.ResetStats()
 }
 
 // randUint64 draws a 64-bit data word, one rng.Intn(2) per bit.

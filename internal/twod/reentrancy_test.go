@@ -21,7 +21,7 @@ func smallEDCArray(t testing.TB) *Array {
 
 func fillArray(a *Array, seed uint64) {
 	for r := 0; r < a.Rows(); r++ {
-		for w := 0; w < a.Config().WordsPerRow; w++ {
+		for w := 0; w < a.cfg.WordsPerRow; w++ {
 			a.WriteUint64(r, w, seed+uint64(r*13+w*7))
 		}
 	}
@@ -31,7 +31,7 @@ func fillArray(a *Array, seed uint64) {
 // land in word slot 0 at codeword bits 0 and 8, which share an EDC8
 // parity column, in two rows of the same vertical group.
 func injectBeyondCoverage(a *Array) {
-	wpr := a.Config().WordsPerRow
+	wpr := a.cfg.WordsPerRow
 	a.FlipBit(0, a.Layout().PhysColumn(0, 0)) // row 0, word 0, bit 0
 	a.FlipBit(4, 8*wpr)                       // row 4, word 0, bit 8
 }
@@ -82,7 +82,7 @@ func TestPartialFailureLeavesParitySelfConsistent(t *testing.T) {
 	// A third, uniquely-solvable error rides along in another group so
 	// the recovery is genuinely *partial*: that word gets fixed, the
 	// ambiguous pair does not.
-	wpr := a.Config().WordsPerRow
+	wpr := a.cfg.WordsPerRow
 	a.FlipBit(1, 3*wpr+1) // row 1 (group 1), word 1, bit 3
 
 	rep := a.Recover()

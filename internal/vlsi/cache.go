@@ -33,11 +33,6 @@ func L2Spec4MB() CacheSpec {
 	return CacheSpec{Name: "4MB L2", CapacityBytes: 4 << 20, Banks: 8, Ports: 1, DataWordBits: 256}
 }
 
-// L2Spec16MB returns the fat CMP's 16 MB L2 spec (yield studies).
-func L2Spec16MB() CacheSpec {
-	return CacheSpec{Name: "16MB L2", CapacityBytes: 16 << 20, Banks: 8, Ports: 1, DataWordBits: 256}
-}
-
 // CodedCacheCost is the modelled cost of one cache bank protected by a
 // per-word code, plus the coding logic.
 type CodedCacheCost struct {

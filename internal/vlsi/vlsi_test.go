@@ -224,9 +224,6 @@ func TestCostErrorPaths(t *testing.T) {
 }
 
 func TestSpecHelpers(t *testing.T) {
-	if s := L2Spec16MB(); s.CapacityBytes != 16<<20 || s.DataWordBits != 256 {
-		t.Fatalf("16MB spec: %+v", s)
-	}
 	if Objective(99).String() != "unknown" {
 		t.Fatal("unknown objective name")
 	}

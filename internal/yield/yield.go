@@ -128,12 +128,3 @@ func YieldMonteCarlo(rng *rand.Rand, g Geometry, faults int, pol Policy, trials 
 	}
 	return float64(ok) / float64(trials)
 }
-
-// Curve evaluates Yield over a sweep of fault counts.
-func Curve(g Geometry, faultCounts []int, pol Policy) []float64 {
-	out := make([]float64, len(faultCounts))
-	for i, n := range faultCounts {
-		out[i] = Yield(g, n, pol)
-	}
-	return out
-}

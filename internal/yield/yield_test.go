@@ -98,18 +98,6 @@ func TestAnalyticMatchesMonteCarlo(t *testing.T) {
 	}
 }
 
-func TestCurveShape(t *testing.T) {
-	g := Geometry16MBL2()
-	xs := []int{0, 800, 1600, 2400, 3200, 4000}
-	c := Curve(g, xs, Policy{ECC: true, SpareRows: 32})
-	if len(c) != len(xs) {
-		t.Fatalf("curve length %d", len(c))
-	}
-	if c[0] != 1 {
-		t.Fatalf("curve[0] = %v", c[0])
-	}
-}
-
 func TestReliabilityBasics(t *testing.T) {
 	cfg := ReliabilityConfig{
 		Caches:        10,

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the tier-1 verify loop, `make check`-equivalent.
 #
-#   ./scripts/check.sh          # fmt + vet + build + export list + test + race on hardened packages
+#   ./scripts/check.sh          # fmt + vet + build + export list + test + examples + race on hardened packages
 #   ./scripts/check.sh -full    # additionally race-test every package
 #
 # The race pass covers the packages with concurrent hot paths (banked
@@ -27,11 +27,12 @@
 # run) through the deterministic replayer; -full repeats them under
 # -race and adds the cmd/soak exit-code contract.
 #
-# examples/protectedcache runs too (~0.3 s): it drives the bare
-# protected cache through a soft-error storm against a reference model
-# and exits non-zero (log.Fatal) on silent data loss. So does
-# examples/quickstart (~0.5 s): it exits non-zero if the paper array
-# does not recover a 32x32 cluster or any word reads back wrong.
+# Every directory under examples/ runs too, so an example that nothing
+# runs cannot land: each one exits non-zero on silent data loss.
+# examples/protectedcache (~0.3 s) drives the bare protected cache
+# through a soft-error storm against a reference model (log.Fatal on a
+# mismatch); examples/quickstart (~0.5 s) fails if the paper array does
+# not recover a 32x32 cluster or any word reads back wrong.
 #
 # Every go test invocation carries -timeout 120s — the deadlock gate: a
 # wedged repair (stuck single-flight leader, repair budget that never
@@ -81,9 +82,11 @@ go -C bench vet ./...
 go -C bench test -timeout 120s ./...
 echo "== replay gate (committed fault traces)"
 go test -timeout 120s ./internal/replay/ -run 'TestCommittedTraces'
-echo "== self-checking examples (exit non-zero on silent data loss)"
-go run ./examples/protectedcache
-go run ./examples/quickstart
+echo "== examples (each exits non-zero on silent data loss)"
+for ex in examples/*/; do
+    echo "-- $ex"
+    go run "./$ex"
+done
 if [ "${1:-}" = "-full" ]; then
     echo "== go test -race ./... (full)"
     go test -race -timeout 120s ./...
