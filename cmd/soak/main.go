@@ -52,15 +52,7 @@ func replayMain(path string) int {
 		fmt.Fprintln(os.Stderr, "soak: replay:", err)
 		return 2
 	}
-	for _, d := range res.SilentDetails {
-		fmt.Fprintln(os.Stderr, "soak: "+d)
-	}
-	fmt.Printf("soak: replayed %d events (%d client ops, %d flips applied, %d gated)\n",
-		len(tr.Events), res.Ops, res.FlipsApplied, res.FlipsSkipped)
-	fmt.Print(res.Report.String())
-	fmt.Printf("  accounting:  %d accounted losses, %d ladder-exhausted DUEs, %d SILENT corruptions\n",
-		res.Accounted, res.Reported, res.Silent)
-	fmt.Printf("  state hash:  %016x\n", res.StateHash)
+	replay.WriteSummary(os.Stdout, os.Stderr, len(tr.Events), res)
 	if tr.ExpectSilent {
 		if res.Silent == 0 {
 			fmt.Println("soak: FAIL — self-validation trace did not go silent")

@@ -261,7 +261,7 @@ func NewChaosProxy(cfg ChaosProxyConfig) (*ChaosProxy, error) { return fault.New
 // --- observability -----------------------------------------------------------
 
 // MetricsRegistry is the coherent metrics registry every subsystem
-// registers into: snapshot it (coherent, clamped, monotonic), publish
+// registers into: snapshot it (coherent and monotonic), publish
 // it over expvar, or mount its Prometheus text handler. Pass one via
 // ResilienceConfig.Metrics to share a registry with the engine.
 type MetricsRegistry = obs.Registry

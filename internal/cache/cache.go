@@ -64,15 +64,6 @@ type line struct {
 	lru   uint64 // last-touch stamp; larger = more recent
 }
 
-// Stats counts tag-level outcomes.
-type Stats struct {
-	// Hits and Misses count lookups by outcome.
-	Hits, Misses uint64
-	// Evictions counts replaced valid lines; DirtyEvictions the subset
-	// requiring writeback.
-	Evictions, DirtyEvictions uint64
-}
-
 // Cache is the tag/state array. Port and MSHR accounting live in the
 // companion types Ports and MSHRFile so that the simulator can compose
 // them per its own clocking.
@@ -83,7 +74,6 @@ type Cache struct {
 	setMask  uint64
 	bankMask uint64
 	stamp    uint64
-	stats    Stats
 }
 
 // New builds an empty cache.
@@ -140,11 +130,9 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 			if write {
 				set[i].dirty = true
 			}
-			c.stats.Hits++
 			return true
 		}
 	}
-	c.stats.Misses++
 	return false
 }
 
@@ -212,10 +200,6 @@ func (c *Cache) Fill(addr uint64, dirty bool) Eviction {
 			Valid: true,
 			Addr:  c.reconstruct(evLine.tag, si),
 			Dirty: evLine.dirty,
-		}
-		c.stats.Evictions++
-		if evLine.dirty {
-			c.stats.DirtyEvictions++
 		}
 	}
 	set[victim] = line{tag: tag, valid: true, dirty: dirty, lru: c.stamp}

@@ -48,10 +48,6 @@ func TestMissThenHit(t *testing.T) {
 	if !c.Lookup(addr+63-(addr%64), false) {
 		t.Fatal("same-line offset missed")
 	}
-	st := c.stats
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("stats %+v", st)
-	}
 }
 
 func TestLRUReplacement(t *testing.T) {
@@ -88,9 +84,6 @@ func TestDirtyEvictionReportsWriteback(t *testing.T) {
 	}
 	if c.LineAddr(ev.Addr) != c.LineAddr(a) {
 		t.Fatalf("evicted %#x, want %#x", ev.Addr, a)
-	}
-	if c.stats.DirtyEvictions != 1 {
-		t.Fatalf("stats %+v", c.stats)
 	}
 }
 
@@ -181,9 +174,6 @@ func TestPorts(t *testing.T) {
 	p.NewCycle()
 	if !p.Take(0) {
 		t.Fatal("slot not reset on new cycle")
-	}
-	if p.claimed != 4 {
-		t.Fatalf("claimed = %d", p.claimed)
 	}
 }
 

@@ -9,10 +9,6 @@ type Ports struct {
 	banks   int
 	perBank int
 	used    []int
-	// claimed counts total slots handed out (lifetime), busy sums
-	// cycles in which at least one slot was taken — both feed
-	// occupancy statistics.
-	claimed uint64
 }
 
 // NewPorts builds a port tracker for banks*perBank slots per cycle.
@@ -33,7 +29,6 @@ func (p *Ports) Take(bank int) bool {
 		return false
 	}
 	p.used[bank]++
-	p.claimed++
 	return true
 }
 

@@ -225,9 +225,9 @@ func New(cfg Config) (*Client, error) {
 	}
 	c.reads = reg.Counter("reads_total", "cluster reads issued")
 	c.writes = reg.Counter("writes_total", "cluster writes issued")
-	c.hedges = reg.Counter("hedges_total", "hedge reads launched")
 	c.hedgeWins = reg.Counter("hedge_wins_total", "hedge reads that returned first")
 	c.hedgeWasted = reg.Counter("hedge_wasted_total", "hedge reads beaten by the primary")
+	c.hedges = reg.Counter("hedges_total", "hedge reads launched")
 	c.retries = reg.Counter("retries_total", "cluster-level retries")
 	c.readRepairs = reg.Counter("read_repairs_total", "addrs repaired onto stale replicas")
 	c.redials = reg.Counter("redials_total", "reconnect attempts to down endpoints")
@@ -237,8 +237,6 @@ func New(cfg Config) (*Client, error) {
 	c.selftestSkipped = reg.Counter("selftest_skew_skips_total", "writes deliberately skipped by the selftest skew hook")
 	c.readLat = reg.Histogram("read_latency", "winner latency of cluster reads")
 	c.hedgeDelayGauge = reg.Gauge("hedge_delay_ns", "current derived hedge delay")
-	reg.ClampLE("hedge_wins_total", "hedges_total")
-	reg.ClampLE("hedge_wasted_total", "hedges_total")
 
 	for i, addr := range cfg.Endpoints {
 		ep := newEndpoint(c, i, addr)

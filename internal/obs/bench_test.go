@@ -57,7 +57,6 @@ func BenchmarkObsSnapshot(b *testing.B) {
 	for _, n := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
 		r.Counter(n, "").Add(uint64(len(n)))
 	}
-	r.ClampLE("a", "b")
 	r.Histogram("lat", "").Observe(time.Millisecond)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

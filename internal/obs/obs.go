@@ -12,18 +12,21 @@
 // coherence rules guarantee that derived quantities never go negative:
 //
 //  1. Counters are read in registration order under the registry lock.
-//  2. Declared cross-counter invariants (ClampLE: lower ≤ upper, e.g.
-//     retry hits ≤ retries) are enforced by clamping the lower value.
-//  3. Counters are clamped monotonically non-decreasing against the
+//     A dependent registers before its bound (retry hits before
+//     retries, hits before accesses), and every emitter counts the
+//     bound before the dependent, so a snapshot reads the dependent
+//     first and the bound last: the dependent never reads above it.
+//  2. Counters are clamped monotonically non-decreasing against the
 //     previous snapshot, so rates computed between two snapshots are
 //     never negative even while writers race the reader.
-//  4. A histogram's total count is derived from the very bucket values
+//  3. A histogram's total count is derived from the very bucket values
 //     in the snapshot, so bucket sums always equal the count.
 //
 // A snapshot is therefore not a linearisable cut of all counters (that
-// would require stopping the world), but every *declared* invariant
-// holds in every snapshot, which is what downstream consumers (health
-// reports, exporters, dashboards) actually rely on.
+// would require stopping the world), but every dependent/bound pair
+// registered in that order holds in every snapshot, which is what
+// downstream consumers (health reports, exporters, dashboards)
+// actually rely on.
 package obs
 
 import (

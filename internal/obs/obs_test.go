@@ -44,26 +44,6 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
-func TestSnapshotClampLE(t *testing.T) {
-	r := NewRegistry()
-	// Simulate the torn-read hazard: the "attempts" reader momentarily
-	// lags the "hits" reader, exactly the resilience Report() bug.
-	hits, attempts := uint64(10), uint64(7)
-	r.CounterFunc("hits", "", func() uint64 { return hits })
-	r.CounterFunc("attempts", "", func() uint64 { return attempts })
-	r.ClampLE("hits", "attempts")
-	s := r.Snapshot()
-	if s.Counter("hits") != 7 || s.Counter("attempts") != 7 {
-		t.Fatalf("clamp failed: hits=%d attempts=%d", s.Counter("hits"), s.Counter("attempts"))
-	}
-	// Once consistent, values pass through untouched.
-	attempts = 12
-	s = r.Snapshot()
-	if s.Counter("hits") != 10 || s.Counter("attempts") != 12 {
-		t.Fatalf("consistent values altered: %v", s.Counters)
-	}
-}
-
 func TestSnapshotMonotonic(t *testing.T) {
 	r := NewRegistry()
 	v := uint64(100)
@@ -92,26 +72,15 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	r.Counter("x", "")
 }
 
-func TestClampLEUnknownPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ClampLE over unknown counter did not panic")
-		}
-	}()
-	r.ClampLE("a", "nope")
-}
-
 // TestSnapshotInvariantUnderConcurrency hammers an attempts/hits pair
 // from writer goroutines (attempt incremented strictly before hit, as
-// every real emitter does) while a reader snapshots continuously: no
-// snapshot may ever show hits > attempts. Meant for -race.
+// every real emitter does) while a reader snapshots continuously: with
+// hits registered, and so read, before attempts, no snapshot may ever
+// show hits > attempts. Meant for -race.
 func TestSnapshotInvariantUnderConcurrency(t *testing.T) {
 	r := NewRegistry()
-	attempts := r.Counter("attempts", "")
 	hits := r.Counter("hits", "")
-	r.ClampLE("hits", "attempts")
+	attempts := r.Counter("attempts", "")
 	hist := r.Histogram("lat", "")
 
 	var stop atomic.Bool
@@ -308,15 +277,13 @@ func TestWithPrefixViews(t *testing.T) {
 	c0 := s0.Counter("hits", "")
 	c1 := s1.Counter("hits", "") // same local name, no collision
 	s0.Counter("accesses", "")
-	s0.ClampLE("hits", "accesses")
 	c0.Add(5)
 	c1.Add(9)
 
-	// Each view snapshots only its own metrics, prefix stripped; the
-	// clamp declared inside the view fires on the view's local names.
+	// Each view snapshots only its own metrics, prefix stripped.
 	v0 := s0.Snapshot()
-	if got := v0.Counter("hits"); got != 0 { // clamped to accesses=0
-		t.Fatalf("view hits = %d, want 0 (clamped)", got)
+	if got := v0.Counter("hits"); got != 5 {
+		t.Fatalf("view hits = %d, want 5", got)
 	}
 	if _, ok := v0.Counters["global"]; ok {
 		t.Fatal("prefixed view leaked a root metric")
@@ -325,10 +292,10 @@ func TestWithPrefixViews(t *testing.T) {
 		t.Fatalf("view names = %v", names)
 	}
 
-	// The root sees everything fully qualified, same clamp applied.
+	// The root sees everything fully qualified.
 	rs := root.Snapshot()
-	if got := rs.Counter("shard0_hits"); got != 0 {
-		t.Fatalf("root shard0_hits = %d, want 0 (clamped)", got)
+	if got := rs.Counter("shard0_hits"); got != 5 {
+		t.Fatalf("root shard0_hits = %d, want 5", got)
 	}
 	if got := rs.Counter("shard1_hits"); got != 9 {
 		t.Fatalf("root shard1_hits = %d, want 9", got)

@@ -44,7 +44,6 @@ type registryCore struct {
 	mu      sync.Mutex
 	names   []string // registration order
 	metrics map[string]*metric
-	clamps  [][2]string // {lower, upper}: snapshot enforces lower <= upper
 	lastC   map[string]uint64
 }
 
@@ -117,25 +116,6 @@ func (r *Registry) Histogram(name, help string, bounds ...time.Duration) *Histog
 	h := MustHistogram(bounds...)
 	r.register(name, &metric{kind: kindHistogram, help: help, hist: h})
 	return h
-}
-
-// ClampLE declares the invariant counter[lower] <= counter[upper]:
-// every snapshot clamps the lower value so the pair never reads
-// impossible (a success count exceeding its attempt count, hits
-// exceeding accesses). Both names must already be registered counters
-// (through this view — the pair is stored fully qualified).
-func (r *Registry) ClampLE(lower, upper string) {
-	lower, upper = r.prefix+lower, r.prefix+upper
-	c := r.core
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range [2]string{lower, upper} {
-		m, ok := c.metrics[n]
-		if !ok || m.kind != kindCounter {
-			panic(fmt.Sprintf("obs: ClampLE(%q, %q): %q is not a registered counter", lower, upper, n))
-		}
-	}
-	c.clamps = append(c.clamps, [2]string{lower, upper})
 }
 
 // HistogramSnapshot is one histogram's coherent state: Counts[i] is the
@@ -235,9 +215,10 @@ func (h HistogramSnapshot) Quantile(q float64) time.Duration {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// Snapshot is a coherent point-in-time view of a registry: all declared
-// cross-counter invariants hold and counters never regress between
-// successive snapshots of the same registry.
+// Snapshot is a coherent point-in-time view of a registry: every
+// dependent registered before its bound reads at most the bound, and
+// counters never regress between successive snapshots of the same
+// registry.
 type Snapshot struct {
 	names      []string // registration order, for deterministic export
 	help       map[string]string
@@ -259,16 +240,15 @@ func (s *Snapshot) Histogram(name string) HistogramSnapshot { return s.Histogram
 // Names returns the metric names in registration order.
 func (s *Snapshot) Names() []string { return append([]string(nil), s.names...) }
 
-// Snapshot reads every metric under the registry lock and applies the
-// coherence rules (see the package comment): ClampLE invariants first,
-// then monotonic clamping against the previous snapshot. Safe for
+// Snapshot reads every metric in registration order under the registry
+// lock, then clamps each counter monotonically against the previous
+// snapshot (see the package comment for the coherence rules). Safe for
 // concurrent use; snapshots serialise against each other but never
 // block metric writers.
 //
 // On a WithPrefix view, only metrics registered through that view are
-// read, and names appear with the prefix stripped; clamp invariants
-// whose counters fall entirely within the view still apply, and
-// monotonic state is shared with every other view of the registry.
+// read, and names appear with the prefix stripped; monotonic state is
+// shared with every other view of the registry.
 func (r *Registry) Snapshot() *Snapshot {
 	c := r.core
 	c.mu.Lock()
@@ -299,17 +279,7 @@ func (r *Registry) Snapshot() *Snapshot {
 			s.Histograms[name] = m.hist.Snapshot()
 		}
 	}
-	// Rule 2: declared cross-counter invariants.
-	for _, cl := range c.clamps {
-		if !strings.HasPrefix(cl[0], p) || !strings.HasPrefix(cl[1], p) {
-			continue
-		}
-		lo, up := cl[0][len(p):], cl[1][len(p):]
-		if s.Counters[lo] > s.Counters[up] {
-			s.Counters[lo] = s.Counters[up]
-		}
-	}
-	// Rule 3: monotonic against the previous snapshot, so rates derived
+	// Rule 2: monotonic against the previous snapshot, so rates derived
 	// from successive snapshots never go negative. The floor is keyed by
 	// fully-qualified name so prefixed and parent views agree.
 	for name, v := range s.Counters {

@@ -39,62 +39,94 @@ type WriteOp struct {
 	Err  error
 }
 
-// idxPool recycles the per-batch index scratch so steady-state batch
+func (o *ReadOp) span() (uint64, int)  { return o.Addr, len(o.Dst) }
+func (o *WriteOp) span() (uint64, int) { return o.Addr, len(o.Data) }
+func (o *ReadOp) setErr(err error)     { o.Err = err }
+func (o *WriteOp) setErr(err error)    { o.Err = err }
+
+// op is what the batch skeleton needs of *ReadOp and *WriteOp.
+type op[T any] interface {
+	*T
+	span() (addr uint64, n int)
+	setErr(error)
+}
+
+// lineKey is one valid op of a batch, keyed by its line: the skeleton
+// sorts these rather than the ops, so a comparison reads no op.
+type lineKey struct {
+	line uint64
+	i    int // the op's index in the batch
+}
+
+// keyPool recycles the per-batch key scratch so steady-state batch
 // calls allocate nothing per op. The slice travels inside a pooled
 // holder struct to avoid boxing its header on every Put.
-var idxPool = sync.Pool{New: func() any { return new(idxScratch) }}
+var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
-type idxScratch struct{ idx []int }
+type keyScratch struct{ keys []lineKey }
 
-// batchCmp orders two addresses by (bank, line) — the batch iteration
-// order: one lock acquisition per bank run, one tag probe per line
-// group.
-func (c *Cache) batchCmp(aa, ab uint64) int {
-	la, lb := c.lineAddr(aa), c.lineAddr(ab)
-	if r := cmp.Compare(c.setOf(la)/c.setsPerBank, c.setOf(lb)/c.setsPerBank); r != 0 {
-		return r
-	}
-	return cmp.Compare(la, lb)
-}
-
-// readBatchOrder validates every op's span, stamps per-op errors, and
-// returns the surviving op indices (appended to idx) sorted by (bank,
-// line). The sort is stable, so ops on the same line keep their batch
-// order — overlapping same-line writes apply exactly as serial issue
-// would.
-func (c *Cache) readBatchOrder(idx []int, ops []ReadOp) ([]int, int) {
-	failed := 0
+// batch is ReadBatch's and WriteBatch's one body. It checks every op's
+// span, stamping per-op errors, and sorts the valid ops stably by
+// (bank, line), so ops on one line keep their batch order —
+// overlapping same-line writes apply exactly as serial issue would.
+// It then takes each bank's lock once for its run of ops and calls
+// serve once per line group, the ops of the run that touch one line;
+// when serve fails, every op of the group gets its error. serve is a
+// method expression, not a method value, so nothing escapes.
+func batch[T any, P op[T]](c *Cache, ops []T, serve func(*Cache, *bank, uint64, []T, []lineKey) error) (failed int) {
+	sc := keyPool.Get().(*keyScratch)
+	defer keyPool.Put(sc)
+	keys := sc.keys[:0]
 	for i := range ops {
-		if err := c.checkSpan(ops[i].Addr, len(ops[i].Dst)); err != nil {
-			ops[i].Err = err
+		addr, n := P(&ops[i]).span()
+		err := c.checkSpan(addr, n)
+		P(&ops[i]).setErr(err)
+		if err != nil {
 			failed++
 			continue
 		}
-		ops[i].Err = nil
-		idx = append(idx, i)
+		keys = append(keys, lineKey{c.lineAddr(addr), i})
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		return c.batchCmp(ops[a].Addr, ops[b].Addr)
+	sc.keys = keys
+	slices.SortStableFunc(keys, func(a, b lineKey) int {
+		if r := cmp.Compare(c.bankIndex(a.line), c.bankIndex(b.line)); r != 0 {
+			return r
+		}
+		return cmp.Compare(a.line, b.line)
 	})
-	return idx, failed
+	for start := 0; start < len(keys); {
+		bi := c.bankIndex(keys[start].line)
+		end := start
+		for end < len(keys) && c.bankIndex(keys[end].line) == bi {
+			end++
+		}
+		failed += serveBankRun[T, P](c, c.banks[bi], ops, keys[start:end], serve)
+		start = end
+	}
+	return failed
 }
 
-// writeBatchOrder is readBatchOrder for write ops.
-func (c *Cache) writeBatchOrder(idx []int, ops []WriteOp) ([]int, int) {
-	failed := 0
-	for i := range ops {
-		if err := c.checkSpan(ops[i].Addr, len(ops[i].Data)); err != nil {
-			ops[i].Err = err
-			failed++
-			continue
+// serveBankRun serves one bank's run of a batch under a single lock
+// acquisition, one serve call per line group.
+func serveBankRun[T any, P op[T]](c *Cache, b *bank, ops []T, run []lineKey, serve func(*Cache, *bank, uint64, []T, []lineKey) error) (failed int) {
+	b.accesses.Add(uint64(len(run)))
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for start := 0; start < len(run); {
+		end := start
+		for end < len(run) && run[end].line == run[start].line {
+			end++
 		}
-		ops[i].Err = nil
-		idx = append(idx, i)
+		group := run[start:end]
+		if err := serve(c, b, group[0].line, ops, group); err != nil {
+			for _, k := range group {
+				P(&ops[k.i]).setErr(err)
+			}
+			failed += len(group)
+		}
+		start = end
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		return c.batchCmp(ops[a].Addr, ops[b].Addr)
-	})
-	return idx, failed
+	return failed
 }
 
 // ReadBatch serves every op, grouped by bank and line: one bank lock
@@ -110,214 +142,106 @@ func (c *Cache) writeBatchOrder(idx []int, ops []WriteOp) ([]int, int) {
 // use; ops in one batch must not be aliased by another concurrent
 // batch.
 func (c *Cache) ReadBatch(ops []ReadOp) (failed int) {
-	sc := idxPool.Get().(*idxScratch)
-	defer idxPool.Put(sc)
-	var idx []int
-	idx, failed = c.readBatchOrder(sc.idx[:0], ops)
-	sc.idx = idx[:0]
-	for start := 0; start < len(idx); {
-		line := c.lineAddr(ops[idx[start]].Addr)
-		b, _ := c.bankOf(c.setOf(line))
-		end := start
-		for end < len(idx) {
-			l := c.lineAddr(ops[idx[end]].Addr)
-			if bb, _ := c.bankOf(c.setOf(l)); bb != b {
-				break
-			}
-			end++
-		}
-		failed += c.readBankRun(b, ops, idx[start:end])
-		start = end
-	}
-	return failed
-}
-
-// readBankRun serves one bank's slice of the batch under a single
-// lock acquisition.
-func (c *Cache) readBankRun(b *bank, ops []ReadOp, run []int) (failed int) {
-	b.accesses.Add(uint64(len(run)))
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for start := 0; start < len(run); {
-		line := c.lineAddr(ops[run[start]].Addr)
-		end := start
-		for end < len(run) && c.lineAddr(ops[run[end]].Addr) == line {
-			end++
-		}
-		failed += c.readLineGroupLocked(b, line, ops, run[start:end])
-		start = end
-	}
-	return failed
-}
-
-// groupWayLocked finds or fills the way holding line for a group of k
-// ops on it, with serial-issue accounting: on a hit every op hits; on a
-// miss the first op counts the miss before the fill is attempted and
-// the rest hit the line it brought in. ok is false when every way of
-// the set is decommissioned: all k ops are then counted as bypassed
-// misses and the caller serves them from backing. The caller has
-// already counted the k accesses. A write group passes its ops and
-// their wholeLineTail; installed reports that a miss installed that
-// tail's merge as the dirty line, so the group's writes are done.
-func (c *Cache) groupWayLocked(b *bank, ls int, line uint64, k uint64, ops []WriteOp, whole []int) (way int, installed, ok bool, err error) {
-	way, err = c.lookupLocked(b, ls, c.tagOf(line))
-	if err != nil {
-		return 0, false, false, err
-	}
-	if way >= 0 {
-		b.hits.Add(k)
-		return way, false, true, nil
-	}
-	c.misses.Add(1)
-	way, ok, err = c.fillLocked(b, ls, line, ops, whole)
-	switch {
-	case err != nil:
-		return 0, false, false, err
-	case !ok:
-		c.misses.Add(k - 1)
-		c.bypassed.Add(k)
-		return 0, false, false, nil
-	}
-	b.hits.Add(k - 1)
-	return way, whole != nil, true, nil
-}
-
-// readLineGroupLocked serves every op of one line with a single tag
-// lookup and a single protected read-out; a decommissioned set serves
-// the whole group from one backing fetch. Failures land on every op of
-// the group. A single read is a group of one.
-func (c *Cache) readLineGroupLocked(b *bank, line uint64, ops []ReadOp, group []int) int {
-	ls := c.setOf(line) % c.setsPerBank
-	fail := func(err error) int {
-		for _, i := range group {
-			ops[i].Err = err
-		}
-		return len(group)
-	}
-	way, _, ok, err := c.groupWayLocked(b, ls, line, uint64(len(group)), nil, nil)
-	if err != nil {
-		return fail(err)
-	}
-	if !ok {
-		ReadLineInto(c.backing, line<<c.lineShift, b.lineBuf)
-	} else {
-		b.touch(ls, way, c.cfg.Ways)
-		if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
-			return fail(err)
-		}
-	}
-	for _, i := range group {
-		off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
-		copy(ops[i].Dst, b.lineBuf[off:off+len(ops[i].Dst)])
-	}
-	return 0
+	return batch(c, ops, (*Cache).readLineGroupLocked)
 }
 
 // WriteBatch stores every op, grouped by bank and line: one bank lock
 // acquisition per bank touched and, per distinct line, one tag lookup,
 // one read-modify-write of the protected line (one set of
-// vertical-parity delta updates) and one dirty-tag store, however many
-// ops patch that line. Ops on the same line apply in batch order; ops
-// on different lines are reordered by (bank, line), with the same
+// vertical-parity delta updates) and at most one tag store, however
+// many ops patch that line. Ops on the same line apply in batch order;
+// ops on different lines are reordered by (bank, line), with the same
 // content-equivalence guarantee as ReadBatch. A group sharing a
 // failing line reports the failure on every op while detecting it
 // once. Per-op outcomes land in each op's Err field; the return value
 // counts failed ops. Safe for concurrent use.
 func (c *Cache) WriteBatch(ops []WriteOp) (failed int) {
-	sc := idxPool.Get().(*idxScratch)
-	defer idxPool.Put(sc)
-	var idx []int
-	idx, failed = c.writeBatchOrder(sc.idx[:0], ops)
-	sc.idx = idx[:0]
-	for start := 0; start < len(idx); {
-		line := c.lineAddr(ops[idx[start]].Addr)
-		b, _ := c.bankOf(c.setOf(line))
-		end := start
-		for end < len(idx) {
-			l := c.lineAddr(ops[idx[end]].Addr)
-			if bb, _ := c.bankOf(c.setOf(l)); bb != b {
-				break
-			}
-			end++
-		}
-		failed += c.writeBankRun(b, ops, idx[start:end])
-		start = end
-	}
-	return failed
+	return batch(c, ops, (*Cache).writeLineGroupLocked)
 }
 
-func (c *Cache) writeBankRun(b *bank, ops []WriteOp, run []int) (failed int) {
-	b.accesses.Add(uint64(len(run)))
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for start := 0; start < len(run); {
-		line := c.lineAddr(ops[run[start]].Addr)
-		end := start
-		for end < len(run) && c.lineAddr(ops[run[end]].Addr) == line {
-			end++
-		}
-		failed += c.writeLineGroupLocked(b, line, ops, run[start:end])
-		start = end
-	}
-	return failed
-}
-
-// writeLineGroupLocked applies every op of one line, in group order,
-// with one read-modify-write of the protected line and one dirty-tag
-// store; a decommissioned set takes one read-modify-write through to
-// backing instead. A group that holds a whole-line op and misses
-// fetches nothing: the fill installs its wholeLineTail directly, with
-// no read-out, and a bypass patches the ops over the staging buffer's
-// stale bytes, which the whole-line op overwrites. Failures land on
-// every op of the group. A single write is a group of one.
-func (c *Cache) writeLineGroupLocked(b *bank, line uint64, ops []WriteOp, group []int) int {
+// readLineGroupLocked serves every op of one line from the bank's
+// staging buffer, filled by one protected read-out on a hit, by the
+// fill's fetch on a miss, and by one backing fetch when the set is
+// decommissioned. A single read is a group of one.
+func (c *Cache) readLineGroupLocked(b *bank, line uint64, ops []ReadOp, group []lineKey) error {
 	ls := c.setOf(line) % c.setsPerBank
-	fail := func(err error) int {
-		for _, i := range group {
-			ops[i].Err = err
-		}
-		return len(group)
+	way, t, hit, err := c.lookupLocked(b, ls, c.tagOf(line), len(group))
+	switch {
+	case err != nil:
+	case hit:
+		err = c.readLineLocked(b, ls, way, b.lineBuf)
+	case way < 0:
+		ReadLineInto(c.backing, line<<c.lineShift, b.lineBuf)
+	default:
+		err = c.fillLocked(b, ls, way, t, line, nil, group)
 	}
-	whole := c.wholeLineTail(ops, group)
-	way, installed, ok, err := c.groupWayLocked(b, ls, line, uint64(len(group)), ops, whole)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	if !ok {
-		if whole == nil {
-			ReadLineInto(c.backing, line<<c.lineShift, b.lineBuf)
-		}
-		c.patch(b.lineBuf, ops, group)
+	for _, k := range group {
+		off := int(ops[k.i].Addr) & (c.cfg.LineBytes - 1)
+		copy(ops[k.i].Dst, b.lineBuf[off:])
+	}
+	return nil
+}
+
+// writeLineGroupLocked applies every op of one line, in group order.
+// A hit makes one read-modify-write of the protected line and marks a
+// clean line dirty; a miss installs the merge with the fill; a
+// decommissioned set takes the merge through to backing. A single
+// write is a group of one.
+func (c *Cache) writeLineGroupLocked(b *bank, line uint64, ops []WriteOp, group []lineKey) error {
+	ls := c.setOf(line) % c.setsPerBank
+	way, t, hit, err := c.lookupLocked(b, ls, c.tagOf(line), len(group))
+	switch {
+	case err != nil:
+		return err
+	case way < 0:
+		c.mergeLocked(b, line, ops, group)
 		c.backing.WriteLine(line<<c.lineShift, b.lineBuf)
-		return 0
-	}
-	b.touch(ls, way, c.cfg.Ways)
-	if installed {
-		return 0
+		return nil
+	case !hit:
+		return c.fillLocked(b, ls, way, t, line, ops, group)
 	}
 	if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
-		return fail(err)
+		return err
 	}
 	c.patch(b.lineBuf, ops, group)
 	if err := c.writeLineLocked(b, ls, way, b.lineBuf); err != nil {
-		return fail(err)
+		return err
 	}
-	if err := c.writeTagLocked(b, ls, way, tagValidBit|tagDirtyBit|c.tagOf(line)<<tagShift); err != nil {
-		return fail(err)
+	if t&tagDirtyBit != 0 {
+		return nil
 	}
-	return 0
+	return c.writeTagLocked(b, ls, way, t|tagDirtyBit)
 }
 
-// wholeLineTail returns group from its last whole-line op on, or nil
-// when no op of the group writes the whole line. A span check has
-// passed, so an op LineBytes long starts at offset 0. The tail alone
-// decides the line's bytes: its first op overwrites everything the ops
-// before it, and the line's old contents, left.
-func (c *Cache) wholeLineTail(ops []WriteOp, group []int) []int {
-	for j := len(group) - 1; j >= 0; j-- {
-		if len(ops[group[j]].Data) == c.cfg.LineBytes {
-			return group[j:]
+// mergeLocked leaves in lineBuf the line with the group's ops patched
+// over it in order. It fetches the line only when no op covers it
+// whole: a whole-line op starts at offset 0 (its span check passed),
+// so patching in order overwrites every byte a fetch would bring in.
+func (c *Cache) mergeLocked(b *bank, line uint64, ops []WriteOp, group []lineKey) {
+	if !c.wholeLine(ops, group) {
+		ReadLineInto(c.backing, line<<c.lineShift, b.lineBuf)
+	}
+	c.patch(b.lineBuf, ops, group)
+}
+
+// wholeLine reports whether an op of the group writes the whole line.
+func (c *Cache) wholeLine(ops []WriteOp, group []lineKey) bool {
+	for _, k := range group {
+		if len(ops[k.i].Data) == c.cfg.LineBytes {
+			return true
 		}
 	}
-	return nil
+	return false
+}
+
+// patch copies each op's data into the line image dst at the op's line
+// offset, in group order.
+func (c *Cache) patch(dst []byte, ops []WriteOp, group []lineKey) {
+	for _, k := range group {
+		off := int(ops[k.i].Addr) & (c.cfg.LineBytes - 1)
+		copy(dst[off:], ops[k.i].Data)
+	}
 }

@@ -266,6 +266,122 @@ func TestBatchStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestLineGroupArrayWork pins the protected-array word traffic of one
+// op of each kind on a 4-way, 64 B-line, 1-bank cache, with EDC8 and
+// with SECDED: one tag scan per op, one row write and one tag write
+// per install, no read-back of an installed line, and no tag rewrite
+// for a write hit on a line already dirty. A valid victim adds its
+// invalidation tag write and, when dirty, its writeback's row read.
+func TestLineGroupArrayWork(t *testing.T) {
+	const sets, ways, lineBytes = 16, 4, 64
+	addr := func(k int) uint64 { return uint64(k * sets * lineBytes) } // k-th line of set 0
+	partial := func(c *Cache, k int) error { return write1(c, addr(k)+8, []byte{1, 2, 3}) }
+	whole := func(c *Cache, k int) error { return write1(c, addr(k), make([]byte, lineBytes)) }
+	read := func(c *Cache, k int) error { _, err := read1(c, addr(k)+16, 8); return err }
+	fill := func(op func(*Cache, int) error) func(*Cache) error {
+		return func(c *Cache) error {
+			for k := range ways {
+				if err := op(c, k); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	once := func(op func(*Cache, int) error) func(*Cache) error {
+		return func(c *Cache) error { return op(c, 0) }
+	}
+	// work is one op's array traffic: data reads, data writes, tag
+	// reads, tag writes.
+	type work struct{ dr, dw, tr, tw uint64 }
+	// Each op touches the k-th line of set 0: line 0 for a hit, line
+	// ways (never held) for a miss.
+	for _, tc := range []struct {
+		name  string
+		setup func(*Cache) error
+		op    func(*Cache, int) error
+		k     int
+		want  work
+	}{
+		{"read miss, empty set", nil, read, 0, work{0, 8, 4, 1}},
+		{"read miss, clean victim", fill(read), read, ways, work{0, 8, 4, 2}},
+		{"read miss, dirty victim", fill(partial), read, ways, work{8, 8, 4, 2}},
+		{"partial-write miss, empty set", nil, partial, 0, work{0, 8, 4, 1}},
+		{"partial-write miss, dirty victim", fill(partial), partial, ways, work{8, 8, 4, 2}},
+		{"whole-line write miss, dirty victim", fill(partial), whole, ways, work{8, 8, 4, 2}},
+		{"read hit", once(read), read, 0, work{8, 0, 1, 0}},
+		{"write hit, clean line", once(read), partial, 0, work{8, 8, 1, 1}},
+		{"write hit, dirty line", once(partial), partial, 0, work{8, 8, 1, 0}},
+	} {
+		for _, secded := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/secded=%v", tc.name, secded), func(t *testing.T) {
+				c := MustNew(Config{Sets: sets, Ways: ways, LineBytes: lineBytes, Banks: 1, SECDEDHorizontal: secded}, NewMapBacking(lineBytes))
+				if tc.setup != nil {
+					if err := tc.setup(c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				data, tags := c.BankArrays(0)
+				d0, t0 := data.Stats(), tags.Stats()
+				if err := tc.op(c, tc.k); err != nil {
+					t.Fatal(err)
+				}
+				d1, t1 := data.Stats(), tags.Stats()
+				got := work{d1.Reads - d0.Reads, d1.Writes - d0.Writes, t1.Reads - t0.Reads, t1.Writes - t0.Writes}
+				if got != tc.want {
+					t.Fatalf("array work (data reads, data writes, tag reads, tag writes) = %v, want %v", got, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// TestVictimSkipsDecommissionedWays holds the fill's victim choice to
+// the set's enabled ways: the first invalid one, else the one with the
+// oldest LRU stamp, even when a decommissioned way is invalid or holds
+// an older stamp.
+func TestVictimSkipsDecommissionedWays(t *testing.T) {
+	const sets, ways = 16, 4
+	c := MustNew(Config{Sets: sets, Ways: ways, LineBytes: 64, Banks: 1}, NewMapBacking(64))
+	line := func(k int) uint64 { return uint64(k * sets) } // k-th line of set 0
+	wayOf := func(l uint64) int {
+		_, tags := c.BankArrays(0)
+		for w := range ways {
+			if v, _ := tags.ReadUint64(0, w); v&tagValidBit != 0 && v>>tagShift == c.tagOf(l) {
+				return w
+			}
+		}
+		return -1
+	}
+	touch := func(k int) {
+		t.Helper()
+		if _, err := read1(c, line(k)*64, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	touch(0) // way 0
+	touch(1) // way 1
+	c.Decommission(0, 1)
+	// Ways: 0 valid (stamp 1), 1 decommissioned (stamp 2, now invalid),
+	// 2 and 3 invalid. The first enabled invalid way is 2.
+	touch(2)
+	touch(3)
+	for k, want := range []int{0, -1, 2, 3} {
+		if got := wayOf(line(k)); got != want {
+			t.Fatalf("line %d in way %d, want %d", k, got, want)
+		}
+	}
+	// Every enabled way is valid; re-touching line 0 leaves way 2 the
+	// oldest enabled way, though decommissioned way 1's stamp is older.
+	touch(0)
+	touch(4)
+	for k, want := range []int{0, -1, -1, 3, 2} {
+		if got := wayOf(line(k)); got != want {
+			t.Fatalf("after the eviction, line %d in way %d, want %d", k, got, want)
+		}
+	}
+}
+
 func ExampleCache_ReadBatch() {
 	c := MustNew(Config{Sets: 16, Ways: 2, LineBytes: 64}, NewMapBacking(64))
 	c.WriteBatch([]WriteOp{

@@ -416,11 +416,11 @@ const (
 
 // RegisterMetrics wires the cache's counters into a registry. Dependent
 // counters register — and are therefore snapshotted — before their
-// upper bounds (hits before accesses, per bank and in aggregate), and
-// ClampLE invariants back them up, so a registry snapshot can never
-// show hits exceeding accesses. Aggregated sub-array activity (reads,
-// recoveries, uncorrectable words across every bank's data and tag
-// arrays) is exported under pcache_array_*.
+// upper bounds (hits and misses before accesses, per bank and in
+// aggregate), and every access is counted before its outcome, so a
+// registry snapshot can never show hits exceeding accesses. Aggregated
+// sub-array activity (reads, recoveries, uncorrectable words across
+// every bank's data and tag arrays) is exported under pcache_array_*.
 func (c *Cache) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc(MetricHits, "accesses served by a resident line", func() uint64 {
 		var n uint64
@@ -431,8 +431,6 @@ func (c *Cache) RegisterMetrics(r *obs.Registry) {
 	})
 	r.CounterFunc(MetricMisses, "accesses that required a line fill", c.misses.Load)
 	r.CounterFunc(MetricAccesses, "Read/Write operations issued", c.Accesses)
-	r.ClampLE(MetricHits, MetricAccesses)
-	r.ClampLE(MetricMisses, MetricAccesses)
 	r.CounterFunc(MetricWritebacks, "dirty lines written back to the backing store", c.writebacks.Load)
 	r.CounterFunc(MetricRecovered, "accesses that needed 2D recovery or in-line correction", c.recovered.Load)
 	r.CounterFunc(MetricUncorrect, "machine-check events (footprint beyond 2D coverage)", c.uncorrectable.Load)
@@ -445,7 +443,6 @@ func (c *Cache) RegisterMetrics(r *obs.Registry) {
 		accName := fmt.Sprintf("pcache_bank%d_accesses_total", i)
 		r.CounterFunc(hitsName, fmt.Sprintf("hits served by bank %d", i), b.hits.Load)
 		r.CounterFunc(accName, fmt.Sprintf("accesses routed to bank %d", i), b.accesses.Load)
-		r.ClampLE(hitsName, accName)
 	}
 	sumArrays := func(sel func(twod.Stats) uint64) func() uint64 {
 		return func() uint64 {
@@ -524,6 +521,9 @@ func (c *Cache) bankOf(set int) (*bank, int) {
 	return c.banks[set/c.setsPerBank], set % c.setsPerBank
 }
 
+// bankIndex returns the index of the bank that caches line.
+func (c *Cache) bankIndex(line uint64) int { return c.setOf(line) / c.setsPerBank }
+
 func (b *bank) globalSet(spb, ls int) int { return b.index*spb + ls }
 
 // noteSt records an access outcome, wrapping uncorrectable ones with
@@ -554,47 +554,42 @@ func (c *Cache) writeTagLocked(b *bank, ls, way int, v uint64) error {
 	return c.noteSt(st, ArrayTags, b.globalSet(c.setsPerBank, ls), way)
 }
 
-// lookupLocked returns the hitting way, or -1.
-func (c *Cache) lookupLocked(b *bank, ls int, tag uint64) (int, error) {
-	for way := 0; way < c.cfg.Ways; way++ {
-		if b.disabled[ls*c.cfg.Ways+way] {
-			continue
-		}
-		t, err := c.readTagLocked(b, ls, way)
-		if err != nil {
-			return -1, err
-		}
-		if t&tagValidBit != 0 && t>>tagShift == tag {
-			return way, nil
-		}
-	}
-	return -1, nil
-}
-
-// victimLocked picks an invalid or LRU way among the enabled ways; ok
-// is false when the whole set is decommissioned.
-func (c *Cache) victimLocked(b *bank, ls int) (way int, ok bool, err error) {
-	best, bestStamp, found := 0, ^uint64(0), false
+// lookupLocked scans the set's enabled ways once for tag and counts
+// the k accesses of a line group by outcome, with serial-issue
+// accounting. On a hit it returns the way and its tag, and every op
+// hits. On a miss it returns the victim — the first invalid way, else
+// the least recently used one — and the victim's tag; the first op
+// counts the miss, and fillLocked counts the rest as hits of the line
+// it installs. way is -1 when every way of the set is decommissioned:
+// all k ops are then bypassed misses, served from backing.
+func (c *Cache) lookupLocked(b *bank, ls int, tag uint64, k int) (way int, t uint64, hit bool, err error) {
+	way = -1
 	for w := 0; w < c.cfg.Ways; w++ {
 		idx := ls*c.cfg.Ways + w
 		if b.disabled[idx] {
 			continue
 		}
-		t, err := c.readTagLocked(b, ls, w)
+		v, err := c.readTagLocked(b, ls, w)
 		if err != nil {
-			return 0, true, err
+			return -1, 0, false, err
 		}
-		if t&tagValidBit == 0 {
-			return w, true, nil
+		if v&tagValidBit != 0 && v>>tagShift == tag {
+			b.hits.Add(uint64(k))
+			b.touch(ls, w, c.cfg.Ways)
+			return w, v, true, nil
 		}
-		if s := b.lru[idx]; !found || s < bestStamp {
-			best, bestStamp, found = w, s, true
+		// Keep the first invalid way; until one turns up, the oldest.
+		if way < 0 || t&tagValidBit != 0 && (v&tagValidBit == 0 || b.lru[idx] < b.lru[ls*c.cfg.Ways+way]) {
+			way, t = w, v
 		}
 	}
-	if !found {
-		return 0, false, nil
+	if way < 0 {
+		c.misses.Add(uint64(k))
+		c.bypassed.Add(uint64(k))
+	} else {
+		c.misses.Add(1)
 	}
-	return best, true, nil
+	return way, t, false, nil
 }
 
 // dataRow maps (localSet, way) to the bank's data array row.
@@ -631,32 +626,13 @@ func (c *Cache) writeLineLocked(b *bank, ls, way int, data []byte) error {
 	return nil
 }
 
-// fillLocked brings the line into the set, evicting as needed; ok is
-// false when every way is decommissioned (caller must bypass). It
-// installs the backing's line, fetched into lineBuf, as a clean line.
-// A write group that holds a whole-line op passes its ops from the last
-// one on as whole: they overwrite every byte a fetch would bring in, so
-// the fill fetches nothing and installs their merge as a dirty line.
-// The install still reads the victim's row, for the vertical parity
-// delta.
-func (c *Cache) fillLocked(b *bank, ls int, line uint64, ops []WriteOp, whole []int) (way int, ok bool, err error) {
-	way, ok, err = c.victimLocked(b, ls)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	old, err := c.readTagLocked(b, ls, way)
-	if err != nil {
-		return 0, true, err
-	}
-	if old&tagValidBit != 0 && old&tagDirtyBit != 0 {
-		set := b.globalSet(c.setsPerBank, ls)
-		oldLine := old>>tagShift<<bits.TrailingZeros64(c.setMask+1) | uint64(set)
-		if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
-			return 0, true, err
-		}
-		c.backing.WriteLine(oldLine<<c.lineShift, b.lineBuf)
-		c.writebacks.Add(1)
-	}
+// fillLocked installs line into the victim way, whose tag reads old,
+// with one row write and one tag write, and leaves the installed line
+// in lineBuf. A valid victim is first written back if dirty and
+// invalidated. A read group (ops nil) installs the fetched line clean;
+// a write group installs the fetched line with its ops merged in,
+// dirty, which completes the group.
+func (c *Cache) fillLocked(b *bank, ls, way int, old, line uint64, ops []WriteOp, group []lineKey) error {
 	if old&tagValidBit != 0 {
 		// Invalidate the victim's tag BEFORE overwriting its line.
 		// writeLineLocked can abort part-way (overwriting a word with
@@ -667,36 +643,48 @@ func (c *Cache) fillLocked(b *bank, ls int, line uint64, ops []WriteOp, whole []
 		// with no loss-epoch bump — silent corruption of the backing
 		// store. Invalidated first, an aborted fill leaves only an
 		// empty way; the old line's next reader refetches from backing,
-		// which the writeback above has made current. Even if this tag
-		// write itself reports uncorrectable, the zero value has been
-		// stored raw, so the way still reads as invalid.
-		if err := c.writeTagLocked(b, ls, way, 0); err != nil {
-			return 0, true, err
+		// which the writeback has made current. Even if this tag write
+		// itself reports uncorrectable, the zero value has been stored
+		// raw, so the way still reads as invalid.
+		var err error
+		if old&tagDirtyBit != 0 {
+			err = c.writebackLocked(b, ls, way, old, 0)
+		} else {
+			err = c.writeTagLocked(b, ls, way, 0)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	tag := tagValidBit | c.tagOf(line)<<tagShift
-	if whole == nil {
+	if ops == nil {
 		ReadLineInto(c.backing, line<<c.lineShift, b.lineBuf)
 	} else {
-		c.patch(b.lineBuf, ops, whole)
+		c.mergeLocked(b, line, ops, group)
 		tag |= tagDirtyBit
 	}
 	if err := c.writeLineLocked(b, ls, way, b.lineBuf); err != nil {
-		return 0, true, err
+		return err
 	}
 	if err := c.writeTagLocked(b, ls, way, tag); err != nil {
-		return 0, true, err
+		return err
 	}
-	return way, true, nil
+	b.hits.Add(uint64(len(group) - 1))
+	b.touch(ls, way, c.cfg.Ways)
+	return nil
 }
 
-// patch copies each op's data into the line image dst at the op's line
-// offset, in group order.
-func (c *Cache) patch(dst []byte, ops []WriteOp, group []int) {
-	for _, i := range group {
-		off := int(ops[i].Addr) & (c.cfg.LineBytes - 1)
-		copy(dst[off:], ops[i].Data)
+// writebackLocked writes the dirty line in way, whose tag reads t, to
+// the backing store through lineBuf, then stores next as the way's
+// tag: invalid for an eviction, clean for a flush.
+func (c *Cache) writebackLocked(b *bank, ls, way int, t, next uint64) error {
+	if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
+		return err
 	}
+	line := t>>tagShift<<bits.TrailingZeros64(c.setMask+1) | uint64(b.globalSet(c.setsPerBank, ls))
+	c.backing.WriteLine(line<<c.lineShift, b.lineBuf)
+	c.writebacks.Add(1)
+	return c.writeTagLocked(b, ls, way, next)
 }
 
 // touch stamps the way as most recently used.
@@ -722,7 +710,6 @@ func (c *Cache) flushBank(b *bank) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for ls := 0; ls < c.setsPerBank; ls++ {
-		set := b.globalSet(c.setsPerBank, ls)
 		for way := 0; way < c.cfg.Ways; way++ {
 			if b.disabled[ls*c.cfg.Ways+way] {
 				continue
@@ -732,15 +719,9 @@ func (c *Cache) flushBank(b *bank) error {
 				return err
 			}
 			if t&tagValidBit != 0 && t&tagDirtyBit != 0 {
-				line := t>>tagShift<<bits.TrailingZeros64(c.setMask+1) | uint64(set)
-				if err := c.readLineLocked(b, ls, way, b.lineBuf); err != nil {
+				if err := c.writebackLocked(b, ls, way, t, t&^tagDirtyBit); err != nil {
 					return err
 				}
-				c.backing.WriteLine(line<<c.lineShift, b.lineBuf)
-				if err := c.writeTagLocked(b, ls, way, t&^tagDirtyBit); err != nil {
-					return err
-				}
-				c.writebacks.Add(1)
 			}
 		}
 	}

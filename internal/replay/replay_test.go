@@ -68,6 +68,13 @@ func TestReplayDeterminism(t *testing.T) {
 // traces marked "expect silent" must still be classified silent.
 // This is the permanent regression gate for the hard-storm bug — see
 // also scripts/check.sh, which runs it in tier-1.
+//
+// Each replay's summary, what soak -replay prints of it (WriteSummary),
+// must also match testdata/<trace>.golden byte for byte: taxonomy,
+// health report and state hash. A change meant to move a replay
+// regenerates the files with
+//
+//	REGEN_GOLDEN=1 go test ./internal/replay -run TestCommittedTraces
 func TestCommittedTraces(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.trace"))
 	if err != nil {
@@ -86,6 +93,21 @@ func TestCommittedTraces(t *testing.T) {
 			res, err := Run(tr)
 			if err != nil {
 				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			WriteSummary(&got, &got, len(tr.Events), res)
+			golden := strings.TrimSuffix(path, ".trace") + ".golden"
+			if os.Getenv("REGEN_GOLDEN") != "" {
+				if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with REGEN_GOLDEN=1 to generate)", err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("replay summary differs from %s\n got:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 			}
 			if tr.ExpectSilent {
 				if res.Silent == 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"time"
 
 	"twodcache/internal/fault"
@@ -119,6 +120,22 @@ func Run(tr Trace) (Result, error) {
 	res.Report = m.st.Shard(0).Report()
 	res.StateHash = stateHash(cache, m.reg)
 	return res, nil
+}
+
+// WriteSummary renders a replay of a trace of the given number of
+// events as soak -replay prints it: each silent mismatch's detail to
+// details, then the event counts, the engine's health report, the
+// accounting and the state hash to out.
+func WriteSummary(out, details io.Writer, events int, res Result) {
+	for _, d := range res.SilentDetails {
+		fmt.Fprintln(details, "soak: "+d)
+	}
+	fmt.Fprintf(out, "soak: replayed %d events (%d client ops, %d flips applied, %d gated)\n",
+		events, res.Ops, res.FlipsApplied, res.FlipsSkipped)
+	fmt.Fprint(out, res.Report.String())
+	fmt.Fprintf(out, "  accounting:  %d accounted losses, %d ladder-exhausted DUEs, %d SILENT corruptions\n",
+		res.Accounted, res.Reported, res.Silent)
+	fmt.Fprintf(out, "  state hash:  %016x\n", res.StateHash)
 }
 
 // machine is the replay target: a 1-shard store over a map backing,

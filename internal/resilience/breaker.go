@@ -65,9 +65,10 @@ func (s breakerState) String() string {
 // newBankBreakers builds the engine's per-bank breakers over the shared
 // HealthBreaker machine. The transition hook keeps the engine's gauge
 // and trip/transition counters: every entry into the open state is a
-// trip.
+// trip, counted after the transition that bounds it.
 func (e *Engine) newBankBreakers(n int) []*HealthBreaker {
 	onTransition := func(from, to string) {
+		e.breakerTransitions.Inc()
 		if to == breakerOpen.String() {
 			e.breakersOpen.Add(1)
 			e.breakerTrips.Inc()
@@ -75,7 +76,6 @@ func (e *Engine) newBankBreakers(n int) []*HealthBreaker {
 		if from == breakerOpen.String() {
 			e.breakersOpen.Add(-1)
 		}
-		e.breakerTransitions.Inc()
 	}
 	bs := make([]*HealthBreaker, n)
 	for i := range bs {

@@ -203,30 +203,31 @@ func New(c *pcache.Cache, cfg Config) *Engine {
 // registerMetrics creates the engine's instrumentation in r and then
 // registers the cache's. Snapshots read metrics in registration order
 // and the replay state hash digests their names in that order, so the
-// order is part of the engine's observable output. Only breaker trips
-// register before their bound; every other engine pair registers its
-// bound first (attempts before hits, DUEs before what they lead to),
-// so for those the ClampLE declarations, not the order, keep a
-// snapshot taken mid-ladder coherent.
+// order is part of the engine's observable output. Each dependent
+// registers before its bound — a rung's hits before its attempts,
+// remaps before decommissions, exhausted runs, sheds and deadline
+// aborts before the DUEs that entered the ladder, breaker trips before
+// transitions — and every emitter counts the bound first, so a
+// snapshot taken mid-ladder never shows a dependent above its bound.
 func (e *Engine) registerMetrics(r *obs.Registry) {
-	e.dues = r.Counter(metricDUEs, "detected-uncorrectable events entering the ladder")
-	e.retries = r.Counter(metricRetries, "rung-1 access re-issues")
-	e.retryHits = r.Counter(metricRetryHits, "accesses rescued by a bare retry")
-	e.wordAttempts = r.Counter(metricWordAttempts, "rung-2 targeted word recoveries attempted")
-	e.wordHits = r.Counter(metricWordHits, "accesses rescued by word recovery")
-	e.fullAttempts = r.Counter(metricFullAttempts, "rung-3 full 2D recoveries attempted")
-	e.fullHits = r.Counter(metricFullHits, "accesses rescued by full 2D recovery")
-	e.decommissions = r.Counter(metricDecommissions, "ways retired by graceful degradation")
-	e.remaps = r.Counter(metricRemaps, "retired ways remapped to spare rows")
 	e.exhausted = r.Counter(metricExhausted, "ladder runs that failed even after degradation")
+	e.sheds = r.Counter(metricSheds, "repairs routed straight to degrade by an open breaker")
+	e.deadlineAborts = r.Counter(metricDeadlineAborts, "ladder runs abandoned at the caller's deadline")
+	e.dues = r.Counter(metricDUEs, "detected-uncorrectable events entering the ladder")
+	e.retryHits = r.Counter(metricRetryHits, "accesses rescued by a bare retry")
+	e.retries = r.Counter(metricRetries, "rung-1 access re-issues")
+	e.wordHits = r.Counter(metricWordHits, "accesses rescued by word recovery")
+	e.wordAttempts = r.Counter(metricWordAttempts, "rung-2 targeted word recoveries attempted")
+	e.fullHits = r.Counter(metricFullHits, "accesses rescued by full 2D recovery")
+	e.fullAttempts = r.Counter(metricFullAttempts, "rung-3 full 2D recoveries attempted")
+	e.remaps = r.Counter(metricRemaps, "retired ways remapped to spare rows")
+	e.decommissions = r.Counter(metricDecommissions, "ways retired by graceful degradation")
 	e.ladderLatency = r.Histogram(metricLadderSeconds, "DUE-to-resolution ladder latency")
 
 	e.coalesced = r.Counter(metricCoalesced, "requests coalesced onto an in-flight bank repair")
-	e.sheds = r.Counter(metricSheds, "repairs routed straight to degrade by an open breaker")
 	e.breakerTrips = r.Counter(metricBreakerTrips, "breaker transitions into the open state")
 	e.breakerTransitions = r.Counter(metricBreakerTransitions, "all breaker state transitions")
 	e.watchdogFires = r.Counter(metricWatchdogFires, "stuck repairs force-escalated at their repair budget")
-	e.deadlineAborts = r.Counter(metricDeadlineAborts, "ladder runs abandoned at the caller's deadline")
 	e.breakersOpen = r.Gauge(metricBreakersOpen, "banks currently behind an open breaker")
 
 	e.scrubPasses = r.Counter(metricScrubPasses, "completed scrub sweeps")
@@ -234,19 +235,6 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 	e.scrubVictims = r.Counter(metricScrubVictims, "unrepairable ways retired by sweeps")
 	e.scrubLatency = r.Histogram(metricScrubSeconds, "whole-sweep scrub latency")
 
-	// The success count of a rung can never exceed its attempts, remaps
-	// never exceed decommissions, and no rung outcome exceeds the DUEs
-	// that entered the ladder: declare it so snapshots enforce it.
-	r.ClampLE(metricRetryHits, metricRetries)
-	r.ClampLE(metricWordHits, metricWordAttempts)
-	r.ClampLE(metricFullHits, metricFullAttempts)
-	r.ClampLE(metricRemaps, metricDecommissions)
-	r.ClampLE(metricExhausted, metricDUEs)
-	// At most one shed and one deadline abort per ladder run, and every
-	// breaker trip is itself a transition.
-	r.ClampLE(metricSheds, metricDUEs)
-	r.ClampLE(metricDeadlineAborts, metricDUEs)
-	r.ClampLE(metricBreakerTrips, metricBreakerTransitions)
 	e.cache.RegisterMetrics(r)
 }
 
